@@ -13,6 +13,7 @@ from .errors import (
     ColouringConflict,
     EmptyDiagram,
     InvalidForest,
+    InvariantViolation,
     KnotmorseError,
     LeafOfAmbient,
     MalformedSyntax,

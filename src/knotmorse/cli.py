@@ -2,9 +2,10 @@
 
 Every subcommand emits JSON on stdout by default; --pretty switches to an
 aligned text rendering.  Exit codes: 0 success, 2 usage or parse failure,
-3 resource cap exceeded, 4 a checked invariant failed (a minimal
-counterexample is dumped).  All output is exhaustive and deterministic;
---threads is accepted for interface stability but never changes results.
+3 resource cap exceeded, 4 a checked invariant failed (a property check
+dumps a minimal counterexample, an internal cross-check reports on stderr).
+All output is exhaustive and deterministic; --threads is accepted for
+interface stability but never changes results.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .counting import (
 )
 from .complexes import connectivity_report
 from .diagram import Diagram, build_diagram, build_tait, colour_graphs, is_reduced, parse_pd
-from .errors import KnotmorseError, ResourceLimit
+from .errors import InvariantViolation, KnotmorseError, ResourceLimit
 from .moves import (
     MOVE_KINDS,
     POPULATIONS,
@@ -315,7 +316,7 @@ def cmd_complex(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(["name", "kind", "pure", "degree", "rank"])
             if args.homology:
-                for k, r in sorted(homology(c).ranks().items()):
+                for k, r in sorted(h.ranks().items()):
                     writer.writerow([name, args.kind, args.pure, k, r])
     _emit(payload, args.pretty, lines)
     return EXIT_OK
@@ -646,10 +647,13 @@ def main(argv=None) -> int:
     except SystemExit2 as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    except ResourceLimit as exc:
+        print("resource limit: %s" % exc, file=sys.stderr)
+        return EXIT_RESOURCE
+    except InvariantViolation as exc:
+        print("invariant violation: %s" % exc, file=sys.stderr)
+        return EXIT_VIOLATION
     except KnotmorseError as exc:
-        if isinstance(exc, ResourceLimit):
-            print("resource limit: %s" % exc, file=sys.stderr)
-            return EXIT_RESOURCE
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

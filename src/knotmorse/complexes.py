@@ -7,25 +7,26 @@ generated by the top-dimensional facets.  The pure Morse facets are exactly
 the images of the tree-pair construction, one top simplex per (spanning
 tree, black root, white root) triple.
 
-Homology is computed over the integers from sparse boundary matrices: a
-unit-pivot elimination with a Markowitz fill heuristic clears almost
-everything, and whatever core survives without unit entries goes through a
-dense Smith normal form, so torsion is exact.  Face enumeration respects the
-KNOTMORSE_MAX_FACES cap and raises ResourceLimit before allocating past it.
+Homology is computed over the integers by coreduction (Mrozek and Batko), a
+discrete Morse reduction of the augmented chain complex: cells joined by a
+unit incidence are removed in pairs, and only the boundaries between the
+critical cells that survive go through a dense Smith normal form, so torsion
+is exact.  Face enumeration respects the KNOTMORSE_MAX_FACES cap and raises
+ResourceLimit before allocating past it.
 """
 
 from __future__ import annotations
 
-import heapq
 import os
+from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .counting import spanning_trees
 from .diagram import Diagram, TaitGraph, build_tait, colour_graphs
-from .errors import ResourceLimit
+from .errors import InvariantViolation, ResourceLimit
 from .states import enumerate_matchings, find_nonextendable, is_dmf, kpw
 
 __all__ = [
@@ -63,13 +64,18 @@ class SimplicialComplex:
     __slots__ = ("facets", "_faces")
 
     def __init__(self, facets: Iterable[Iterable[int]]):
-        canonical = {tuple(sorted(f)) for f in facets}
-        kept = [
+        canonical = sorted({tuple(sorted(f)) for f in facets}, key=lambda f: (len(f), f))
+        holding: dict[int, set[int]] = {}
+        for i, f in enumerate(canonical):
+            for v in f:
+                holding.setdefault(v, set()).add(i)
+        # a facet is kept when no other one holds all its vertices; the empty
+        # facet lies in every other one
+        self.facets: tuple[tuple[int, ...], ...] = tuple(
             f
             for f in canonical
-            if not any(set(f) < set(g) for g in canonical)
-        ]
-        self.facets: tuple[tuple[int, ...], ...] = tuple(sorted(kept, key=lambda f: (len(f), f)))
+            if (len(set.intersection(*(holding[v] for v in f))) == 1 if f else len(canonical) == 1)
+        )
         self._faces: tuple[tuple[tuple[int, ...], ...], ...] | None = None
 
     @property
@@ -274,118 +280,110 @@ def _dense_smith(rows: list[list[int]]) -> list[int]:
     return invs
 
 
-def _sparse_rank_and_invariants(columns: list[dict[int, int]]) -> tuple[int, tuple[int, ...]]:
-    """Rank and nontrivial invariant factors of a sparse integer matrix.
+def _reduce(bd: list, cbd: list) -> set[int]:
+    """Remove cell pairs joined by a unit incidence; return the survivors.
 
-    Unit pivots keep every update integral and contribute trivial factors;
-    the Markowitz product (row degree - 1)(column degree - 1) orders them to
-    limit fill.  Whatever remains holds no unit entry and is handed to the
-    dense routine.
+    bd[b] maps each face a of cell b to <d b, a>; cbd[a] has the cofaces of a
+    as keys (a dict is smaller than a set).  Both are updated in place.
+    Removing a pair with <d b, a> = u = +-1 and setting d c -= <d c, a> u d b
+    for the other cofaces c of a is a chain homotopy equivalence over the
+    integers.  A FIFO queue finds the pairs that need no fill first:
+    coreductions (b has no other face) and collapses (a has no other coface).
+    Then the unit pivot of least Markowitz cost is used.
     """
-    cols: dict[int, dict[int, int]] = {
-        j: dict(col) for j, col in enumerate(columns) if col
-    }
-    rows: dict[int, set[int]] = {}
-    for j, col in cols.items():
-        for r in col:
-            rows.setdefault(r, set()).add(j)
+    live = set(range(len(bd)))
+    queue = deque(live)
 
-    def cost(r: int, j: int) -> int:
-        return (len(rows[r]) - 1) * (len(cols[j]) - 1)
+    def remove(a: int, b: int) -> None:
+        for z in (a, b):
+            for y in bd[z]:
+                del cbd[y][z]
+                queue.append(y)
+            for w in cbd[z]:
+                del bd[w][z]
+                queue.append(w)
+            bd[z] = cbd[z] = None
+            live.discard(z)
 
-    heap: list[tuple[int, int, int]] = []
-    for j, col in cols.items():
-        for r, v in col.items():
-            if v in (1, -1):
-                heap.append((cost(r, j), r, j))
-    heapq.heapify(heap)
-    rank = 0
-    while heap:
-        c0, r, j = heapq.heappop(heap)
-        col = cols.get(j)
-        if col is None or col.get(r) not in (1, -1):
-            continue
-        now = cost(r, j)
-        if now > c0:
-            heapq.heappush(heap, (now, r, j))
-            continue
-        pivot = col[r]
-        pivot_col = cols.pop(j)
-        for rr in pivot_col:
-            rows[rr].discard(j)
-        rank += 1
-        for jj in tuple(rows.get(r, ())):
-            target = cols[jj]
-            f = target[r] * pivot
-            for rr, vv in pivot_col.items():
-                new = target.get(rr, 0) - f * vv
+    while True:
+        while queue:
+            x = queue.popleft()
+            if bd[x] is None:
+                continue
+            if len(bd[x]) == 1:
+                ((a, v),) = bd[x].items()
+                if v in (1, -1):
+                    remove(a, x)
+                    continue
+            if len(cbd[x]) == 1:
+                (b,) = cbd[x]
+                if bd[b][x] in (1, -1):
+                    remove(x, b)
+        units = [
+            ((len(bd[b]) - 1) * (len(cbd[a]) - 1), a, b)
+            for b in live for a, v in bd[b].items() if v in (1, -1)
+        ]
+        if not units:
+            return live
+        _, a, b = min(units)
+        for c in [c for c in cbd[a] if c != b]:
+            col = bd[c]
+            f = col[a] * bd[b][a]
+            for x, v in bd[b].items():
+                new = col.get(x, 0) - f * v
                 if new:
-                    if rr not in target:
-                        rows.setdefault(rr, set()).add(jj)
-                    target[rr] = new
-                    if new in (1, -1):
-                        heapq.heappush(heap, (cost(rr, jj), rr, jj))
+                    col[x] = new
+                    cbd[x][c] = None
                 else:
-                    if rr in target:
-                        del target[rr]
-                        rows[rr].discard(jj)
-            if not target:
-                del cols[jj]
-        rows.pop(r, None)
-    if not cols:
-        return rank, ()
-    live_rows = sorted({r for col in cols.values() for r in col})
-    row_index = {r: i for i, r in enumerate(live_rows)}
-    dense = [[0] * len(cols) for _ in live_rows]
-    for jj, col in enumerate(sorted(cols)):
-        for r, v in cols[col].items():
-            dense[row_index[r]][jj] = v
-    invs = _dense_smith(dense)
-    assert all(v not in (0, 1) for v in invs), "unit factors must fall in the sparse phase"
-    return rank + len(invs), tuple(v for v in invs if v > 1)
-
-
-def _boundary_columns(
-    lower_index: Mapping[tuple[int, ...], int], upper: Iterable[tuple[int, ...]]
-) -> list[dict[int, int]]:
-    out = []
-    for face in upper:
-        col: dict[int, int] = {}
-        for i in range(len(face)):
-            sub = face[:i] + face[i + 1 :]
-            col[lower_index[sub]] = (-1) ** i
-        out.append(col)
-    return out
+                    del col[x]
+                    del cbd[x][c]
+            queue.append(c)
+        remove(a, b)
 
 
 def homology(c: SimplicialComplex, reduced: bool = True) -> HomologyResult:
-    """Exact integer homology from Smith normal forms of the boundaries."""
+    """Exact integer homology by discrete Morse reduction of the chain complex.
+
+    The cells are the faces and the empty face, so the chain complex is
+    augmented and its homology is reduced; unreduced homology adds one free
+    class in degree 0.  After _reduce, the boundaries between the surviving
+    cells go degree by degree through a dense Smith normal form.
+    """
     faces = c.faces()
     if not faces:
         return HomologyResult(reduced=reduced, betti=(), torsion=(), face_counts=())
-    counts = [len(bucket) for bucket in faces]
+    cells = [()] + [face for bucket in faces for face in bucket]
+    index = {face: i for i, face in enumerate(cells)}
+    bd = [
+        {index[face[:i] + face[i + 1 :]]: -1 if i & 1 else 1 for i in range(len(face))}
+        for face in cells
+    ]
+    del index
+    cbd: list = [{} for _ in cells]
+    for b, col in enumerate(bd):
+        for a in col:
+            cbd[a][b] = None
     dim = len(faces) - 1
-    ranks = [0] * (dim + 2)
-    torsion: list[tuple[int, ...]] = [() for _ in range(dim + 1)]
-    if reduced and counts[0]:
-        ranks[0] = 1
-    lower_index = {face: i for i, face in enumerate(faces[0])}
-    for k in range(1, dim + 1):
-        columns = _boundary_columns(lower_index, faces[k])
-        rank, invs = _sparse_rank_and_invariants(columns)
-        ranks[k] = rank
-        torsion[k - 1] = invs
-        lower_index = {face: i for i, face in enumerate(faces[k])}
-    betti = []
-    for k in range(dim + 1):
-        b = counts[k] - ranks[k] - ranks[k + 1]
-        assert b >= 0, "negative rank in degree %d" % k
-        betti.append(b)
+    # alive[s], invs[s]: surviving cells with s vertices, their boundary's factors
+    alive: list[list[int]] = [[] for _ in range(dim + 2)]
+    for x in sorted(_reduce(bd, cbd)):
+        alive[len(cells[x])].append(x)
+    invs: list[list[int]] = [[] for _ in range(dim + 3)]
+    for s in range(1, dim + 2):
+        if any(bd[b] for b in alive[s]):
+            invs[s] = _dense_smith([[bd[b].get(a, 0) for b in alive[s]] for a in alive[s - 1]])
+    if any(1 in factors for factors in invs):
+        raise InvariantViolation("a unit invariant factor reached the dense Smith core")
+    betti = [len(alive[k + 1]) - len(invs[k + 1]) - len(invs[k + 2]) for k in range(dim + 1)]
+    if min(betti) < 0:
+        raise InvariantViolation("negative betti number in %s" % betti)
+    if not reduced:
+        betti[0] += 1
     return HomologyResult(
         reduced=reduced,
         betti=tuple(betti),
-        torsion=tuple(torsion),
-        face_counts=tuple(counts),
+        torsion=tuple(tuple(invs[k + 2]) for k in range(dim + 1)),
+        face_counts=tuple(len(bucket) for bucket in faces),
     )
 
 

@@ -57,6 +57,7 @@ from .errors import (
     ArcMultiplicityError,
     ColouringConflict,
     EmptyDiagram,
+    InvariantViolation,
     MalformedSyntax,
     NonPlanarCode,
 )
@@ -597,46 +598,12 @@ def build_tait(d: Diagram) -> TaitGraph:
 # Reducedness
 # ---------------------------------------------------------------------------
 
-def _is_two_connected(g: PlaneGraph) -> bool:
-    # Connected, loopless, and no cut vertex; graphs on one or two vertices
-    # pass vacuously once loopless and connected.
-    if any(u == v for u, v in g.edge_ends):
-        return False
-    if not _connected(g.vertices, g.edge_ends):
-        return False
-    if g.n_vertices <= 2:
-        return True
-    for v in g.vertices:
-        rest = tuple(w for w in g.vertices if w != v)
-        edges = tuple(e for e in g.edge_ends if v not in e)
-        if not _connected(rest, edges):
-            return False
-    return True
-
-
-def _connected(vertices: tuple[int, ...], edges: tuple[tuple[int, int], ...]) -> bool:
-    if not vertices:
-        return True
-    adj: dict[int, set[int]] = {v: set() for v in vertices}
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    seen = {vertices[0]}
-    stack = [vertices[0]]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(vertices)
-
-
 def is_reduced(d: Diagram) -> bool:
     """True when no region meets two diagonally opposite corners of a crossing.
 
-    Also computed as "both colour graphs are 2-connected" and the two answers
-    asserted equal; they agree on diagrams of a single knotted piece, which is
-    all this package ships.
+    Also computed as "both colour graphs are loopless" and the two answers
+    checked equal.  (Both colour graphs 2-connected is a stronger condition:
+    reduced and prime.)
     """
     by_corners = True
     for c in range(d.n_crossings):
@@ -646,9 +613,10 @@ def is_reduced(d: Diagram) -> bool:
         ):
             by_corners = False
             break
-    gb, gw = colour_graphs(d)
-    by_graphs = _is_two_connected(gb) and _is_two_connected(gw)
-    assert by_corners == by_graphs, (
-        "reducedness characterizations disagree: corners=%s graphs=%s" % (by_corners, by_graphs)
-    )
+    by_graphs = not any(u == v for g in colour_graphs(d) for u, v in g.edge_ends)
+    if by_corners != by_graphs:
+        raise InvariantViolation(
+            "reducedness characterizations disagree: corners=%s graphs=%s"
+            % (by_corners, by_graphs)
+        )
     return by_corners

@@ -1,9 +1,9 @@
 """Exception types raised by the package.
 
 Every error raised on bad input or a violated precondition derives from
-KnotmorseError, so callers can catch the whole family at once.  AssertionError
-is reserved for internal cross-checks that should be unreachable from valid
-input (the CLI maps it to the invariant-violation exit code).
+KnotmorseError, so callers can catch the whole family at once.  A failed
+internal cross-check, which valid input should never reach, raises
+InvariantViolation; the CLI maps it to the invariant-violation exit code 4.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ __all__ = [
     "NotALeaf",
     "LeafOfAmbient",
     "ResourceLimit",
+    "InvariantViolation",
 ]
 
 
@@ -80,3 +81,7 @@ class LeafOfAmbient(KnotmorseError):
 
 class ResourceLimit(KnotmorseError):
     """A configured size cap was exceeded before the computation started."""
+
+
+class InvariantViolation(KnotmorseError):
+    """An internal cross-check failed: two computations that must agree did not."""

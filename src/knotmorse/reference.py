@@ -1,10 +1,14 @@
 """Frozen reference homology for the bundled minimal diagrams.
 
-Every value below was produced by the engine in this package and
-cross-checked twice: once against an independent fraction-arithmetic rank
-computation of the same boundary matrices, and once against the Euler
-characteristic forced by the face counts.  All cells are torsion-free, so
-each cell is recorded as a degree -> rank map of reduced betti numbers.
+Every value below was produced by the engine in this package and is
+checked by the test suite in three ways: every cell of every row, betti
+numbers and torsion, against a second engine that eliminates each boundary
+matrix on its own (tests/test_complexes.py,
+test_reference_rows_agree_with_the_oracle_engine); the 3_1 and 4_1 rows
+against a fraction-arithmetic rank computation; and every small row against
+the Euler characteristic forced by the face counts.  All cells are
+torsion-free, so each cell is recorded as a degree -> rank map of reduced
+betti numbers.
 
 One cell deserves a note.  For 5_2 the pure Morse complex is generated by
 its 84 top facets, whose downward closure has reduced Euler characteristic

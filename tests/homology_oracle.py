@@ -1,0 +1,131 @@
+"""A second homology engine and facet filter, kept as test oracles.
+
+These are the package's original implementations: each boundary matrix is
+eliminated on its own with unit pivots ordered by a Markowitz heap, the core
+without unit entries goes through the package's dense Smith normal form, and
+maximal facets are found by comparing every pair.  They share nothing with the
+engine under test except ``_dense_smith``, which sees no input on the corpus
+(every pivot there is a unit), and ``SimplicialComplex.faces``.
+"""
+
+from __future__ import annotations
+
+import heapq
+from typing import Iterable, Mapping
+
+from knotmorse.complexes import HomologyResult, SimplicialComplex, _dense_smith
+
+
+def pairwise_maximal_facets(facets: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
+    """Canonical facets not strictly contained in another, by pairwise test."""
+    canonical = {tuple(sorted(f)) for f in facets}
+    kept = [f for f in canonical if not any(set(f) < set(g) for g in canonical)]
+    return tuple(sorted(kept, key=lambda f: (len(f), f)))
+
+
+def _sparse_rank_and_invariants(columns: list[dict[int, int]]) -> tuple[int, tuple[int, ...]]:
+    """Rank and nontrivial invariant factors of a sparse integer matrix.
+
+    Unit pivots keep every update integral and contribute trivial factors;
+    the Markowitz product (row degree - 1)(column degree - 1) orders them to
+    limit fill.  Whatever remains holds no unit entry and is handed to the
+    dense routine.
+    """
+    cols: dict[int, dict[int, int]] = {
+        j: dict(col) for j, col in enumerate(columns) if col
+    }
+    rows: dict[int, set[int]] = {}
+    for j, col in cols.items():
+        for r in col:
+            rows.setdefault(r, set()).add(j)
+
+    def cost(r: int, j: int) -> int:
+        return (len(rows[r]) - 1) * (len(cols[j]) - 1)
+
+    heap: list[tuple[int, int, int]] = []
+    for j, col in cols.items():
+        for r, v in col.items():
+            if v in (1, -1):
+                heap.append((cost(r, j), r, j))
+    heapq.heapify(heap)
+    rank = 0
+    while heap:
+        c0, r, j = heapq.heappop(heap)
+        col = cols.get(j)
+        if col is None or col.get(r) not in (1, -1):
+            continue
+        now = cost(r, j)
+        if now > c0:
+            heapq.heappush(heap, (now, r, j))
+            continue
+        pivot = col[r]
+        pivot_col = cols.pop(j)
+        for rr in pivot_col:
+            rows[rr].discard(j)
+        rank += 1
+        for jj in tuple(rows.get(r, ())):
+            target = cols[jj]
+            f = target[r] * pivot
+            for rr, vv in pivot_col.items():
+                new = target.get(rr, 0) - f * vv
+                if new:
+                    if rr not in target:
+                        rows.setdefault(rr, set()).add(jj)
+                    target[rr] = new
+                    if new in (1, -1):
+                        heapq.heappush(heap, (cost(rr, jj), rr, jj))
+                else:
+                    if rr in target:
+                        del target[rr]
+                        rows[rr].discard(jj)
+            if not target:
+                del cols[jj]
+        rows.pop(r, None)
+    if not cols:
+        return rank, ()
+    live_rows = sorted({r for col in cols.values() for r in col})
+    row_index = {r: i for i, r in enumerate(live_rows)}
+    dense = [[0] * len(cols) for _ in live_rows]
+    for jj, col in enumerate(sorted(cols)):
+        for r, v in cols[col].items():
+            dense[row_index[r]][jj] = v
+    invs = _dense_smith(dense)
+    return rank + len(invs), tuple(v for v in invs if v > 1)
+
+
+def _boundary_columns(
+    lower_index: Mapping[tuple[int, ...], int], upper: Iterable[tuple[int, ...]]
+) -> list[dict[int, int]]:
+    out = []
+    for face in upper:
+        col: dict[int, int] = {}
+        for i in range(len(face)):
+            sub = face[:i] + face[i + 1 :]
+            col[lower_index[sub]] = (-1) ** i
+        out.append(col)
+    return out
+
+
+def oracle_homology(c: SimplicialComplex, reduced: bool = True) -> HomologyResult:
+    """Integer homology from per-degree Smith normal forms of the boundaries."""
+    faces = c.faces()
+    if not faces:
+        return HomologyResult(reduced=reduced, betti=(), torsion=(), face_counts=())
+    counts = [len(bucket) for bucket in faces]
+    dim = len(faces) - 1
+    ranks = [0] * (dim + 2)
+    torsion: list[tuple[int, ...]] = [() for _ in range(dim + 1)]
+    if reduced and counts[0]:
+        ranks[0] = 1
+    lower_index = {face: i for i, face in enumerate(faces[0])}
+    for k in range(1, dim + 1):
+        columns = _boundary_columns(lower_index, faces[k])
+        ranks[k], torsion[k - 1] = _sparse_rank_and_invariants(columns)
+        lower_index = {face: i for i, face in enumerate(faces[k])}
+    betti = tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(dim + 1))
+    return HomologyResult(
+        reduced=reduced,
+        betti=betti,
+        torsion=tuple(torsion),
+        face_counts=tuple(counts),
+    )

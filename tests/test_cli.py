@@ -9,6 +9,7 @@ import pytest
 from knotmorse import cli
 from knotmorse.corpus import get_entry
 from knotmorse.diagram import build_tait
+from knotmorse.errors import InvariantViolation
 from knotmorse.states import enumerate_matchings
 
 
@@ -51,6 +52,14 @@ def test_parse_garbage_exits_2(capsys, tmp_path):
     code = cli.main(["parse", str(path)])
     assert code == 2
     assert "cannot build" in capsys.readouterr().err
+
+
+def test_parse_composite_projection_file_is_reduced(capsys, tmp_path):
+    path = tmp_path / "composite.pd"
+    path.write_text("X(6,3,8,1) X(2,8,3,6) X(7,4,1,5) X(5,2,4,7)\n")
+    code, payload = run(capsys, "parse", str(path))
+    assert code == 0
+    assert payload["reduced"] is True
 
 
 def test_parse_missing_file_exits_2(capsys):
@@ -269,6 +278,33 @@ def test_complex_csv_output(capsys, tmp_path):
     rows = path.read_text().splitlines()
     assert rows[0] == "name,kind,pure,degree,rank"
     assert rows[1] == "5_2,morse,False,3,6"
+
+
+def test_complex_csv_computes_homology_once(capsys, monkeypatch, tmp_path):
+    calls = []
+    real = cli.homology
+
+    def counted(c, *args, **kwargs):
+        calls.append(c)
+        return real(c, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "homology", counted)
+    code, _ = run(capsys, "complex", "4_1", "--kind", "morse", "--homology",
+                  "--csv", str(tmp_path / "h.csv"))
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_complex_invariant_violation_exits_4(capsys, monkeypatch):
+    def violated(c, *args, **kwargs):
+        raise InvariantViolation("negative rank in degree 1")
+
+    monkeypatch.setattr(cli, "homology", violated)
+    code = cli.main(["complex", "3_1", "--kind", "morse", "--homology"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert "invariant violation" in captured.err
+    assert captured.out == ""
 
 
 def test_complex_face_cap_exits_3(capsys, monkeypatch):

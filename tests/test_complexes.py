@@ -1,5 +1,6 @@
 """Matching and Morse complexes, pure parts, and integer homology."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -27,16 +28,20 @@ from knotmorse import (
     reference_complexes,
     spanning_trees,
 )
-from knotmorse.errors import ResourceLimit
+from knotmorse import complexes
+from knotmorse.errors import InvariantViolation, ResourceLimit
 from knotmorse.moves import click_path_moves, clock_moves
 from knotmorse.states import (
     Matching,
     critical_cells,
     enumerate_matchings,
+    find_nonextendable,
     induced_forests,
     is_dmf,
     monochromatic_loops,
 )
+
+from homology_oracle import oracle_homology, pairwise_maximal_facets
 
 SMALL = ("3_1", "4_1", "kink", "5_1", "5_2")
 SIX_OR_LESS = ("3_1", "4_1", "kink", "5_1", "5_2", "6_1", "6_2", "6_3")
@@ -75,6 +80,11 @@ def test_facets_are_canonical_deduped_and_containment_free():
     c = SimplicialComplex([(2, 1), (1, 2), (1,), (3, 4, 5), (4, 3)])
     assert c.facets == ((1, 2), (3, 4, 5))
     assert c.dimension == 2
+
+
+def test_empty_facet_is_kept_only_when_alone():
+    assert SimplicialComplex([()]).facets == ((),)
+    assert SimplicialComplex([(), (3,), ()]).facets == ((3,),)
 
 
 def test_empty_complex():
@@ -219,6 +229,85 @@ def test_sparse_engine_agrees_with_dense_rational_ranks(name):
         got = homology(c)
         assert list(got.betti) == expect
         assert got.is_torsion_free()
+
+
+# ---------------------------------------------------------------------------
+# Second oracle: the per-degree Markowitz engine and the pairwise filter
+# ---------------------------------------------------------------------------
+
+def random_facets(rng, n_vertices, n_facets, max_size):
+    return [
+        tuple(rng.sample(range(n_vertices), rng.randint(0, min(n_vertices, max_size))))
+        for _ in range(n_facets)
+    ]
+
+
+def relabelled(facets, rng):
+    vertices = sorted({v for f in facets for v in f})
+    image = dict(zip(vertices, rng.sample(range(100), len(vertices))))
+    return [tuple(image[v] for v in f) for f in facets]
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_HOMOLOGY))
+def test_reference_rows_agree_with_the_oracle_engine(name):
+    for column, c in reference_complexes(get_entry(name).diagram).items():
+        got = homology(c)
+        assert got == oracle_homology(c), column
+        assert got.ranks() == REFERENCE_HOMOLOGY[name][column], column
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_torsion_fixtures_agree_with_the_oracle_under_relabelling(seed):
+    rng = random.Random(seed)
+    for facets in (RP2, grid_surface(klein=False), grid_surface(klein=True)):
+        c = SimplicialComplex(relabelled(facets, rng))
+        for reduced in (True, False):
+            assert homology(c, reduced) == oracle_homology(c, reduced)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_random_complexes_agree_with_the_oracle(seed):
+    rng = random.Random(seed)
+    # sized so that some of them leave no fill-free pair and take the
+    # Markowitz pivot
+    for _ in range(30):
+        facets = random_facets(rng, rng.randint(1, 12), rng.randint(0, 30), 4)
+        c = SimplicialComplex(facets)
+        for reduced in (True, False):
+            assert homology(c, reduced) == oracle_homology(c, reduced), facets
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_facet_filter_agrees_with_the_pairwise_filter(seed):
+    rng = random.Random(seed)
+    for _ in range(200):
+        facets = random_facets(rng, rng.randint(1, 8), rng.randint(0, 12), 6)
+        assert SimplicialComplex(facets).facets == pairwise_maximal_facets(facets), facets
+
+
+@pytest.mark.parametrize("name", SIX_OR_LESS + ("7_7",))
+def test_facet_filter_agrees_with_the_pairwise_filter_on_the_corpus(name):
+    t = build_tait(get_entry(name).diagram)
+    offered = [x.edges for x in enumerate_matchings(t, "maximal_pks")]
+    offered.extend(x.edges for x in find_nonextendable(t))
+    assert matching_complex(t).facets == pairwise_maximal_facets(offered)
+
+
+# ---------------------------------------------------------------------------
+# Invariant checks raise, also under python -O
+# ---------------------------------------------------------------------------
+
+def test_unit_factor_in_the_dense_core_raises(monkeypatch):
+    monkeypatch.setattr(complexes, "_dense_smith", lambda rows: [1])
+    with pytest.raises(InvariantViolation):
+        homology(SimplicialComplex(RP2))
+
+
+def test_negative_betti_number_raises(monkeypatch):
+    # an invented rank larger than the surviving cells allow
+    monkeypatch.setattr(complexes, "_dense_smith", lambda rows: [2, 2, 2])
+    with pytest.raises(InvariantViolation):
+        homology(SimplicialComplex(RP2))
 
 
 # ---------------------------------------------------------------------------

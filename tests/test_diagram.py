@@ -20,6 +20,7 @@ from knotmorse import (
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 FIG8 = "X(4,2,5,1) X(8,6,1,5) X(6,3,7,4) X(2,7,3,8)"
 KINK = "X(1,2,2,1)"
+COMPOSITE = "X(6,3,8,1) X(2,8,3,6) X(7,4,1,5) X(5,2,4,7)"
 
 
 def diagram(text):
@@ -257,6 +258,12 @@ def test_hopf_projection_is_reduced():
 
 def test_double_kink_is_not_reduced():
     assert not is_reduced(diagram("X(1,2,2,3) X(3,4,4,1)"))
+
+
+def test_composite_projection_is_reduced_though_not_prime():
+    # a connected sum of two 2-crossing pieces: no nugatory crossing, but
+    # each colour graph has a cut vertex
+    assert is_reduced(diagram(COMPOSITE))
 
 
 def test_to_dict_shapes():
