@@ -134,44 +134,49 @@ def cmd_parse(args) -> int:
     return EXIT_OK
 
 
+def _oracle_counts(d: Diagram) -> dict:
+    """Perfect and all dMf counts, by formula and by enumeration."""
+    enumerated = count_via_enumeration(d)
+    formula = (count_perfect_dmfs(d), count_all_dmfs(d))
+    return {
+        key: {"formula": f, "enumeration": e, "agree": f == e}
+        for key, f, e in zip(("perfect", "all"), formula, enumerated)
+    }
+
+
+def _emit_counts(payload: dict, counts: dict, pretty: bool, lines) -> int:
+    """Emit the payload; when the oracles disagree, without lines and exit 4."""
+    if all(block["agree"] for block in counts.values()):
+        _emit(payload, pretty, lines)
+        return EXIT_OK
+    _emit(payload, pretty, None)
+    return EXIT_VIOLATION
+
+
 def cmd_info(args) -> int:
     name, d = _load(args.diagram, args.swap_colours)
     black, white = colour_graphs(d)
-    perfect_enum, all_enum = count_via_enumeration(d)
-    perfect_formula = count_perfect_dmfs(d)
-    all_formula = count_all_dmfs(d)
+    counts = _oracle_counts(d)
     payload = {
         "name": name,
         "crossings": d.n_crossings,
         "black_vertices": black.n_vertices,
         "white_vertices": white.n_vertices,
         "spanning_trees": count_spanning_trees(black),
-        "counts": {
-            "perfect": {
-                "formula": perfect_formula,
-                "enumeration": perfect_enum,
-                "agree": perfect_formula == perfect_enum,
-            },
-            "all": {
-                "formula": all_formula,
-                "enumeration": all_enum,
-                "agree": all_formula == all_enum,
-            },
-        },
+        "counts": counts,
         "connectivity": connectivity_report(d),
     }
     lines = [
         "%s: %d crossings, %d black + %d white regions, %d spanning trees"
         % (name, d.n_crossings, black.n_vertices, white.n_vertices,
            payload["spanning_trees"]),
-        "perfect Morse matchings: %d (formula) / %d (enumeration)"
-        % (perfect_formula, perfect_enum),
-        "loop-free matchings: %d (formula) / %d (enumeration)"
-        % (all_formula, all_enum),
+        "perfect Morse matchings: %(formula)d (formula) / %(enumeration)d (enumeration)"
+        % counts["perfect"],
+        "loop-free matchings: %(formula)d (formula) / %(enumeration)d (enumeration)"
+        % counts["all"],
         "connectivity bound: %d" % payload["connectivity"]["bound"],
     ]
-    _emit(payload, args.pretty, lines)
-    return EXIT_OK
+    return _emit_counts(payload, counts, args.pretty, lines)
 
 
 def cmd_states(args) -> int:
@@ -244,43 +249,14 @@ def cmd_moves(args) -> int:
 
 def cmd_count(args) -> int:
     name, d = _load(args.diagram, args.swap_colours)
-    perfect_enum, all_enum = count_via_enumeration(d)
-    perfect_formula = count_perfect_dmfs(d)
-    all_formula = count_all_dmfs(d)
-    payload = {
-        "name": name,
-        "perfect": {
-            "formula": perfect_formula,
-            "enumeration": perfect_enum,
-            "agree": perfect_formula == perfect_enum,
-        },
-        "all": {
-            "formula": all_formula,
-            "enumeration": all_enum,
-            "agree": all_formula == all_enum,
-        },
-    }
+    counts = _oracle_counts(d)
     if args.perfect:
-        payload = {"name": name, "perfect": payload["perfect"]}
-        lines = ["%d" % perfect_formula]
+        del counts["all"]
+        lines = ["%d" % counts["perfect"]["formula"]]
     else:
-        lines = [
-            "perfect: %d (agree=%s)" % (perfect_formula, payload["perfect"]["agree"]),
-            "all: %d (agree=%s)" % (all_formula, payload["all"]["agree"]),
-        ]
-    if not payload_agrees(payload):
-        _emit(payload, args.pretty, None)
-        return EXIT_VIOLATION
-    _emit(payload, args.pretty, lines)
-    return EXIT_OK
-
-
-def payload_agrees(payload: dict) -> bool:
-    return all(
-        block["agree"]
-        for block in payload.values()
-        if isinstance(block, dict) and "agree" in block
-    )
+        lines = ["%s: %d (agree=%s)" % (key, block["formula"], block["agree"])
+                 for key, block in counts.items()]
+    return _emit_counts({"name": name, **counts}, counts, args.pretty, lines)
 
 
 def cmd_complex(args) -> int:

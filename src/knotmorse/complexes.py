@@ -172,14 +172,16 @@ def pure_morse_from_trees(d: Diagram) -> SimplicialComplex:
     """
     t = build_tait(d)
     black = colour_graphs(d)[0]
-    facets = []
-    for tree in spanning_trees(black):
-        for v_b in t.black_faces:
-            for v_w in t.white_faces:
-                x = kpw(t, tree, v_b, v_w)
-                assert len(x.edges) == d.n_crossings
-                facets.append(x.edges)
-    assert len(facets) == len({f for f in facets}), "tree triples must give distinct simplices"
+    facets = [
+        kpw(t, tree, v_b, v_w).edges
+        for tree in spanning_trees(black)
+        for v_b in t.black_faces
+        for v_w in t.white_faces
+    ]
+    if len(set(facets)) != len(facets) or any(len(f) != d.n_crossings for f in facets):
+        raise InvariantViolation(
+            "tree triples must give distinct simplices on all %d crossings" % d.n_crossings
+        )
     return SimplicialComplex(facets)
 
 

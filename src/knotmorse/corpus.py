@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .counting import count_spanning_trees
-from .diagram import Diagram, build_diagram, colour_graphs, is_reduced, parse_pd
+from .diagram import Diagram, UnionFind, build_diagram, colour_graphs, is_reduced, parse_pd
 from .states import Matching, jordan_resolution
 
 __all__ = [
@@ -53,30 +53,18 @@ def torus_pd(m: int) -> str:
 class _Tangle:
     """Wire-level tangle builder; wires become arc labels at closure time."""
 
-    __slots__ = ("crossings", "parent", "nw", "ne", "sw", "se")
+    __slots__ = ("crossings", "wires", "nw", "ne", "sw", "se")
 
     def __init__(self) -> None:
         self.crossings: list[tuple[int, int, int, int]] = []
-        self.parent: dict[int, int] = {}
+        self.wires = 0
         # the 0-tangle: two horizontal strands
-        self.nw = self._fresh()
-        self.ne = self.nw
-        self.sw = self._fresh()
-        self.se = self.sw
+        self.nw = self.ne = self._fresh()
+        self.sw = self.se = self._fresh()
 
     def _fresh(self) -> int:
-        w = len(self.parent)
-        self.parent[w] = w
-        return w
-
-    def _find(self, w: int) -> int:
-        while self.parent[w] != w:
-            self.parent[w] = self.parent[self.parent[w]]
-            w = self.parent[w]
-        return w
-
-    def _join(self, a: int, b: int) -> None:
-        self.parent[self._find(a)] = self._find(b)
+        self.wires += 1
+        return self.wires - 1
 
     def twist_east(self) -> None:
         # New crossing east of the box; CCW slots from NW: (NW, SW, SE, NE).
@@ -90,14 +78,15 @@ class _Tangle:
         self.sw, self.se = new_sw, new_se
 
     def numerator_pd(self) -> str:
-        self._join(self.nw, self.ne)
-        self._join(self.sw, self.se)
+        uf = UnionFind(range(self.wires))
+        uf.union(self.nw, self.ne)
+        uf.union(self.sw, self.se)
         labels: dict[int, int] = {}
         out = []
         for slots in self.crossings:
             resolved = []
             for w in slots:
-                root = self._find(w)
+                root = uf.find(w)
                 if root not in labels:
                     labels[root] = len(labels) + 1
                 resolved.append(labels[root])

@@ -26,7 +26,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .diagram import Diagram, PlaneGraph, colour_graphs
+from .diagram import Diagram, PlaneGraph, UnionFind, colour_graphs
+from .errors import InvariantViolation
 from .states import enumerate_matchings
 
 __all__ = [
@@ -179,23 +180,8 @@ def spanning_trees(g: PlaneGraph) -> tuple[tuple[int, ...], ...]:
         return ((),)
     trees = []
     for sub in combinations(_nonloop_edges(g), n - 1):
-        parent = {v: v for v in g.vertices}
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        ok = True
-        for e in sub:
-            u, v = g.edge_ends[e]
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                ok = False
-                break
-            parent[ru] = rv
-        if ok:
+        uf = UnionFind(g.vertices)
+        if all(uf.union(*g.edge_ends[e]) for e in sub):
             trees.append(sub)
     return tuple(trees)
 
@@ -204,7 +190,8 @@ def count_perfect_dmfs(d: Diagram) -> int:
     """Tree count times the two root choices; the colours must agree."""
     gb, gw = colour_graphs(d)
     tb, tw = count_spanning_trees(gb), count_spanning_trees(gw)
-    assert tb == tw, "plane dual graphs disagree on tree count: %d vs %d" % (tb, tw)
+    if tb != tw:
+        raise InvariantViolation("plane dual graphs disagree on tree count: %d vs %d" % (tb, tw))
     return tb * len(gb.vertices) * len(gw.vertices)
 
 
@@ -414,18 +401,27 @@ def count_via_enumeration(d: Diagram) -> tuple[int, int]:
 # The closed formula for the (2, 2n+1) torus family
 # ---------------------------------------------------------------------------
 
+def _fibonacci(k: int) -> list[int]:
+    """phi(0), ..., phi(k) with phi(1) = phi(2) = 1."""
+    phi = [0, 1]
+    while len(phi) <= k:
+        phi.append(phi[-1] + phi[-2])
+    return phi
+
+
 def fibonacci_family_count(n: int) -> int:
     """Total dMf count for the standard (2, 2n+1) torus diagram, closed form.
 
-    Both printed forms of the formula are computed and must agree; they only
-    do under the indexing phi(1) = phi(2) = 1, which pins the convention.
+    Both printed forms of the formula are computed and must agree.  They
+    differ by phi(4n+3) - phi(4n+2) - phi(4n+1), so the check guards the
+    recurrence and the arithmetic, not the indexing: a shifted sequence
+    passes it, and only the enumeration cross-checks pin phi(1) = phi(2) = 1.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    phi = [0, 1, 1]
-    while len(phi) <= 4 * n + 3:
-        phi.append(phi[-1] + phi[-2])
+    phi = _fibonacci(4 * n + 3)
     a = phi[4 * n + 1] + phi[4 * n + 3] + (4 * n + 2) * phi[4 * n + 2] - 2
     b = 2 * phi[4 * n + 1] + (4 * n + 3) * phi[4 * n + 2] - 2
-    assert a == b, "the two closed forms disagree; Fibonacci indexing is off"
+    if a != b:
+        raise InvariantViolation("the two closed forms disagree: %d vs %d" % (a, b))
     return a

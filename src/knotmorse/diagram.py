@@ -74,6 +74,7 @@ __all__ = [
     "colour_graphs",
     "build_tait",
     "is_reduced",
+    "UnionFind",
 ]
 
 WHITE = 0
@@ -424,6 +425,33 @@ def _one_colour_graph(d: Diagram, colour: int) -> PlaneGraph:
 def colour_graphs(d: Diagram) -> tuple[PlaneGraph, PlaneGraph]:
     """The (black, white) face graphs, edge i at crossing i in both."""
     return _one_colour_graph(d, BLACK), _one_colour_graph(d, WHITE)
+
+
+class UnionFind:
+    """Disjoint sets over hashable items, with path halving.
+
+    Which member becomes a root is unspecified; callers order components by
+    their members, never by their roots.
+    """
+
+    __slots__ = ("parent",)
+
+    def __init__(self, items) -> None:
+        self.parent = {i: i for i in items}
+
+    def find(self, i):
+        parent = self.parent
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    def union(self, a, b) -> bool:
+        """Join the sets of a and b; False when they were already one set."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        return True
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .diagram import BLACK, WHITE, Diagram, PlaneGraph, TaitGraph
+from .diagram import BLACK, WHITE, Diagram, PlaneGraph, TaitGraph, UnionFind
 from .errors import LeafOfAmbient, NotAcyclic, NotALeaf, NotPerfectAdmissible
 from .states import (
     Matching,
@@ -420,22 +420,17 @@ def build_move_graph(
     )
 
 
+def _component_roots(mg: MoveGraph) -> list[int]:
+    """One root per node; two nodes share a root iff moves connect them."""
+    uf = UnionFind(range(len(mg.nodes)))
+    for i, j, _ in mg.edges:
+        uf.union(i, j)
+    return [uf.find(i) for i in range(len(mg.nodes))]
+
+
 def verify_connectivity(mg: MoveGraph) -> tuple[bool, int]:
     """(is connected, number of components); the empty graph counts as connected."""
-    n = len(mg.nodes)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j, _ in mg.edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    count = len({find(i) for i in range(n)})
+    count = len(set(_component_roots(mg)))
     return count <= 1, count
 
 
@@ -475,28 +470,16 @@ def click_path_avoidance(t: TaitGraph) -> dict:
     diagram as data, not asserted.
     """
     mg = build_move_graph(t, "perfect_admissible", kinds=("clock", "click_loop"))
-    connected, components = verify_connectivity(mg)
-    n = len(mg.nodes)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j, _ in mg.edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
+    roots = _component_roots(mg)
+    components = len(set(roots))
     classes: dict[tuple, set[int]] = {}
-    for i, x in enumerate(mg.nodes):
+    for x, root in zip(mg.nodes, roots):
         black, _, white = critical_cells(t, x)
-        classes.setdefault((black, white), set()).add(find(i))
+        classes.setdefault((black, white), set()).add(root)
     return {
         "population": "perfect_admissible",
         "kinds": ["clock", "click_loop"],
-        "connected": connected,
+        "connected": components <= 1,
         "components": components,
         "critical_classes": len(classes),
         "each_critical_class_connected": all(len(v) == 1 for v in classes.values()),

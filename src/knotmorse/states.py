@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .diagram import BLACK, WHITE, Diagram, TaitGraph
+from .diagram import BLACK, WHITE, Diagram, TaitGraph, UnionFind
 from .errors import InvalidForest, NotAcyclic, NotAdmissible, NotSpanning
 
 __all__ = [
@@ -473,30 +473,11 @@ class JordanResolution:
         }
 
 
-class _UnionFind:
-    def __init__(self, items: Iterable) -> None:
-        self.parent = {i: i for i in items}
-
-    def find(self, i):
-        # Path compression, iterative.
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 def jordan_resolution(d: Diagram, x: Matching) -> JordanResolution:
     """Resolve matched crossings, union-find the arc ends into strands."""
     n = d.n_crossings
     darts = [(c, s) for c in range(n) for s in range(4)]
-    uf = _UnionFind(darts)
+    uf = UnionFind(darts)
     for d1, d2 in d.arc_ends:
         uf.union(d1, d2)
 
@@ -604,15 +585,15 @@ def induced_forests(t: TaitGraph, x: Matching) -> ForestPair:
         edges = tuple(
             sorted(e // 4 for e in x.edges if t.edge_colour(e) == colour)
         )
-        uf = _UnionFind(faces)
+        uf = UnionFind(faces)
         for c in edges:
             u, v = _colour_edge_ends(t, c, colour)
             uf.union(u, v)
         comp_unmatched: dict[int, list[int]] = {}
         for f in faces:
-            comp_unmatched.setdefault(uf.find(f), [])
+            unmatched = comp_unmatched.setdefault(uf.find(f), [])
             if f not in mr:
-                comp_unmatched[uf.find(f)].append(f)
+                unmatched.append(f)
         roots = []
         for comp, unmatched in sorted(comp_unmatched.items()):
             assert len(unmatched) == 1, (
@@ -643,14 +624,13 @@ def forests_to_matching(t: TaitGraph, f: ForestPair) -> Matching:
         if len(set(forest)) != len(forest):
             raise InvalidForest("repeated edge in forest")
         adj: dict[int, list[tuple[int, int]]] = {v: [] for v in faces}
-        uf = _UnionFind(faces)
+        uf = UnionFind(faces)
         for c in forest:
             if not 0 <= c < t.n_crossings:
                 raise InvalidForest("edge id %d out of range" % c)
             u, v = _colour_edge_ends(t, c, colour)
-            if uf.find(u) == uf.find(v):
+            if not uf.union(u, v):
                 raise InvalidForest("edge %d closes a cycle" % c)
-            uf.union(u, v)
             adj[u].append((c, v))
             adj[v].append((c, u))
         comps = {uf.find(v) for v in faces}
@@ -697,12 +677,10 @@ def kpw(t: TaitGraph, T: Iterable[int], v_b: int, v_w: int) -> Matching:
         raise NotSpanning(
             "spanning tree of the black graph needs %d edges, got %d" % (n_black - 1, len(tree))
         )
-    uf = _UnionFind(t.black_faces)
+    uf = UnionFind(t.black_faces)
     for c in tree:
-        u, v = _colour_edge_ends(t, c, BLACK)
-        if uf.find(u) == uf.find(v):
+        if not uf.union(*_colour_edge_ends(t, c, BLACK)):
             raise NotSpanning("edge %d closes a cycle in the black graph" % c)
-        uf.union(u, v)
     if t.face_colour[v_b] != BLACK:
         raise ValueError("root %d is not a black region" % v_b)
     if t.face_colour[v_w] != WHITE:
@@ -734,7 +712,7 @@ def loop_sides(t: TaitGraph, loop: tuple[int, ...]) -> tuple[frozenset[int], fro
         for e in sq.edges:
             edge_squares[e].append(sq.arc)
     loop_set = set(loop)
-    uf = _UnionFind(range(len(t.squares)))
+    uf = UnionFind(range(len(t.squares)))
     for e, sqs in edge_squares.items():
         if e in loop_set:
             continue

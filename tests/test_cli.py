@@ -132,6 +132,23 @@ def test_count_both_oracles_agree(capsys):
     assert payload["all"]["formula"] == 671
 
 
+def test_count_oracle_disagreement_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "count_all_dmfs", lambda d: 65)
+    code, payload = run(capsys, "--pretty", "count", "3_1")
+    assert code == 4
+    assert payload["perfect"]["agree"] is True
+    assert payload["all"] == {"formula": 65, "enumeration": 64, "agree": False}
+
+
+def test_info_oracle_disagreement_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "count_all_dmfs", lambda d: 65)
+    code, payload = run(capsys, "--pretty", "info", "3_1")
+    assert code == 4
+    assert payload["counts"]["all"] == {"formula": 65, "enumeration": 64, "agree": False}
+    assert payload["spanning_trees"] == 3
+    assert payload["connectivity"]["bound"] == 0
+
+
 def test_info_reports_counts_and_connectivity(capsys):
     code, payload = run(capsys, "info", "3_1")
     assert code == 0

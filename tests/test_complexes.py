@@ -1,8 +1,12 @@
 """Matching and Morse complexes, pure parts, and integer homology."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -308,6 +312,44 @@ def test_negative_betti_number_raises(monkeypatch):
     monkeypatch.setattr(complexes, "_dense_smith", lambda rows: [2, 2, 2])
     with pytest.raises(InvariantViolation):
         homology(SimplicialComplex(RP2))
+
+
+@pytest.mark.parametrize("fault", ["repeated", "oversized"])
+def test_pure_morse_from_trees_raises_on_bad_tree_triples(monkeypatch, fault):
+    real = complexes.kpw
+    if fault == "repeated":  # every root pair of a tree gives one simplex
+        faulty = lambda t, tree, v_b, v_w: real(t, tree, t.black_faces[0], t.white_faces[0])
+    else:
+        faulty = lambda t, tree, v_b, v_w: Matching(real(t, tree, v_b, v_w).edges + (99,))
+    monkeypatch.setattr(complexes, "kpw", faulty)
+    with pytest.raises(InvariantViolation):
+        pure_morse_from_trees(get_entry("3_1").diagram)
+
+
+# Every test above that checks an InvariantViolation raise, and those in
+# test_counting.py; under -O a bare assert would vanish and these would fail.
+INVARIANT_TESTS = (
+    "test_complexes.py::test_unit_factor_in_the_dense_core_raises",
+    "test_complexes.py::test_negative_betti_number_raises",
+    "test_complexes.py::test_pure_morse_from_trees_raises_on_bad_tree_triples",
+    "test_counting.py::test_tree_count_disagreement_raises",
+    "test_counting.py::test_closed_forms_disagreement_raises",
+)
+
+
+def test_invariant_checks_survive_python_O():
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(tests.parent / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         *(str(tests / t) for t in INVARIANT_TESTS)],
+        capture_output=True, text=True, env=env, cwd=tests.parent,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "6 passed" in proc.stdout, proc.stdout
 
 
 # ---------------------------------------------------------------------------

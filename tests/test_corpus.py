@@ -99,6 +99,38 @@ def test_rational_even_length_normalization():
     assert count_spanning_trees(colour_graphs(d)[0]) == 5
 
 
+# Frozen output of the generators: the 8-crossing twist vectors (the
+# benchmark's census pool) and T(2,9), byte for byte.
+FROZEN_PD = {
+    (2, 2, 4): "X(1,2,3,4) X(4,3,5,6) X(2,7,8,5) X(7,9,10,8) X(6,10,11,12) "
+               "X(12,11,13,14) X(14,13,15,16) X(16,15,9,1)",
+    (2, 3, 3): "X(1,2,3,4) X(4,3,5,6) X(2,7,8,5) X(7,9,10,8) X(9,11,12,10) "
+               "X(6,12,13,14) X(14,13,15,16) X(16,15,11,1)",
+    (2, 4, 2): "X(1,2,3,4) X(4,3,5,6) X(2,7,8,5) X(7,9,10,8) X(9,11,12,10) "
+               "X(11,13,14,12) X(6,14,15,16) X(16,15,13,1)",
+    (3, 2, 3): "X(1,2,3,4) X(4,3,5,6) X(6,5,7,8) X(2,9,10,7) X(9,11,12,10) "
+               "X(8,12,13,14) X(14,13,15,16) X(16,15,11,1)",
+    (3, 3, 2): "X(1,2,3,4) X(4,3,5,6) X(6,5,7,8) X(2,9,10,7) X(9,11,12,10) "
+               "X(11,13,14,12) X(8,14,15,16) X(16,15,13,1)",
+    (4, 2, 2): "X(1,2,3,4) X(4,3,5,6) X(6,5,7,8) X(8,7,9,10) X(2,11,12,9) "
+               "X(11,13,14,12) X(10,14,15,16) X(16,15,13,1)",
+    (2, 2, 2, 2): "X(1,2,3,4) X(4,3,5,6) X(2,7,8,5) X(7,9,10,8) X(6,10,11,12) "
+                  "X(12,11,13,14) X(9,15,16,13) X(14,16,15,1)",
+}
+
+
+@pytest.mark.parametrize("twists", sorted(FROZEN_PD))
+def test_rational_pd_is_frozen(twists):
+    assert rational_pd(list(twists)) == FROZEN_PD[twists]
+
+
+def test_torus_pd_is_frozen():
+    assert torus_pd(9) == (
+        "X(1,10,2,11) X(3,12,4,13) X(5,14,6,15) X(7,16,8,17) X(9,18,10,1) "
+        "X(11,2,12,3) X(13,4,14,5) X(15,6,16,7) X(17,8,18,9)"
+    )
+
+
 def test_rational_rejects_bad_vectors():
     with pytest.raises(ValueError):
         rational_pd([])

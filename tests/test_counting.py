@@ -2,7 +2,7 @@
 
 import pytest
 
-from knotmorse import build_diagram, colour_graphs, parse_pd
+from knotmorse import build_diagram, colour_graphs, counting, parse_pd
 from knotmorse.corpus import get_entry, torus_pd
 from knotmorse.counting import (
     ForestPolynomial,
@@ -15,6 +15,7 @@ from knotmorse.counting import (
     forest_polynomial,
     laplacian,
 )
+from knotmorse.errors import InvariantViolation
 
 
 def diagram(name):
@@ -206,6 +207,20 @@ def test_fibonacci_matches_generated_diagrams():
     for n in (1, 2, 3):
         d = build_diagram(parse_pd(torus_pd(2 * n + 1)))
         assert count_all_dmfs(d) == fibonacci_family_count(n)
+
+
+def test_tree_count_disagreement_raises(monkeypatch):
+    counts = iter([3, 4])
+    monkeypatch.setattr(counting, "count_spanning_trees", lambda g: next(counts))
+    with pytest.raises(InvariantViolation):
+        count_perfect_dmfs(diagram("3_1"))
+
+
+def test_closed_forms_disagreement_raises(monkeypatch):
+    # a sequence off the Fibonacci recurrence splits the two closed forms
+    monkeypatch.setattr(counting, "_fibonacci", lambda k: list(range(k + 1)))
+    with pytest.raises(InvariantViolation):
+        fibonacci_family_count(1)
 
 
 def test_fibonacci_rejects_nonpositive():

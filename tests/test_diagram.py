@@ -1,5 +1,7 @@
 """Faces, colouring, colour graphs, and the Tait overlay on small diagrams."""
 
+import random
+
 import pytest
 
 from knotmorse import (
@@ -16,6 +18,7 @@ from knotmorse import (
     is_reduced,
     parse_pd,
 )
+from knotmorse.diagram import UnionFind
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 FIG8 = "X(4,2,5,1) X(8,6,1,5) X(6,3,7,4) X(2,7,3,8)"
@@ -182,6 +185,36 @@ def test_rotations_list_every_incidence():
                 assert sorted(rot) == sorted(
                     e for e, (a, b) in enumerate(g.edge_ends) for end in (a, b) if end == v
                 )
+
+
+# -- union-find ------------------------------------------------------------
+
+def _reachable(adj, a, b):
+    seen, stack = {a}, [a]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return b in seen
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_union_find_union_is_false_exactly_on_a_cycle(seed):
+    # vertices are darts, as in jordan_resolution; loops and repeated edges
+    # included.  Checked against a graph search over the edges so far.
+    rng = random.Random(seed)
+    vertices = [(c, s) for c in range(rng.randrange(1, 6)) for s in range(4)]
+    uf = UnionFind(vertices)
+    adj = {v: set() for v in vertices}
+    for _ in range(rng.randrange(2 * len(vertices))):
+        a, b = rng.choice(vertices), rng.choice(vertices)
+        assert uf.union(a, b) is not _reachable(adj, a, b)
+        adj[a].add(b)
+        adj[b].add(a)
+        components = {frozenset(v for v in vertices if _reachable(adj, u, v)) for u in vertices}
+        assert len({uf.find(v) for v in vertices}) == len(components)
+        assert all(len({uf.find(v) for v in comp}) == 1 for comp in components)
 
 
 # -- the overlay -----------------------------------------------------------
