@@ -134,13 +134,22 @@ def cmd_parse(args) -> int:
     return EXIT_OK
 
 
-def _oracle_counts(d: Diagram) -> dict:
-    """Perfect and all dMf counts, by formula and by enumeration."""
-    enumerated = count_via_enumeration(d)
-    formula = (count_perfect_dmfs(d), count_all_dmfs(d))
+def _oracle_counts(d: Diagram, perfect_only: bool = False) -> dict:
+    """Perfect and all dMf counts, by formula and by enumeration.
+
+    With perfect_only the block holds just the perfect counts, and neither
+    the all-dMf enumeration nor the forest polynomials run.
+    """
+    if perfect_only:
+        n_perfect = sum(1 for _ in enumerate_matchings(build_tait(d), "perfect_dmf"))
+        blocks = [("perfect", count_perfect_dmfs(d), n_perfect)]
+    else:
+        enumerated = count_via_enumeration(d)
+        formula = (count_perfect_dmfs(d), count_all_dmfs(d))
+        blocks = zip(("perfect", "all"), formula, enumerated)
     return {
         key: {"formula": f, "enumeration": e, "agree": f == e}
-        for key, f, e in zip(("perfect", "all"), formula, enumerated)
+        for key, f, e in blocks
     }
 
 
@@ -249,9 +258,8 @@ def cmd_moves(args) -> int:
 
 def cmd_count(args) -> int:
     name, d = _load(args.diagram, args.swap_colours)
-    counts = _oracle_counts(d)
+    counts = _oracle_counts(d, perfect_only=args.perfect)
     if args.perfect:
-        del counts["all"]
         lines = ["%d" % counts["perfect"]["formula"]]
     else:
         lines = ["%s: %d (agree=%s)" % (key, block["formula"], block["agree"])

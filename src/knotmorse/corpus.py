@@ -26,6 +26,7 @@ from typing import Sequence
 
 from .counting import count_spanning_trees
 from .diagram import Diagram, UnionFind, build_diagram, colour_graphs, is_reduced, parse_pd
+from .errors import InvariantViolation
 from .states import Matching, jordan_resolution
 
 __all__ = [
@@ -214,10 +215,16 @@ def load_corpus() -> dict[str, CorpusEntry]:
     for name, text in _EXPLICIT.items():
         entries[name] = _make_entry(name, text)
     for name, twists in _TWISTS.items():
-        assert continued_fraction_determinant(twists) == _EXPECTED[name][1]
+        det = continued_fraction_determinant(twists)
+        if det != _EXPECTED[name][1]:
+            raise InvariantViolation(
+                "%s: twist vector %s has determinant %d, expected %d"
+                % (name, twists, det, _EXPECTED[name][1])
+            )
         entries[name] = _make_entry(name, rational_pd(twists))
     pairs = [(e.crossings, e.determinant) for e in entries.values() if e.name != "kink"]
-    assert len(pairs) == len(set(pairs)), "(crossings, determinant) must identify entries"
+    if len(pairs) != len(set(pairs)):
+        raise InvariantViolation("(crossings, determinant) must identify entries")
     return entries
 
 

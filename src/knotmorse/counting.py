@@ -314,9 +314,8 @@ def forest_polynomial(g: PlaneGraph, variables=None, debug: bool = False) -> For
     result = ForestPolynomial(coeffs=coeffs)
     if debug:
         other = _forest_polynomial_by_determinant(g, varlist)
-        assert dict(result.coeffs) == dict(other.coeffs), (
-            "forest enumeration and symbolic determinant disagree"
-        )
+        if dict(result.coeffs) != dict(other.coeffs):
+            raise InvariantViolation("forest enumeration and symbolic determinant disagree")
     return result
 
 

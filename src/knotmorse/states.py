@@ -18,6 +18,17 @@ corner of that colour.  Every region has out-degree <= 1 and every matched
 crossing exactly one in and one out arrow, so after peeling sources and sinks
 what remains is a disjoint union of directed cycles, one per loop.
 
+The acyclic streams apply the same criterion incrementally.  Contract each
+matched region's arrows to one step, region -> region (the arrow target of
+its matched edge, tabulated once per stream).  A loop-free matching has no
+cycle in that map, so a loop in matching + e = (r -> c -> r2) must pass
+through r: the search follows the map from r2 and prunes e iff the walk comes
+back to r (at once when r2 == r, the kink's loop of length one).  The test
+"matched crossings form a forest in each colour graph" would prune the same
+branches, but it is the forest theorem that count_all_dmfs rests on, so the
+enumeration deliberately does not use it: the brute-force count stays an
+independent check of the closed formula.
+
 The Jordan resolution smooths every matched crossing (the two arc-ends beside
 the dotted corner are joined, and the opposite two), keeps unmatched crossings
 as double points, and partitions the arcs into strand components by union-find
@@ -34,7 +45,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .diagram import BLACK, WHITE, Diagram, TaitGraph, UnionFind
-from .errors import InvalidForest, NotAcyclic, NotAdmissible, NotSpanning
+from .errors import InvalidForest, InvariantViolation, NotAcyclic, NotAdmissible, NotSpanning
 
 __all__ = [
     "Matching",
@@ -266,8 +277,8 @@ def amended_poset_acyclic(t: TaitGraph, x: Matching) -> bool:
 def is_dmf(t: TaitGraph, x: Matching, debug: bool = False) -> bool:
     """True iff x supports no monochromatic loop (the dMf condition)."""
     ok = len(monochromatic_loops(t, x)) == 0
-    if debug:
-        assert ok == amended_poset_acyclic(t, x), (
+    if debug and ok != amended_poset_acyclic(t, x):
+        raise InvariantViolation(
             "loop criterion and poset-graph criterion disagree on %s" % (x.edges,)
         )
     return ok
@@ -295,39 +306,64 @@ def enumerate_matchings(t: TaitGraph, filter: str = "all") -> Iterator[Matching]
         )
 
 
+def _arrow_targets(t: TaitGraph) -> tuple[int, ...]:
+    """Edge e -> the region its crossing's arrow reaches when e is matched.
+
+    That is the crossing's other corner of e's colour (corner_pair: corners
+    k and k + 2 share a colour), as in the arrow graph of _one_colour_loops.
+    """
+    return tuple(t.edge_region[4 * (e // 4) + (e + 2) % 4] for e in range(t.n_edges))
+
+
+def _closes_loop(arrow: dict[int, int], r: int, r2: int) -> bool:
+    """Whether matching r with arrow target r2 closes a loop through r.
+
+    arrow maps each matched region to its arrow target and holds no loop, so
+    any new loop passes through r: follow the arrows from r2 until they reach
+    r (a loop, r2 == r being the kink's loop of length one) or a region with
+    no arrow out.
+    """
+    while r2 != r:
+        r2 = arrow.get(r2)
+        if r2 is None:
+            return False
+    return True
+
+
 def _subset_stream(t: TaitGraph, acyclic: bool) -> Iterator[Matching]:
     region_of = t.edge_region
+    target = _arrow_targets(t)
     acc: list[int] = []
     used_c: set[int] = set()
-    used_r: set[int] = set()
+    arrow: dict[int, int] = {}  # matched region -> its arrow target
 
     def rec(start: int) -> Iterator[Matching]:
-        x = Matching(tuple(acc))
-        if acyclic and monochromatic_loops(t, x):
-            # Supersets keep every supported loop; prune the subtree.
-            return
-        yield x
+        yield Matching(tuple(acc))
         for e in range(start, t.n_edges):
             c, r = e // 4, region_of[e]
-            if c in used_c or r in used_r:
+            if c in used_c or r in arrow:
+                continue
+            if acyclic and _closes_loop(arrow, r, target[e]):
+                # Supersets keep every supported loop; prune the subtree.
                 continue
             acc.append(e)
             used_c.add(c)
-            used_r.add(r)
+            arrow[r] = target[e]
             yield from rec(e + 1)
             acc.pop()
             used_c.discard(c)
-            used_r.discard(r)
+            del arrow[r]
 
     yield from rec(0)
 
 
 def _perfect_stream(t: TaitGraph, admissible: bool, acyclic: bool) -> Iterator[Matching]:
     region_of = t.edge_region
+    target = _arrow_targets(t)
     totals = {BLACK: len(t.black_faces), WHITE: len(t.white_faces)}
     matched = {BLACK: 0, WHITE: 0}
     acc: list[int] = []
-    used_r: set[int] = set()
+    arrow: dict[int, int] = {}  # matched region -> its arrow target
 
     def rec(c: int) -> Iterator[Matching]:
         if c == t.n_crossings:
@@ -336,19 +372,20 @@ def _perfect_stream(t: TaitGraph, admissible: bool, acyclic: bool) -> Iterator[M
         for k in range(4):
             e = 4 * c + k
             r = region_of[e]
-            if r in used_r:
+            if r in arrow:
                 continue
             col = t.face_colour[r]
             if admissible and matched[col] + 1 == totals[col]:
                 # Filling the last region of a colour can never be undone.
                 continue
+            if acyclic and _closes_loop(arrow, r, target[e]):
+                continue
             acc.append(e)
-            used_r.add(r)
+            arrow[r] = target[e]
             matched[col] += 1
-            if not (acyclic and monochromatic_loops(t, Matching(tuple(acc)))):
-                yield from rec(c + 1)
+            yield from rec(c + 1)
             acc.pop()
-            used_r.discard(r)
+            del arrow[r]
             matched[col] -= 1
 
     yield from rec(0)

@@ -124,6 +124,20 @@ def test_count_perfect_pretty_prints_the_number(capsys):
     assert capsys.readouterr().out.strip() == "18"
 
 
+def test_count_perfect_runs_neither_all_dmf_oracle(capsys, monkeypatch):
+    def unwanted(d):
+        raise AssertionError("count --perfect ran an all-dMf oracle")
+
+    monkeypatch.setattr(cli, "count_all_dmfs", unwanted)
+    monkeypatch.setattr(cli, "count_via_enumeration", unwanted)
+    code, payload = run(capsys, "count", "--perfect", "7_7")
+    assert code == 0
+    assert payload == {
+        "name": "7_7",
+        "perfect": {"formula": 420, "enumeration": 420, "agree": True},
+    }
+
+
 def test_count_both_oracles_agree(capsys):
     code, payload = run(capsys, "count", "5_1")
     assert code == 0

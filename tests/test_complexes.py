@@ -327,13 +327,18 @@ def test_pure_morse_from_trees_raises_on_bad_tree_triples(monkeypatch, fault):
 
 
 # Every test above that checks an InvariantViolation raise, and those in
-# test_counting.py; under -O a bare assert would vanish and these would fail.
+# test_counting.py, test_states.py and test_corpus.py; under -O a bare
+# assert would vanish and these would fail.
 INVARIANT_TESTS = (
     "test_complexes.py::test_unit_factor_in_the_dense_core_raises",
     "test_complexes.py::test_negative_betti_number_raises",
     "test_complexes.py::test_pure_morse_from_trees_raises_on_bad_tree_triples",
     "test_counting.py::test_tree_count_disagreement_raises",
     "test_counting.py::test_closed_forms_disagreement_raises",
+    "test_counting.py::test_forest_determinant_disagreement_raises",
+    "test_states.py::test_loop_criterion_disagreement_raises",
+    "test_corpus.py::test_twist_vector_determinant_mismatch_raises",
+    "test_corpus.py::test_repeated_crossings_and_determinant_raises",
 )
 
 
@@ -349,7 +354,7 @@ def test_invariant_checks_survive_python_O():
         capture_output=True, text=True, env=env, cwd=tests.parent,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "6 passed" in proc.stdout, proc.stdout
+    assert "10 passed" in proc.stdout, proc.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """The built-in projection corpus and its generators."""
 
+import dataclasses
+
 import pytest
 
-from knotmorse import build_diagram, is_reduced, parse_pd
+from knotmorse import build_diagram, corpus, is_reduced, parse_pd
 from knotmorse.corpus import (
     continued_fraction_determinant,
     corpus_names,
@@ -13,6 +15,7 @@ from knotmorse.corpus import (
 )
 from knotmorse.counting import count_spanning_trees
 from knotmorse.diagram import colour_graphs
+from knotmorse.errors import InvariantViolation
 from knotmorse.states import Matching, jordan_resolution
 
 EXPECTED = {
@@ -68,6 +71,24 @@ def test_get_entry_unknown_name():
 
 def test_load_corpus_is_cached():
     assert load_corpus() is load_corpus()
+
+
+# load_corpus.__wrapped__ builds afresh without touching the cached corpus.
+
+def test_twist_vector_determinant_mismatch_raises(monkeypatch):
+    monkeypatch.setattr(corpus, "continued_fraction_determinant", lambda twists: 0)
+    with pytest.raises(InvariantViolation):
+        load_corpus.__wrapped__()
+
+
+def test_repeated_crossings_and_determinant_raises(monkeypatch):
+    real = corpus._make_entry
+    monkeypatch.setattr(
+        corpus, "_make_entry",
+        lambda name, text: dataclasses.replace(real(name, text), determinant=1),
+    )
+    with pytest.raises(InvariantViolation):
+        load_corpus.__wrapped__()
 
 
 # -- generators ------------------------------------------------------------

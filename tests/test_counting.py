@@ -223,6 +223,17 @@ def test_closed_forms_disagreement_raises(monkeypatch):
         fibonacci_family_count(1)
 
 
+def test_forest_determinant_disagreement_raises(monkeypatch):
+    monkeypatch.setattr(
+        counting, "_forest_polynomial_by_determinant",
+        lambda g, varlist: ForestPolynomial(coeffs={frozenset(): 1}),
+    )
+    black, _ = colour_graphs(diagram("3_1"))
+    forest_polynomial(black)
+    with pytest.raises(InvariantViolation):
+        forest_polynomial(black, debug=True)
+
+
 def test_fibonacci_rejects_nonpositive():
     with pytest.raises(ValueError):
         fibonacci_family_count(0)

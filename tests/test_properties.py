@@ -1,0 +1,65 @@
+"""Property and metamorphic tests over generated rational projections.
+
+Random twist vectors of up to 7 crossings are closed by ``rational_pd`` and
+then written differently: crossings reordered, each X(...) tuple rotated and
+the arc labels renamed.  The projection is the same, so both dMf counts must
+be too, and each enumeration count must equal its closed formula.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from knotmorse.corpus import rational_pd
+from knotmorse.counting import count_all_dmfs, count_perfect_dmfs, count_via_enumeration
+from knotmorse.diagram import build_diagram, parse_pd
+
+MAX_CROSSINGS = 7
+
+
+@st.composite
+def twist_vectors(draw):
+    """Positive twist vectors with at most MAX_CROSSINGS crossings in all.
+
+    ``rational_pd`` takes an even-length vector only when it ends with at
+    least 2, so a trailing 1 there is folded into the entry before it.
+    """
+    twists = []
+    budget = MAX_CROSSINGS
+    while budget > 0:
+        twists.append(draw(st.integers(1, budget)))
+        budget -= twists[-1]
+        if not draw(st.booleans()):
+            break
+    if len(twists) % 2 == 0 and twists[-1] == 1:
+        last = twists.pop()
+        twists[-1] += last
+    return twists
+
+
+def scrambled(pd_text: str, data) -> str:
+    """The same projection with crossings, rotations and labels redrawn."""
+    crossings = parse_pd(pd_text).crossings
+    labels = sorted({label for c in crossings for label in c})
+    rename = dict(zip(labels, data.draw(st.permutations(labels), label="labels")))
+    order = data.draw(st.permutations(range(len(crossings))), label="order")
+    out = []
+    for i in order:
+        k = data.draw(st.integers(0, 3), label="rotation")
+        c = crossings[i][k:] + crossings[i][:k]
+        out.append("X(%d,%d,%d,%d)" % tuple(rename[label] for label in c))
+    return " ".join(out)
+
+
+def both_counts(pd_text: str) -> tuple[tuple[int, int], tuple[int, int]]:
+    d = build_diagram(parse_pd(pd_text))
+    return count_via_enumeration(d), (count_perfect_dmfs(d), count_all_dmfs(d))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(twists=twist_vectors(), data=st.data())
+def test_counts_agree_and_survive_scrambling(twists, data):
+    assert sum(twists) <= MAX_CROSSINGS
+    base = rational_pd(twists)
+    enumerated, formula = both_counts(base)
+    assert enumerated == formula
+    assert both_counts(scrambled(base, data)) == (enumerated, formula)

@@ -32,6 +32,9 @@ from knotmorse import (
     monochromatic_loops,
     parse_pd,
 )
+from knotmorse import states
+from knotmorse.corpus import corpus_names, get_entry
+from knotmorse.errors import InvariantViolation
 from knotmorse.states import amended_poset_acyclic, matched_regions, matching_to_dict
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
@@ -117,6 +120,27 @@ def test_loop_criterion_equals_poset_criterion(text):
     d, t = setup(text)
     for m in enumerate_matchings(t, "all"):
         assert is_dmf(t, m, debug=True) == amended_poset_acyclic(t, m)
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_pruned_streams_equal_the_filtered_full_streams(name):
+    # The acyclic streams prune by an incremental arrow walk; they must
+    # yield, in order, exactly what the full loop scan keeps of the
+    # unpruned streams, and the poset criterion must keep the same.
+    t = build_tait(get_entry(name).diagram)
+    for pruned, full in (("dmf", "all"), ("perfect_dmf", "maximal_pks")):
+        stream = list(enumerate_matchings(t, full))
+        kept = [m for m in stream if is_dmf(t, m)]
+        assert list(enumerate_matchings(t, pruned)) == kept
+        assert [m for m in stream if amended_poset_acyclic(t, m)] == kept
+
+
+def test_loop_criterion_disagreement_raises(monkeypatch):
+    _, t = setup(TREFOIL)
+    monkeypatch.setattr(states, "amended_poset_acyclic", lambda t, x: False)
+    assert is_dmf(t, Matching(()))
+    with pytest.raises(InvariantViolation):
+        is_dmf(t, Matching(()), debug=True)
 
 
 @pytest.mark.parametrize("text", [TREFOIL, FIG8, KINK])
