@@ -192,13 +192,13 @@ class Diagram:
         return len(self.faces)
 
     @cached_property
-    def arc_at(self) -> dict[tuple[int, int], int]:
-        """Dart (crossing, slot) -> arc id occupying that slot."""
-        out: dict[tuple[int, int], int] = {}
+    def dart_arc(self) -> tuple[int, ...]:
+        """Arc id occupying dart (crossing c, slot s), indexed by 4 * c + s."""
+        out = [0] * (4 * self.n_crossings)
         for a, ends in enumerate(self.arc_ends):
-            for d in ends:
-                out[d] = a
-        return out
+            for c, s in ends:
+                out[4 * c + s] = a
+        return tuple(out)
 
     @cached_property
     def mate(self) -> dict[tuple[int, int], tuple[int, int]]:
@@ -549,7 +549,10 @@ class TaitGraph:
         """
         k0, k2 = self.corner_pair(c, colour)
         hits = [4 * c + k for k in (k0, k2) if self.edge_region[4 * c + k] == region]
-        assert len(hits) == 1, "corner edge (crossing %d, region %d) is ambiguous" % (c, region)
+        if len(hits) != 1:
+            raise InvariantViolation(
+                "corner edge (crossing %d, region %d) is not unique: %d hits" % (c, region, len(hits))
+            )
         return hits[0]
 
     @cached_property

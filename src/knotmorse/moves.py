@@ -3,9 +3,14 @@
 A clock move acts at a square face of the overlay whose two opposite edges of
 one pattern are both matched: those leave the matching and the other opposite
 pair enters.  The move is classified by its effect on the Jordan resolution:
-Type III changes the strand count by +-2; when the count is unchanged, the
-two local strands rerouted at the square's crossings either lie on one strand
-before the move (Type I) or on two distinct strands (Type II).
+Type III changes the strand count (by +-2 on a perfect matching); when the
+count is unchanged, the two local strands rerouted at the square's crossings
+either lie on one strand before the move (Type I) or on two distinct strands
+(Type II).  The strand counts behind delta_j and the strands behind the Type
+I/II test come from ``_strand_roots``, a union-find over arc ids that never
+builds the resolution itself.  ``states.jordan_resolution``, which resolves
+darts and walks every closed strand, is kept as its independent oracle: the
+tests and the selftest clock check recount delta_j with it.
 
 A click loop move toggles matched and unmatched edges along one supported
 monochromatic loop; a click path move slides the unmatched region of one
@@ -23,10 +28,16 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .diagram import BLACK, WHITE, Diagram, PlaneGraph, TaitGraph, UnionFind
-from .errors import LeafOfAmbient, NotAcyclic, NotALeaf, NotPerfectAdmissible
+from .errors import (
+    InvariantViolation,
+    LeafOfAmbient,
+    NotAcyclic,
+    NotALeaf,
+    NotPerfectAdmissible,
+)
 from .states import (
     Matching,
     _colour_edge_ends,
@@ -36,7 +47,6 @@ from .states import (
     is_admissible,
     is_dmf,
     is_perfect,
-    jordan_resolution,
     kauffman_states,
     matched_regions,
     monochromatic_loops,
@@ -96,6 +106,32 @@ class Move:
 # Clock moves
 # ---------------------------------------------------------------------------
 
+def _strand_roots(d: Diagram, x: Matching) -> tuple[Callable[[int], int], int]:
+    """(root of an arc, strand count) of the Jordan resolution of x.
+
+    The arc-level twin of jordan_resolution, exact for any matching: a
+    matched crossing with corner k joins the arcs at slots {p, p+1} and
+    {p+2, p+3}, p = (k + 1) % 2, and a double point joins all four.  Roots
+    are looked up on demand, so a caller after the count alone pays nothing
+    for them.
+    """
+    dart_arc = d.dart_arc
+    uf = UnionFind(range(d.n_arcs))
+    count = d.n_arcs
+    double_points = set(range(d.n_crossings))
+    for e in x.edges:
+        c, p = e // 4, (e % 4 + 1) % 2
+        double_points.discard(c)
+        for s1, s2 in ((p, p + 1), (p + 2, (p + 3) % 4)):
+            if uf.union(dart_arc[4 * c + s1], dart_arc[4 * c + s2]):
+                count -= 1
+    for c in double_points:
+        for s in range(1, 4):
+            if uf.union(dart_arc[4 * c], dart_arc[4 * c + s]):
+                count -= 1
+    return uf.find, count
+
+
 def _rerouted_strand(d: Diagram, c: int, dot_corner: int, arc_slot: int) -> int:
     """The arc of the local strand not through the square's arc at crossing c.
 
@@ -105,16 +141,22 @@ def _rerouted_strand(d: Diagram, c: int, dot_corner: int, arc_slot: int) -> int:
     """
     pair_one = ((dot_corner + 1) % 4, (dot_corner + 2) % 4)
     slot = dot_corner if arc_slot in pair_one else (dot_corner + 1) % 4
-    return d.arc_at[(c, slot)]
+    return d.dart_arc[4 * c + slot]
 
 
 def clock_moves(t: TaitGraph, x: Matching) -> list[tuple[Move, Matching]]:
-    """All clock moves available on x, each with the resulting matching."""
+    """All clock moves available on x, each with the resulting matching.
+
+    A move flips the smoothings of the square's two crossings.  Each flip
+    changes |J| by at most one, and by exactly one when x is perfect.  So a
+    move changes |J| by at most 2, and by 0 or +-2 when x is perfect; both
+    are checked.
+    """
     _validate(t, x)
     d = t.diagram
     in_x = set(x.edges)
-    before = None
-    comp_of: dict[int, int] = {}
+    root: Callable[[int], int] | None = None
+    before = 0
     out: list[tuple[Move, Matching]] = []
     for sq in t.squares:
         for pattern, other, orientation in (
@@ -123,17 +165,16 @@ def clock_moves(t: TaitGraph, x: Matching) -> list[tuple[Move, Matching]]:
         ):
             if not set(pattern) <= in_x:
                 continue
-            if before is None:
-                before = jordan_resolution(d, x)
-                for i, comp in enumerate(before.components):
-                    for arc in comp:
-                        comp_of[arc] = i
+            if root is None:
+                root, before = _strand_roots(d, x)
             y = Matching.from_edges((in_x - set(pattern)) | set(other))
             _validate(t, y)
-            after = jordan_resolution(d, y)
-            delta = after.count - before.count
+            delta = _strand_roots(d, y)[1] - before
             if delta != 0:
-                assert delta in (-2, 2), "clock move changed |J| by %d" % delta
+                if abs(delta) > 2 or (delta not in (-2, 2) and is_perfect(t, x)):
+                    raise InvariantViolation(
+                        "clock move at arc %d changed |J| by %d" % (sq.arc, delta)
+                    )
                 ctype = "III"
             else:
                 strands = []
@@ -142,7 +183,7 @@ def clock_moves(t: TaitGraph, x: Matching) -> list[tuple[Move, Matching]]:
                     (c1, s1), (c2, s2) = d.arc_ends[sq.arc]
                     arc_slot = s1 if c1 == c else s2
                     strands.append(_rerouted_strand(d, c, e % 4, arc_slot))
-                ctype = "I" if comp_of[strands[0]] == comp_of[strands[1]] else "II"
+                ctype = "I" if root(strands[0]) == root(strands[1]) else "II"
             move = Move(
                 kind="clock",
                 site=(sq.arc,),
@@ -196,7 +237,11 @@ def click_path_moves(t: TaitGraph, x: Matching) -> list[tuple[Move, Matching]]:
     out: list[tuple[Move, Matching]] = []
     for colour, faces in ((BLACK, t.black_faces), (WHITE, t.white_faces)):
         unmatched = [f for f in faces if f not in mr]
-        assert len(unmatched) == 1, "perfect admissible must leave one region per colour"
+        if len(unmatched) != 1:
+            raise InvariantViolation(
+                "a perfect admissible matching left %d unmatched %s regions"
+                % (len(unmatched), _COLOUR_NAME[colour])
+            )
         root = unmatched[0]
         adj = _colour_adjacency(t, x, colour)
         parent: dict[int, tuple[int, int] | None] = {root: None}
@@ -210,26 +255,29 @@ def click_path_moves(t: TaitGraph, x: Matching) -> list[tuple[Move, Matching]]:
                     order.append(w)
                     queue.append(w)
         n_edges_inside = sum(len(adj[v]) for v in parent) // 2
-        assert n_edges_inside == len(parent) - 1, "root component must be a tree"
+        if n_edges_inside != len(parent) - 1:
+            raise InvariantViolation(
+                "the %s root component has %d vertices and %d edges, not a tree"
+                % (_COLOUR_NAME[colour], len(parent), n_edges_inside)
+            )
+        # A target's path and edge set extend its parent's by one crossing,
+        # re-matched from the target toward the parent.
+        paths = {root: (root,)}
+        edge_sets = {root: set(x.edges)}
         for u in order[1:]:
-            path: list[int] = [u]
-            flips: list[tuple[int, int, int]] = []  # crossing, child, parent
-            v = u
-            while parent[v] is not None:
-                c, p = parent[v]
-                flips.append((c, v, p))
-                path.append(p)
-                v = p
-            path.reverse()
-            edges = set(x.edges)
-            for c, child, par in flips:
-                old = t.edge_to_region(c, child, colour)
-                assert old in edges, "path crossing must be matched toward the child"
-                edges.discard(old)
-                edges.add(t.edge_to_region(c, par, colour))
+            c, p = parent[u]
+            old = t.edge_to_region(c, u, colour)
+            if old not in edge_sets[p]:
+                raise InvariantViolation(
+                    "path crossing %d is not matched toward region %d" % (c, u)
+                )
+            edges = edge_sets[p] - {old}
+            edges.add(t.edge_to_region(c, p, colour))
+            edge_sets[u] = edges
+            paths[u] = paths[p] + (u,)
             y = Matching.from_edges(edges)
             _validate(t, y)
-            move = Move(kind="click_path", site=(_COLOUR_NAME[colour], tuple(path)))
+            move = Move(kind="click_path", site=(_COLOUR_NAME[colour], paths[u]))
             out.append((move, y))
     return out
 
@@ -265,9 +313,12 @@ def two_click_connect(
                 cur = y
                 break
         else:
-            raise AssertionError("no path reaches region %d" % target)
-    black, mid, white = critical_cells(t, cur)
-    assert (black, mid, white) == ((v_b,), (), (v_w,))
+            raise InvariantViolation("no click path reaches region %d" % target)
+    cells = critical_cells(t, cur)
+    if cells != ((v_b,), (), (v_w,)):
+        raise InvariantViolation(
+            "two clicks toward (%d, %d) ended at critical cells %s" % (v_b, v_w, cells)
+        )
     return tuple(steps)
 
 
@@ -313,7 +364,10 @@ def leaf_spin(
         pivot = candidates[0]
     rot = [c for c, _ in g.rotation_at[pivot]]
     hits = [i for i, e in enumerate(rot) if e == leaf]
-    assert len(hits) == 1, "a non-loop edge appears once in the pivot rotation"
+    if len(hits) != 1:
+        raise InvariantViolation(
+            "edge %d appears %d times in the rotation at vertex %d" % (leaf, len(hits), pivot)
+        )
     start = hits[0]
     step = 1 if direction == "ccw" else -1
     n = len(rot)

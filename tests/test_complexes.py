@@ -327,8 +327,8 @@ def test_pure_morse_from_trees_raises_on_bad_tree_triples(monkeypatch, fault):
 
 
 # Every test above that checks an InvariantViolation raise, and those in
-# test_counting.py, test_states.py and test_corpus.py; under -O a bare
-# assert would vanish and these would fail.
+# test_counting.py, test_states.py, test_corpus.py, test_diagram.py and
+# test_moves.py; under -O a bare assert would vanish and these would fail.
 INVARIANT_TESTS = (
     "test_complexes.py::test_unit_factor_in_the_dense_core_raises",
     "test_complexes.py::test_negative_betti_number_raises",
@@ -339,6 +339,13 @@ INVARIANT_TESTS = (
     "test_states.py::test_loop_criterion_disagreement_raises",
     "test_corpus.py::test_twist_vector_determinant_mismatch_raises",
     "test_corpus.py::test_repeated_crossings_and_determinant_raises",
+    "test_diagram.py::test_edge_to_region_raises_unless_exactly_one_corner_hits",
+    "test_moves.py::test_clock_move_strand_count_fault_raises",
+    "test_moves.py::test_click_path_needs_one_unmatched_region_per_colour",
+    "test_moves.py::test_click_path_needs_a_tree_root_component",
+    "test_moves.py::test_click_path_needs_crossings_matched_toward_the_child",
+    "test_moves.py::test_two_click_connect_faults_raise",
+    "test_moves.py::test_leaf_spin_rotation_fault_raises",
 )
 
 
@@ -354,7 +361,7 @@ def test_invariant_checks_survive_python_O():
         capture_output=True, text=True, env=env, cwd=tests.parent,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "10 passed" in proc.stdout, proc.stdout
+    assert "20 passed" in proc.stdout, proc.stdout
 
 
 # ---------------------------------------------------------------------------

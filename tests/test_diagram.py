@@ -19,6 +19,7 @@ from knotmorse import (
     parse_pd,
 )
 from knotmorse.diagram import UnionFind
+from knotmorse.errors import InvariantViolation
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 FIG8 = "X(4,2,5,1) X(8,6,1,5) X(6,3,7,4) X(2,7,3,8)"
@@ -272,6 +273,17 @@ def test_edge_to_region_inverts_edge_region():
             for r in set(t.edge_region[4 * c + k] for k in t.corner_pair(c, colour)):
                 e = t.edge_to_region(c, r, colour)
                 assert e // 4 == c and t.edge_region[e] == r
+
+
+def test_edge_to_region_raises_unless_exactly_one_corner_hits():
+    kink = build_tait(diagram(KINK))
+    loop_region = kink.edge_region[0]  # both corners of one colour face it
+    with pytest.raises(InvariantViolation, match="not unique"):
+        kink.edge_to_region(0, loop_region, kink.face_colour[loop_region])
+    t = build_tait(diagram(TREFOIL))
+    away = (set(range(t.n_faces)) - set(t.regions_of_crossing[0])).pop()
+    with pytest.raises(InvariantViolation, match="not unique"):
+        t.edge_to_region(0, away, t.face_colour[away])
 
 
 # -- reducedness -----------------------------------------------------------

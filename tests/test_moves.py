@@ -1,12 +1,18 @@
 """Moves and move graphs: clock, click loop, click path, leaf spin."""
 
+import ast
+import hashlib
+import json
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
-from knotmorse import build_tait, colour_graphs, get_entry
-from knotmorse.diagram import BLACK, WHITE, PlaneGraph
+from knotmorse import build_tait, colour_graphs, get_entry, moves
+from knotmorse.corpus import load_corpus, rational_pd, torus_pd
+from knotmorse.diagram import BLACK, WHITE, PlaneGraph, TaitGraph, build_diagram, parse_pd
 from knotmorse.errors import (
+    InvariantViolation,
     LeafOfAmbient,
     NotAcyclic,
     NotALeaf,
@@ -195,6 +201,44 @@ def test_kink_has_no_clock_moves():
     t = tait("kink")
     for x in enumerate_matchings(t, "all"):
         assert clock_moves(t, x) == []
+
+
+# every corpus diagram of at most 6 crossings, the kink among them
+STRAND_CORPUS = tuple(n for n in load_corpus() if get_entry(n).diagram.n_crossings <= 6)
+
+
+def arc_partition(root, n_arcs):
+    blocks = {}
+    for arc in range(n_arcs):
+        blocks.setdefault(root(arc), []).append(arc)
+    return sorted(tuple(b) for b in blocks.values())
+
+
+@pytest.mark.parametrize("name", STRAND_CORPUS)
+def test_strand_kernel_agrees_with_jordan_resolution_on_every_matching(name):
+    d = get_entry(name).diagram
+    for x in enumerate_matchings(build_tait(d), "all"):
+        root, count = moves._strand_roots(d, x)
+        j = jordan_resolution(d, x)
+        assert count == j.count
+        assert arc_partition(root, d.n_arcs) == sorted(j.components)
+
+
+@pytest.mark.parametrize("name", ("4_1", "5_2"))
+def test_clock_moves_on_every_matching_recount_with_jordan_resolution(name):
+    t = tait(name)
+    d = t.diagram
+    deltas = set()
+    for x in enumerate_matchings(t, "all"):
+        before = jordan_resolution(d, x).count
+        for move, y in clock_moves(t, x):
+            assert jordan_resolution(d, y).count - before == move.delta_j
+            assert (move.clock_type == "III") == (move.delta_j != 0)
+            if len(x.edges) == t.n_crossings:
+                assert move.delta_j in (-2, 0, 2)
+            deltas.add(move.delta_j)
+    # a double point lets a move change |J| by one
+    assert deltas == {-2, -1, 0, 1, 2}
 
 
 # ---------------------------------------------------------------------------
@@ -577,3 +621,141 @@ def test_move_to_dict_round_trip():
     }
     path = Move(kind="click_path", site=("black", (1, 3)))
     assert path.to_dict() == {"kind": "click_path", "site": ["black", (1, 3)]}
+
+
+# ---------------------------------------------------------------------------
+# Frozen move graphs: labels and edge order
+# ---------------------------------------------------------------------------
+
+FROZEN_GRAPHS = {
+    ("T(2,9)", "perfect_admissible"): (
+        162, 873, "521ecb3de05607eb4f83aca60931b2619ade727ab5a4fd9960059fcf2d7d690a"
+    ),
+    ("R(2,2,2,2)", "perfect_admissible"): (
+        949, 4817, "95f31b1c5eaaeafa5b4d0fcd71270046f171dd82b07089f08e0588c6769eb830"
+    ),
+    ("7_7", "perfect_dmfs"): (
+        420, 2122, "7176130050865d6734c64db565f6ce8fdf26f0ffc714386f23746bdd306a5a99"
+    ),
+}
+
+
+def frozen_pd(name):
+    if name == "T(2,9)":
+        return torus_pd(9)
+    if name == "R(2,2,2,2)":
+        return rational_pd([2, 2, 2, 2])
+    return get_entry(name).diagram.pd.to_text()
+
+
+@pytest.mark.parametrize("name, population", sorted(FROZEN_GRAPHS))
+def test_move_graph_is_frozen(name, population):
+    nodes, edges, digest = FROZEN_GRAPHS[(name, population)]
+    mg = build_move_graph(build_tait(build_diagram(parse_pd(frozen_pd(name)))), population)
+    assert (len(mg.nodes), len(mg.edges)) == (nodes, edges)
+    text = json.dumps(move_graph_to_dict(mg), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# Invariant checks raise, also under python -O
+# ---------------------------------------------------------------------------
+
+def test_moves_module_has_no_bare_asserts():
+    tree = ast.parse(Path(moves.__file__).read_text())
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+        or (isinstance(node, ast.Name) and node.id == "AssertionError")
+    ]
+    assert found == [], "moves.py lines %s: raise InvariantViolation instead" % found
+
+
+def perfect_dmf(name="4_1"):
+    t = tait(name)
+    return t, next(x for x in enumerate_matchings(t, "perfect_dmf") if clock_moves(t, x))
+
+
+# a perfect matching allows |delta_j| 0 or 2, one with double points up to 2
+@pytest.mark.parametrize("perfect, extra", [(True, 1), (False, 3)])
+def test_clock_move_strand_count_fault_raises(monkeypatch, perfect, extra):
+    if perfect:
+        t, x = perfect_dmf()
+    else:
+        t = tait("4_1")
+        x = next(
+            x for x in enumerate_matchings(t, "all")
+            if len(x.edges) < t.n_crossings and clock_moves(t, x)
+        )
+    real = moves._strand_roots
+
+    def strands_too_many(d, y):
+        root, count = real(d, y)
+        return root, count + extra * (y != x)
+
+    monkeypatch.setattr(moves, "_strand_roots", strands_too_many)
+    with pytest.raises(InvariantViolation, match="changed"):
+        clock_moves(t, x)
+
+
+def test_click_path_needs_one_unmatched_region_per_colour(monkeypatch):
+    t, x = perfect_dmf()
+    real = moves.matched_regions
+    monkeypatch.setattr(moves, "matched_regions", lambda t, x: dict(list(real(t, x).items())[1:]))
+    with pytest.raises(InvariantViolation, match="unmatched"):
+        click_path_moves(t, x)
+
+
+def test_click_path_needs_a_tree_root_component(monkeypatch):
+    t, x = perfect_dmf()
+    real = moves._colour_adjacency
+
+    def doubled(t, x, colour):
+        return {v: nbrs + nbrs for v, nbrs in real(t, x, colour).items()}
+
+    monkeypatch.setattr(moves, "_colour_adjacency", doubled)
+    with pytest.raises(InvariantViolation, match="not a tree"):
+        click_path_moves(t, x)
+
+
+def test_click_path_needs_crossings_matched_toward_the_child(monkeypatch):
+    t, x = perfect_dmf()
+    real = TaitGraph.edge_to_region
+
+    def other_corner(self, c, region, colour):
+        k0, k2 = self.corner_pair(c, colour)
+        return 4 * c + (k2 if real(self, c, region, colour) % 4 == k0 else k0)
+
+    monkeypatch.setattr(TaitGraph, "edge_to_region", other_corner)
+    with pytest.raises(InvariantViolation, match="not matched toward"):
+        click_path_moves(t, x)
+
+
+@pytest.mark.parametrize("fault", ["no_path", "no_change"])
+def test_two_click_connect_faults_raise(monkeypatch, fault):
+    t, x = perfect_dmf()
+    black, _, white = critical_cells(t, x)
+    v_b = next(v for v in t.black_faces if v != black[0])
+    real = moves.click_path_moves
+    if fault == "no_path":
+        faulty = lambda t, cur: []
+    else:  # every move leaves the matching as it was
+        faulty = lambda t, cur: [(move, cur) for move, _ in real(t, cur)]
+    monkeypatch.setattr(moves, "click_path_moves", faulty)
+    with pytest.raises(InvariantViolation, match="no click path" if fault == "no_path" else "ended at"):
+        two_click_connect(t, x, v_b, white[0])
+
+
+@pytest.mark.parametrize("fault", ["missing", "twice"])
+def test_leaf_spin_rotation_fault_raises(fault):
+    at_zero = ((0, 0), (0, 2), (2, 3)) if fault == "missing" else ((0, 0), (1, 1), (1, 1), (2, 3))
+    g = PlaneGraph(
+        colour=BLACK,
+        vertices=(0, 1),
+        edge_ends=((0, 0), (0, 1), (0, 1)),
+        edge_corners=((0, 0), (1, 1), (2, 3)),
+        rotations=(at_zero, ((1, 0), (2, 2))),
+    )
+    with pytest.raises(InvariantViolation, match="appears"):
+        leaf_spin(g, (1,), 1, "ccw", pivot=0)

@@ -3,28 +3,34 @@
 Random twist vectors of up to 7 crossings are closed by ``rational_pd`` and
 then written differently: crossings reordered, each X(...) tuple rotated and
 the arc labels renamed.  The projection is the same, so both dMf counts must
-be too, and each enumeration count must equal its closed formula.
+be too, and each enumeration count must equal its closed formula.  Up to 6
+crossings the perfect admissible move graph must keep its size, its number
+of components and its clock moves by type and size of strand-count change.
 """
+
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotmorse.corpus import rational_pd
 from knotmorse.counting import count_all_dmfs, count_perfect_dmfs, count_via_enumeration
-from knotmorse.diagram import build_diagram, parse_pd
+from knotmorse.diagram import build_diagram, build_tait, parse_pd
+from knotmorse.moves import build_move_graph, verify_connectivity
 
 MAX_CROSSINGS = 7
+MOVE_GRAPH_CROSSINGS = 6
 
 
 @st.composite
-def twist_vectors(draw):
-    """Positive twist vectors with at most MAX_CROSSINGS crossings in all.
+def twist_vectors(draw, max_crossings=MAX_CROSSINGS):
+    """Positive twist vectors with at most max_crossings crossings in all.
 
     ``rational_pd`` takes an even-length vector only when it ends with at
     least 2, so a trailing 1 there is folded into the entry before it.
     """
     twists = []
-    budget = MAX_CROSSINGS
+    budget = max_crossings
     while budget > 0:
         twists.append(draw(st.integers(1, budget)))
         budget -= twists[-1]
@@ -63,3 +69,24 @@ def test_counts_agree_and_survive_scrambling(twists, data):
     enumerated, formula = both_counts(base)
     assert enumerated == formula
     assert both_counts(scrambled(base, data)) == (enumerated, formula)
+
+
+def move_graph_summary(pd_text: str) -> tuple[int, int, int, Counter]:
+    """Nodes, edges, components and the (clock_type, |delta_j|) multiset of
+    the clock edges of the perfect admissible move graph.
+
+    An edge keeps the move from whichever end the enumeration reached first,
+    and rewriting the code reorders the enumeration, so only the size of
+    delta_j is an invariant, not its sign.
+    """
+    mg = build_move_graph(build_tait(build_diagram(parse_pd(pd_text))), "perfect_admissible")
+    clocks = Counter((m.clock_type, abs(m.delta_j)) for _, _, m in mg.edges if m.kind == "clock")
+    return len(mg.nodes), len(mg.edges), verify_connectivity(mg)[1], clocks
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(twists=twist_vectors(MOVE_GRAPH_CROSSINGS), data=st.data())
+def test_move_graphs_survive_scrambling(twists, data):
+    assert sum(twists) <= MOVE_GRAPH_CROSSINGS
+    base = rational_pd(twists)
+    assert move_graph_summary(scrambled(base, data)) == move_graph_summary(base)
