@@ -123,10 +123,6 @@ class SimplicialComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * n for k, n in enumerate(self.face_counts()))
 
-    def has_face(self, face: Iterable[int]) -> bool:
-        wanted = set(face)
-        return any(wanted <= set(f) for f in self.facets)
-
     def to_dict(self) -> dict:
         return {
             "dimension": self.dimension,

@@ -27,7 +27,6 @@ from typing import Sequence
 from .counting import count_spanning_trees
 from .diagram import Diagram, UnionFind, build_diagram, colour_graphs, is_reduced, parse_pd
 from .errors import InvariantViolation
-from .states import Matching, jordan_resolution
 
 __all__ = [
     "CorpusEntry",
@@ -188,18 +187,23 @@ def _make_entry(name: str, pd_text: str) -> CorpusEntry:
     d = build_diagram(parse_pd(pd_text))
     expected_cr, expected_det = _EXPECTED[name]
     if d.n_crossings != expected_cr:
-        raise AssertionError(
+        raise InvariantViolation(
             "%s: expected %d crossings, built %d" % (name, expected_cr, d.n_crossings)
         )
-    strands = jordan_resolution(d, Matching(())).count
+    # A strand runs straight through each crossing, from slot s to slot s + 2.
+    curves = UnionFind(range(d.n_arcs))
+    for c in range(d.n_crossings):
+        for s in (0, 1):
+            curves.union(d.dart_arc[4 * c + s], d.dart_arc[4 * c + s + 2])
+    strands = len({curves.find(a) for a in range(d.n_arcs)})
     if strands != 1:
-        raise AssertionError("%s: %d closed curves, expected a knot" % (name, strands))
+        raise InvariantViolation("%s: %d closed curves, expected a knot" % (name, strands))
     gb, gw = colour_graphs(d)
     det = count_spanning_trees(gb)
     if det != expected_det:
-        raise AssertionError("%s: determinant %d, expected %d" % (name, det, expected_det))
+        raise InvariantViolation("%s: determinant %d, expected %d" % (name, det, expected_det))
     if name != "kink" and not is_reduced(d):
-        raise AssertionError("%s: projection is not reduced" % name)
+        raise InvariantViolation("%s: projection is not reduced" % name)
     return CorpusEntry(
         name=name,
         pd_text=pd_text,

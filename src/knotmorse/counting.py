@@ -104,7 +104,7 @@ class IntegerMatrix:
 
         The polynomial is monic of degree n; evaluating it at n+1 integer
         points and solving with Fractions keeps everything exact (the result
-        is asserted integral).
+        is checked monic and integral).
         """
         n = self.n
         if n == 0:
@@ -135,12 +135,11 @@ class IntegerMatrix:
                 basis[0] = -root * basis[0]
             for p in range(k + 1):
                 coeffs[p] += divided[k] * basis[p]
-        out = []
-        for p in range(n, -1, -1):
-            assert coeffs[p].denominator == 1, "characteristic polynomial must be integral"
-            out.append(int(coeffs[p]))
-        assert out[0] == 1
-        return tuple(out)
+        if any(f.denominator != 1 for f in coeffs) or coeffs[n] != 1:
+            raise InvariantViolation(
+                "characteristic polynomial must be monic and integral, got %s" % coeffs[::-1]
+            )
+        return tuple(int(f) for f in reversed(coeffs))
 
 
 def _nonloop_edges(g: PlaneGraph) -> list[int]:

@@ -378,10 +378,6 @@ class PlaneGraph:
     def rotation_at(self) -> dict[int, tuple[tuple[int, int], ...]]:
         return {v: rot for v, rot in zip(self.vertices, self.rotations)}
 
-    def incident_edges(self, v: int) -> tuple[int, ...]:
-        """Edge ids at v in rotation order (loops listed twice)."""
-        return tuple(c for c, _k in self.rotation_at[v])
-
     def to_dict(self) -> dict:
         return {
             "colour": self.colour,
@@ -412,7 +408,10 @@ def _one_colour_graph(d: Diagram, colour: int) -> PlaneGraph:
     for v in vertices:
         face = d.faces[v]
         rotations.append(tuple(face.corners))
-    assert all(f in vset for ends in edge_ends for f in ends)
+    if not all(f in vset for ends in edge_ends for f in ends):
+        raise InvariantViolation(
+            "a %s graph edge ends off its colour" % ("white" if colour == WHITE else "black")
+        )
     return PlaneGraph(
         colour=colour,
         vertices=tuple(vertices),
@@ -533,9 +532,6 @@ class TaitGraph:
     def edge_colour(self, e: int) -> int:
         return self.face_colour[self.edge_region[e]]
 
-    def edges_of_crossing(self, c: int) -> tuple[int, int, int, int]:
-        return (4 * c, 4 * c + 1, 4 * c + 2, 4 * c + 3)
-
     def corner_pair(self, c: int, colour: int) -> tuple[int, int]:
         """The two corner slots of the given colour at crossing c."""
         k0 = 0 if self.face_colour[self.edge_region[4 * c]] == colour else 1
@@ -600,8 +596,8 @@ def build_tait(d: Diagram) -> TaitGraph:
         f_left = d.face_at_corner[(c1, (s1 + 3) % 4)]
         f_right = d.face_at_corner[(c1, s1)]
         # The other end sees the same two regions from the far side.
-        assert f_left == d.face_at_corner[(c2, s2)]
-        assert f_right == d.face_at_corner[(c2, (s2 + 3) % 4)]
+        if f_left != d.face_at_corner[(c2, s2)] or f_right != d.face_at_corner[(c2, (s2 + 3) % 4)]:
+            raise InvariantViolation("the two ends of arc %d see different regions" % a)
         squares.append(
             Square(
                 arc=a,

@@ -222,6 +222,59 @@ def _colour_adjacency(t: TaitGraph, x: Matching, colour: int) -> dict[int, list[
     return adj
 
 
+def _click_tree(t: TaitGraph, x: Matching, colour: int) -> tuple[dict[int, tuple[int, int] | None], list[int]]:
+    """Breadth-first tree of the component of x's unmatched region of a colour.
+
+    Returns the parent map (region -> (crossing, parent region), None at the
+    root) and the regions in search order, root first.  Raises
+    InvariantViolation unless exactly one region of the colour is unmatched
+    and its component of the induced colour subgraph is a tree.
+    """
+    mr = matched_regions(t, x)
+    faces = t.black_faces if colour == BLACK else t.white_faces
+    unmatched = [f for f in faces if f not in mr]
+    if len(unmatched) != 1:
+        raise InvariantViolation(
+            "a perfect admissible matching left %d unmatched %s regions"
+            % (len(unmatched), _COLOUR_NAME[colour])
+        )
+    root = unmatched[0]
+    adj = _colour_adjacency(t, x, colour)
+    parent: dict[int, tuple[int, int] | None] = {root: None}
+    order = [root]
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for c, w in adj[v]:
+            if w not in parent:
+                parent[w] = (c, v)
+                order.append(w)
+                queue.append(w)
+    n_edges_inside = sum(len(adj[v]) for v in parent) // 2
+    if n_edges_inside != len(parent) - 1:
+        raise InvariantViolation(
+            "the %s root component has %d vertices and %d edges, not a tree"
+            % (_COLOUR_NAME[colour], len(parent), n_edges_inside)
+        )
+    return parent, order
+
+
+def _click_step(t: TaitGraph, edges: set[int], u: int, colour: int, tree_edge: tuple[int, int]) -> None:
+    """Re-match the crossing of u's tree edge from u toward its parent, in place."""
+    c, p = tree_edge
+    old = t.edge_to_region(c, u, colour)
+    if old not in edges:
+        raise InvariantViolation("path crossing %d is not matched toward region %d" % (c, u))
+    edges.remove(old)
+    edges.add(t.edge_to_region(c, p, colour))
+
+
+def _click_move(t: TaitGraph, colour: int, path: tuple[int, ...], edges: set[int]) -> tuple[Move, Matching]:
+    y = Matching.from_edges(edges)
+    _validate(t, y)
+    return Move(kind="click_path", site=(_COLOUR_NAME[colour], path)), y
+
+
 def click_path_moves(t: TaitGraph, x: Matching) -> list[tuple[Move, Matching]]:
     """Slide the unmatched region of either colour along its tree component.
 
@@ -233,52 +286,20 @@ def click_path_moves(t: TaitGraph, x: Matching) -> list[tuple[Move, Matching]]:
     _validate(t, x)
     if not (is_perfect(t, x) and is_admissible(t, x)):
         raise NotPerfectAdmissible("click path moves need a perfect admissible matching")
-    mr = matched_regions(t, x)
     out: list[tuple[Move, Matching]] = []
-    for colour, faces in ((BLACK, t.black_faces), (WHITE, t.white_faces)):
-        unmatched = [f for f in faces if f not in mr]
-        if len(unmatched) != 1:
-            raise InvariantViolation(
-                "a perfect admissible matching left %d unmatched %s regions"
-                % (len(unmatched), _COLOUR_NAME[colour])
-            )
-        root = unmatched[0]
-        adj = _colour_adjacency(t, x, colour)
-        parent: dict[int, tuple[int, int] | None] = {root: None}
-        order = [root]
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for c, w in adj[v]:
-                if w not in parent:
-                    parent[w] = (c, v)
-                    order.append(w)
-                    queue.append(w)
-        n_edges_inside = sum(len(adj[v]) for v in parent) // 2
-        if n_edges_inside != len(parent) - 1:
-            raise InvariantViolation(
-                "the %s root component has %d vertices and %d edges, not a tree"
-                % (_COLOUR_NAME[colour], len(parent), n_edges_inside)
-            )
+    for colour in (BLACK, WHITE):
+        parent, order = _click_tree(t, x, colour)
         # A target's path and edge set extend its parent's by one crossing,
         # re-matched from the target toward the parent.
-        paths = {root: (root,)}
-        edge_sets = {root: set(x.edges)}
+        paths = {order[0]: (order[0],)}
+        edge_sets = {order[0]: set(x.edges)}
         for u in order[1:]:
-            c, p = parent[u]
-            old = t.edge_to_region(c, u, colour)
-            if old not in edge_sets[p]:
-                raise InvariantViolation(
-                    "path crossing %d is not matched toward region %d" % (c, u)
-                )
-            edges = edge_sets[p] - {old}
-            edges.add(t.edge_to_region(c, p, colour))
+            p = parent[u][1]
+            edges = set(edge_sets[p])
+            _click_step(t, edges, u, colour, parent[u])
             edge_sets[u] = edges
             paths[u] = paths[p] + (u,)
-            y = Matching.from_edges(edges)
-            _validate(t, y)
-            move = Move(kind="click_path", site=(_COLOUR_NAME[colour], paths[u]))
-            out.append((move, y))
+            out.append(_click_move(t, colour, paths[u], edges))
     return out
 
 
@@ -288,8 +309,10 @@ def two_click_connect(
     """Carry a perfect dMf to the one with critical regions (v_b, v_w).
 
     At most one black and one white click path move, black first; the white
-    tree is untouched by the black move, so both paths exist.  Returns the
-    (move, matching) steps; empty when the targets are already critical.
+    tree is untouched by the black move, so both paths exist.  Each move is
+    the click_path_moves move to its target, built alone by walking the
+    target's tree path up to the root.  Returns the (move, matching) steps;
+    empty when the targets are already critical.
     """
     if t.face_colour[v_b] != BLACK:
         raise ValueError("target %d is not a black region" % v_b)
@@ -303,17 +326,20 @@ def two_click_connect(
     steps: list[tuple[Move, Matching]] = []
     cur = x
     for colour, target in ((BLACK, v_b), (WHITE, v_w)):
-        black, _, white = critical_cells(t, cur)
-        root = black[0] if colour == BLACK else white[0]
-        if root == target:
+        parent, order = _click_tree(t, cur, colour)
+        if order[0] == target:
             continue
-        for move, y in click_path_moves(t, cur):
-            if move.site[0] == _COLOUR_NAME[colour] and move.site[1][-1] == target:
-                steps.append((move, y))
-                cur = y
-                break
-        else:
+        if target not in parent:
             raise InvariantViolation("no click path reaches region %d" % target)
+        edges = set(cur.edges)
+        u = target
+        path = [u]
+        while parent[u] is not None:
+            _click_step(t, edges, u, colour, parent[u])
+            u = parent[u][1]
+            path.append(u)
+        steps.append(_click_move(t, colour, tuple(reversed(path)), edges))
+        cur = steps[-1][1]
     cells = critical_cells(t, cur)
     if cells != ((v_b,), (), (v_w,)):
         raise InvariantViolation(

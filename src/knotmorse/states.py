@@ -12,18 +12,16 @@ acyclic      the matching supports no monochromatic loop; acyclic matchings
 
 A monochromatic loop is a cycle in the overlay through regions of one colour
 only, alternating matched and unmatched edges with the matched ones in x.
-Loops are found as directed cycles of the one-colour arrow graph: region ->
-crossing where the matching pairs them, crossing -> region along its other
-corner of that colour.  Every region has out-degree <= 1 and every matched
-crossing exactly one in and one out arrow, so after peeling sources and sinks
-what remains is a disjoint union of directed cycles, one per loop.
-
-The acyclic streams apply the same criterion incrementally.  Contract each
-matched region's arrows to one step, region -> region (the arrow target of
-its matched edge, tabulated once per stream).  A loop-free matching has no
-cycle in that map, so a loop in matching + e = (r -> c -> r2) must pass
-through r: the search follows the map from r2 and prunes e iff the walk comes
-back to r (at once when r2 == r, the kink's loop of length one).  The test
+Corners k and k + 2 of a crossing share a colour, so the loop leaves crossing
+e // 4 along edge e ^ 2, and the loops are the cycles of one map over both
+colours: each matched region r, matched by edge e, steps to region
+edge_region[e ^ 2].  monochromatic_loops walks that map from every matched
+region; a walk ends when it leaves the matched regions, reaches a region an
+earlier walk finished, or meets its own path, which closes a loop.  The
+acyclic streams keep the same map incrementally: a loop-free matching has no
+cycle in it, so a loop in matching + e must pass through e's region r, and
+the search prunes e iff the walk from edge_region[e ^ 2] comes back to r (at
+once when the two coincide, the kink's loop of length one).  The test
 "matched crossings form a forest in each colour graph" would prune the same
 branches, but it is the forest theorem that count_all_dmfs rests on, so the
 enumeration deliberately does not use it: the brute-force count stays an
@@ -176,61 +174,9 @@ def matching_to_dict(t: TaitGraph, x: Matching) -> dict:
 # Monochromatic loops and the dMf condition
 # ---------------------------------------------------------------------------
 
-def _one_colour_loops(t: TaitGraph, x: Matching, colour: int) -> list[tuple[int, ...]]:
-    # Arrow graph of one colour: region -> its matching crossing (the matched
-    # edge), crossing -> the region at its other corner of this colour.
-    region_out: dict[int, tuple[int, int]] = {}
-    crossing_out: dict[int, tuple[int, int]] = {}
-    crossing_src: dict[int, int] = {}
-    for e in x.edges:
-        if t.edge_colour(e) != colour:
-            continue
-        c, k = e // 4, e % 4
-        k0, k2 = t.corner_pair(c, colour)
-        other = k2 if k == k0 else k0
-        region_out[t.edge_region[e]] = (e, c)
-        crossing_out[c] = (4 * c + other, t.edge_region[4 * c + other])
-        crossing_src[c] = t.edge_region[e]
-
-    # Every node has out-degree <= 1, so after peeling nodes that lack an in
-    # or an out arrow the kernel is a disjoint union of directed cycles.
-    alive_r = set(region_out)
-    alive_c = set(crossing_out)
-    changed = True
-    while changed:
-        changed = False
-        for c in list(alive_c):
-            _, r2 = crossing_out[c]
-            if crossing_src[c] not in alive_r or r2 not in alive_r:
-                alive_c.discard(c)
-                changed = True
-        targets = {crossing_out[c][1] for c in alive_c}
-        for r in list(alive_r):
-            if region_out[r][1] not in alive_c or r not in targets:
-                alive_r.discard(r)
-                changed = True
-
-    loops: list[tuple[int, ...]] = []
-    unvisited = set(alive_r)
-    while unvisited:
-        r0 = min(unvisited)
-        seq: list[int] = []
-        r = r0
-        while True:
-            unvisited.discard(r)
-            e_in, c = region_out[r]
-            e_out, r2 = crossing_out[c]
-            seq.extend((e_in, e_out))
-            r = r2
-            if r == r0:
-                break
-        loops.append(_canonical_cycle(seq))
-    return loops
-
-
 def _canonical_cycle(seq: list[int]) -> tuple[int, ...]:
     # Rotate so the smallest edge id comes first; traversal direction is
-    # already fixed by the arrow graph.
+    # already fixed by the region map.
     i = seq.index(min(seq))
     return tuple(seq[i:] + seq[:i])
 
@@ -238,7 +184,23 @@ def _canonical_cycle(seq: list[int]) -> tuple[int, ...]:
 def monochromatic_loops(t: TaitGraph, x: Matching) -> tuple[tuple[int, ...], ...]:
     """All supported loops, each a cyclic edge sequence, canonicalized."""
     _validate(t, x)
-    loops = _one_colour_loops(t, x, BLACK) + _one_colour_loops(t, x, WHITE)
+    region_of = t.edge_region
+    out = {region_of[e]: e for e in x.edges}
+    walk_of: dict[int, int] = {}  # region -> the start of the walk that met it
+    loops: list[tuple[int, ...]] = []
+    for start in out:
+        r = start
+        while r in out and r not in walk_of:
+            walk_of[r] = start
+            r = region_of[out[r] ^ 2]
+        if walk_of.get(r) == start:
+            # The walk met its own path: the loop runs from r back to r.
+            seq: list[int] = []
+            q = r
+            while not seq or q != r:
+                seq += (out[q], out[q] ^ 2)
+                q = region_of[out[q] ^ 2]
+            loops.append(_canonical_cycle(seq))
     return tuple(sorted(loops))
 
 
@@ -306,22 +268,12 @@ def enumerate_matchings(t: TaitGraph, filter: str = "all") -> Iterator[Matching]
         )
 
 
-def _arrow_targets(t: TaitGraph) -> tuple[int, ...]:
-    """Edge e -> the region its crossing's arrow reaches when e is matched.
-
-    That is the crossing's other corner of e's colour (corner_pair: corners
-    k and k + 2 share a colour), as in the arrow graph of _one_colour_loops.
-    """
-    return tuple(t.edge_region[4 * (e // 4) + (e + 2) % 4] for e in range(t.n_edges))
-
-
 def _closes_loop(arrow: dict[int, int], r: int, r2: int) -> bool:
-    """Whether matching r with arrow target r2 closes a loop through r.
+    """Whether matching r with next region r2 closes a loop through r.
 
-    arrow maps each matched region to its arrow target and holds no loop, so
-    any new loop passes through r: follow the arrows from r2 until they reach
-    r (a loop, r2 == r being the kink's loop of length one) or a region with
-    no arrow out.
+    arrow is the region map of the matching so far and holds no loop, so any
+    new loop passes through r: follow it from r2 until it reaches r (a loop,
+    r2 == r being the kink's loop of length one) or an unmatched region.
     """
     while r2 != r:
         r2 = arrow.get(r2)
@@ -332,10 +284,9 @@ def _closes_loop(arrow: dict[int, int], r: int, r2: int) -> bool:
 
 def _subset_stream(t: TaitGraph, acyclic: bool) -> Iterator[Matching]:
     region_of = t.edge_region
-    target = _arrow_targets(t)
     acc: list[int] = []
     used_c: set[int] = set()
-    arrow: dict[int, int] = {}  # matched region -> its arrow target
+    arrow: dict[int, int] = {}  # matched region -> its next region
 
     def rec(start: int) -> Iterator[Matching]:
         yield Matching(tuple(acc))
@@ -343,12 +294,12 @@ def _subset_stream(t: TaitGraph, acyclic: bool) -> Iterator[Matching]:
             c, r = e // 4, region_of[e]
             if c in used_c or r in arrow:
                 continue
-            if acyclic and _closes_loop(arrow, r, target[e]):
+            if acyclic and _closes_loop(arrow, r, region_of[e ^ 2]):
                 # Supersets keep every supported loop; prune the subtree.
                 continue
             acc.append(e)
             used_c.add(c)
-            arrow[r] = target[e]
+            arrow[r] = region_of[e ^ 2]
             yield from rec(e + 1)
             acc.pop()
             used_c.discard(c)
@@ -359,11 +310,10 @@ def _subset_stream(t: TaitGraph, acyclic: bool) -> Iterator[Matching]:
 
 def _perfect_stream(t: TaitGraph, admissible: bool, acyclic: bool) -> Iterator[Matching]:
     region_of = t.edge_region
-    target = _arrow_targets(t)
     totals = {BLACK: len(t.black_faces), WHITE: len(t.white_faces)}
     matched = {BLACK: 0, WHITE: 0}
     acc: list[int] = []
-    arrow: dict[int, int] = {}  # matched region -> its arrow target
+    arrow: dict[int, int] = {}  # matched region -> its next region
 
     def rec(c: int) -> Iterator[Matching]:
         if c == t.n_crossings:
@@ -378,10 +328,10 @@ def _perfect_stream(t: TaitGraph, admissible: bool, acyclic: bool) -> Iterator[M
             if admissible and matched[col] + 1 == totals[col]:
                 # Filling the last region of a colour can never be undone.
                 continue
-            if acyclic and _closes_loop(arrow, r, target[e]):
+            if acyclic and _closes_loop(arrow, r, region_of[e ^ 2]):
                 continue
             acc.append(e)
-            arrow[r] = target[e]
+            arrow[r] = region_of[e ^ 2]
             matched[col] += 1
             yield from rec(c + 1)
             acc.pop()
@@ -633,10 +583,11 @@ def induced_forests(t: TaitGraph, x: Matching) -> ForestPair:
                 unmatched.append(f)
         roots = []
         for comp, unmatched in sorted(comp_unmatched.items()):
-            assert len(unmatched) == 1, (
-                "component of an acyclic matching must have one unmatched region, got %s"
-                % (unmatched,)
-            )
+            if len(unmatched) != 1:
+                raise InvariantViolation(
+                    "component of an acyclic matching must have one unmatched region, got %s"
+                    % (unmatched,)
+                )
             roots.append(unmatched[0])
         out[colour] = (edges, tuple(sorted(roots)))
     return ForestPair(
@@ -758,7 +709,10 @@ def loop_sides(t: TaitGraph, loop: tuple[int, ...]) -> tuple[frozenset[int], fro
     comps: dict[int, set[int]] = {}
     for sq in t.squares:
         comps.setdefault(uf.find(sq.arc), set()).add(sq.arc)
-    assert len(comps) == 2, "a loop must split the square adjacency in two"
+    if len(comps) != 2:
+        raise InvariantViolation(
+            "a loop must split the square adjacency in two, got %d parts" % len(comps)
+        )
     on_loop = {t.edge_region[e] for e in loop_set} | {
         t.crossing_vertex(e // 4) for e in loop_set
     }
@@ -770,5 +724,6 @@ def loop_sides(t: TaitGraph, loop: tuple[int, ...]) -> tuple[frozenset[int], fro
             verts.update(sq.regions)
             verts.update(t.crossing_vertex(c) for c in sq.crossings)
         sides.append(frozenset(verts - on_loop))
-    assert not (sides[0] & sides[1]), "square sides must not share off-loop vertices"
+    if sides[0] & sides[1]:
+        raise InvariantViolation("square sides must not share off-loop vertices")
     return sides[0], sides[1]

@@ -110,13 +110,6 @@ def test_faces_group_by_dimension_and_count():
     assert c.faces()[1] == ((0, 1), (0, 2), (1, 2))
 
 
-def test_has_face_checks_containment():
-    c = SimplicialComplex([(0, 1, 2), (2, 3)])
-    assert c.has_face((0, 2))
-    assert c.has_face((3,))
-    assert not c.has_face((0, 3))
-
-
 def test_equality_and_hash_follow_facets():
     a = SimplicialComplex([(0, 1), (1, 2)])
     b = SimplicialComplex([(1, 2), (0, 1)])
@@ -336,10 +329,16 @@ INVARIANT_TESTS = (
     "test_counting.py::test_tree_count_disagreement_raises",
     "test_counting.py::test_closed_forms_disagreement_raises",
     "test_counting.py::test_forest_determinant_disagreement_raises",
+    "test_counting.py::test_char_poly_fault_raises",
     "test_states.py::test_loop_criterion_disagreement_raises",
+    "test_states.py::test_loop_sides_of_a_non_loop_raise",
+    "test_states.py::test_induced_forests_component_without_a_root_raises",
     "test_corpus.py::test_twist_vector_determinant_mismatch_raises",
     "test_corpus.py::test_repeated_crossings_and_determinant_raises",
+    "test_corpus.py::test_entry_checks_raise",
     "test_diagram.py::test_edge_to_region_raises_unless_exactly_one_corner_hits",
+    "test_diagram.py::test_colour_graph_edge_off_its_colour_raises",
+    "test_diagram.py::test_tait_square_with_mismatched_arc_ends_raises",
     "test_moves.py::test_clock_move_strand_count_fault_raises",
     "test_moves.py::test_click_path_needs_one_unmatched_region_per_colour",
     "test_moves.py::test_click_path_needs_a_tree_root_component",
@@ -361,7 +360,7 @@ def test_invariant_checks_survive_python_O():
         capture_output=True, text=True, env=env, cwd=tests.parent,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "20 passed" in proc.stdout, proc.stdout
+    assert "30 passed" in proc.stdout, proc.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,19 @@ def test_repeated_crossings_and_determinant_raises(monkeypatch):
         load_corpus.__wrapped__()
 
 
+# each load-time check of an entry, with the entry's expected numbers faked
+@pytest.mark.parametrize("pd_text, expected, match", [
+    (torus_pd(3), (4, 3), "crossings"),
+    ("X(1,2,3,4) X(2,1,4,3)", (2, 2), "closed curves"),  # the Hopf link
+    (torus_pd(3), (3, 5), "determinant"),
+    ("X(1,2,2,1)", (1, 1), "not reduced"),  # the kink, under a knot's name
+])
+def test_entry_checks_raise(monkeypatch, pd_text, expected, match):
+    monkeypatch.setitem(corpus._EXPECTED, "3_1", expected)
+    with pytest.raises(InvariantViolation, match=match):
+        corpus._make_entry("3_1", pd_text)
+
+
 # -- generators ------------------------------------------------------------
 
 def test_torus_pd_reproduces_the_trefoil():

@@ -234,6 +234,15 @@ def test_forest_determinant_disagreement_raises(monkeypatch):
         forest_polynomial(black, debug=True)
 
 
+# faked determinants at t = 0, 1, 2: t(t-1)/2 is not integral, 2t(t-1) not monic
+@pytest.mark.parametrize("dets", [(0, 0, 1), (0, 0, 4)])
+def test_char_poly_fault_raises(monkeypatch, dets):
+    values = iter(dets)
+    monkeypatch.setattr(IntegerMatrix, "det", lambda self: next(values))
+    with pytest.raises(InvariantViolation, match="monic and integral"):
+        IntegerMatrix(rows=((0, 0), (0, 0))).char_poly()
+
+
 def test_fibonacci_rejects_nonpositive():
     with pytest.raises(ValueError):
         fibonacci_family_count(0)

@@ -1,5 +1,6 @@
 """Faces, colouring, colour graphs, and the Tait overlay on small diagrams."""
 
+import dataclasses
 import random
 
 import pytest
@@ -284,6 +285,33 @@ def test_edge_to_region_raises_unless_exactly_one_corner_hits():
     away = (set(range(t.n_faces)) - set(t.regions_of_crossing[0])).pop()
     with pytest.raises(InvariantViolation, match="not unique"):
         t.edge_to_region(0, away, t.face_colour[away])
+
+
+def with_faces(d, changed):
+    """d with some faces replaced, as index -> field changes."""
+    faces = tuple(
+        dataclasses.replace(f, **changed[f.index]) if f.index in changed else f
+        for f in d.faces
+    )
+    return dataclasses.replace(d, faces=faces)
+
+
+def test_colour_graph_edge_off_its_colour_raises():
+    d = diagram(TREFOIL)
+    bad = with_faces(d, {0: {"colour": 1 - d.faces[0].colour}})
+    with pytest.raises(InvariantViolation, match="off its colour"):
+        colour_graphs(bad)
+
+
+def test_tait_square_with_mismatched_arc_ends_raises():
+    d = diagram(TREFOIL)
+    f0, f1 = d.faces[0], d.faces[1]
+    bad = with_faces(d, {
+        0: {"corners": f0.corners[1:]},
+        1: {"corners": f1.corners + f0.corners[:1]},
+    })
+    with pytest.raises(InvariantViolation, match="different regions"):
+        build_tait(bad)
 
 
 # -- reducedness -----------------------------------------------------------

@@ -349,6 +349,24 @@ def test_two_clicks_reach_every_root_pair_on_the_trefoil():
     assert hist == {0: 18, 1: 54, 2: 36}
 
 
+@pytest.mark.parametrize("name", ["4_1", "5_2"])
+def test_two_click_connect_builds_only_the_matchings_it_returns(monkeypatch, name):
+    t = tait(name)
+    built = []
+    real = Matching.from_edges.__func__
+    monkeypatch.setattr(Matching, "from_edges", classmethod(
+        lambda cls, edges: built.append(None) or real(cls, edges)))
+    for x in enumerate_matchings(t, "perfect_dmf"):
+        for v_b, v_w in product(t.black_faces, t.white_faces):
+            built.clear()
+            steps = two_click_connect(t, x, v_b, v_w)
+            assert len(built) == len(steps)
+            cur = x
+            for step in steps:
+                assert step in click_path_moves(t, cur)
+                cur = step[1]
+
+
 def test_two_click_connect_validates_its_inputs():
     t = tait("4_1")
     x = next(iter(enumerate_matchings(t, "perfect_dmf")))
@@ -661,15 +679,15 @@ def test_move_graph_is_frozen(name, population):
 # Invariant checks raise, also under python -O
 # ---------------------------------------------------------------------------
 
-def test_moves_module_has_no_bare_asserts():
-    tree = ast.parse(Path(moves.__file__).read_text())
+def test_package_has_no_bare_asserts():
     found = [
-        node.lineno
-        for node in ast.walk(tree)
+        "%s:%d" % (path.name, node.lineno)
+        for path in sorted(Path(moves.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert)
         or (isinstance(node, ast.Name) and node.id == "AssertionError")
     ]
-    assert found == [], "moves.py lines %s: raise InvariantViolation instead" % found
+    assert found == [], "%s: raise InvariantViolation instead" % found
 
 
 def perfect_dmf(name="4_1"):
@@ -737,12 +755,16 @@ def test_two_click_connect_faults_raise(monkeypatch, fault):
     t, x = perfect_dmf()
     black, _, white = critical_cells(t, x)
     v_b = next(v for v in t.black_faces if v != black[0])
-    real = moves.click_path_moves
-    if fault == "no_path":
-        faulty = lambda t, cur: []
-    else:  # every move leaves the matching as it was
-        faulty = lambda t, cur: [(move, cur) for move, _ in real(t, cur)]
-    monkeypatch.setattr(moves, "click_path_moves", faulty)
+    if fault == "no_path":  # the tree holds the root alone
+        real = moves._click_tree
+
+        def root_only(t, cur, colour):
+            root = real(t, cur, colour)[1][0]
+            return {root: None}, [root]
+
+        monkeypatch.setattr(moves, "_click_tree", root_only)
+    else:  # every step leaves the matching as it was
+        monkeypatch.setattr(moves, "_click_step", lambda *args: None)
     with pytest.raises(InvariantViolation, match="no click path" if fault == "no_path" else "ended at"):
         two_click_connect(t, x, v_b, white[0])
 

@@ -5,7 +5,9 @@ then written differently: crossings reordered, each X(...) tuple rotated and
 the arc labels renamed.  The projection is the same, so both dMf counts must
 be too, and each enumeration count must equal its closed formula.  Up to 6
 crossings the perfect admissible move graph must keep its size, its number
-of components and its clock moves by type and size of strand-count change.
+of components and its clock moves by type and size of strand-count change,
+and swapping the chequerboard colours must keep every matching's loops and
+the dMf stream.
 """
 
 from collections import Counter
@@ -17,9 +19,11 @@ from knotmorse.corpus import rational_pd
 from knotmorse.counting import count_all_dmfs, count_perfect_dmfs, count_via_enumeration
 from knotmorse.diagram import build_diagram, build_tait, parse_pd
 from knotmorse.moves import build_move_graph, verify_connectivity
+from knotmorse.states import enumerate_matchings, monochromatic_loops
 
 MAX_CROSSINGS = 7
 MOVE_GRAPH_CROSSINGS = 6
+SWAP_CROSSINGS = 6
 
 
 @st.composite
@@ -90,3 +94,15 @@ def test_move_graphs_survive_scrambling(twists, data):
     assert sum(twists) <= MOVE_GRAPH_CROSSINGS
     base = rational_pd(twists)
     assert move_graph_summary(scrambled(base, data)) == move_graph_summary(base)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(twists=twist_vectors(SWAP_CROSSINGS))
+def test_loops_and_dmfs_survive_swapping_colours(twists):
+    assert sum(twists) <= SWAP_CROSSINGS
+    pd = parse_pd(rational_pd(twists))
+    t, swapped = (build_tait(build_diagram(pd, swap_colours=swap)) for swap in (False, True))
+    assert swapped.face_colour == tuple(1 - c for c in t.face_colour)
+    for m in enumerate_matchings(t, "all"):
+        assert monochromatic_loops(swapped, m) == monochromatic_loops(t, m)
+    assert list(enumerate_matchings(swapped, "dmf")) == list(enumerate_matchings(t, "dmf"))

@@ -4,6 +4,8 @@ Counts marked as frozen were produced by the brute-force subset oracle below
 and are pinned so regressions in the streaming enumerators show up loudly.
 """
 
+import hashlib
+import json
 from itertools import combinations
 
 import pytest
@@ -187,6 +189,22 @@ def test_loops_alternate_matched_and_unmatched():
                     assert in_m[i] != in_m[(i + 1) % len(loop)]
 
 
+# sha256 of [name, edges, loops] per matching of every corpus entry's "all"
+# stream (129,261 matchings, 43,126 of them with a loop), from the
+# per-colour arrow graph that monochromatic_loops peeled before the region
+# map replaced it.
+FROZEN_LOOPS = "08793ca3fd2ef39652f3acdf25725dbb0b9ae9b8227227ad8274eb2d77b0d70a"
+
+
+def test_monochromatic_loops_are_frozen():
+    digest = hashlib.sha256()
+    for name in corpus_names():
+        t = build_tait(get_entry(name).diagram)
+        for m in enumerate_matchings(t, "all"):
+            digest.update(json.dumps([name, m.edges, monochromatic_loops(t, m)]).encode())
+    assert digest.hexdigest() == FROZEN_LOOPS
+
+
 def test_loop_sides_hold_an_unmatched_vertex_each():
     for text in (TREFOIL, FIG8, KINK):
         d, t = setup(text)
@@ -209,6 +227,12 @@ def test_fig8_loop_sides_frozen():
     s1, s2 = loop_sides(t, (1, 3, 5, 7))
     assert sorted(s1) == [0]
     assert sorted(s2) == [2, 4, 5, 8, 9]
+
+
+def test_loop_sides_of_a_non_loop_raise():
+    _, t = setup(FIG8)
+    with pytest.raises(InvariantViolation, match="split"):
+        loop_sides(t, ())
 
 
 # -- Jordan resolutions ----------------------------------------------------
@@ -322,6 +346,14 @@ def test_induced_forests_requires_acyclic():
     d, t = setup(KINK)
     with pytest.raises(NotAcyclic):
         induced_forests(t, Matching((0,)))
+
+
+def test_induced_forests_component_without_a_root_raises(monkeypatch):
+    # With the loop check bypassed, the loop's component has no free region.
+    d, t = setup(FIG8)
+    monkeypatch.setattr(states, "monochromatic_loops", lambda t, x: ())
+    with pytest.raises(InvariantViolation, match="one unmatched region"):
+        induced_forests(t, Matching((1, 5, 8, 12)))
 
 
 def test_trefoil_forest_frozen():
