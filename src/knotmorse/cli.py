@@ -4,8 +4,7 @@ Every subcommand emits JSON on stdout by default; --pretty switches to an
 aligned text rendering.  Exit codes: 0 success, 2 usage or parse failure,
 3 resource cap exceeded, 4 a checked invariant failed (a property check
 dumps a minimal counterexample, an internal cross-check reports on stderr).
-All output is exhaustive and deterministic; --threads is accepted for
-interface stability but never changes results.
+All output is exhaustive and deterministic.
 """
 
 from __future__ import annotations
@@ -313,21 +312,13 @@ def cmd_table1(args) -> int:
     unknown = [n for n in names if n not in REFERENCE_HOMOLOGY]
     if unknown:
         raise SystemExit2("no reference values for: %s" % ", ".join(unknown))
-    def one_row(name):
-        try:
-            return name, computed_row(get_entry(name).diagram)
-        except ResourceLimit as exc:
-            return name, exc
-
-    # worker count never changes the output: results merge in name order
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        computed = list(pool.map(one_row, names))
-
     rows = []
     mismatches = []
-    for name, row in computed:
-        if isinstance(row, ResourceLimit):
-            rows.append({"name": name, "skipped": str(row)})
+    for name in names:
+        try:
+            row = computed_row(get_entry(name).diagram)
+        except ResourceLimit as exc:
+            rows.append({"name": name, "skipped": str(exc)})
             continue
         cells = {}
         for column in COLUMNS:
@@ -527,8 +518,10 @@ def cmd_selftest(args) -> int:
     checks = _selftest_checks(args.max_crossings)
     reports = [{"name": name, "status": "pass"} for name, _ in checks]
 
-    # checks are independent; reported in fixed order whatever the pool does
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
+    # One worker runs the checks in order.  The pool is the seam a benchmark
+    # replaces (perfbench/workloads.py, item_executor) to time each check on
+    # its own; without it the slowest item would be the whole run.
+    with ThreadPoolExecutor(max_workers=1) as pool:
         outcomes = list(
             pool.map(lambda pair: pair[0][1](pair[1]), zip(checks, reports))
         )
@@ -553,10 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact combinatorics of chequerboard knot projections.",
     )
     parser.add_argument("--pretty", action="store_true", help="aligned text output")
-    parser.add_argument(
-        "--threads", type=int, default=1,
-        help="reserved; results never depend on it",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="parse and validate a diagram")
@@ -624,8 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be positive")
     try:
         return args.func(args)
     except SystemExit2 as exc:

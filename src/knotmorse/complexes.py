@@ -27,7 +27,7 @@ from typing import Iterable
 from .counting import spanning_trees
 from .diagram import Diagram, TaitGraph, build_tait, colour_graphs
 from .errors import InvariantViolation, ResourceLimit
-from .states import enumerate_matchings, find_nonextendable, is_dmf, kpw
+from .states import _maximal_stream, kpw
 
 __all__ = [
     "SimplicialComplex",
@@ -132,26 +132,21 @@ class SimplicialComplex:
 
 
 def matching_complex(t: TaitGraph) -> SimplicialComplex:
-    """Faces are the matchings; facets the maximal ones, perfect or not."""
-    facets = [x.edges for x in enumerate_matchings(t, "maximal_pks")]
-    facets.extend(x.edges for x in find_nonextendable(t))
-    return SimplicialComplex(facets)
+    """Faces are the matchings; facets the maximal ones, perfect or not,
+    taken from one pass of the maximal-matching search."""
+    return SimplicialComplex([x.edges for x in _maximal_stream(t, skip=True)])
 
 
 def morse_complex(t: TaitGraph) -> SimplicialComplex:
     """Subcomplex of the matching complex spanned by its loop-free facets.
 
-    Facets are the maximal matchings that support no monochromatic loop:
-    every perfect matching inducing a Morse pairing plus every loop-free
-    non-extendable matching.  Faces are therefore the loop-free matchings
-    that extend to a loop-free maximal one; a loop-free matching whose
-    every completion acquires a loop is deliberately not a face.
+    Facets are the maximal matchings that support no monochromatic loop,
+    perfect or not, found in one pass of the maximal-matching search that
+    prunes every edge closing a loop.  Faces are therefore the loop-free
+    matchings that extend to a loop-free maximal one; a loop-free matching
+    whose every completion acquires a loop is deliberately not a face.
     """
-    facets = [x.edges for x in enumerate_matchings(t, "perfect_dmf")]
-    facets.extend(
-        x.edges for x in find_nonextendable(t) if is_dmf(t, x)
-    )
-    return SimplicialComplex(facets)
+    return SimplicialComplex([x.edges for x in _maximal_stream(t, skip=True, acyclic=True)])
 
 
 def pure_part(c: SimplicialComplex) -> SimplicialComplex:

@@ -551,13 +551,6 @@ class TaitGraph:
             )
         return hits[0]
 
-    @cached_property
-    def regions_of_crossing(self) -> tuple[tuple[int, int, int, int], ...]:
-        return tuple(
-            tuple(self.edge_region[4 * c + k] for k in range(4))
-            for c in range(self.n_crossings)
-        )
-
     def to_dict(self) -> dict:
         return {
             "n_faces": self.n_faces,

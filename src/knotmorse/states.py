@@ -261,7 +261,7 @@ def enumerate_matchings(t: TaitGraph, filter: str = "all") -> Iterator[Matching]
     if filter in ("all", "dmf"):
         yield from _subset_stream(t, acyclic=(filter == "dmf"))
     else:
-        yield from _perfect_stream(
+        yield from _maximal_stream(
             t,
             admissible=(filter == "perfect_admissible"),
             acyclic=(filter == "perfect_dmf"),
@@ -308,19 +308,40 @@ def _subset_stream(t: TaitGraph, acyclic: bool) -> Iterator[Matching]:
     yield from rec(0)
 
 
-def _perfect_stream(t: TaitGraph, admissible: bool, acyclic: bool) -> Iterator[Matching]:
+def _maximal_stream(
+    t: TaitGraph, skip: bool = False, admissible: bool = False, acyclic: bool = False
+) -> Iterator[Matching]:
+    """Maximal matchings in DFS order, crossings decided in id order.
+
+    Each crossing tries its corner edges ascending; with skip it may then be
+    left unmatched, which a maximal matching allows only once all four of its
+    regions are matched by other crossings, so branches where such a region
+    can no longer be matched are pruned.  Without skip every crossing is
+    matched and the stream is the perfect states.  admissible keeps a region
+    of each colour unmatched and acyclic prunes every edge that closes a
+    monochromatic loop; both only ever cut subtrees whose leaves all fail.
+    """
+    n = t.n_crossings
     region_of = t.edge_region
+    last_chance = {region_of[e]: e // 4 for e in range(t.n_edges)}  # ascending: the last wins
     totals = {BLACK: len(t.black_faces), WHITE: len(t.white_faces)}
     matched = {BLACK: 0, WHITE: 0}
     acc: list[int] = []
+    skipped: list[int] = []
     arrow: dict[int, int] = {}  # matched region -> its next region
 
+    def feasible(c_done: int) -> bool:
+        return all(
+            r in arrow or last_chance[r] > c_done
+            for u in skipped
+            for r in region_of[4 * u : 4 * u + 4]
+        )
+
     def rec(c: int) -> Iterator[Matching]:
-        if c == t.n_crossings:
+        if c == n:
             yield Matching(tuple(acc))
             return
-        for k in range(4):
-            e = 4 * c + k
+        for e in range(4 * c, 4 * c + 4):
             r = region_of[e]
             if r in arrow:
                 continue
@@ -333,10 +354,16 @@ def _perfect_stream(t: TaitGraph, admissible: bool, acyclic: bool) -> Iterator[M
             acc.append(e)
             arrow[r] = region_of[e ^ 2]
             matched[col] += 1
-            yield from rec(c + 1)
+            if not skipped or feasible(c):
+                yield from rec(c + 1)
             acc.pop()
             del arrow[r]
             matched[col] -= 1
+        if skip:
+            skipped.append(c)
+            if feasible(c):
+                yield from rec(c + 1)
+            skipped.pop()
 
     yield from rec(0)
 
@@ -352,7 +379,7 @@ def kauffman_states(t: TaitGraph, v_b: int, v_w: int) -> tuple[Matching, ...]:
     if t.face_colour[v_w] != WHITE:
         raise ValueError("vertex %d is not a white region" % v_w)
     out = []
-    for x in _perfect_stream(t, admissible=True, acyclic=False):
+    for x in _maximal_stream(t, admissible=True):
         mr = matched_regions(t, x)
         if v_b not in mr and v_w not in mr:
             out.append(x)
@@ -360,55 +387,10 @@ def kauffman_states(t: TaitGraph, v_b: int, v_w: int) -> tuple[Matching, ...]:
 
 
 def find_nonextendable(t: TaitGraph) -> Iterator[Matching]:
-    """All maximal matchings that are not perfect, lazily, DFS order.
-
-    A crossing left unmatched must end with all four adjacent regions matched
-    by other crossings; branches where some wanted region can no longer be
-    matched are pruned.  Crossings are decided in id order, edge branches
-    ascending, the unmatched branch last.
+    """All maximal matchings that are not perfect, lazily, in the DFS order of
+    the maximal stream: crossings in id order, edges ascending, unmatched last.
     """
-    n = t.n_crossings
-    region_of = t.edge_region
-    incident: dict[int, list[int]] = {r: [] for r in range(t.n_faces)}
-    for c in range(n):
-        for k in range(4):
-            incident[region_of[4 * c + k]].append(c)
-    last_chance = {r: (max(cs) if cs else -1) for r, cs in incident.items()}
-
-    acc: list[int] = []
-    used_r: set[int] = set()
-    skipped: list[int] = []
-
-    def feasible(c_done: int) -> bool:
-        for u in skipped:
-            for k in range(4):
-                r = region_of[4 * u + k]
-                if r not in used_r and last_chance[r] <= c_done:
-                    return False
-        return True
-
-    def rec(c: int) -> Iterator[Matching]:
-        if c == n:
-            if skipped:
-                yield Matching(tuple(acc))
-            return
-        for k in range(4):
-            e = 4 * c + k
-            r = region_of[e]
-            if r in used_r:
-                continue
-            acc.append(e)
-            used_r.add(r)
-            if feasible(c):
-                yield from rec(c + 1)
-            acc.pop()
-            used_r.discard(r)
-        skipped.append(c)
-        if feasible(c):
-            yield from rec(c + 1)
-        skipped.pop()
-
-    yield from rec(0)
+    yield from (x for x in _maximal_stream(t, skip=True) if len(x) < t.n_crossings)
 
 
 # ---------------------------------------------------------------------------

@@ -88,18 +88,6 @@ def test_missing_subcommand_raises_system_exit_2():
     assert err.value.code == 2
 
 
-def test_bad_threads_value_raises_system_exit_2():
-    with pytest.raises(SystemExit) as err:
-        cli.main(["--threads", "0", "parse", "3_1"])
-    assert err.value.code == 2
-
-
-def test_threads_flag_does_not_change_output(capsys):
-    _, one = run(capsys, "count", "3_1")
-    _, four = run(capsys, "--threads", "4", "count", "3_1")
-    assert one == four
-
-
 def test_swap_colours_flips_the_classes_not_the_invariants(capsys):
     _, normal = run(capsys, "info", "3_1")
     _, swapped = run(capsys, "info", "3_1", "--swap-colours")

@@ -16,7 +16,6 @@ from knotmorse.corpus import (
 from knotmorse.counting import count_spanning_trees
 from knotmorse.diagram import colour_graphs
 from knotmorse.errors import InvariantViolation
-from knotmorse.states import Matching, jordan_resolution
 
 EXPECTED = {
     "3_1": (3, 3),
@@ -58,10 +57,27 @@ def test_every_knot_entry_is_reduced():
             assert is_reduced(get_entry(name).diagram)
 
 
+def arcs_on_the_curve_from_dart_0(d):
+    """Arcs walked from dart (0, 0) along arcs and straight through each
+    crossing, slot s to slot s + 2, until the walk is back at its start."""
+    dart, arcs = (0, 0), 0
+    while True:
+        c, s = d.mate[dart]
+        arcs += 1
+        dart = (c, (s + 2) % 4)
+        if dart == (0, 0):
+            return arcs
+
+
 def test_every_entry_is_a_single_closed_curve():
     for name in EXPECTED:
         d = get_entry(name).diagram
-        assert jordan_resolution(d, Matching(())).count == 1
+        assert arcs_on_the_curve_from_dart_0(d) == d.n_arcs == 2 * d.n_crossings
+
+
+def test_the_hopf_link_is_not_a_single_closed_curve():
+    d = build_diagram(parse_pd("X(1,2,3,4) X(2,1,4,3)"))
+    assert arcs_on_the_curve_from_dart_0(d) < d.n_arcs == 4
 
 
 def test_get_entry_unknown_name():

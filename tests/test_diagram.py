@@ -282,7 +282,7 @@ def test_edge_to_region_raises_unless_exactly_one_corner_hits():
     with pytest.raises(InvariantViolation, match="not unique"):
         kink.edge_to_region(0, loop_region, kink.face_colour[loop_region])
     t = build_tait(diagram(TREFOIL))
-    away = (set(range(t.n_faces)) - set(t.regions_of_crossing[0])).pop()
+    away = (set(range(t.n_faces)) - set(t.edge_region[0:4])).pop()
     with pytest.raises(InvariantViolation, match="not unique"):
         t.edge_to_region(0, away, t.face_colour[away])
 

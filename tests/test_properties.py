@@ -6,8 +6,8 @@ the arc labels renamed.  The projection is the same, so both dMf counts must
 be too, and each enumeration count must equal its closed formula.  Up to 6
 crossings the perfect admissible move graph must keep its size, its number
 of components and its clock moves by type and size of strand-count change,
-and swapping the chequerboard colours must keep every matching's loops and
-the dMf stream.
+the four complexes must keep their homology, and swapping the chequerboard
+colours must keep every matching's loops and the dMf stream.
 """
 
 from collections import Counter
@@ -19,11 +19,13 @@ from knotmorse.corpus import rational_pd
 from knotmorse.counting import count_all_dmfs, count_perfect_dmfs, count_via_enumeration
 from knotmorse.diagram import build_diagram, build_tait, parse_pd
 from knotmorse.moves import build_move_graph, verify_connectivity
+from knotmorse.reference import computed_row
 from knotmorse.states import enumerate_matchings, monochromatic_loops
 
 MAX_CROSSINGS = 7
 MOVE_GRAPH_CROSSINGS = 6
 SWAP_CROSSINGS = 6
+HOMOLOGY_CROSSINGS = 6
 
 
 @st.composite
@@ -94,6 +96,17 @@ def test_move_graphs_survive_scrambling(twists, data):
     assert sum(twists) <= MOVE_GRAPH_CROSSINGS
     base = rational_pd(twists)
     assert move_graph_summary(scrambled(base, data)) == move_graph_summary(base)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(twists=twist_vectors(HOMOLOGY_CROSSINGS), data=st.data())
+def test_homology_survives_scrambling(twists, data):
+    # Relabelling gives isomorphic complexes: ranks, torsion and face counts
+    # of all four must agree.
+    assert sum(twists) <= HOMOLOGY_CROSSINGS
+    base = rational_pd(twists)
+    row = computed_row(build_diagram(parse_pd(base)))
+    assert computed_row(build_diagram(parse_pd(scrambled(base, data)))) == row
 
 
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)

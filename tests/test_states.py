@@ -35,7 +35,7 @@ from knotmorse import (
     parse_pd,
 )
 from knotmorse import states
-from knotmorse.corpus import corpus_names, get_entry
+from knotmorse.corpus import corpus_names, get_entry, rational_pd, torus_pd
 from knotmorse.errors import InvariantViolation
 from knotmorse.states import amended_poset_acyclic, matched_regions, matching_to_dict
 
@@ -318,6 +318,46 @@ def test_no_small_diagram_has_nonextendable_matchings(text):
     assert list(find_nonextendable(t)) == []
     allm = oracle_matchings(t)
     assert [m for m in allm if is_maximal(t, m) and not is_perfect(t, m)] == []
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_nonextendable_search_equals_the_filtered_full_stream(name):
+    t = build_tait(get_entry(name).diagram)
+    kept = {
+        m for m in enumerate_matchings(t, "all") if is_maximal(t, m) and not is_perfect(t, m)
+    }
+    found = list(find_nonextendable(t))
+    assert len(found) == len(set(found))
+    assert set(found) == kept
+
+
+# sha256 of [name, filter, edges] per matching of the three perfect filters
+# and find_nonextendable, in stream order, over the corpus, T(2,9), the
+# 8-crossing rational vectors below and a composite projection (18,966,
+# 9,222, 6,858 and 11,185 matchings), taken from the separate perfect and
+# non-extendable searches before one maximal-matching search replaced both.
+FROZEN_MAXIMAL_STREAMS = "af556c74084588490ed0dead9f50f4a362ca994ca5d3cc7c57342cbc5cfa08de"
+EIGHT_CROSSING_VECTORS = ((2, 2, 4), (2, 3, 3), (2, 4, 2), (3, 2, 3), (3, 3, 2), (4, 2, 2), (2, 2, 2, 2))
+COMPOSITE = "X(6,3,8,1) X(2,8,3,6) X(7,4,1,5) X(5,2,4,7)"
+
+
+def test_maximal_streams_are_frozen():
+    diagrams = [(name, get_entry(name).diagram) for name in corpus_names()]
+    texts = [("T(2,9)", torus_pd(9))]
+    texts += [("R%s" % (v,), rational_pd(list(v))) for v in EIGHT_CROSSING_VECTORS]
+    texts.append(("composite", COMPOSITE))
+    diagrams += [(name, build_diagram(parse_pd(text))) for name, text in texts]
+    digest = hashlib.sha256()
+    for name, d in diagrams:
+        t = build_tait(d)
+        for filter in ("maximal_pks", "perfect_admissible", "perfect_dmf", "nonextendable"):
+            if filter == "nonextendable":
+                stream = find_nonextendable(t)
+            else:
+                stream = enumerate_matchings(t, filter)
+            for m in stream:
+                digest.update(json.dumps([name, filter, m.edges]).encode())
+    assert digest.hexdigest() == FROZEN_MAXIMAL_STREAMS
 
 
 def test_maximal_flag_agrees_with_oracle():
