@@ -1,10 +1,10 @@
 """Command line front end.
 
 Every subcommand emits JSON on stdout by default; --pretty switches to an
-aligned text rendering.  Exit codes: 0 success, 2 usage or parse failure,
-3 resource cap exceeded, 4 a checked invariant failed (a property check
-dumps a minimal counterexample, an internal cross-check reports on stderr).
-All output is exhaustive and deterministic.
+aligned text rendering.  Exit codes: 0 success, 2 usage, parse or file
+failure, 3 resource cap exceeded, 4 a checked invariant failed (a property
+check dumps a minimal counterexample, an internal cross-check reports on
+stderr).  All output is exhaustive and deterministic.
 """
 
 from __future__ import annotations
@@ -79,7 +79,10 @@ def _load(spec: str, swap: bool = False) -> tuple[str, Diagram]:
             raise SystemExit2(
                 "unknown diagram %r (not a corpus name or file)" % spec
             )
-        spec, text = path.stem, path.read_text()
+        try:
+            spec, text = path.stem, path.read_text()
+        except UnicodeDecodeError as exc:
+            raise SystemExit2("cannot read %s: %s" % (spec, exc))
     try:
         return spec, build_diagram(parse_pd(text), swap_colours=swap)
     except KnotmorseError as exc:
@@ -188,6 +191,8 @@ def cmd_info(args) -> int:
 
 
 def cmd_states(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise SystemExit2("--limit must be at least 0, got %d" % args.limit)
     name, d = _load(args.diagram, args.swap_colours)
     t = build_tait(d)
     stream = enumerate_matchings(t, args.filter)
@@ -231,6 +236,9 @@ def cmd_moves(args) -> int:
             raise SystemExit2("arc id %d out of range" % args.mark)
         v_b, v_w = marked_arc_roots(t, args.mark)
     kinds = tuple(args.kinds.split(",")) if args.kinds else MOVE_KINDS
+    unknown = [k for k in kinds if k not in MOVE_KINDS]
+    if unknown:
+        raise SystemExit2("unknown move kind %r, not in %s" % (unknown[0], ",".join(MOVE_KINDS)))
     mg = build_move_graph(t, args.population, kinds, v_b=v_b, v_w=v_w)
     payload = move_graph_to_dict(mg)
     payload["name"] = name
@@ -624,7 +632,7 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print("invariant violation: %s" % exc, file=sys.stderr)
         return EXIT_VIOLATION
-    except KnotmorseError as exc:
+    except (KnotmorseError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

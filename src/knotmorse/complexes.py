@@ -123,13 +123,6 @@ class SimplicialComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * n for k, n in enumerate(self.face_counts()))
 
-    def to_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "n_facets": len(self.facets),
-            "facets": [list(f) for f in self.facets],
-        }
-
 
 def matching_complex(t: TaitGraph) -> SimplicialComplex:
     """Faces are the matchings; facets the maximal ones, perfect or not,

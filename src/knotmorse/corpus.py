@@ -133,14 +133,6 @@ class CorpusEntry:
     determinant: int
     diagram: Diagram
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "pd": self.pd_text,
-            "crossings": self.crossings,
-            "determinant": self.determinant,
-        }
-
 
 # Explicit codes for the two classical examples; twist vectors for the rest.
 _EXPLICIT = {

@@ -237,23 +237,11 @@ class ForestPolynomial:
                 out[m] = out.get(m, 0) + c1 * c2
         return ForestPolynomial(coeffs={m: c for m, c in out.items() if c != 0})
 
-    def to_dict(self) -> dict:
-        return {
-            "terms": [
-                {"monomial": sorted(map(str, m)), "coefficient": c}
-                for m, c in sorted(
-                    self.coeffs.items(), key=lambda kv: (len(kv[0]), sorted(map(str, kv[0])))
-                )
-            ]
-        }
-
 
 def _resolve_variables(g: PlaneGraph, variables) -> list:
     n = len(g.edge_ends)
     if variables is None:
         return list(range(n))
-    if isinstance(variables, Mapping):
-        return [variables[e] for e in range(n)]
     vs = list(variables)
     if len(vs) != n:
         raise ValueError("need one variable per edge, got %d for %d" % (len(vs), n))

@@ -100,9 +100,6 @@ class PDCode:
     def to_text(self) -> str:
         return " ".join("X(%d,%d,%d,%d)" % c for c in self.crossings)
 
-    def to_dict(self) -> dict:
-        return {"crossings": [list(c) for c in self.crossings]}
-
 
 def parse_pd(text: str) -> PDCode:
     """Parse PD text like ``X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)``.
@@ -158,15 +155,6 @@ class Face:
     @property
     def degree(self) -> int:
         return len(self.arcs)
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "colour": self.colour,
-            "corners": [list(c) for c in self.corners],
-            "arcs": list(self.arcs),
-            "degree": self.degree,
-        }
 
 
 @dataclass(frozen=True)
@@ -229,18 +217,6 @@ class Diagram:
     @cached_property
     def black_faces(self) -> tuple[int, ...]:
         return tuple(f.index for f in self.faces if f.colour == BLACK)
-
-    def to_dict(self) -> dict:
-        return {
-            "crossings": [list(c) for c in self.pd.crossings],
-            "colours_swapped": self.colours_swapped,
-            "arcs": [
-                {"id": a, "label": self.arc_labels[a], "ends": [list(d) for d in self.arc_ends[a]]}
-                for a in range(self.n_arcs)
-            ],
-            "faces": [f.to_dict() for f in self.faces],
-            "colour_classes": {"white": list(self.white_faces), "black": list(self.black_faces)},
-        }
 
 
 def build_diagram(pd: PDCode, swap_colours: bool = False) -> Diagram:
@@ -350,16 +326,15 @@ def build_diagram(pd: PDCode, swap_colours: bool = False) -> Diagram:
 class PlaneGraph:
     """One colour class of faces with an edge per crossing, plus rotations.
 
-    Edge i joins the two faces at crossing i's corners of this colour;
-    edge_corners[i] holds those corner slots.  rotations[j] lists the edge
-    ends (crossing, corner) around vertices[j] in face-walk order, so loops
-    appear twice and parallel edges keep their places.
+    Edge i joins the two faces at crossing i's corners of this colour.
+    rotations[j] lists the edge ends (crossing, corner) around vertices[j]
+    in face-walk order, so loops appear twice and parallel edges keep their
+    places.
     """
 
     colour: int
     vertices: tuple[int, ...]
     edge_ends: tuple[tuple[int, int], ...]
-    edge_corners: tuple[tuple[int, int], ...]
     rotations: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
@@ -378,32 +353,16 @@ class PlaneGraph:
     def rotation_at(self) -> dict[int, tuple[tuple[int, int], ...]]:
         return {v: rot for v, rot in zip(self.vertices, self.rotations)}
 
-    def to_dict(self) -> dict:
-        return {
-            "colour": self.colour,
-            "vertices": list(self.vertices),
-            "edges": [
-                {"id": i, "ends": list(self.edge_ends[i]), "corners": list(self.edge_corners[i])}
-                for i in range(self.n_edges)
-            ],
-            "rotations": {
-                str(v): [list(end) for end in rot]
-                for v, rot in zip(self.vertices, self.rotations)
-            },
-        }
-
 
 def _one_colour_graph(d: Diagram, colour: int) -> PlaneGraph:
     vertices = d.white_faces if colour == WHITE else d.black_faces
     vset = set(vertices)
     edge_ends: list[tuple[int, int]] = []
-    edge_corners: list[tuple[int, int]] = []
     for c in range(d.n_crossings):
         # Corners alternate colours around a crossing; this colour sits at
         # either {0, 2} or {1, 3}.
         k0 = 0 if d.face_colour[d.face_at_corner[(c, 0)]] == colour else 1
         edge_ends.append((d.face_at_corner[(c, k0)], d.face_at_corner[(c, k0 + 2)]))
-        edge_corners.append((k0, k0 + 2))
     rotations = []
     for v in vertices:
         face = d.faces[v]
@@ -416,7 +375,6 @@ def _one_colour_graph(d: Diagram, colour: int) -> PlaneGraph:
         colour=colour,
         vertices=tuple(vertices),
         edge_ends=tuple(edge_ends),
-        edge_corners=tuple(edge_corners),
         rotations=tuple(rotations),
     )
 
@@ -479,14 +437,6 @@ class Square:
     def pattern_b(self) -> tuple[int, int]:
         return (self.edges[1], self.edges[3])
 
-    def to_dict(self) -> dict:
-        return {
-            "arc": self.arc,
-            "crossings": list(self.crossings),
-            "regions": list(self.regions),
-            "edges": list(self.edges),
-        }
-
 
 @dataclass(frozen=True)
 class TaitGraph:
@@ -523,12 +473,6 @@ class TaitGraph:
     def crossing_vertex(self, c: int) -> int:
         return self.n_faces + c
 
-    def edge_crossing(self, e: int) -> int:
-        return e // 4
-
-    def edge_corner(self, e: int) -> int:
-        return e % 4
-
     def edge_colour(self, e: int) -> int:
         return self.face_colour[self.edge_region[e]]
 
@@ -550,32 +494,6 @@ class TaitGraph:
                 "corner edge (crossing %d, region %d) is not unique: %d hits" % (c, region, len(hits))
             )
         return hits[0]
-
-    def to_dict(self) -> dict:
-        return {
-            "n_faces": self.n_faces,
-            "n_crossings": self.n_crossings,
-            "vertices": {
-                "regions": [
-                    {"id": f, "colour": self.face_colour[f]} for f in range(self.n_faces)
-                ],
-                "crossings": [
-                    {"id": self.crossing_vertex(c), "crossing": c}
-                    for c in range(self.n_crossings)
-                ],
-            },
-            "edges": [
-                {
-                    "id": e,
-                    "crossing": self.edge_crossing(e),
-                    "corner": self.edge_corner(e),
-                    "region": self.edge_region[e],
-                    "colour": self.edge_colour(e),
-                }
-                for e in range(self.n_edges)
-            ],
-            "squares": [sq.to_dict() for sq in self.squares],
-        }
 
 
 def build_tait(d: Diagram) -> TaitGraph:

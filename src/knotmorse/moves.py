@@ -422,9 +422,6 @@ class MoveGraph:
     nodes: tuple[Matching, ...]
     edges: tuple[tuple[int, int, Move], ...]
 
-    def to_dict(self) -> dict:
-        return move_graph_to_dict(self)
-
 
 def marked_arc_roots(t: TaitGraph, arc: int) -> tuple[int, int]:
     """The (black, white) regions flanking an arc, the roots its mark fixes."""

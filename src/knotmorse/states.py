@@ -98,9 +98,6 @@ class Matching:
     def __contains__(self, e: int) -> bool:
         return e in self.edges
 
-    def to_dict(self) -> dict:
-        return {"edges": list(self.edges)}
-
 
 def _validate(t: TaitGraph, x: Matching) -> None:
     crossings: set[int] = set()
@@ -424,23 +421,6 @@ class JordanResolution:
     def connected(self) -> bool:
         return len(self.components) == 1
 
-    def to_dict(self) -> dict:
-        return {
-            "resolved": [list(p) for p in self.resolved],
-            "double_points": list(self.double_points),
-            "count": self.count,
-            "components": [
-                {
-                    "arcs": list(self.components[i]),
-                    "double_points": list(self.component_double_points[i]),
-                    "cycle": None
-                    if self.cycles[i] is None
-                    else [list(d) for d in self.cycles[i]],
-                }
-                for i in range(self.count)
-            ],
-        }
-
 
 def jordan_resolution(d: Diagram, x: Matching) -> JordanResolution:
     """Resolve matched crossings, union-find the arc ends into strands."""
@@ -521,12 +501,6 @@ class ForestPair:
     @property
     def roots(self) -> tuple[int, ...]:
         return tuple(sorted(self.black_roots + self.white_roots))
-
-    def to_dict(self) -> dict:
-        return {
-            "black": {"edges": list(self.black_edges), "roots": list(self.black_roots)},
-            "white": {"edges": list(self.white_edges), "roots": list(self.white_roots)},
-        }
 
 
 def _colour_edge_ends(t: TaitGraph, c: int, colour: int) -> tuple[int, int]:

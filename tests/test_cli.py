@@ -1,5 +1,6 @@
 """Command line interface: exit codes, JSON shapes, file outputs."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,10 +8,10 @@ import sys
 import pytest
 
 from knotmorse import cli
-from knotmorse.corpus import get_entry
+from knotmorse.corpus import corpus_names, get_entry
 from knotmorse.diagram import build_tait
 from knotmorse.errors import InvariantViolation
-from knotmorse.states import enumerate_matchings
+from knotmorse.states import FILTERS, enumerate_matchings
 
 
 def run(capsys, *argv):
@@ -21,6 +22,16 @@ def run(capsys, *argv):
         return code, json.loads(out)
     except ValueError:
         return code, out
+
+
+def usage_error(capsys, *argv):
+    """Run main in process; require exit 2, no stdout, one `error:` line."""
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +77,12 @@ def test_parse_missing_file_exits_2(capsys):
     code = cli.main(["parse", "no/such/file.pd"])
     assert code == 2
     assert "unknown diagram" in capsys.readouterr().err
+
+
+def test_parse_non_utf8_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "bad.pd"
+    path.write_bytes(b"X(1,4,2,5) \xff\xfe")
+    assert "cannot read %s" % path in usage_error(capsys, "parse", str(path))
 
 
 def test_parse_nonplanar_exits_2(capsys, tmp_path):
@@ -200,6 +217,10 @@ def test_states_bad_filter_raises_system_exit_2():
     assert err.value.code == 2
 
 
+def test_states_negative_limit_exits_2(capsys):
+    assert "--limit" in usage_error(capsys, "states", "3_1", "--limit", "-1")
+
+
 # ---------------------------------------------------------------------------
 # moves
 # ---------------------------------------------------------------------------
@@ -239,6 +260,11 @@ def test_moves_kinds_restriction(capsys):
     assert all(e["move"]["kind"] == "clock" for e in payload["edges"])
 
 
+@pytest.mark.parametrize("kinds", ["foo", "clock,"])
+def test_moves_unknown_kind_exits_2(capsys, kinds):
+    assert "unknown move kind" in usage_error(capsys, "moves", "3_1", "--kinds", kinds)
+
+
 def test_moves_perfect_admissible_reports_avoidance(capsys):
     code, payload = run(capsys, "moves", "3_1", "--population",
                         "perfect_admissible", "--connectivity")
@@ -253,6 +279,11 @@ def test_moves_dot_output(capsys, tmp_path):
     assert code == 0
     text = path.read_text()
     assert text.startswith("graph ") and text.rstrip().endswith("}")
+
+
+def test_moves_dot_into_missing_directory_exits_2(capsys, tmp_path):
+    path = tmp_path / "missing_dir" / "x.dot"
+    assert "missing_dir" in usage_error(capsys, "moves", "3_1", "--dot", str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +328,12 @@ def test_complex_csv_output(capsys, tmp_path):
     rows = path.read_text().splitlines()
     assert rows[0] == "name,kind,pure,degree,rank"
     assert rows[1] == "5_2,morse,False,3,6"
+
+
+def test_complex_csv_into_missing_directory_exits_2(capsys, tmp_path):
+    path = tmp_path / "missing_dir" / "x.csv"
+    err = usage_error(capsys, "complex", "3_1", "--kind", "morse", "--csv", str(path))
+    assert "missing_dir" in err
 
 
 def test_complex_csv_computes_homology_once(capsys, monkeypatch, tmp_path):
@@ -406,6 +443,46 @@ def test_selftest_violation_exits_4_with_counterexample(capsys, monkeypatch):
     assert code == 4
     assert payload["check"] == "counting"
     assert "diagram" in payload["counterexample"]
+
+
+# ---------------------------------------------------------------------------
+# frozen output
+# ---------------------------------------------------------------------------
+
+# sha256 of each invocation's argv line and stdout, JSON and --pretty, over
+# every corpus entry up to 6 crossings (240 invocations), taken before the
+# unused to_dict serialisers were deleted.
+FROZEN_CLI_OUTPUT = "d2aaa930bad3a0c59bc4ed97838e6459a5419952a9248ccee01cf09c4ea21b45"
+
+
+def frozen_invocations():
+    for name in corpus_names():
+        if get_entry(name).diagram.n_crossings > 6:
+            continue
+        yield ["parse", name]
+        yield ["info", name]
+        yield ["count", name]
+        yield ["count", name, "--perfect"]
+        for f in FILTERS:
+            yield ["states", name, "--filter", f]
+        for population in ("perfect_dmfs", "perfect_admissible"):
+            yield ["moves", name, "--population", population, "--connectivity"]
+        for kind in ("matching", "morse"):
+            for pure in ([], ["--pure"]):
+                yield ["complex", name, "--kind", kind, *pure, "--homology", "--facets"]
+
+
+def test_cli_output_is_frozen(capsys):
+    digest = hashlib.sha256()
+    runs = 0
+    for argv in frozen_invocations():
+        for full in (argv, ["--pretty", *argv]):
+            assert cli.main(full) == 0, full
+            digest.update((" ".join(full) + "\n").encode())
+            digest.update(capsys.readouterr().out.encode())
+            runs += 1
+    assert runs == 240
+    assert digest.hexdigest() == FROZEN_CLI_OUTPUT
 
 
 # ---------------------------------------------------------------------------

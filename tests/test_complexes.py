@@ -118,11 +118,6 @@ def test_equality_and_hash_follow_facets():
     assert a != SimplicialComplex([(0, 1)])
 
 
-def test_to_dict_shape():
-    d = SimplicialComplex([(0, 1)]).to_dict()
-    assert d == {"dimension": 1, "n_facets": 1, "facets": [[0, 1]]}
-
-
 def test_pure_part_keeps_top_dimension_only_and_is_idempotent():
     c = SimplicialComplex([(0, 1, 2), (3, 4), (5, 6)])
     p = pure_part(c)

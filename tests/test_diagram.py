@@ -238,8 +238,6 @@ def test_fig8_tait_counts():
 def test_tait_edge_endpoints():
     t = build_tait(diagram(TREFOIL))
     for e in range(t.n_edges):
-        assert t.edge_crossing(e) == e // 4
-        assert t.edge_corner(e) == e % 4
         r = t.edge_region[e]
         assert t.face_colour[r] == t.edge_colour(e)
 
@@ -337,14 +335,3 @@ def test_composite_projection_is_reduced_though_not_prime():
     # a connected sum of two 2-crossing pieces: no nugatory crossing, but
     # each colour graph has a cut vertex
     assert is_reduced(diagram(COMPOSITE))
-
-
-def test_to_dict_shapes():
-    d = diagram(TREFOIL)
-    dd = d.to_dict()
-    assert dd["crossings"] == [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]]
-    assert len(dd["faces"]) == 5
-    t = build_tait(d)
-    td = t.to_dict()
-    assert len(td["edges"]) == 12
-    assert len(td["squares"]) == 6

@@ -541,7 +541,6 @@ def test_leaf_spin_skips_ambient_loops_at_the_pivot():
         colour=BLACK,
         vertices=(0, 1),
         edge_ends=((0, 0), (0, 1), (0, 1)),
-        edge_corners=((0, 0), (1, 1), (2, 3)),
         rotations=(((0, 0), (0, 2), (1, 1), (2, 3)), ((1, 0), (2, 2))),
     )
     assert leaf_spin(g, (1,), 1, "ccw", pivot=0) == (2,)
@@ -776,7 +775,6 @@ def test_leaf_spin_rotation_fault_raises(fault):
         colour=BLACK,
         vertices=(0, 1),
         edge_ends=((0, 0), (0, 1), (0, 1)),
-        edge_corners=((0, 0), (1, 1), (2, 3)),
         rotations=(at_zero, ((1, 0), (2, 2))),
     )
     with pytest.raises(InvariantViolation, match="appears"):
