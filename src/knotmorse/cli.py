@@ -18,6 +18,7 @@ from itertools import combinations
 from pathlib import Path
 
 from .complexes import (
+    connectivity_report,
     homology,
     matching_complex,
     morse_complex,
@@ -30,8 +31,8 @@ from .counting import (
     count_perfect_dmfs,
     count_spanning_trees,
     count_via_enumeration,
+    spanning_trees,
 )
-from .complexes import connectivity_report
 from .diagram import Diagram, build_diagram, build_tait, colour_graphs, is_reduced, parse_pd
 from .errors import InvariantViolation, KnotmorseError, ResourceLimit
 from .moves import (
@@ -59,7 +60,6 @@ from .states import (
     matching_to_dict,
     FILTERS,
 )
-from .counting import spanning_trees
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -226,6 +226,8 @@ def _is_path_graph(nodes, edges) -> bool:
 
 
 def cmd_moves(args) -> int:
+    if args.mark is not None and args.population != "kauffman":
+        raise SystemExit2("--mark needs --population kauffman")
     name, d = _load(args.diagram, args.swap_colours)
     t = build_tait(d)
     v_b = v_w = None
@@ -379,6 +381,8 @@ def cmd_table1(args) -> int:
 
 def _selftest_checks(cap: int):
     smalls = [n for n in corpus_names() if get_entry(n).diagram.n_crossings <= cap]
+    if not smalls:
+        raise SystemExit2("--max-crossings %d selects no corpus entry" % cap)
 
     def check_counting(report):
         for name in smalls:
@@ -556,64 +560,46 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--pretty", action="store_true", help="aligned text output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("parse", help="parse and validate a diagram")
-    p.add_argument("diagram")
-    p.add_argument("--swap-colours", action="store_true",
-                   help="flip the chequerboard colouring")
-    p.set_defaults(func=cmd_parse)
+    def command(name: str, help: str, func, diagram: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        if diagram:
+            p.add_argument("diagram")
+            p.add_argument("--swap-colours", action="store_true",
+                           help="flip the chequerboard colouring")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("info", help="summary report with oracle agreement")
-    p.add_argument("diagram")
-    p.add_argument("--swap-colours", action="store_true",
-                   help="flip the chequerboard colouring")
-    p.set_defaults(func=cmd_info)
+    command("parse", "parse and validate a diagram", cmd_parse)
+    command("info", "summary report with oracle agreement", cmd_info)
 
-    p = sub.add_parser("states", help="enumerate matchings")
-    p.add_argument("diagram")
-    p.add_argument("--swap-colours", action="store_true",
-                   help="flip the chequerboard colouring")
+    p = command("states", "enumerate matchings", cmd_states)
     p.add_argument("--filter", choices=FILTERS, default="all")
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--count-only", action="store_true")
-    p.set_defaults(func=cmd_states)
 
-    p = sub.add_parser("moves", help="build a move graph")
-    p.add_argument("diagram")
-    p.add_argument("--swap-colours", action="store_true",
-                   help="flip the chequerboard colouring")
+    p = command("moves", "build a move graph", cmd_moves)
     p.add_argument("--population", choices=POPULATIONS, default="perfect_dmfs")
     p.add_argument("--mark", type=int, default=None, help="marked arc id")
     p.add_argument("--kinds", default=None, help="comma separated move kinds")
     p.add_argument("--connectivity", action="store_true")
     p.add_argument("--dot", default=None, help="write the graph in dot format")
-    p.set_defaults(func=cmd_moves)
 
-    p = sub.add_parser("count", help="count Morse matchings, formula vs enumeration")
-    p.add_argument("diagram")
-    p.add_argument("--swap-colours", action="store_true",
-                   help="flip the chequerboard colouring")
+    p = command("count", "count Morse matchings, formula vs enumeration", cmd_count)
     p.add_argument("--perfect", action="store_true", help="perfect matchings only")
-    p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("complex", help="build a complex, optionally its homology")
-    p.add_argument("diagram")
-    p.add_argument("--swap-colours", action="store_true",
-                   help="flip the chequerboard colouring")
+    p = command("complex", "build a complex, optionally its homology", cmd_complex)
     p.add_argument("--kind", choices=("matching", "morse"), required=True)
     p.add_argument("--pure", action="store_true")
     p.add_argument("--homology", action="store_true")
     p.add_argument("--facets", action="store_true")
     p.add_argument("--csv", default=None)
-    p.set_defaults(func=cmd_complex)
 
-    p = sub.add_parser("table1", help="homology of all four complexes vs references")
+    p = command("table1", "homology of all four complexes vs references", cmd_table1, diagram=False)
     p.add_argument("--names", default=None, help="comma separated corpus names")
     p.add_argument("--csv", default=None)
-    p.set_defaults(func=cmd_table1)
 
-    p = sub.add_parser("selftest", help="run the property checks")
+    p = command("selftest", "run the property checks", cmd_selftest, diagram=False)
     p.add_argument("--max-crossings", type=int, default=5)
-    p.set_defaults(func=cmd_selftest)
 
     return parser
 
@@ -627,7 +613,7 @@ def main(argv=None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except ResourceLimit as exc:
-        print("resource limit: %s" % exc, file=sys.stderr)
+        print("resource limit: %s; stage %s, size %s" % (exc, exc.stage, exc.size), file=sys.stderr)
         return EXIT_RESOURCE
     except InvariantViolation as exc:
         print("invariant violation: %s" % exc, file=sys.stderr)

@@ -108,7 +108,9 @@ class SimplicialComplex:
                             if total > cap:
                                 raise ResourceLimit(
                                     "complex exceeds the face cap of %d (set KNOTMORSE_MAX_FACES)"
-                                    % cap
+                                    % cap,
+                                    stage="face closure",
+                                    size=total,
                                 )
                             bucket.add(face)
             self._faces = tuple(tuple(sorted(bucket)) for bucket in per_dim)

@@ -429,14 +429,6 @@ class Square:
     regions: tuple[int, int]
     edges: tuple[int, int, int, int]
 
-    @property
-    def pattern_a(self) -> tuple[int, int]:
-        return (self.edges[0], self.edges[2])
-
-    @property
-    def pattern_b(self) -> tuple[int, int]:
-        return (self.edges[1], self.edges[3])
-
 
 @dataclass(frozen=True)
 class TaitGraph:

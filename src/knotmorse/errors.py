@@ -80,7 +80,13 @@ class LeafOfAmbient(KnotmorseError):
 
 
 class ResourceLimit(KnotmorseError):
-    """A configured size cap was exceeded before the computation started."""
+    """A configured size cap was exceeded before the computation started;
+    stage names the step that stopped and size the count it had reached."""
+
+    def __init__(self, message: str, stage: str | None = None, size: int | None = None):
+        super().__init__(message)
+        self.stage = stage
+        self.size = size
 
 
 class InvariantViolation(KnotmorseError):

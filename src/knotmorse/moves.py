@@ -21,14 +21,20 @@ its degree-one endpoint to the next eligible edge in the rotation system.
 
 Move graphs collect a population of matchings as nodes and the moves staying
 inside the population as undirected edges; connectivity of these graphs is
-what the acceptance checks interrogate.
+what the acceptance checks interrogate.  Each move kind is split in two: a
+generator of target edge masks (Matching.mask with the flipped edges
+toggled) and a classifier that makes the Move.  The graph looks each target
+mask up in the population before building anything and records an edge from
+its lower end only: every move kind is involutive, so the higher end finds
+the same edge back.  The public move functions build and validate every
+target instead.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .diagram import BLACK, WHITE, Diagram, PlaneGraph, TaitGraph, UnionFind
 from .errors import (
@@ -132,82 +138,79 @@ def _strand_roots(d: Diagram, x: Matching) -> tuple[Callable[[int], int], int]:
     return uf.find, count
 
 
-def _rerouted_strand(d: Diagram, c: int, dot_corner: int, arc_slot: int) -> int:
-    """The arc of the local strand not through the square's arc at crossing c.
+def _rerouted_strand(d: Diagram, arc: int, e: int) -> int:
+    """The arc of the local strand at edge e's crossing not through the arc.
 
     The dot at corner k smooths the crossing by joining slots {k+1, k+2} and
     {k+3, k}; the strand rerouted by the move is the one through the pair not
     containing the square arc's end.
     """
-    pair_one = ((dot_corner + 1) % 4, (dot_corner + 2) % 4)
-    slot = dot_corner if arc_slot in pair_one else (dot_corner + 1) % 4
+    c, k = e // 4, e % 4
+    (c1, s1), (_, s2) = d.arc_ends[arc]
+    arc_slot = s1 if c1 == c else s2
+    slot = k if arc_slot in ((k + 1) % 4, (k + 2) % 4) else (k + 1) % 4
     return d.dart_arc[4 * c + slot]
 
 
-def clock_moves(t: TaitGraph, x: Matching) -> list[tuple[Move, Matching]]:
-    """All clock moves available on x, each with the resulting matching.
+def _clock_targets(t: TaitGraph, x: Matching) -> Iterator[tuple[int, tuple]]:
+    """(target mask, (square, pattern, orientation)) of each clock move on x."""
+    mask = x.mask
+    for sq in t.squares:
+        # The opposite pairs (e0, e2) and (e1, e3) share both crossings.
+        e0, e1, e2, e3 = sq.edges
+        a, b = 1 << e0 | 1 << e2, 1 << e1 | 1 << e3
+        if (mask & a) == a:
+            yield mask ^ a ^ b, (sq, (e0, e2), "cw")
+        elif (mask & b) == b:
+            yield mask ^ a ^ b, (sq, (e1, e3), "ccw")
+
+
+def _clock_classifier(t: TaitGraph, x: Matching) -> Callable[[tuple, Matching], Move]:
+    """The clock move from x to y at a site; x's strands are counted once.
 
     A move flips the smoothings of the square's two crossings.  Each flip
     changes |J| by at most one, and by exactly one when x is perfect.  So a
     move changes |J| by at most 2, and by 0 or +-2 when x is perfect; both
     are checked.
     """
-    _validate(t, x)
     d = t.diagram
-    in_x = set(x.edges)
-    root: Callable[[int], int] | None = None
-    before = 0
-    out: list[tuple[Move, Matching]] = []
-    for sq in t.squares:
-        for pattern, other, orientation in (
-            (sq.pattern_a, sq.pattern_b, "cw"),
-            (sq.pattern_b, sq.pattern_a, "ccw"),
-        ):
-            if not set(pattern) <= in_x:
-                continue
-            if root is None:
-                root, before = _strand_roots(d, x)
-            y = Matching.from_edges((in_x - set(pattern)) | set(other))
-            _validate(t, y)
-            delta = _strand_roots(d, y)[1] - before
-            if delta != 0:
-                if abs(delta) > 2 or (delta not in (-2, 2) and is_perfect(t, x)):
-                    raise InvariantViolation(
-                        "clock move at arc %d changed |J| by %d" % (sq.arc, delta)
-                    )
-                ctype = "III"
-            else:
-                strands = []
-                for e in pattern:
-                    c = e // 4
-                    (c1, s1), (c2, s2) = d.arc_ends[sq.arc]
-                    arc_slot = s1 if c1 == c else s2
-                    strands.append(_rerouted_strand(d, c, e % 4, arc_slot))
-                ctype = "I" if root(strands[0]) == root(strands[1]) else "II"
-            move = Move(
-                kind="clock",
-                site=(sq.arc,),
-                clock_type=ctype,
-                delta_j=delta,
-                orientation=orientation,
-            )
-            out.append((move, y))
-    return out
+    root, before = _strand_roots(d, x)
+
+    def classify(site: tuple, y: Matching) -> Move:
+        sq, pattern, orientation = site
+        delta = _strand_roots(d, y)[1] - before
+        if delta != 0:
+            if abs(delta) > 2 or (delta not in (-2, 2) and is_perfect(t, x)):
+                raise InvariantViolation(
+                    "clock move at arc %d changed |J| by %d" % (sq.arc, delta)
+                )
+            ctype = "III"
+        else:
+            a, b = (root(_rerouted_strand(d, sq.arc, e)) for e in pattern)
+            ctype = "I" if a == b else "II"
+        return Move("clock", (sq.arc,), clock_type=ctype, delta_j=delta, orientation=orientation)
+
+    return classify
+
+
+def clock_moves(t: TaitGraph, x: Matching) -> list[tuple[Move, Matching]]:
+    """All clock moves available on x, each with the resulting matching."""
+    return _built_moves(t, x, "clock")
 
 
 # ---------------------------------------------------------------------------
 # Click moves
 # ---------------------------------------------------------------------------
 
+def _click_loop_targets(t: TaitGraph, x: Matching) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(target mask, loop) of each supported monochromatic loop of x."""
+    for loop in monochromatic_loops(t, x):
+        yield x.mask ^ sum(1 << e for e in loop), loop
+
+
 def click_loop_moves(t: TaitGraph, x: Matching) -> list[tuple[Move, Matching]]:
     """Toggle the matching along each supported monochromatic loop."""
-    _validate(t, x)
-    out = []
-    for loop in monochromatic_loops(t, x):
-        y = Matching.from_edges(set(x.edges) ^ set(loop))
-        _validate(t, y)
-        out.append((Move(kind="click_loop", site=tuple(loop)), y))
-    return out
+    return _built_moves(t, x, "click_loop")
 
 
 def _colour_adjacency(t: TaitGraph, x: Matching, colour: int) -> dict[int, list[tuple[int, int]]]:
@@ -259,20 +262,27 @@ def _click_tree(t: TaitGraph, x: Matching, colour: int) -> tuple[dict[int, tuple
     return parent, order
 
 
-def _click_step(t: TaitGraph, edges: set[int], u: int, colour: int, tree_edge: tuple[int, int]) -> None:
-    """Re-match the crossing of u's tree edge from u toward its parent, in place."""
+def _click_step(t: TaitGraph, mask: int, u: int, colour: int, tree_edge: tuple[int, int]) -> int:
+    """mask with the crossing of u's tree edge re-matched from u toward its parent."""
     c, p = tree_edge
-    old = t.edge_to_region(c, u, colour)
-    if old not in edges:
+    old = 1 << t.edge_to_region(c, u, colour)
+    if not mask & old:
         raise InvariantViolation("path crossing %d is not matched toward region %d" % (c, u))
-    edges.remove(old)
-    edges.add(t.edge_to_region(c, p, colour))
+    return mask ^ old ^ 1 << t.edge_to_region(c, p, colour)
 
 
-def _click_move(t: TaitGraph, colour: int, path: tuple[int, ...], edges: set[int]) -> tuple[Move, Matching]:
-    y = Matching.from_edges(edges)
-    _validate(t, y)
-    return Move(kind="click_path", site=(_COLOUR_NAME[colour], path)), y
+def _click_path_targets(t: TaitGraph, x: Matching) -> Iterator[tuple[int, tuple]]:
+    """(target mask, (colour name, path)) of each click path move on x.  A
+    target's edge set and path are its tree parent's, with one crossing
+    re-matched from the target toward the parent and the target appended."""
+    for colour in (BLACK, WHITE):
+        parent, order = _click_tree(t, x, colour)
+        masks, paths = {order[0]: x.mask}, {order[0]: (order[0],)}
+        for u in order[1:]:
+            p = parent[u][1]
+            masks[u] = _click_step(t, masks[p], u, colour, parent[u])
+            paths[u] = paths[p] + (u,)
+            yield masks[u], (_COLOUR_NAME[colour], paths[u])
 
 
 def click_path_moves(t: TaitGraph, x: Matching) -> list[tuple[Move, Matching]]:
@@ -286,21 +296,7 @@ def click_path_moves(t: TaitGraph, x: Matching) -> list[tuple[Move, Matching]]:
     _validate(t, x)
     if not (is_perfect(t, x) and is_admissible(t, x)):
         raise NotPerfectAdmissible("click path moves need a perfect admissible matching")
-    out: list[tuple[Move, Matching]] = []
-    for colour in (BLACK, WHITE):
-        parent, order = _click_tree(t, x, colour)
-        # A target's path and edge set extend its parent's by one crossing,
-        # re-matched from the target toward the parent.
-        paths = {order[0]: (order[0],)}
-        edge_sets = {order[0]: set(x.edges)}
-        for u in order[1:]:
-            p = parent[u][1]
-            edges = set(edge_sets[p])
-            _click_step(t, edges, u, colour, parent[u])
-            edge_sets[u] = edges
-            paths[u] = paths[p] + (u,)
-            out.append(_click_move(t, colour, paths[u], edges))
-    return out
+    return _built_moves(t, x, "click_path")
 
 
 def two_click_connect(
@@ -331,21 +327,56 @@ def two_click_connect(
             continue
         if target not in parent:
             raise InvariantViolation("no click path reaches region %d" % target)
-        edges = set(cur.edges)
-        u = target
-        path = [u]
+        mask, u, path = cur.mask, target, [target]
         while parent[u] is not None:
-            _click_step(t, edges, u, colour, parent[u])
+            mask = _click_step(t, mask, u, colour, parent[u])
             u = parent[u][1]
             path.append(u)
-        steps.append(_click_move(t, colour, tuple(reversed(path)), edges))
-        cur = steps[-1][1]
+        cur = _matching_of(mask)
+        _validate(t, cur)
+        steps.append((Move(kind="click_path", site=(_COLOUR_NAME[colour], tuple(reversed(path)))), cur))
     cells = critical_cells(t, cur)
     if cells != ((v_b,), (), (v_w,)):
         raise InvariantViolation(
             "two clicks toward (%d, %d) ended at critical cells %s" % (v_b, v_w, cells)
         )
     return tuple(steps)
+
+
+def _site_classifier(kind: str) -> Callable:
+    """A click kind's classifier: its target sites are its moves' sites."""
+    return lambda t, x: lambda site, y: Move(kind=kind, site=site)
+
+
+# kind -> (targets(t, x) yielding (target mask, site), classifier(t, x))
+_KINDS = {
+    "clock": (_clock_targets, _clock_classifier),
+    "click_loop": (_click_loop_targets, _site_classifier("click_loop")),
+    "click_path": (_click_path_targets, _site_classifier("click_path")),
+}
+
+
+def _matching_of(mask: int) -> Matching:
+    """The matching of the set bits of mask, ascending as Matching needs."""
+    edges = []
+    while mask:
+        low = mask & -mask
+        edges.append(low.bit_length() - 1)
+        mask ^= low
+    return Matching(tuple(edges))
+
+
+def _built_moves(t: TaitGraph, x: Matching, kind: str) -> list[tuple[Move, Matching]]:
+    """Every move of one kind on x, each target built and validated."""
+    _validate(t, x)
+    targets, classifier = _KINDS[kind]
+    classify = classifier(t, x)
+    out = []
+    for mask, site in targets(t, x):
+        y = _matching_of(mask)
+        _validate(t, y)
+        out.append((classify(site, y), y))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +465,7 @@ def marked_arc_roots(t: TaitGraph, arc: int) -> tuple[int, int]:
     return right, left
 
 
-def _dedupe_key(move: Move) -> tuple:
+def _edge_key(move: Move) -> tuple:
     if move.kind == "clock":
         return ("clock", move.site[0])
     if move.kind == "click_loop":
@@ -452,8 +483,8 @@ def build_move_graph(
 ) -> MoveGraph:
     """Move graph over a population: kauffman (needs the marked pair v_b,
     v_w), perfect_dmfs, or perfect_admissible.  Edges are kept only when both
-    endpoints belong to the population; each unordered pair of nodes keeps
-    one edge per move site."""
+    endpoints belong to the population, each once, as (lower node, higher
+    node, move); the move is built only once its target is found."""
     kinds = tuple(kinds)
     for k in kinds:
         if k not in MOVE_KINDS:
@@ -470,31 +501,20 @@ def build_move_graph(
         raise ValueError(
             "unknown population %r (expected one of %s)" % (population, ", ".join(POPULATIONS))
         )
-    index = {x: i for i, x in enumerate(nodes)}
-    seen: dict[tuple, tuple[int, int, Move]] = {}
+    index = {x.mask: i for i, x in enumerate(nodes)}
+    edges: list[tuple[int, int, Move]] = []
     for i, x in enumerate(nodes):
-        found: list[tuple[Move, Matching]] = []
-        if "clock" in kinds:
-            found.extend(clock_moves(t, x))
-        if "click_loop" in kinds:
-            found.extend(click_loop_moves(t, x))
-        if "click_path" in kinds:
-            found.extend(click_path_moves(t, x))
-        for move, y in found:
-            j = index.get(y)
-            if j is None:
-                continue
-            a, b = min(i, j), max(i, j)
-            key = (a, b) + _dedupe_key(move)
-            if key not in seen:
-                seen[key] = (i, j, move)
-    return MoveGraph(
-        diagram_id=t.diagram.pd.to_text(),
-        population=population,
-        kinds=kinds,
-        nodes=nodes,
-        edges=tuple(seen[k] for k in sorted(seen, key=lambda k: (k[0], k[1], repr(k[2:])))),
-    )
+        for kind in (k for k in MOVE_KINDS if k in kinds):
+            targets, classifier = _KINDS[kind]
+            classify = classifier(t, x)
+            for mask, site in targets(t, x):
+                # Every move kind is involutive, so a target below i has
+                # recorded this edge already.
+                j = index.get(mask, -1)
+                if j > i:
+                    edges.append((i, j, classify(site, nodes[j])))
+    edges.sort(key=lambda e: (e[0], e[1], repr(_edge_key(e[2]))))
+    return MoveGraph(t.diagram.pd.to_text(), population, kinds, nodes, tuple(edges))
 
 
 def _component_roots(mg: MoveGraph) -> list[int]:

@@ -40,6 +40,7 @@ trees.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .diagram import BLACK, WHITE, Diagram, TaitGraph, UnionFind
@@ -97,6 +98,11 @@ class Matching:
 
     def __contains__(self, e: int) -> bool:
         return e in self.edges
+
+    @cached_property
+    def mask(self) -> int:
+        """Bit e set for edge e; not a field, so equality and order ignore it."""
+        return sum(1 << e for e in self.edges)
 
 
 def _validate(t: TaitGraph, x: Matching) -> None:

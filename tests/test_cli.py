@@ -9,8 +9,9 @@ import pytest
 
 from knotmorse import cli
 from knotmorse.corpus import corpus_names, get_entry
+from knotmorse.complexes import matching_complex
 from knotmorse.diagram import build_tait
-from knotmorse.errors import InvariantViolation
+from knotmorse.errors import InvariantViolation, ResourceLimit
 from knotmorse.states import FILTERS, enumerate_matchings
 
 
@@ -241,6 +242,12 @@ def test_moves_kauffman_without_mark_exits_2(capsys):
     assert "--mark" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("population", [[], ["--population", "perfect_admissible"]])
+def test_moves_mark_without_kauffman_exits_2(capsys, population):
+    err = usage_error(capsys, "moves", "3_1", "--mark", "2", *population)
+    assert "--mark needs --population kauffman" in err
+
+
 def test_moves_mark_out_of_range_exits_2(capsys):
     code = cli.main(["moves", "4_1", "--population", "kauffman", "--mark", "99"])
     assert code == 2
@@ -370,6 +377,18 @@ def test_complex_face_cap_exits_3(capsys, monkeypatch):
     assert "resource limit" in capsys.readouterr().err
 
 
+def test_face_cap_reports_its_stage_and_size(capsys, monkeypatch):
+    monkeypatch.setenv("KNOTMORSE_MAX_FACES", "10")
+    with pytest.raises(ResourceLimit) as raised:
+        matching_complex(build_tait(get_entry("5_1").diagram)).faces()
+    assert (raised.value.stage, raised.value.size) == ("face closure", 11)
+    code = cli.main(["complex", "5_1", "--kind", "matching", "--homology"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("resource limit: ") and err.count("\n") == 1
+    assert err.endswith("; stage face closure, size 11\n")
+
+
 # ---------------------------------------------------------------------------
 # table1
 # ---------------------------------------------------------------------------
@@ -435,6 +454,11 @@ def test_selftest_passes(capsys):
     assert names == ["counting", "loop_criterion", "forest_roundtrip",
                      "jordan_parity", "clock_shift", "kpw_image",
                      "click_pairs", "pure_facets", "homology_consistency"]
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_selftest_selecting_no_diagram_exits_2(capsys, cap):
+    assert "selects no corpus entry" in usage_error(capsys, "selftest", "--max-crossings", cap)
 
 
 def test_selftest_violation_exits_4_with_counterexample(capsys, monkeypatch):

@@ -251,7 +251,7 @@ def test_squares_alternate_regions_and_crossings():
             r1, r2 = sq.regions
             assert {t.face_colour[r1], t.face_colour[r2]} == {BLACK, WHITE}
             # each opposite-edge pattern covers both regions
-            for ea, eb in (sq.pattern_a, sq.pattern_b):
+            for ea, eb in (sq.edges[0::2], sq.edges[1::2]):
                 assert {t.edge_region[ea], t.edge_region[eb]} == {r1, r2}
 
 

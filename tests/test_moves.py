@@ -3,7 +3,7 @@
 import ast
 import hashlib
 import json
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
@@ -18,7 +18,9 @@ from knotmorse.errors import (
     NotALeaf,
     NotPerfectAdmissible,
 )
+from knotmorse.corpus import corpus_names
 from knotmorse.moves import (
+    MOVE_KINDS,
     Move,
     MoveGraph,
     build_move_graph,
@@ -43,6 +45,7 @@ from knotmorse.states import (
     jordan_resolution,
     kauffman_states,
 )
+from move_graph_oracle import oracle_move_graph
 
 SMALL = ("3_1", "4_1", "kink", "5_2")
 CLOCK_CORPUS = ("3_1", "4_1", "kink", "5_1", "5_2", "6_1", "6_3")
@@ -349,13 +352,18 @@ def test_two_clicks_reach_every_root_pair_on_the_trefoil():
     assert hist == {0: 18, 1: 54, 2: 36}
 
 
+def count_matchings_built(monkeypatch) -> list:
+    """A list that grows by one for every Matching constructed from now on."""
+    built: list = []
+    real = Matching.__init__
+    monkeypatch.setattr(Matching, "__init__", lambda self, edges: built.append(None) or real(self, edges))
+    return built
+
+
 @pytest.mark.parametrize("name", ["4_1", "5_2"])
 def test_two_click_connect_builds_only_the_matchings_it_returns(monkeypatch, name):
     t = tait(name)
-    built = []
-    real = Matching.from_edges.__func__
-    monkeypatch.setattr(Matching, "from_edges", classmethod(
-        lambda cls, edges: built.append(None) or real(cls, edges)))
+    built = count_matchings_built(monkeypatch)
     for x in enumerate_matchings(t, "perfect_dmf"):
         for v_b, v_w in product(t.black_faces, t.white_faces):
             built.clear()
@@ -675,6 +683,68 @@ def test_move_graph_is_frozen(name, population):
 
 
 # ---------------------------------------------------------------------------
+# The mask-keyed builder against the builder that finds edges from both ends
+# ---------------------------------------------------------------------------
+
+# the 8-crossing rational vectors the census benchmark draws from
+CENSUS_POOL = ((2, 2, 4), (2, 3, 3), (2, 4, 2), (3, 2, 3), (3, 3, 2), (4, 2, 2), (2, 2, 2, 2))
+
+
+def corpus_up_to(n):
+    return [name for name in corpus_names() if get_entry(name).diagram.n_crossings <= n]
+
+
+def oracle_tait(name):
+    if name.startswith("R"):
+        return build_tait(build_diagram(parse_pd(rational_pd(json.loads(name[1:])))))
+    return tait(name)
+
+
+@pytest.mark.parametrize("population", ["perfect_dmfs", "perfect_admissible"])
+@pytest.mark.parametrize("name", corpus_up_to(7) + ["R%s" % list(v) for v in CENSUS_POOL])
+def test_move_graph_equals_the_oracle(name, population):
+    t = oracle_tait(name)
+    assert build_move_graph(t, population) == oracle_move_graph(t, population)
+
+
+@pytest.mark.parametrize("name", corpus_up_to(6))
+def test_kauffman_move_graph_equals_the_oracle_for_every_mark(name):
+    t = tait(name)
+    for arc in range(2 * t.n_crossings):
+        v_b, v_w = marked_arc_roots(t, arc)
+        mg = build_move_graph(t, "kauffman", v_b=v_b, v_w=v_w)
+        assert mg == oracle_move_graph(t, "kauffman", v_b=v_b, v_w=v_w)
+
+
+@pytest.mark.parametrize("kinds", [k for r in (1, 2) for k in permutations(MOVE_KINDS, r)])
+def test_move_graph_of_some_kinds_equals_the_oracle(kinds):
+    for name in corpus_up_to(6):
+        t = tait(name)
+        for population in ("perfect_dmfs", "perfect_admissible"):
+            mg = build_move_graph(t, population, kinds)
+            assert mg == oracle_move_graph(t, population, kinds)
+
+
+def test_move_graph_builds_no_matching_beyond_the_population(monkeypatch):
+    t = tait("6_3")
+    v_b, v_w = marked_arc_roots(t, 0)
+    built = count_matchings_built(monkeypatch)
+    from_edges = []
+    real = Matching.from_edges.__func__
+    monkeypatch.setattr(Matching, "from_edges", classmethod(
+        lambda cls, edges: from_edges.append(None) or real(cls, edges)))
+    for population in ("kauffman", "perfect_dmfs", "perfect_admissible"):
+        # with no move kinds the graph is its population alone
+        built.clear()
+        build_move_graph(t, population, kinds=(), v_b=v_b, v_w=v_w)
+        population_alone = len(built)
+        built.clear()
+        assert build_move_graph(t, population, v_b=v_b, v_w=v_w).edges
+        assert len(built) == population_alone
+    assert from_edges == []
+
+
+# ---------------------------------------------------------------------------
 # Invariant checks raise, also under python -O
 # ---------------------------------------------------------------------------
 
@@ -763,7 +833,7 @@ def test_two_click_connect_faults_raise(monkeypatch, fault):
 
         monkeypatch.setattr(moves, "_click_tree", root_only)
     else:  # every step leaves the matching as it was
-        monkeypatch.setattr(moves, "_click_step", lambda *args: None)
+        monkeypatch.setattr(moves, "_click_step", lambda t, mask, *args: mask)
     with pytest.raises(InvariantViolation, match="no click path" if fault == "no_path" else "ended at"):
         two_click_connect(t, x, v_b, white[0])
 
