@@ -14,6 +14,7 @@ import csv
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -237,11 +238,17 @@ def cmd_moves(args) -> int:
         if not 0 <= args.mark < 2 * d.n_crossings:
             raise SystemExit2("arc id %d out of range" % args.mark)
         v_b, v_w = marked_arc_roots(t, args.mark)
-    kinds = tuple(args.kinds.split(",")) if args.kinds else MOVE_KINDS
+    kinds = MOVE_KINDS if args.kinds is None else tuple(args.kinds.split(","))
     unknown = [k for k in kinds if k not in MOVE_KINDS]
     if unknown:
         raise SystemExit2("unknown move kind %r, not in %s" % (unknown[0], ",".join(MOVE_KINDS)))
-    mg = build_move_graph(t, args.population, kinds, v_b=v_b, v_w=v_w)
+    if len(set(kinds)) < len(kinds):
+        raise SystemExit2("repeated move kind in --kinds %s" % args.kinds)
+    # The avoidance report reads the same graph; filtering keeps the edge order.
+    avoid = args.population == "perfect_admissible"
+    mg = build_move_graph(t, args.population, MOVE_KINDS if avoid else kinds, v_b=v_b, v_w=v_w)
+    avoidance = click_path_avoidance(t, mg) if avoid else None
+    mg = replace(mg, kinds=kinds, edges=tuple(e for e in mg.edges if e[2].kind in kinds))
     payload = move_graph_to_dict(mg)
     payload["name"] = name
     if args.connectivity:
@@ -251,8 +258,8 @@ def cmd_moves(args) -> int:
         payload["path_graph"] = _is_path_graph(
             range(len(mg.nodes)), [(a, b) for a, b, _ in mg.edges]
         )
-    if args.population == "perfect_admissible":
-        payload["click_path_avoidance"] = click_path_avoidance(t)
+    if avoid:
+        payload["click_path_avoidance"] = avoidance
     if args.dot:
         Path(args.dot).write_text(move_graph_to_dot(mg))
     lines = ["%s: %d nodes, %d edges" % (name, len(mg.nodes), len(mg.edges))]

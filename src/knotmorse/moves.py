@@ -14,8 +14,10 @@ tests and the selftest clock check recount delta_j with it.
 
 A click loop move toggles matched and unmatched edges along one supported
 monochromatic loop; a click path move slides the unmatched region of one
-colour along its tree component, re-matching every crossing on the path to
-the other endpoint of its tree edge.  Neither changes the Jordan resolution.
+colour along its tree component, re-matching every crossing on the path
+toward the root.  The trees are the region map that the loops are cycles of
+(see states): a region matched by edge e hangs below edge_region[e ^ 2], and
+a step toggles bits e and e ^ 2.  Neither move changes the Jordan resolution.
 A leaf spin acts on a subgraph of a colour graph, rotating a leaf edge around
 its degree-one endpoint to the next eligible edge in the rotation system.
 
@@ -46,7 +48,6 @@ from .errors import (
 )
 from .states import (
     Matching,
-    _colour_edge_ends,
     _validate,
     critical_cells,
     enumerate_matchings,
@@ -165,8 +166,10 @@ def _clock_targets(t: TaitGraph, x: Matching) -> Iterator[tuple[int, tuple]]:
             yield mask ^ a ^ b, (sq, (e1, e3), "ccw")
 
 
-def _clock_classifier(t: TaitGraph, x: Matching) -> Callable[[tuple, Matching], Move]:
-    """The clock move from x to y at a site; x's strands are counted once.
+def _clock_classifier(
+    t: TaitGraph, x: Matching, strands: Callable[[Matching], tuple]
+) -> Callable[[tuple, Matching], Move]:
+    """The clock move from x to y at a site; strands(y) is _strand_roots(d, y).
 
     A move flips the smoothings of the square's two crossings.  Each flip
     changes |J| by at most one, and by exactly one when x is perfect.  So a
@@ -174,11 +177,11 @@ def _clock_classifier(t: TaitGraph, x: Matching) -> Callable[[tuple, Matching], 
     are checked.
     """
     d = t.diagram
-    root, before = _strand_roots(d, x)
+    root, before = strands(x)
 
     def classify(site: tuple, y: Matching) -> Move:
         sq, pattern, orientation = site
-        delta = _strand_roots(d, y)[1] - before
+        delta = strands(y)[1] - before
         if delta != 0:
             if abs(delta) > 2 or (delta not in (-2, 2) and is_perfect(t, x)):
                 raise InvariantViolation(
@@ -213,74 +216,46 @@ def click_loop_moves(t: TaitGraph, x: Matching) -> list[tuple[Move, Matching]]:
     return _built_moves(t, x, "click_loop")
 
 
-def _colour_adjacency(t: TaitGraph, x: Matching, colour: int) -> dict[int, list[tuple[int, int]]]:
-    faces = t.black_faces if colour == BLACK else t.white_faces
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in faces}
-    for e in x.edges:
-        if t.edge_colour(e) == colour:
-            c = e // 4
-            u, v = _colour_edge_ends(t, c, colour)
-            adj[u].append((c, v))
-            adj[v].append((c, u))
-    return adj
-
-
-def _click_tree(t: TaitGraph, x: Matching, colour: int) -> tuple[dict[int, tuple[int, int] | None], list[int]]:
-    """Breadth-first tree of the component of x's unmatched region of a colour.
-
-    Returns the parent map (region -> (crossing, parent region), None at the
-    root) and the regions in search order, root first.  Raises
-    InvariantViolation unless exactly one region of the colour is unmatched
-    and its component of the induced colour subgraph is a tree.
+def _click_tree(t: TaitGraph, x: Matching, colour: int) -> tuple[dict[int, int], list[int]]:
+    """(matched_regions(t, x), breadth-first order of the tree of x's one
+    unmatched region of a colour, root first).  Region u hangs below
+    t.edge_region[mr[u] ^ 2]; the root has no parent, so the regions whose
+    parents lead to it form a tree, and a region on or below a loop never
+    does.  Children come in ascending order of their matched edges.  Raises
+    InvariantViolation unless exactly one region of the colour is unmatched.
     """
     mr = matched_regions(t, x)
     faces = t.black_faces if colour == BLACK else t.white_faces
-    unmatched = [f for f in faces if f not in mr]
-    if len(unmatched) != 1:
+    order = [f for f in faces if f not in mr]
+    if len(order) != 1:
         raise InvariantViolation(
             "a perfect admissible matching left %d unmatched %s regions"
-            % (len(unmatched), _COLOUR_NAME[colour])
+            % (len(order), _COLOUR_NAME[colour])
         )
-    root = unmatched[0]
-    adj = _colour_adjacency(t, x, colour)
-    parent: dict[int, tuple[int, int] | None] = {root: None}
-    order = [root]
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for c, w in adj[v]:
-            if w not in parent:
-                parent[w] = (c, v)
-                order.append(w)
-                queue.append(w)
-    n_edges_inside = sum(len(adj[v]) for v in parent) // 2
-    if n_edges_inside != len(parent) - 1:
-        raise InvariantViolation(
-            "the %s root component has %d vertices and %d edges, not a tree"
-            % (_COLOUR_NAME[colour], len(parent), n_edges_inside)
-        )
-    return parent, order
+    children: dict[int, list[int]] = {}
+    for u, e in mr.items():
+        children.setdefault(t.edge_region[e ^ 2], []).append(u)
+    for v in order:  # the list grows as it is read: a breadth-first search
+        order.extend(children.get(v, ()))
+    return mr, order
 
 
-def _click_step(t: TaitGraph, mask: int, u: int, colour: int, tree_edge: tuple[int, int]) -> int:
-    """mask with the crossing of u's tree edge re-matched from u toward its parent."""
-    c, p = tree_edge
-    old = 1 << t.edge_to_region(c, u, colour)
-    if not mask & old:
-        raise InvariantViolation("path crossing %d is not matched toward region %d" % (c, u))
-    return mask ^ old ^ 1 << t.edge_to_region(c, p, colour)
+def _click_step(mask: int, e: int) -> int:
+    """mask with edge e's crossing re-matched from e's region to its parent."""
+    return mask ^ 1 << e ^ 1 << (e ^ 2)
 
 
 def _click_path_targets(t: TaitGraph, x: Matching) -> Iterator[tuple[int, tuple]]:
     """(target mask, (colour name, path)) of each click path move on x.  A
-    target's edge set and path are its tree parent's, with one crossing
-    re-matched from the target toward the parent and the target appended."""
+    target's edge set and path are its tree parent's, with the target's
+    matched crossing re-matched toward the parent and the target appended."""
     for colour in (BLACK, WHITE):
-        parent, order = _click_tree(t, x, colour)
+        mr, order = _click_tree(t, x, colour)
         masks, paths = {order[0]: x.mask}, {order[0]: (order[0],)}
         for u in order[1:]:
-            p = parent[u][1]
-            masks[u] = _click_step(t, masks[p], u, colour, parent[u])
+            e = mr[u]
+            p = t.edge_region[e ^ 2]
+            masks[u] = _click_step(masks[p], e)
             paths[u] = paths[p] + (u,)
             yield masks[u], (_COLOUR_NAME[colour], paths[u])
 
@@ -288,10 +263,12 @@ def _click_path_targets(t: TaitGraph, x: Matching) -> Iterator[tuple[int, tuple]
 def click_path_moves(t: TaitGraph, x: Matching) -> list[tuple[Move, Matching]]:
     """Slide the unmatched region of either colour along its tree component.
 
-    A perfect admissible matching has exactly one unmatched region per colour
-    and its component of the induced colour subgraph is the unique tree
-    component; every other vertex of that tree is the target of exactly one
-    move.  Raises NotPerfectAdmissible otherwise.
+    A perfect admissible matching has exactly one unmatched region per colour,
+    the root of its tree: the regions whose region-map parents (u matched by
+    edge e hangs below t.edge_region[e ^ 2]) lead to it.  Every other vertex
+    of the tree is the target of one move, which re-matches each crossing on
+    its path toward the root; black first, in breadth-first order.  Raises
+    NotPerfectAdmissible otherwise.
     """
     _validate(t, x)
     if not (is_perfect(t, x) and is_admissible(t, x)):
@@ -322,15 +299,15 @@ def two_click_connect(
     steps: list[tuple[Move, Matching]] = []
     cur = x
     for colour, target in ((BLACK, v_b), (WHITE, v_w)):
-        parent, order = _click_tree(t, cur, colour)
+        mr, order = _click_tree(t, cur, colour)
         if order[0] == target:
             continue
-        if target not in parent:
+        if target not in order:
             raise InvariantViolation("no click path reaches region %d" % target)
         mask, u, path = cur.mask, target, [target]
-        while parent[u] is not None:
-            mask = _click_step(t, mask, u, colour, parent[u])
-            u = parent[u][1]
+        while u != order[0]:
+            mask = _click_step(mask, mr[u])
+            u = t.edge_region[mr[u] ^ 2]
             path.append(u)
         cur = _matching_of(mask)
         _validate(t, cur)
@@ -345,10 +322,10 @@ def two_click_connect(
 
 def _site_classifier(kind: str) -> Callable:
     """A click kind's classifier: its target sites are its moves' sites."""
-    return lambda t, x: lambda site, y: Move(kind=kind, site=site)
+    return lambda t, x, strands: lambda site, y: Move(kind=kind, site=site)
 
 
-# kind -> (targets(t, x) yielding (target mask, site), classifier(t, x))
+# kind -> (targets(t, x) yielding (target mask, site), classifier(t, x, strands))
 _KINDS = {
     "clock": (_clock_targets, _clock_classifier),
     "click_loop": (_click_loop_targets, _site_classifier("click_loop")),
@@ -370,7 +347,7 @@ def _built_moves(t: TaitGraph, x: Matching, kind: str) -> list[tuple[Move, Match
     """Every move of one kind on x, each target built and validated."""
     _validate(t, x)
     targets, classifier = _KINDS[kind]
-    classify = classifier(t, x)
+    classify = classifier(t, x, lambda y: _strand_roots(t.diagram, y))
     out = []
     for mask, site in targets(t, x):
         y = _matching_of(mask)
@@ -484,7 +461,8 @@ def build_move_graph(
     """Move graph over a population: kauffman (needs the marked pair v_b,
     v_w), perfect_dmfs, or perfect_admissible.  Edges are kept only when both
     endpoints belong to the population, each once, as (lower node, higher
-    node, move); the move is built only once its target is found."""
+    node, move); the move is built only once its target is found, and each
+    node's strands are counted once."""
     kinds = tuple(kinds)
     for k in kinds:
         if k not in MOVE_KINDS:
@@ -502,32 +480,40 @@ def build_move_graph(
             "unknown population %r (expected one of %s)" % (population, ", ".join(POPULATIONS))
         )
     index = {x.mask: i for i, x in enumerate(nodes)}
+    counted: dict[int, tuple] = {}  # strands by mask, dropped after their turn
+
+    def strands(y: Matching) -> tuple:
+        if y.mask not in counted:
+            counted[y.mask] = _strand_roots(t.diagram, y)
+        return counted[y.mask]
+
     edges: list[tuple[int, int, Move]] = []
     for i, x in enumerate(nodes):
         for kind in (k for k in MOVE_KINDS if k in kinds):
             targets, classifier = _KINDS[kind]
-            classify = classifier(t, x)
+            classify = classifier(t, x, strands)
             for mask, site in targets(t, x):
                 # Every move kind is involutive, so a target below i has
                 # recorded this edge already.
                 j = index.get(mask, -1)
                 if j > i:
                     edges.append((i, j, classify(site, nodes[j])))
+        counted.pop(x.mask, None)
     edges.sort(key=lambda e: (e[0], e[1], repr(_edge_key(e[2]))))
     return MoveGraph(t.diagram.pd.to_text(), population, kinds, nodes, tuple(edges))
 
 
-def _component_roots(mg: MoveGraph) -> list[int]:
-    """One root per node; two nodes share a root iff moves connect them."""
-    uf = UnionFind(range(len(mg.nodes)))
-    for i, j, _ in mg.edges:
+def _component_roots(n: int, edges: Iterable[tuple[int, int, Move]]) -> list[int]:
+    """One root per node; two nodes share a root iff the edges connect them."""
+    uf = UnionFind(range(n))
+    for i, j, _ in edges:
         uf.union(i, j)
-    return [uf.find(i) for i in range(len(mg.nodes))]
+    return [uf.find(i) for i in range(n)]
 
 
 def verify_connectivity(mg: MoveGraph) -> tuple[bool, int]:
     """(is connected, number of components); the empty graph counts as connected."""
-    count = len(set(_component_roots(mg)))
+    count = len(set(_component_roots(len(mg.nodes), mg.edges)))
     return count <= 1, count
 
 
@@ -557,17 +543,20 @@ def shortest_move_sequence(mg: MoveGraph, start: int, goal: int) -> tuple[Move, 
     return None
 
 
-def click_path_avoidance(t: TaitGraph) -> dict:
+def click_path_avoidance(t: TaitGraph, mg: MoveGraph) -> dict:
     """Experimental record: how far clock and click loop moves alone go.
 
     Clock and click loop moves both fix the pair of unmatched regions, so the
     {clock, click_loop} graph over the perfect admissible states can only be
     connected when a single such pair occurs; the open part is whether each
     fixed-pair class is connected on its own, and that is reported per
-    diagram as data, not asserted.
+    diagram as data, not asserted.  mg is t's perfect admissible move graph
+    with both kinds among its own; its other edges are ignored.
     """
-    mg = build_move_graph(t, "perfect_admissible", kinds=("clock", "click_loop"))
-    roots = _component_roots(mg)
+    kinds = ("clock", "click_loop")
+    if mg.population != "perfect_admissible" or not set(kinds) <= set(mg.kinds):
+        raise ValueError("need a perfect admissible move graph with clock and click loop moves")
+    roots = _component_roots(len(mg.nodes), (e for e in mg.edges if e[2].kind in kinds))
     components = len(set(roots))
     classes: dict[tuple, set[int]] = {}
     for x, root in zip(mg.nodes, roots):
@@ -575,7 +564,7 @@ def click_path_avoidance(t: TaitGraph) -> dict:
         classes.setdefault((black, white), set()).add(root)
     return {
         "population": "perfect_admissible",
-        "kinds": ["clock", "click_loop"],
+        "kinds": list(kinds),
         "connected": components <= 1,
         "components": components,
         "critical_classes": len(classes),

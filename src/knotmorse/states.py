@@ -34,7 +34,9 @@ over arc ends.  Acyclic matchings induce a rooted forest in each colour graph
 (edge per crossing matched into that colour, root = the unique unmatched
 region of each component); that forest pair determines the matching, which is
 the bijection behind the KPW construction of perfect states from spanning
-trees.
+trees.  The region map is the forests' parent pointers: a region matched by
+edge e hangs below edge_region[e ^ 2], and a root, unmatched, has no parent.
+The click trees of moves are read off the matching that way.
 """
 
 from __future__ import annotations

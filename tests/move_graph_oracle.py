@@ -8,13 +8,21 @@ nothing relies on the moves being involutive.  The public move functions
 share their target generators and classifiers with the builder under test;
 the oracle shares neither the mask index, nor the rule that records an edge
 from its lower end only, nor the edge sort.
+
+It also keeps the package's original click trees, the oracle for the ones
+click_path_moves reads off the region map: a breadth-first search over the
+adjacency of each colour's matched crossings, checked by edge count to be a
+tree, with every step's two corners looked up by TaitGraph.edge_to_region
+and the old corner checked to be matched.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Sequence
 
-from knotmorse.diagram import TaitGraph
+from knotmorse.diagram import BLACK, WHITE, TaitGraph
+from knotmorse.errors import InvariantViolation
 from knotmorse.moves import (
     MOVE_KINDS,
     POPULATIONS,
@@ -24,7 +32,78 @@ from knotmorse.moves import (
     click_path_moves,
     clock_moves,
 )
-from knotmorse.states import Matching, enumerate_matchings, kauffman_states
+from knotmorse.states import (
+    Matching,
+    _colour_edge_ends,
+    enumerate_matchings,
+    kauffman_states,
+    matched_regions,
+)
+
+_COLOUR_NAME = {BLACK: "black", WHITE: "white"}
+
+
+def oracle_click_tree(
+    t: TaitGraph, x: Matching, colour: int
+) -> tuple[dict[int, tuple[int, int] | None], list[int]]:
+    """Breadth-first tree of the component of x's unmatched region of a colour.
+
+    Returns the parent map (region -> (crossing, parent region), None at the
+    root) and the regions in search order, root first.  Raises
+    InvariantViolation unless exactly one region of the colour is unmatched
+    and its component of the induced colour subgraph is a tree.
+    """
+    mr = matched_regions(t, x)
+    faces = t.black_faces if colour == BLACK else t.white_faces
+    unmatched = [f for f in faces if f not in mr]
+    if len(unmatched) != 1:
+        raise InvariantViolation(
+            "a perfect admissible matching left %d unmatched %s regions"
+            % (len(unmatched), _COLOUR_NAME[colour])
+        )
+    root = unmatched[0]
+    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in faces}
+    for e in x.edges:
+        if t.edge_colour(e) == colour:
+            c = e // 4
+            u, v = _colour_edge_ends(t, c, colour)
+            adj[u].append((c, v))
+            adj[v].append((c, u))
+    parent: dict[int, tuple[int, int] | None] = {root: None}
+    order = [root]
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for c, w in adj[v]:
+            if w not in parent:
+                parent[w] = (c, v)
+                order.append(w)
+                queue.append(w)
+    n_edges_inside = sum(len(adj[v]) for v in parent) // 2
+    if n_edges_inside != len(parent) - 1:
+        raise InvariantViolation(
+            "the %s root component has %d vertices and %d edges, not a tree"
+            % (_COLOUR_NAME[colour], len(parent), n_edges_inside)
+        )
+    return parent, order
+
+
+def oracle_click_path_moves(t: TaitGraph, x: Matching) -> list[tuple[Move, Matching]]:
+    """Every click path move on x, black tree first, each in search order."""
+    out = []
+    for colour in (BLACK, WHITE):
+        parent, order = oracle_click_tree(t, x, colour)
+        edges, paths = {order[0]: set(x.edges)}, {order[0]: (order[0],)}
+        for u in order[1:]:
+            c, p = parent[u]
+            old = t.edge_to_region(c, u, colour)
+            if old not in edges[p]:
+                raise InvariantViolation("path crossing %d is not matched toward region %d" % (c, u))
+            edges[u] = edges[p] - {old} | {t.edge_to_region(c, p, colour)}
+            paths[u] = paths[p] + (u,)
+            move = Move(kind="click_path", site=(_COLOUR_NAME[colour], paths[u]))
+            out.append((move, Matching(tuple(sorted(edges[u])))))
+    return out
 
 
 def _dedupe_key(move: Move) -> tuple:

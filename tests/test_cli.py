@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from itertools import permutations
 
 import pytest
 
@@ -12,6 +13,13 @@ from knotmorse.corpus import corpus_names, get_entry
 from knotmorse.complexes import matching_complex
 from knotmorse.diagram import build_tait
 from knotmorse.errors import InvariantViolation, ResourceLimit
+from knotmorse.moves import (
+    MOVE_KINDS,
+    build_move_graph,
+    click_path_avoidance,
+    move_graph_to_dict,
+    move_graph_to_dot,
+)
 from knotmorse.states import FILTERS, enumerate_matchings
 
 
@@ -270,6 +278,28 @@ def test_moves_kinds_restriction(capsys):
 @pytest.mark.parametrize("kinds", ["foo", "clock,"])
 def test_moves_unknown_kind_exits_2(capsys, kinds):
     assert "unknown move kind" in usage_error(capsys, "moves", "3_1", "--kinds", kinds)
+
+
+@pytest.mark.parametrize("kinds, message", [("clock,clock", "repeated"), ("", "unknown move kind")])
+def test_moves_repeated_or_empty_kinds_exit_2(capsys, kinds, message):
+    assert message in usage_error(capsys, "moves", "3_1", "--kinds", kinds)
+
+
+@pytest.mark.parametrize("kinds", [",".join(k) for r in (1, 2, 3) for k in permutations(MOVE_KINDS, r)])
+def test_moves_builds_one_graph_for_any_kinds(capsys, monkeypatch, tmp_path, kinds):
+    t = build_tait(get_entry("4_1").diagram)
+    alone = build_move_graph(t, "perfect_admissible", kinds.split(","))
+    calls = []
+    monkeypatch.setattr(cli, "build_move_graph", lambda *a, **k: calls.append(a) or build_move_graph(*a, **k))
+    dot = tmp_path / "graph.dot"
+    code, payload = run(capsys, "moves", "4_1", "--population", "perfect_admissible",
+                        "--kinds", kinds, "--dot", str(dot))
+    assert code == 0 and len(calls) == 1
+    # the payload and the dot file are those of a graph built with the kinds alone
+    assert {k: payload[k] for k in ("diagram", "population", "kinds", "nodes", "edges")} == (
+        json.loads(json.dumps(move_graph_to_dict(alone))))
+    assert dot.read_text() == move_graph_to_dot(alone)
+    assert payload["click_path_avoidance"] == click_path_avoidance(t, build_move_graph(t, "perfect_admissible"))
 
 
 def test_moves_perfect_admissible_reports_avoidance(capsys):

@@ -336,8 +336,6 @@ INVARIANT_TESTS = (
     "test_diagram.py::test_tait_square_with_mismatched_arc_ends_raises",
     "test_moves.py::test_clock_move_strand_count_fault_raises",
     "test_moves.py::test_click_path_needs_one_unmatched_region_per_colour",
-    "test_moves.py::test_click_path_needs_a_tree_root_component",
-    "test_moves.py::test_click_path_needs_crossings_matched_toward_the_child",
     "test_moves.py::test_two_click_connect_faults_raise",
     "test_moves.py::test_leaf_spin_rotation_fault_raises",
 )
@@ -355,7 +353,7 @@ def test_invariant_checks_survive_python_O():
         capture_output=True, text=True, env=env, cwd=tests.parent,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "30 passed" in proc.stdout, proc.stdout
+    assert "28 passed" in proc.stdout, proc.stdout
 
 
 # ---------------------------------------------------------------------------

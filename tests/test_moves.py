@@ -45,7 +45,7 @@ from knotmorse.states import (
     jordan_resolution,
     kauffman_states,
 )
-from move_graph_oracle import oracle_move_graph
+from move_graph_oracle import oracle_click_path_moves, oracle_move_graph
 
 SMALL = ("3_1", "4_1", "kink", "5_2")
 CLOCK_CORPUS = ("3_1", "4_1", "kink", "5_1", "5_2", "6_1", "6_3")
@@ -434,13 +434,18 @@ def test_click_components_are_the_equal_resolution_classes(name):
 
 @pytest.mark.parametrize("name", SMALL)
 def test_clock_and_click_loop_preserve_critical_classes(name):
-    report = click_path_avoidance(tait(name))
+    t = tait(name)
+    report = click_path_avoidance(t, build_move_graph(t, "perfect_admissible"))
     assert report["connected"] == (report["critical_classes"] == 1)
     assert report["each_critical_class_connected"]
+    # the click path edges of the full graph are ignored
+    two_kinds = build_move_graph(t, "perfect_admissible", kinds=("click_loop", "clock"))
+    assert click_path_avoidance(t, two_kinds) == report
 
 
 def test_click_path_avoidance_report_for_the_trefoil():
-    report = click_path_avoidance(tait("3_1"))
+    t = tait("3_1")
+    report = click_path_avoidance(t, build_move_graph(t, "perfect_admissible"))
     assert report == {
         "population": "perfect_admissible",
         "kinds": ["clock", "click_loop"],
@@ -449,6 +454,16 @@ def test_click_path_avoidance_report_for_the_trefoil():
         "critical_classes": 6,
         "each_critical_class_connected": True,
     }
+
+
+@pytest.mark.parametrize("population, kinds", [
+    ("perfect_dmfs", MOVE_KINDS),
+    ("perfect_admissible", ("clock", "click_path")),
+])
+def test_click_path_avoidance_needs_its_population_and_kinds(population, kinds):
+    t = tait("3_1")
+    with pytest.raises(ValueError, match="clock and click loop"):
+        click_path_avoidance(t, build_move_graph(t, population, kinds))
 
 
 # ---------------------------------------------------------------------------
@@ -725,6 +740,42 @@ def test_move_graph_of_some_kinds_equals_the_oracle(kinds):
             assert mg == oracle_move_graph(t, population, kinds)
 
 
+@pytest.mark.parametrize("name", corpus_up_to(7) + ["T(2,9)"] + ["R%s" % list(v) for v in CENSUS_POOL])
+def test_click_path_moves_equal_the_oracle(name):
+    # moves, targets and their order, tree by tree
+    t = build_tait(build_diagram(parse_pd(torus_pd(9)))) if name == "T(2,9)" else oracle_tait(name)
+    for x in enumerate_matchings(t, "perfect_admissible"):
+        assert click_path_moves(t, x) == oracle_click_path_moves(t, x)
+
+
+def test_click_trees_never_look_up_corners(monkeypatch):
+    t = tait("6_3")
+    v_b, v_w = marked_arc_roots(t, 0)
+    calls = []
+    real = TaitGraph.edge_to_region
+    monkeypatch.setattr(TaitGraph, "edge_to_region", lambda *args: calls.append(args) or real(*args))
+    for population in ("kauffman", "perfect_dmfs", "perfect_admissible"):
+        assert build_move_graph(t, population, v_b=v_b, v_w=v_w).edges
+    for x in enumerate_matchings(t, "perfect_dmf"):
+        for v_b, v_w in product(t.black_faces, t.white_faces):
+            two_click_connect(t, x, v_b, v_w)
+    assert calls == []
+    # the count does see a lookup: the oracle's trees make them
+    oracle_click_path_moves(t, x)
+    assert calls
+
+
+def test_move_graph_counts_each_nodes_strands_once(monkeypatch):
+    t = oracle_tait("R[3, 2, 3]")
+    calls = []
+    real = moves._strand_roots
+    monkeypatch.setattr(moves, "_strand_roots", lambda d, x: calls.append(x) or real(d, x))
+    mg = build_move_graph(t, "perfect_admissible")
+    clock_edges = sum(move.kind == "clock" for _, _, move in mg.edges)
+    assert (len(mg.nodes), clock_edges) == (768, 1216)
+    assert sorted(calls) == sorted(mg.nodes)
+
+
 def test_move_graph_builds_no_matching_beyond_the_population(monkeypatch):
     t = tait("6_3")
     v_b, v_w = marked_arc_roots(t, 0)
@@ -794,31 +845,6 @@ def test_click_path_needs_one_unmatched_region_per_colour(monkeypatch):
         click_path_moves(t, x)
 
 
-def test_click_path_needs_a_tree_root_component(monkeypatch):
-    t, x = perfect_dmf()
-    real = moves._colour_adjacency
-
-    def doubled(t, x, colour):
-        return {v: nbrs + nbrs for v, nbrs in real(t, x, colour).items()}
-
-    monkeypatch.setattr(moves, "_colour_adjacency", doubled)
-    with pytest.raises(InvariantViolation, match="not a tree"):
-        click_path_moves(t, x)
-
-
-def test_click_path_needs_crossings_matched_toward_the_child(monkeypatch):
-    t, x = perfect_dmf()
-    real = TaitGraph.edge_to_region
-
-    def other_corner(self, c, region, colour):
-        k0, k2 = self.corner_pair(c, colour)
-        return 4 * c + (k2 if real(self, c, region, colour) % 4 == k0 else k0)
-
-    monkeypatch.setattr(TaitGraph, "edge_to_region", other_corner)
-    with pytest.raises(InvariantViolation, match="not matched toward"):
-        click_path_moves(t, x)
-
-
 @pytest.mark.parametrize("fault", ["no_path", "no_change"])
 def test_two_click_connect_faults_raise(monkeypatch, fault):
     t, x = perfect_dmf()
@@ -828,12 +854,12 @@ def test_two_click_connect_faults_raise(monkeypatch, fault):
         real = moves._click_tree
 
         def root_only(t, cur, colour):
-            root = real(t, cur, colour)[1][0]
-            return {root: None}, [root]
+            mr, order = real(t, cur, colour)
+            return mr, order[:1]
 
         monkeypatch.setattr(moves, "_click_tree", root_only)
     else:  # every step leaves the matching as it was
-        monkeypatch.setattr(moves, "_click_step", lambda t, mask, *args: mask)
+        monkeypatch.setattr(moves, "_click_step", lambda mask, e: mask)
     with pytest.raises(InvariantViolation, match="no click path" if fault == "no_path" else "ended at"):
         two_click_connect(t, x, v_b, white[0])
 

@@ -7,16 +7,25 @@ be too, and each enumeration count must equal its closed formula.  Up to 6
 crossings the perfect admissible move graph must keep its size, its number
 of components and its clock moves by type and size of strand-count change,
 the four complexes must keep their homology, and swapping the chequerboard
-colours must keep every matching's loops and the dMf stream.
+colours must keep every matching's loops and the dMf stream.  The T(2, m)
+codes of ``torus_pd`` are scrambled the same way: their black graph is m
+parallel edges between two regions, the family's extreme of a colour graph
+with repeated edges.
 """
 
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotmorse.corpus import rational_pd
-from knotmorse.counting import count_all_dmfs, count_perfect_dmfs, count_via_enumeration
+from knotmorse.corpus import rational_pd, torus_pd
+from knotmorse.counting import (
+    count_all_dmfs,
+    count_perfect_dmfs,
+    count_via_enumeration,
+    fibonacci_family_count,
+)
 from knotmorse.diagram import build_diagram, build_tait, parse_pd
 from knotmorse.moves import build_move_graph, verify_connectivity
 from knotmorse.reference import computed_row
@@ -25,6 +34,8 @@ from knotmorse.states import enumerate_matchings, monochromatic_loops
 MAX_CROSSINGS = 7
 MOVE_GRAPH_CROSSINGS = 6
 SWAP_CROSSINGS = 6
+TORUS_CROSSINGS = (3, 5, 7, 9)
+TORUS_MOVE_GRAPH_CROSSINGS = 7
 HOMOLOGY_CROSSINGS = 6
 
 
@@ -119,3 +130,17 @@ def test_loops_and_dmfs_survive_swapping_colours(twists):
     for m in enumerate_matchings(t, "all"):
         assert monochromatic_loops(swapped, m) == monochromatic_loops(t, m)
     assert list(enumerate_matchings(swapped, "dmf")) == list(enumerate_matchings(t, "dmf"))
+
+
+@pytest.mark.parametrize("m", TORUS_CROSSINGS)
+@settings(derandomize=True, database=None, max_examples=5, deadline=None)
+@given(data=st.data())
+def test_torus_family_survives_scrambling(m, data):
+    base = torus_pd(m)
+    enumerated, formula = both_counts(base)
+    assert enumerated == formula
+    assert formula[1] == fibonacci_family_count((m - 1) // 2)
+    code = scrambled(base, data)
+    assert both_counts(code) == (enumerated, formula)
+    if m <= TORUS_MOVE_GRAPH_CROSSINGS:
+        assert move_graph_summary(code) == move_graph_summary(base)
