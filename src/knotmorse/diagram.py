@@ -189,13 +189,16 @@ class Diagram:
         return tuple(out)
 
     @cached_property
-    def mate(self) -> dict[tuple[int, int], tuple[int, int]]:
-        """Dart -> the other end of the same arc."""
-        out: dict[tuple[int, int], tuple[int, int]] = {}
-        for d1, d2 in self.arc_ends:
-            out[d1] = d2
-            out[d2] = d1
-        return out
+    def arc_darts(self) -> tuple[tuple[int, int], ...]:
+        """arc_ends as darts 4 * c + s, the lower end first."""
+        return tuple((4 * c1 + s1, 4 * c2 + s2) for (c1, s1), (c2, s2) in self.arc_ends)
+
+    @cached_property
+    def corner_face(self) -> tuple[int, ...]:
+        """Face at corner k of crossing c, indexed by 4 * c + k."""
+        return tuple(
+            self.face_at_corner[(c, k)] for c in range(self.n_crossings) for k in range(4)
+        )
 
     @cached_property
     def face_at_corner(self) -> dict[tuple[int, int], int]:
@@ -468,31 +471,17 @@ class TaitGraph:
     def edge_colour(self, e: int) -> int:
         return self.face_colour[self.edge_region[e]]
 
-    def corner_pair(self, c: int, colour: int) -> tuple[int, int]:
-        """The two corner slots of the given colour at crossing c."""
-        k0 = 0 if self.face_colour[self.edge_region[4 * c]] == colour else 1
-        return (k0, k0 + 2)
-
-    def edge_to_region(self, c: int, region: int, colour: int) -> int:
-        """The unique colour-corner edge of c landing in the given region.
-
-        Valid only when exactly one corner of that colour at c touches the
-        region (always true off loops of the colour graph).
-        """
-        k0, k2 = self.corner_pair(c, colour)
-        hits = [4 * c + k for k in (k0, k2) if self.edge_region[4 * c + k] == region]
-        if len(hits) != 1:
-            raise InvariantViolation(
-                "corner edge (crossing %d, region %d) is not unique: %d hits" % (c, region, len(hits))
-            )
-        return hits[0]
+    @cached_property
+    def poset_arrows(self) -> tuple[tuple[int, int], ...]:
+        """(tail, head) of edge e in the poset orientation, indexed by e."""
+        return tuple(
+            (r, self.n_faces + e // 4) if self.face_colour[r] == WHITE else (self.n_faces + e // 4, r)
+            for e, r in enumerate(self.edge_region)
+        )
 
 
 def build_tait(d: Diagram) -> TaitGraph:
     """Overlay both colour graphs: one edge per corner, one square per arc."""
-    edge_region = tuple(
-        d.face_at_corner[(c, k)] for c in range(d.n_crossings) for k in range(4)
-    )
     squares = []
     for a in range(d.n_arcs):
         (c1, s1), (c2, s2) = d.arc_ends[a]
@@ -519,7 +508,7 @@ def build_tait(d: Diagram) -> TaitGraph:
         n_crossings=d.n_crossings,
         n_faces=d.n_faces,
         face_colour=d.face_colour,
-        edge_region=edge_region,
+        edge_region=d.corner_face,
         squares=tuple(squares),
     )
 

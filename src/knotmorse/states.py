@@ -29,14 +29,17 @@ independent check of the closed formula.
 
 The Jordan resolution smooths every matched crossing (the two arc-ends beside
 the dotted corner are joined, and the opposite two), keeps unmatched crossings
-as double points, and partitions the arcs into strand components by union-find
-over arc ends.  Acyclic matchings induce a rooted forest in each colour graph
-(edge per crossing matched into that colour, root = the unique unmatched
-region of each component); that forest pair determines the matching, which is
-the bijection behind the KPW construction of perfect states from spanning
-trees.  The region map is the forests' parent pointers: a region matched by
-edge e hangs below edge_region[e ^ 2], and a root, unmatched, has no parent.
-The click trees of moves are read off the matching that way.
+as double points, and partitions the arcs into strand components by a search
+over arcs, each dart 4c + s stepping to the dart its smoothing joins it to or,
+at a double point, to all four darts of the crossing.  It shares no code with
+the arc-level strand count of moves, which it checks.  Acyclic matchings
+induce a rooted forest in each colour graph (edge per crossing matched into
+that colour, root = the unique unmatched region of each component); that
+forest pair determines the matching, which is the bijection behind the KPW
+construction of perfect states from spanning trees.  The region map is the
+forests' parent pointers: a region matched by edge e hangs below
+edge_region[e ^ 2], and a root, unmatched, has no parent.  induced_forests
+and the click trees of moves are read off the matching that way.
 """
 
 from __future__ import annotations
@@ -107,19 +110,27 @@ class Matching:
         return sum(1 << e for e in self.edges)
 
 
-def _validate(t: TaitGraph, x: Matching) -> None:
+def _checked(region_of: tuple[int, ...], edges: Iterable[int]) -> Iterator[tuple[int, int, int]]:
+    """(edge, crossing, region) of each edge, raising ValueError as soon as
+    the edges stop being a matching."""
     crossings: set[int] = set()
     regions: set[int] = set()
-    for e in x.edges:
-        if not 0 <= e < t.n_edges:
+    for e in edges:
+        if not 0 <= e < len(region_of):
             raise ValueError("edge id %d out of range" % e)
-        c, r = e // 4, t.edge_region[e]
+        c, r = e // 4, region_of[e]
         if c in crossings:
             raise ValueError("crossing %d matched twice" % c)
         if r in regions:
             raise ValueError("region %d matched twice" % r)
         crossings.add(c)
         regions.add(r)
+        yield e, c, r
+
+
+def _validate(t: TaitGraph, x: Matching) -> None:
+    for _ in _checked(t.edge_region, x.edges):
+        pass
 
 
 def matched_crossings(t: TaitGraph, x: Matching) -> dict[int, int]:
@@ -214,31 +225,27 @@ def amended_poset_acyclic(t: TaitGraph, x: Matching) -> bool:
 
     Base arrows run white region -> crossing -> black region; each matched
     edge reverses its arrow.  Used as an independent cross-check of the loop
-    criterion.
+    criterion, so it reads neither the region map nor the loops.  Raises
+    ValueError on an invalid matching, as _validate does.
     """
-    n_nodes = t.n_faces + t.n_crossings
+    n_nodes = t.n_vertices
+    flipped = bytearray(t.n_edges)
+    for e, _, _ in _checked(t.edge_region, x.edges):
+        flipped[e] = 1
     succ: list[list[int]] = [[] for _ in range(n_nodes)]
     indeg = [0] * n_nodes
-    in_x = set(x.edges)
-    for e in range(t.n_edges):
-        cv = t.n_faces + e // 4
-        r = t.edge_region[e]
-        if t.face_colour[r] == WHITE:
-            src, dst = (cv, r) if e in in_x else (r, cv)
-        else:
-            src, dst = (r, cv) if e in in_x else (cv, r)
+    for flip, (src, dst) in zip(flipped, t.poset_arrows):
+        if flip:
+            src, dst = dst, src
         succ[src].append(dst)
         indeg[dst] += 1
-    queue = [v for v in range(n_nodes) if indeg[v] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
+    queue = [v for v in range(n_nodes) if not indeg[v]]
+    for v in queue:  # grows as the arrows are peeled
         for w in succ[v]:
             indeg[w] -= 1
-            if indeg[w] == 0:
+            if not indeg[w]:
                 queue.append(w)
-    return seen == n_nodes
+    return len(queue) == n_nodes
 
 
 def is_dmf(t: TaitGraph, x: Matching, debug: bool = False) -> bool:
@@ -431,64 +438,67 @@ class JordanResolution:
 
 
 def jordan_resolution(d: Diagram, x: Matching) -> JordanResolution:
-    """Resolve matched crossings, union-find the arc ends into strands."""
+    """Resolve the matched crossings and search the arcs for strands.
+
+    join[i] is the dart that the smoothing at dart i = 4c + s joins it to:
+    slot s ^ 3 when p = 1 ({1, 2} and {3, 0}), s ^ 1 when p = 0, and -1 at a
+    double point, which joins all four of its darts.  A search over arcs from
+    each unlabelled arc, ascending, finds the strands in order of their least
+    arc; a strand free of double points is then walked from its least dart,
+    through an arc, then across a smoothing.  Raises ValueError on an
+    invalid matching, as _validate does.
+    """
     n = d.n_crossings
-    darts = [(c, s) for c in range(n) for s in range(4)]
-    uf = UnionFind(darts)
-    for d1, d2 in d.arc_ends:
-        uf.union(d1, d2)
-
+    dart_arc, arc_darts = d.dart_arc, d.arc_darts
+    join = [-1] * (4 * n)
     resolved: list[tuple[int, int]] = []
-    matched = {}
-    for e in sorted(x.edges):
-        matched[e // 4] = e
-    join: dict[tuple[int, int], tuple[int, int]] = {}
-    for c in range(n):
-        if c in matched:
-            p = (matched[c] % 4 + 1) % 2
-            pairs = (((c, p), (c, (p + 1) % 4)), ((c, (p + 2) % 4), (c, (p + 3) % 4)))
-            for da, db in pairs:
-                uf.union(da, db)
-                join[da], join[db] = db, da
-            resolved.append((c, p))
-    double_points = tuple(c for c in range(n) if c not in matched)
-    for c in double_points:
-        for s in range(1, 4):
-            uf.union((c, 0), (c, s))
+    for e, c, _ in _checked(d.corner_face, x.edges):
+        p = (e + 1) % 2
+        for i in range(4 * c, 4 * c + 4):
+            join[i] = i ^ (2 * p + 1)
+        resolved.append((c, p))
+    resolved.sort()
+    double_points = tuple(c for c in range(n) if join[4 * c] < 0)
 
-    comp_arcs: dict[tuple[int, int], list[int]] = {}
-    for a in range(d.n_arcs):
-        comp_arcs.setdefault(uf.find(d.arc_ends[a][0]), []).append(a)
-    comp_doubles: dict[tuple[int, int], list[int]] = {k: [] for k in comp_arcs}
+    comp = [-1] * d.n_arcs
+    components: list[tuple[int, ...]] = []
+    for a0 in range(d.n_arcs):
+        if comp[a0] >= 0:
+            continue
+        k = comp[a0] = len(components)
+        arcs = [a0]
+        for a in arcs:  # grows as the search goes
+            for i in arc_darts[a]:
+                j = join[i]
+                for b in dart_arc[i & ~3 : (i | 3) + 1] if j < 0 else (dart_arc[j],):
+                    if comp[b] < 0:
+                        comp[b] = k
+                        arcs.append(b)
+        components.append(tuple(sorted(arcs)))
+    comp_doubles: list[list[int]] = [[] for _ in components]
     for c in double_points:
-        comp_doubles[uf.find((c, 0))].append(c)
-
-    keys = sorted(comp_arcs, key=lambda k: comp_arcs[k][0])
-    components = tuple(tuple(sorted(comp_arcs[k])) for k in keys)
-    component_double_points = tuple(tuple(sorted(comp_doubles[k])) for k in keys)
+        comp_doubles[comp[dart_arc[4 * c]]].append(c)
 
     cycles: list[tuple[tuple[int, int], ...] | None] = []
-    for i, k in enumerate(keys):
-        if component_double_points[i]:
+    for arcs, doubles in zip(components, comp_doubles):
+        if doubles:
             cycles.append(None)
             continue
-        # Walk the closed strand: through an arc, then across a smoothing.
-        d0 = min(min(d.arc_ends[a]) for a in components[i])
+        start = i = min(arc_darts[a][0] for a in arcs)
         walk: list[tuple[int, int]] = []
-        cur = d0
         while True:
-            walk.append(cur)
-            other = d.mate[cur]
-            walk.append(other)
-            cur = join[other]
-            if cur == d0:
+            lo, hi = arc_darts[dart_arc[i]]
+            m = lo + hi - i  # the arc's other end
+            walk += (divmod(i, 4), divmod(m, 4))
+            i = join[m]
+            if i == start:
                 break
         cycles.append(tuple(walk))
     return JordanResolution(
         resolved=tuple(resolved),
         double_points=double_points,
-        components=components,
-        component_double_points=component_double_points,
+        components=tuple(components),
+        component_double_points=tuple(map(tuple, comp_doubles)),
         cycles=tuple(cycles),
     )
 
@@ -512,62 +522,64 @@ class ForestPair:
 
 
 def _colour_edge_ends(t: TaitGraph, c: int, colour: int) -> tuple[int, int]:
-    k0, k2 = t.corner_pair(c, colour)
-    return t.edge_region[4 * c + k0], t.edge_region[4 * c + k2]
+    e = 4 * c + (t.face_colour[t.edge_region[4 * c]] != colour)  # corners k0, k0 + 2
+    return t.edge_region[e], t.edge_region[e ^ 2]
 
 
 def induced_forests(t: TaitGraph, x: Matching) -> ForestPair:
     """The rooted forest pair of an acyclic matching.
 
-    Each crossing matched into a colour contributes its colour-graph edge;
-    each component's unique unmatched region is its root (isolated regions
-    root themselves).  Raises NotAcyclic on a supported loop, NotAdmissible
-    when some colour has no unmatched region.
+    Each crossing matched into a colour contributes its colour-graph edge.
+    The region map is the forests' parent pointers (a region matched by edge
+    e hangs below edge_region[e ^ 2]), so the roots are the unmatched regions
+    of each colour, isolated ones rooting themselves.  Raises NotAcyclic on a
+    supported loop and NotAdmissible when some colour has no unmatched
+    region; a walk up the map that never reaches an unmatched region breaks
+    the loop criterion and raises InvariantViolation.
     """
-    _validate(t, x)
-    loops = monochromatic_loops(t, x)
+    loops = monochromatic_loops(t, x)  # validates x
     if loops:
         raise NotAcyclic("matching supports %d monochromatic loop(s)" % len(loops))
-    if not is_admissible(t, x):
+    region_of, colour_of = t.edge_region, t.face_colour
+    parent: dict[int, int] = {}
+    edges: tuple[list[int], list[int]] = ([], [])  # crossings by colour, WHITE = 0
+    for e in x.edges:
+        r = region_of[e]
+        parent[r] = region_of[e ^ 2]
+        edges[colour_of[r]].append(e // 4)
+    black_roots = tuple(f for f in t.black_faces if f not in parent)
+    white_roots = tuple(f for f in t.white_faces if f not in parent)
+    if not black_roots or not white_roots:
         raise NotAdmissible("no unmatched region in some colour")
-    mr = matched_regions(t, x)
-    out: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    for colour, faces in ((BLACK, t.black_faces), (WHITE, t.white_faces)):
-        edges = tuple(
-            sorted(e // 4 for e in x.edges if t.edge_colour(e) == colour)
-        )
-        uf = UnionFind(faces)
-        for c in edges:
-            u, v = _colour_edge_ends(t, c, colour)
-            uf.union(u, v)
-        comp_unmatched: dict[int, list[int]] = {}
-        for f in faces:
-            unmatched = comp_unmatched.setdefault(uf.find(f), [])
-            if f not in mr:
-                unmatched.append(f)
-        roots = []
-        for comp, unmatched in sorted(comp_unmatched.items()):
-            if len(unmatched) != 1:
-                raise InvariantViolation(
-                    "component of an acyclic matching must have one unmatched region, got %s"
-                    % (unmatched,)
-                )
-            roots.append(unmatched[0])
-        out[colour] = (edges, tuple(sorted(roots)))
+    walk_of: dict[int, int] = {}  # region -> the start of the walk that met it
+    for start in parent:
+        r = start
+        while r in parent and r not in walk_of:
+            walk_of[r] = start
+            r = parent[r]
+        if walk_of.get(r) == start:
+            raise InvariantViolation(
+                "component of an acyclic matching must have one unmatched region,"
+                " but the walk from region %d never reaches one" % start
+            )
     return ForestPair(
-        black_edges=out[BLACK][0],
-        white_edges=out[WHITE][0],
-        black_roots=out[BLACK][1],
-        white_roots=out[WHITE][1],
+        black_edges=tuple(sorted(edges[BLACK])),
+        white_edges=tuple(sorted(edges[WHITE])),
+        black_roots=black_roots,
+        white_roots=white_roots,
     )
 
 
 def forests_to_matching(t: TaitGraph, f: ForestPair) -> Matching:
-    """Invert induced_forests: orient away from roots, match edges to targets."""
-    if set(f.black_edges) & set(f.white_edges):
-        raise InvalidForest(
-            "crossings %s appear in both colours" % sorted(set(f.black_edges) & set(f.white_edges))
-        )
+    """Invert induced_forests: orient away from roots, match edges to targets.
+
+    The adjacency carries each forest edge's corner edge at the far end, so
+    the crossing is matched to the child region without a second lookup.
+    """
+    shared = set(f.black_edges) & set(f.white_edges)
+    if shared:
+        raise InvalidForest("crossings %s appear in both colours" % sorted(shared))
+    region_of, colour_of = t.edge_region, t.face_colour
     edges: list[int] = []
     for colour, forest, roots, faces in (
         (BLACK, f.black_edges, f.black_roots, t.black_faces),
@@ -580,33 +592,29 @@ def forests_to_matching(t: TaitGraph, f: ForestPair) -> Matching:
         for c in forest:
             if not 0 <= c < t.n_crossings:
                 raise InvalidForest("edge id %d out of range" % c)
-            u, v = _colour_edge_ends(t, c, colour)
+            e = 4 * c + (colour_of[region_of[4 * c]] != colour)  # corners k0, k0 + 2
+            u, v = region_of[e], region_of[e ^ 2]
             if not uf.union(u, v):
                 raise InvalidForest("edge %d closes a cycle" % c)
-            adj[u].append((c, v))
-            adj[v].append((c, u))
-        comps = {uf.find(v) for v in faces}
-        if len(roots) != len(comps):
-            raise InvalidForest(
-                "%d roots for %d components" % (len(roots), len(comps))
-            )
-        by_comp: dict[int, list[int]] = {}
+            adj[u].append((v, e ^ 2))
+            adj[v].append((u, e))
+        n_comps = len(faces) - len(forest)
+        if len(roots) != n_comps:
+            raise InvalidForest("%d roots for %d components" % (len(roots), n_comps))
         for r in roots:
             if r not in adj:
                 raise InvalidForest("root %d is not a %s region" % (r, "black" if colour == BLACK else "white"))
-            by_comp.setdefault(uf.find(r), []).append(r)
-        if any(len(rs) != 1 for rs in by_comp.values()) or len(by_comp) != len(comps):
+        if len({uf.find(r) for r in roots}) != n_comps:
             raise InvalidForest("roots must pick one vertex per component")
         # Orient away from each root; a forest edge's crossing is matched to
         # the child endpoint through its corner edge there.
         seen = set(roots)
         stack = list(roots)
         while stack:
-            v = stack.pop()
-            for c, w in adj[v]:
+            for w, e in adj[stack.pop()]:
                 if w not in seen:
                     seen.add(w)
-                    edges.append(t.edge_to_region(c, w, colour))
+                    edges.append(e)
                     stack.append(w)
     x = Matching.from_edges(edges)
     _validate(t, x)

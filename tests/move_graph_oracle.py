@@ -12,7 +12,8 @@ from its lower end only, nor the edge sort.
 It also keeps the package's original click trees, the oracle for the ones
 click_path_moves reads off the region map: a breadth-first search over the
 adjacency of each colour's matched crossings, checked by edge count to be a
-tree, with every step's two corners looked up by TaitGraph.edge_to_region
+tree, with every step's two corners looked up by edge_to_region (the
+package's TaitGraph.edge_to_region, deleted once nothing else needed it)
 and the old corner checked to be matched.
 """
 
@@ -41,6 +42,21 @@ from knotmorse.states import (
 )
 
 _COLOUR_NAME = {BLACK: "black", WHITE: "white"}
+
+
+def edge_to_region(t: TaitGraph, c: int, region: int, colour: int) -> int:
+    """The unique colour-corner edge of c landing in the given region.
+
+    Valid only when exactly one corner of that colour at c touches the
+    region (always true off loops of the colour graph).
+    """
+    k0 = 0 if t.face_colour[t.edge_region[4 * c]] == colour else 1
+    hits = [4 * c + k for k in (k0, k0 + 2) if t.edge_region[4 * c + k] == region]
+    if len(hits) != 1:
+        raise InvariantViolation(
+            "corner edge (crossing %d, region %d) is not unique: %d hits" % (c, region, len(hits))
+        )
+    return hits[0]
 
 
 def oracle_click_tree(
@@ -96,10 +112,10 @@ def oracle_click_path_moves(t: TaitGraph, x: Matching) -> list[tuple[Move, Match
         edges, paths = {order[0]: set(x.edges)}, {order[0]: (order[0],)}
         for u in order[1:]:
             c, p = parent[u]
-            old = t.edge_to_region(c, u, colour)
+            old = edge_to_region(t, c, u, colour)
             if old not in edges[p]:
                 raise InvariantViolation("path crossing %d is not matched toward region %d" % (c, u))
-            edges[u] = edges[p] - {old} | {t.edge_to_region(c, p, colour)}
+            edges[u] = edges[p] - {old} | {edge_to_region(t, c, p, colour)}
             paths[u] = paths[p] + (u,)
             move = Move(kind="click_path", site=(_COLOUR_NAME[colour], paths[u]))
             out.append((move, Matching(tuple(sorted(edges[u])))))

@@ -1,0 +1,209 @@
+"""The package's original per-matching kernels, kept as test oracles.
+
+jordan_resolution is the union-find over (crossing, slot) darts that
+re-unions every arc's two ends on each call; induced_forests finds the roots
+as the unmatched region of each union-find component of a colour's forest;
+forests_to_matching looks up each child's corner edge with edge_to_region;
+amended_poset_acyclic tests each edge's membership in a set while it builds
+the arrows.  The package's kernels work on int tables instead, and the tests
+check them against these on every matching of the corpus.
+"""
+
+from __future__ import annotations
+
+from knotmorse.diagram import BLACK, WHITE, Diagram, TaitGraph, UnionFind
+from knotmorse.errors import InvalidForest, InvariantViolation, NotAcyclic, NotAdmissible
+from knotmorse.states import (
+    ForestPair,
+    JordanResolution,
+    Matching,
+    _validate,
+    is_admissible,
+    matched_regions,
+    monochromatic_loops,
+)
+from move_graph_oracle import edge_to_region
+
+
+def colour_edge_ends(t: TaitGraph, c: int, colour: int) -> tuple[int, int]:
+    k0 = 0 if t.face_colour[t.edge_region[4 * c]] == colour else 1
+    return t.edge_region[4 * c + k0], t.edge_region[4 * c + k0 + 2]
+
+
+def oracle_amended_poset_acyclic(t: TaitGraph, x: Matching) -> bool:
+    n_nodes = t.n_faces + t.n_crossings
+    succ: list[list[int]] = [[] for _ in range(n_nodes)]
+    indeg = [0] * n_nodes
+    in_x = set(x.edges)
+    for e in range(t.n_edges):
+        cv = t.n_faces + e // 4
+        r = t.edge_region[e]
+        if t.face_colour[r] == WHITE:
+            src, dst = (cv, r) if e in in_x else (r, cv)
+        else:
+            src, dst = (r, cv) if e in in_x else (cv, r)
+        succ[src].append(dst)
+        indeg[dst] += 1
+    queue = [v for v in range(n_nodes) if indeg[v] == 0]
+    seen = 0
+    while queue:
+        v = queue.pop()
+        seen += 1
+        for w in succ[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                queue.append(w)
+    return seen == n_nodes
+
+
+def oracle_jordan_resolution(d: Diagram, x: Matching) -> JordanResolution:
+    n = d.n_crossings
+    darts = [(c, s) for c in range(n) for s in range(4)]
+    uf = UnionFind(darts)
+    mate = {}
+    for d1, d2 in d.arc_ends:
+        uf.union(d1, d2)
+        mate[d1], mate[d2] = d2, d1
+
+    resolved: list[tuple[int, int]] = []
+    matched = {}
+    for e in sorted(x.edges):
+        matched[e // 4] = e
+    join: dict[tuple[int, int], tuple[int, int]] = {}
+    for c in range(n):
+        if c in matched:
+            p = (matched[c] % 4 + 1) % 2
+            pairs = (((c, p), (c, (p + 1) % 4)), ((c, (p + 2) % 4), (c, (p + 3) % 4)))
+            for da, db in pairs:
+                uf.union(da, db)
+                join[da], join[db] = db, da
+            resolved.append((c, p))
+    double_points = tuple(c for c in range(n) if c not in matched)
+    for c in double_points:
+        for s in range(1, 4):
+            uf.union((c, 0), (c, s))
+
+    comp_arcs: dict[tuple[int, int], list[int]] = {}
+    for a in range(d.n_arcs):
+        comp_arcs.setdefault(uf.find(d.arc_ends[a][0]), []).append(a)
+    comp_doubles: dict[tuple[int, int], list[int]] = {k: [] for k in comp_arcs}
+    for c in double_points:
+        comp_doubles[uf.find((c, 0))].append(c)
+
+    keys = sorted(comp_arcs, key=lambda k: comp_arcs[k][0])
+    components = tuple(tuple(sorted(comp_arcs[k])) for k in keys)
+    component_double_points = tuple(tuple(sorted(comp_doubles[k])) for k in keys)
+
+    cycles: list[tuple[tuple[int, int], ...] | None] = []
+    for i, k in enumerate(keys):
+        if component_double_points[i]:
+            cycles.append(None)
+            continue
+        # Walk the closed strand: through an arc, then across a smoothing.
+        d0 = min(min(d.arc_ends[a]) for a in components[i])
+        walk: list[tuple[int, int]] = []
+        cur = d0
+        while True:
+            walk.append(cur)
+            other = mate[cur]
+            walk.append(other)
+            cur = join[other]
+            if cur == d0:
+                break
+        cycles.append(tuple(walk))
+    return JordanResolution(
+        resolved=tuple(resolved),
+        double_points=double_points,
+        components=components,
+        component_double_points=component_double_points,
+        cycles=tuple(cycles),
+    )
+
+
+def oracle_induced_forests(t: TaitGraph, x: Matching) -> ForestPair:
+    _validate(t, x)
+    loops = monochromatic_loops(t, x)
+    if loops:
+        raise NotAcyclic("matching supports %d monochromatic loop(s)" % len(loops))
+    if not is_admissible(t, x):
+        raise NotAdmissible("no unmatched region in some colour")
+    mr = matched_regions(t, x)
+    out: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+    for colour, faces in ((BLACK, t.black_faces), (WHITE, t.white_faces)):
+        edges = tuple(
+            sorted(e // 4 for e in x.edges if t.edge_colour(e) == colour)
+        )
+        uf = UnionFind(faces)
+        for c in edges:
+            u, v = colour_edge_ends(t, c, colour)
+            uf.union(u, v)
+        comp_unmatched: dict[int, list[int]] = {}
+        for f in faces:
+            unmatched = comp_unmatched.setdefault(uf.find(f), [])
+            if f not in mr:
+                unmatched.append(f)
+        roots = []
+        for comp, unmatched in sorted(comp_unmatched.items()):
+            if len(unmatched) != 1:
+                raise InvariantViolation(
+                    "component of an acyclic matching must have one unmatched region, got %s"
+                    % (unmatched,)
+                )
+            roots.append(unmatched[0])
+        out[colour] = (edges, tuple(sorted(roots)))
+    return ForestPair(
+        black_edges=out[BLACK][0],
+        white_edges=out[WHITE][0],
+        black_roots=out[BLACK][1],
+        white_roots=out[WHITE][1],
+    )
+
+
+def oracle_forests_to_matching(t: TaitGraph, f: ForestPair) -> Matching:
+    if set(f.black_edges) & set(f.white_edges):
+        raise InvalidForest(
+            "crossings %s appear in both colours" % sorted(set(f.black_edges) & set(f.white_edges))
+        )
+    edges: list[int] = []
+    for colour, forest, roots, faces in (
+        (BLACK, f.black_edges, f.black_roots, t.black_faces),
+        (WHITE, f.white_edges, f.white_roots, t.white_faces),
+    ):
+        if len(set(forest)) != len(forest):
+            raise InvalidForest("repeated edge in forest")
+        adj: dict[int, list[tuple[int, int]]] = {v: [] for v in faces}
+        uf = UnionFind(faces)
+        for c in forest:
+            if not 0 <= c < t.n_crossings:
+                raise InvalidForest("edge id %d out of range" % c)
+            u, v = colour_edge_ends(t, c, colour)
+            if not uf.union(u, v):
+                raise InvalidForest("edge %d closes a cycle" % c)
+            adj[u].append((c, v))
+            adj[v].append((c, u))
+        comps = {uf.find(v) for v in faces}
+        if len(roots) != len(comps):
+            raise InvalidForest(
+                "%d roots for %d components" % (len(roots), len(comps))
+            )
+        by_comp: dict[int, list[int]] = {}
+        for r in roots:
+            if r not in adj:
+                raise InvalidForest("root %d is not a %s region" % (r, "black" if colour == BLACK else "white"))
+            by_comp.setdefault(uf.find(r), []).append(r)
+        if any(len(rs) != 1 for rs in by_comp.values()) or len(by_comp) != len(comps):
+            raise InvalidForest("roots must pick one vertex per component")
+        # Orient away from each root; a forest edge's crossing is matched to
+        # the child endpoint through its corner edge there.
+        seen = set(roots)
+        stack = list(roots)
+        while stack:
+            v = stack.pop()
+            for c, w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    edges.append(edge_to_region(t, c, w, colour))
+                    stack.append(w)
+    x = Matching.from_edges(edges)
+    _validate(t, x)
+    return x

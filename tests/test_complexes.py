@@ -331,7 +331,6 @@ INVARIANT_TESTS = (
     "test_corpus.py::test_twist_vector_determinant_mismatch_raises",
     "test_corpus.py::test_repeated_crossings_and_determinant_raises",
     "test_corpus.py::test_entry_checks_raise",
-    "test_diagram.py::test_edge_to_region_raises_unless_exactly_one_corner_hits",
     "test_diagram.py::test_colour_graph_edge_off_its_colour_raises",
     "test_diagram.py::test_tait_square_with_mismatched_arc_ends_raises",
     "test_moves.py::test_clock_move_strand_count_fault_raises",
@@ -353,7 +352,7 @@ def test_invariant_checks_survive_python_O():
         capture_output=True, text=True, env=env, cwd=tests.parent,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "28 passed" in proc.stdout, proc.stdout
+    assert "27 passed" in proc.stdout, proc.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -60,12 +60,13 @@ def test_every_knot_entry_is_reduced():
 def arcs_on_the_curve_from_dart_0(d):
     """Arcs walked from dart (0, 0) along arcs and straight through each
     crossing, slot s to slot s + 2, until the walk is back at its start."""
-    dart, arcs = (0, 0), 0
+    dart, arcs = 0, 0
     while True:
-        c, s = d.mate[dart]
+        lo, hi = d.arc_darts[d.dart_arc[dart]]
+        c, s = divmod(lo + hi - dart, 4)
         arcs += 1
-        dart = (c, (s + 2) % 4)
-        if dart == (0, 0):
+        dart = 4 * c + (s + 2) % 4
+        if dart == 0:
             return arcs
 
 

@@ -265,26 +265,6 @@ def test_every_tait_edge_lies_on_exactly_two_squares():
         assert all(v == 2 for v in count.values())
 
 
-def test_edge_to_region_inverts_edge_region():
-    t = build_tait(diagram(FIG8))
-    for c in range(t.n_crossings):
-        for colour in (BLACK, WHITE):
-            for r in set(t.edge_region[4 * c + k] for k in t.corner_pair(c, colour)):
-                e = t.edge_to_region(c, r, colour)
-                assert e // 4 == c and t.edge_region[e] == r
-
-
-def test_edge_to_region_raises_unless_exactly_one_corner_hits():
-    kink = build_tait(diagram(KINK))
-    loop_region = kink.edge_region[0]  # both corners of one colour face it
-    with pytest.raises(InvariantViolation, match="not unique"):
-        kink.edge_to_region(0, loop_region, kink.face_colour[loop_region])
-    t = build_tait(diagram(TREFOIL))
-    away = (set(range(t.n_faces)) - set(t.edge_region[0:4])).pop()
-    with pytest.raises(InvariantViolation, match="not unique"):
-        t.edge_to_region(0, away, t.face_colour[away])
-
-
 def with_faces(d, changed):
     """d with some faces replaced, as index -> field changes."""
     faces = tuple(

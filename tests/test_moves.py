@@ -10,7 +10,7 @@ import pytest
 
 from knotmorse import build_tait, colour_graphs, get_entry, moves
 from knotmorse.corpus import load_corpus, rational_pd, torus_pd
-from knotmorse.diagram import BLACK, WHITE, PlaneGraph, TaitGraph, build_diagram, parse_pd
+from knotmorse.diagram import BLACK, WHITE, PlaneGraph, build_diagram, parse_pd
 from knotmorse.errors import (
     InvariantViolation,
     LeafOfAmbient,
@@ -746,23 +746,6 @@ def test_click_path_moves_equal_the_oracle(name):
     t = build_tait(build_diagram(parse_pd(torus_pd(9)))) if name == "T(2,9)" else oracle_tait(name)
     for x in enumerate_matchings(t, "perfect_admissible"):
         assert click_path_moves(t, x) == oracle_click_path_moves(t, x)
-
-
-def test_click_trees_never_look_up_corners(monkeypatch):
-    t = tait("6_3")
-    v_b, v_w = marked_arc_roots(t, 0)
-    calls = []
-    real = TaitGraph.edge_to_region
-    monkeypatch.setattr(TaitGraph, "edge_to_region", lambda *args: calls.append(args) or real(*args))
-    for population in ("kauffman", "perfect_dmfs", "perfect_admissible"):
-        assert build_move_graph(t, population, v_b=v_b, v_w=v_w).edges
-    for x in enumerate_matchings(t, "perfect_dmf"):
-        for v_b, v_w in product(t.black_faces, t.white_faces):
-            two_click_connect(t, x, v_b, v_w)
-    assert calls == []
-    # the count does see a lookup: the oracle's trees make them
-    oracle_click_path_moves(t, x)
-    assert calls
 
 
 def test_move_graph_counts_each_nodes_strands_once(monkeypatch):

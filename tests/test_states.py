@@ -34,10 +34,16 @@ from knotmorse import (
     monochromatic_loops,
     parse_pd,
 )
-from knotmorse import states
+from knotmorse import cli, moves, states
 from knotmorse.corpus import corpus_names, get_entry, rational_pd, torus_pd
 from knotmorse.errors import InvariantViolation
 from knotmorse.states import amended_poset_acyclic, matched_regions, matching_to_dict
+from states_oracle import (
+    oracle_amended_poset_acyclic,
+    oracle_forests_to_matching,
+    oracle_induced_forests,
+    oracle_jordan_resolution,
+)
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 FIG8 = "X(4,2,5,1) X(8,6,1,5) X(6,3,7,4) X(2,7,3,8)"
@@ -479,3 +485,100 @@ def test_matching_to_dict():
     dd = matching_to_dict(t, Matching((2, 4, 9)))
     assert dd["perfect"] and dd["admissible"] and dd["acyclic"] and dd["maximal"]
     assert dd["critical"] == {"black": [1], "crossings": [], "white": [0]}
+
+
+# -- the int-indexed kernels against the package's original ones -----------
+
+# every corpus entry, and its colour swap for up to 6 crossings
+KERNEL_CASES = [pytest.param(name, False, id=name) for name in corpus_names()] + [
+    pytest.param(name, True, id=name + "-swapped")
+    for name in corpus_names()
+    if get_entry(name).diagram.n_crossings <= 6
+]
+
+
+def kernel_case(name, swapped):
+    d = get_entry(name).diagram
+    if swapped:
+        d = build_diagram(d.pd, swap_colours=True)
+    return d, build_tait(d)
+
+
+@pytest.mark.parametrize("name, swapped", KERNEL_CASES)
+def test_resolution_and_poset_verdict_equal_the_oracle(name, swapped):
+    d, t = kernel_case(name, swapped)
+    for m in enumerate_matchings(t, "all"):
+        assert jordan_resolution(d, m) == oracle_jordan_resolution(d, m)
+        assert amended_poset_acyclic(t, m) == oracle_amended_poset_acyclic(t, m)
+
+
+@pytest.mark.parametrize("name, swapped", KERNEL_CASES)
+def test_forest_pair_equals_the_oracle_both_ways(name, swapped):
+    d, t = kernel_case(name, swapped)
+    for m in enumerate_matchings(t, "dmf"):
+        f = induced_forests(t, m)
+        assert f == oracle_induced_forests(t, m)
+        assert forests_to_matching(t, f) == oracle_forests_to_matching(t, f) == m
+
+
+# sha256 of [name, edges, resolved, components, component_double_points,
+# cycles] per matching of every corpus entry's "all" stream (129,261
+# matchings), from the union-find over (crossing, slot) darts that
+# jordan_resolution was before it searched int darts.
+FROZEN_RESOLUTIONS = "cd8139f375a564eac12b0b2ebb57426e265ea9b734fcdc4fec862114590c3894"
+
+
+def test_jordan_resolutions_are_frozen():
+    digest = hashlib.sha256()
+    for name in corpus_names():
+        d = get_entry(name).diagram
+        for m in enumerate_matchings(build_tait(d), "all"):
+            j = jordan_resolution(d, m)
+            row = [name, m.edges, j.resolved, j.components, j.component_double_points, j.cycles]
+            digest.update(json.dumps(row).encode())
+    assert digest.hexdigest() == FROZEN_RESOLUTIONS
+
+
+@pytest.mark.parametrize("edges", [(0, 1), (0, 99), (0, 6)], ids=["crossing", "range", "region"])
+@pytest.mark.parametrize("kernel", ["jordan_resolution", "amended_poset_acyclic"])
+def test_kernels_reject_invalid_matchings_like_validate(kernel, edges):
+    # on 3_1: crossing 0 twice, an edge id past 11, region 1 twice (edges 0, 6)
+    t = build_tait(get_entry("3_1").diagram)
+    x = Matching(edges)
+    with pytest.raises(ValueError) as want:
+        monochromatic_loops(t, x)
+    arg = t.diagram if kernel == "jordan_resolution" else t
+    with pytest.raises(ValueError) as got:
+        getattr(states, kernel)(arg, x)
+    assert str(got.value) == str(want.value)
+
+
+def test_jordan_resolution_never_calls_the_strand_kernel(monkeypatch):
+    # clock_shift recounts delta_j with jordan_resolution to check the
+    # arc-level kernel of moves, so it must not lean on that kernel
+    def refuse(d, x):
+        raise AssertionError("jordan_resolution called moves._strand_roots")
+
+    monkeypatch.setattr(moves, "_strand_roots", refuse)
+    for name in corpus_names():
+        d = get_entry(name).diagram
+        if d.n_crossings <= 6:
+            for m in enumerate_matchings(build_tait(d), "all"):
+                assert jordan_resolution(d, m).count >= 1
+
+
+def test_selftest_catches_an_even_strand_count_fault(monkeypatch, capsys):
+    # Two strands too many whenever edge 0 is matched: every |delta_j| stays
+    # even, and only the recount by jordan_resolution sees the fault.
+    real = moves._strand_roots
+
+    def two_too_many(d, x):
+        find, count = real(d, x)
+        return find, count + 2 * (0 in x.edges)
+
+    monkeypatch.setattr(moves, "_strand_roots", two_too_many)
+    assert cli.main(["selftest", "--max-crossings", "4"]) == 4
+    assert json.loads(capsys.readouterr().out) == {
+        "check": "clock_shift",
+        "counterexample": {"diagram": "3_1", "matching": [0, 5, 8], "site": [3]},
+    }
