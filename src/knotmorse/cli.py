@@ -432,11 +432,11 @@ def _selftest_checks(cap: int):
             n = d.n_crossings
             for x in enumerate_matchings(t, "all"):
                 j = jordan_resolution(d, x)
-                if is_dmf(t, x) != (is_admissible(t, x) and j.count == 1):
+                admissible = is_admissible(t, x)
+                if is_dmf(t, x) != (admissible and j.count == 1):
                     return {"diagram": name, "matching": list(x.edges)}
-                if len(x.edges) == n:
-                    if is_admissible(t, x) != (j.count % 2 == 1):
-                        return {"diagram": name, "matching": list(x.edges)}
+                if len(x.edges) == n and admissible != (j.count % 2 == 1):
+                    return {"diagram": name, "matching": list(x.edges)}
         return None
 
     def check_clock(report):

@@ -7,20 +7,20 @@ generated by the top-dimensional facets.  The pure Morse facets are exactly
 the images of the tree-pair construction, one top simplex per (spanning
 tree, black root, white root) triple.
 
-Homology is computed over the integers by coreduction (Mrozek and Batko), a
-discrete Morse reduction of the augmented chain complex: cells joined by a
-unit incidence are removed in pairs, and only the boundaries between the
-critical cells that survive go through a dense Smith normal form, so torsion
-is exact.  Face enumeration respects the KNOTMORSE_MAX_FACES cap and raises
-ResourceLimit before allocating past it.
+Homology is computed over the integers by discrete Morse theory on the
+complex itself.  The faces are int masks; an iterated element matching
+(Jonsson) pairs all of them and the empty face but a few critical cells, and
+the boundary between those follows the gradient paths (Forman).  Cells of
+that small complex joined by a unit incidence are removed in pairs (Mrozek
+and Batko), and the boundaries between the cells that survive go through a
+dense Smith normal form, so torsion is exact.  The face closure respects the
+KNOTMORSE_MAX_FACES cap and raises ResourceLimit before allocating past it.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd
 from typing import Iterable
 
@@ -58,10 +58,10 @@ class SimplicialComplex:
     """Finite abstract simplicial complex given by its facets.
 
     Facets are canonical sorted vertex-id tuples, pairwise non-contained;
-    the full face lists per dimension are materialized lazily and cached.
+    the face closure is built from them lazily, as int masks, and cached.
     """
 
-    __slots__ = ("facets", "_faces")
+    __slots__ = ("facets", "_closure")
 
     def __init__(self, facets: Iterable[Iterable[int]]):
         canonical = sorted({tuple(sorted(f)) for f in facets}, key=lambda f: (len(f), f))
@@ -76,7 +76,7 @@ class SimplicialComplex:
             for f in canonical
             if (len(set.intersection(*(holding[v] for v in f))) == 1 if f else len(canonical) == 1)
         )
-        self._faces: tuple[tuple[tuple[int, ...], ...], ...] | None = None
+        self._closure: tuple[tuple[int, ...], list[set[int]]] | None = None
 
     @property
     def dimension(self) -> int:
@@ -93,31 +93,51 @@ class SimplicialComplex:
     def __repr__(self) -> str:
         return "SimplicialComplex(%d facets, dim %d)" % (len(self.facets), self.dimension)
 
-    def faces(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """All faces grouped by dimension, 0 through dimension, sorted."""
-        if self._faces is None:
+    def closure(self) -> tuple[tuple[int, ...], list[set[int]]]:
+        """The sorted vertices, and the faces as int masks by size.
+
+        Bit i stands for the i-th smallest vertex; level s holds the faces
+        with s vertices, level 0 the empty face.  Each level is built once,
+        from its facets and the level above, and the KNOTMORSE_MAX_FACES cap
+        is checked as each face is added.
+        """
+        if self._closure is None:
+            vertices = tuple(sorted({v for f in self.facets for v in f}))
+            bit = {v: 1 << i for i, v in enumerate(vertices)}
+            levels: list[set[int]] = [{0}] + [set() for _ in range(self.dimension + 1)]
             cap = _max_faces()
-            per_dim: list[set[tuple[int, ...]]] = [set() for _ in range(self.dimension + 1)]
-            total = 0
-            for facet in self.facets:
-                for size in range(1, len(facet) + 1):
-                    bucket = per_dim[size - 1]
-                    for face in combinations(facet, size):
-                        if face not in bucket:
+            over = ResourceLimit("complex exceeds the face cap of %d (set KNOTMORSE_MAX_FACES)"
+                                 % cap, stage="face closure", size=cap + 1)
+            total = len(self.facets) if self.dimension >= 0 else 0
+            if total > cap:
+                raise over
+            for f in self.facets:
+                levels[len(f)].add(sum(bit[v] for v in f))
+            for s in range(self.dimension + 1, 1, -1):
+                level = levels[s - 1]
+                for m in levels[s]:
+                    rest = m
+                    while rest:
+                        b = rest & -rest
+                        rest ^= b
+                        if m ^ b not in level:
                             total += 1
                             if total > cap:
-                                raise ResourceLimit(
-                                    "complex exceeds the face cap of %d (set KNOTMORSE_MAX_FACES)"
-                                    % cap,
-                                    stage="face closure",
-                                    size=total,
-                                )
-                            bucket.add(face)
-            self._faces = tuple(tuple(sorted(bucket)) for bucket in per_dim)
-        return self._faces
+                                raise over
+                            level.add(m ^ b)
+            self._closure = (vertices, levels)
+        return self._closure
+
+    def faces(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """All faces grouped by dimension, 0 through dimension, sorted."""
+        vertices, levels = self.closure()
+        return tuple(
+            tuple(sorted(tuple(v for i, v in enumerate(vertices) if m >> i & 1) for m in level))
+            for level in levels[1:]
+        )
 
     def face_counts(self) -> tuple[int, ...]:
-        return tuple(len(bucket) for bucket in self.faces())
+        return tuple(len(level) for level in self.closure()[1][1:])
 
     def n_faces(self) -> int:
         return sum(self.face_counts())
@@ -268,51 +288,27 @@ def _dense_smith(rows: list[list[int]]) -> list[int]:
     return invs
 
 
-def _reduce(bd: list, cbd: list) -> set[int]:
+def _reduce(bd: dict[int, dict[int, int]]) -> set[int]:
     """Remove cell pairs joined by a unit incidence; return the survivors.
 
-    bd[b] maps each face a of cell b to <d b, a>; cbd[a] has the cofaces of a
-    as keys (a dict is smaller than a set).  Both are updated in place.
-    Removing a pair with <d b, a> = u = +-1 and setting d c -= <d c, a> u d b
-    for the other cofaces c of a is a chain homotopy equivalence over the
-    integers.  A FIFO queue finds the pairs that need no fill first:
-    coreductions (b has no other face) and collapses (a has no other coface).
-    Then the unit pivot of least Markowitz cost is used.
+    bd[b] maps each face a of cell b to <d b, a>; it loses the removed cells
+    in place.  cbd[a] has the cofaces of a as keys (a dict is smaller than a
+    set).  Removing a pair with <d b, a> = u = +-1 and setting
+    d c -= <d c, a> u d b for the other cofaces c of a is a chain homotopy
+    equivalence over the integers.  The unit of least Markowitz cost goes
+    first, so pairs that need no fill go before the others.
     """
-    live = set(range(len(bd)))
-    queue = deque(live)
-
-    def remove(a: int, b: int) -> None:
-        for z in (a, b):
-            for y in bd[z]:
-                del cbd[y][z]
-                queue.append(y)
-            for w in cbd[z]:
-                del bd[w][z]
-                queue.append(w)
-            bd[z] = cbd[z] = None
-            live.discard(z)
-
+    cbd: dict[int, dict[int, None]] = {a: {} for a in bd}
+    for b, col in bd.items():
+        for a in col:
+            cbd[a][b] = None
     while True:
-        while queue:
-            x = queue.popleft()
-            if bd[x] is None:
-                continue
-            if len(bd[x]) == 1:
-                ((a, v),) = bd[x].items()
-                if v in (1, -1):
-                    remove(a, x)
-                    continue
-            if len(cbd[x]) == 1:
-                (b,) = cbd[x]
-                if bd[b][x] in (1, -1):
-                    remove(x, b)
         units = [
-            ((len(bd[b]) - 1) * (len(cbd[a]) - 1), a, b)
-            for b in live for a, v in bd[b].items() if v in (1, -1)
+            ((len(col) - 1) * (len(cbd[a]) - 1), a, b)
+            for b, col in bd.items() for a, v in col.items() if v in (1, -1)
         ]
         if not units:
-            return live
+            return set(bd)
         _, a, b = min(units)
         for c in [c for c in cbd[a] if c != b]:
             col = bd[c]
@@ -325,37 +321,102 @@ def _reduce(bd: list, cbd: list) -> set[int]:
                 else:
                     del col[x]
                     del cbd[x][c]
-            queue.append(c)
-        remove(a, b)
+        for z in (a, b):
+            for y in bd.pop(z):
+                del cbd[y][z]
+            for w in cbd.pop(z):
+                del bd[w][z]
+
+
+def _element_matching(n_vertices: int, levels: list[set[int]]) -> tuple[set[int], dict[int, int]]:
+    """Critical cells and pairs (lower -> upper) of the iterated element
+    matching: for each vertex v in turn, every unpaired cell without v goes
+    with the cell that adds v, when that one is unpaired too.  It is acyclic
+    by the element-matching lemma (Jonsson, Simplicial Complexes of Graphs).
+    """
+    free = set().union(*levels)
+    up: dict[int, int] = {}
+    for v in (1 << i for i in range(n_vertices)):
+        highs = [t for t in free if t & v and t ^ v in free]
+        up.update((t ^ v, t) for t in highs)
+        free.difference_update(highs, [t ^ v for t in highs])
+    return free, up
+
+
+def _signed_faces(t: int) -> list[tuple[int, int]]:
+    """(<d t, g>, g) for each face g of the cell t."""
+    out = []
+    sign, rest = 1, t
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        out.append((sign, t ^ b))
+        sign = -sign
+    return out
+
+
+def _morse_boundary(critical: set[int], up: dict[int, int]) -> dict[int, dict[int, int]]:
+    """Boundary of each critical cell in the Morse complex of the matching.
+
+    By gradient paths (Forman, Morse theory for cell complexes, 1998): a face
+    g flows to itself when it is critical, to 0 when it is the upper cell of
+    a pair, and to -<d t, g> sum <d t, h> flow(h) over the other faces h of t
+    when it is the lower cell of a pair (g, t).  Each flow is computed once,
+    depth first on an explicit stack; a cell reached again while its flow is
+    still open means that the gradient paths close a cycle.
+    """
+    flow: dict[int, dict[int, int]] = {}  # also the boundary of each critical cell
+    opened: dict[int, list[tuple[int, int]]] = {}
+    for c in critical:
+        stack = [c]
+        while stack:
+            x = stack[-1]
+            if x in flow:
+                stack.pop()
+                continue
+            terms = opened.pop(x, None)
+            if terms is None:
+                t = up.get(x, x)
+                faces = _signed_faces(t)
+                unit = 1 if t == x else -next(k for k, g in faces if g == x)
+                terms = [(unit * k, g) for k, g in faces if g != x and (g in up or g in critical)]
+                todo = [g for _, g in terms if g in up and g not in flow]
+                if todo:
+                    if not opened.keys().isdisjoint(todo):
+                        raise InvariantViolation(
+                            "gradient paths close a cycle through the cell with mask %#x" % x)
+                    opened[x] = terms
+                    stack.extend(todo)
+                    continue
+            acc: dict[int, int] = {}
+            for k, g in terms:
+                for h, w in [(g, 1)] if g in critical else flow[g].items():
+                    acc[h] = acc.get(h, 0) + k * w
+            flow[x] = {h: w for h, w in acc.items() if w}
+            stack.pop()
+    return {c: flow[c] for c in critical}
 
 
 def homology(c: SimplicialComplex, reduced: bool = True) -> HomologyResult:
-    """Exact integer homology by discrete Morse reduction of the chain complex.
+    """Exact integer homology through an element matching on the faces.
 
     The cells are the faces and the empty face, so the chain complex is
     augmented and its homology is reduced; unreduced homology adds one free
-    class in degree 0.  After _reduce, the boundaries between the surviving
-    cells go degree by degree through a dense Smith normal form.
+    class in degree 0.  Only the critical cells of the element matching and
+    their Morse boundary go on to _reduce, and the boundaries between the
+    cells that survive it go degree by degree through a dense Smith normal
+    form.
     """
-    faces = c.faces()
-    if not faces:
+    if c.dimension < 0:
         return HomologyResult(reduced=reduced, betti=(), torsion=(), face_counts=())
-    cells = [()] + [face for bucket in faces for face in bucket]
-    index = {face: i for i, face in enumerate(cells)}
-    bd = [
-        {index[face[:i] + face[i + 1 :]]: -1 if i & 1 else 1 for i in range(len(face))}
-        for face in cells
-    ]
-    del index
-    cbd: list = [{} for _ in cells]
-    for b, col in enumerate(bd):
-        for a in col:
-            cbd[a][b] = None
-    dim = len(faces) - 1
+    vertices, levels = c.closure()
+    critical, up = _element_matching(len(vertices), levels)
+    bd = _morse_boundary(critical, up)
+    dim = c.dimension
     # alive[s], invs[s]: surviving cells with s vertices, their boundary's factors
     alive: list[list[int]] = [[] for _ in range(dim + 2)]
-    for x in sorted(_reduce(bd, cbd)):
-        alive[len(cells[x])].append(x)
+    for x in sorted(_reduce(bd)):
+        alive[x.bit_count()].append(x)
     invs: list[list[int]] = [[] for _ in range(dim + 3)]
     for s in range(1, dim + 2):
         if any(bd[b] for b in alive[s]):
@@ -371,7 +432,7 @@ def homology(c: SimplicialComplex, reduced: bool = True) -> HomologyResult:
         reduced=reduced,
         betti=tuple(betti),
         torsion=tuple(tuple(invs[k + 2]) for k in range(dim + 1)),
-        face_counts=tuple(len(bucket) for bucket in faces),
+        face_counts=c.face_counts(),
     )
 
 

@@ -196,18 +196,11 @@ class Diagram:
     @cached_property
     def corner_face(self) -> tuple[int, ...]:
         """Face at corner k of crossing c, indexed by 4 * c + k."""
-        return tuple(
-            self.face_at_corner[(c, k)] for c in range(self.n_crossings) for k in range(4)
-        )
-
-    @cached_property
-    def face_at_corner(self) -> dict[tuple[int, int], int]:
-        """Corner (crossing, k) -> index of the face sweeping it."""
-        out: dict[tuple[int, int], int] = {}
+        out = [0] * (4 * self.n_crossings)
         for f in self.faces:
-            for corner in f.corners:
-                out[corner] = f.index
-        return out
+            for c, k in f.corners:
+                out[4 * c + k] = f.index
+        return tuple(out)
 
     @cached_property
     def face_colour(self) -> tuple[int, ...]:
@@ -364,8 +357,8 @@ def _one_colour_graph(d: Diagram, colour: int) -> PlaneGraph:
     for c in range(d.n_crossings):
         # Corners alternate colours around a crossing; this colour sits at
         # either {0, 2} or {1, 3}.
-        k0 = 0 if d.face_colour[d.face_at_corner[(c, 0)]] == colour else 1
-        edge_ends.append((d.face_at_corner[(c, k0)], d.face_at_corner[(c, k0 + 2)]))
+        corner = 4 * c if d.face_colour[d.corner_face[4 * c]] == colour else 4 * c + 1
+        edge_ends.append((d.corner_face[corner], d.corner_face[corner + 2]))
     rotations = []
     for v in vertices:
         face = d.faces[v]
@@ -482,33 +475,22 @@ class TaitGraph:
 
 def build_tait(d: Diagram) -> TaitGraph:
     """Overlay both colour graphs: one edge per corner, one square per arc."""
+    corner_face = d.corner_face
     squares = []
     for a in range(d.n_arcs):
         (c1, s1), (c2, s2) = d.arc_ends[a]
-        f_left = d.face_at_corner[(c1, (s1 + 3) % 4)]
-        f_right = d.face_at_corner[(c1, s1)]
+        edges = (4 * c1 + (s1 + 3) % 4, 4 * c1 + s1, 4 * c2 + (s2 + 3) % 4, 4 * c2 + s2)
+        f_left, f_right, g_right, g_left = (corner_face[e] for e in edges)
         # The other end sees the same two regions from the far side.
-        if f_left != d.face_at_corner[(c2, s2)] or f_right != d.face_at_corner[(c2, (s2 + 3) % 4)]:
+        if (f_left, f_right) != (g_left, g_right):
             raise InvariantViolation("the two ends of arc %d see different regions" % a)
-        squares.append(
-            Square(
-                arc=a,
-                crossings=(c1, c2),
-                regions=(f_left, f_right),
-                edges=(
-                    4 * c1 + (s1 + 3) % 4,
-                    4 * c1 + s1,
-                    4 * c2 + (s2 + 3) % 4,
-                    4 * c2 + s2,
-                ),
-            )
-        )
+        squares.append(Square(arc=a, crossings=(c1, c2), regions=(f_left, f_right), edges=edges))
     return TaitGraph(
         diagram=d,
         n_crossings=d.n_crossings,
         n_faces=d.n_faces,
         face_colour=d.face_colour,
-        edge_region=d.corner_face,
+        edge_region=corner_face,
         squares=tuple(squares),
     )
 
@@ -524,14 +506,10 @@ def is_reduced(d: Diagram) -> bool:
     checked equal.  (Both colour graphs 2-connected is a stronger condition:
     reduced and prime.)
     """
-    by_corners = True
-    for c in range(d.n_crossings):
-        if (
-            d.face_at_corner[(c, 0)] == d.face_at_corner[(c, 2)]
-            or d.face_at_corner[(c, 1)] == d.face_at_corner[(c, 3)]
-        ):
-            by_corners = False
-            break
+    f = d.corner_face
+    by_corners = all(
+        f[4 * c] != f[4 * c + 2] and f[4 * c + 1] != f[4 * c + 3] for c in range(d.n_crossings)
+    )
     by_graphs = not any(u == v for g in colour_graphs(d) for u, v in g.edge_ends)
     if by_corners != by_graphs:
         raise InvariantViolation(

@@ -435,8 +435,8 @@ def marked_arc_roots(t: TaitGraph, arc: int) -> tuple[int, int]:
     """The (black, white) regions flanking an arc, the roots its mark fixes."""
     d = t.diagram
     (c1, s1), _ = d.arc_ends[arc]
-    left = d.face_at_corner[(c1, (s1 - 1) % 4)]
-    right = d.face_at_corner[(c1, s1)]
+    left = d.corner_face[4 * c1 + (s1 - 1) % 4]
+    right = d.corner_face[4 * c1 + s1]
     if t.face_colour[left] == BLACK:
         return left, right
     return right, left

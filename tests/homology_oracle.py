@@ -1,11 +1,14 @@
 """A second homology engine and facet filter, kept as test oracles.
 
-These are the package's original implementations: each boundary matrix is
-eliminated on its own with unit pivots ordered by a Markowitz heap, the core
-without unit entries goes through the package's dense Smith normal form, and
-maximal facets are found by comparing every pair.  They share nothing with the
-engine under test except ``_dense_smith``, which sees no input on the corpus
-(every pivot there is a unit), and ``SimplicialComplex.faces``.
+These are the package's original implementations: each boundary matrix of
+the full face complex is eliminated on its own with unit pivots ordered by a
+Markowitz heap, the core without unit entries goes through the package's
+dense Smith normal form, and maximal facets are found by comparing every
+pair.  The engine under test instead reduces only the critical cells of an
+element matching.  The two share just ``_dense_smith``, which sees no input
+here on the corpus (every pivot there is a unit), and the face closure: the
+oracle reads it through ``SimplicialComplex.faces``, the sorted-tuple view of
+the int masks that ``SimplicialComplex.closure`` builds for the engine.
 """
 
 from __future__ import annotations

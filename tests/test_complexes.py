@@ -286,6 +286,90 @@ def test_facet_filter_agrees_with_the_pairwise_filter_on_the_corpus(name):
 
 
 # ---------------------------------------------------------------------------
+# The element matching behind homology
+# ---------------------------------------------------------------------------
+
+def gradient_cycle_free(critical, up):
+    """True when the pairs (lower -> upper) leave no closed gradient path.
+
+    A gradient path steps from a lower cell x to another face g of up[x];
+    Kahn's algorithm on those steps between lower cells finds any cycle.
+    """
+    steps = {x: [t ^ b for b in (1 << i for i in range(t.bit_length()))
+                 if t & b and t ^ b != x and t ^ b in up]
+             for x, t in up.items()}
+    indegree = dict.fromkeys(up, 0)
+    for targets in steps.values():
+        for g in targets:
+            indegree[g] += 1
+    ready = [x for x, n in indegree.items() if n == 0]
+    done = 0
+    while ready:
+        x = ready.pop()
+        done += 1
+        for g in steps[x]:
+            indegree[g] -= 1
+            if indegree[g] == 0:
+                ready.append(g)
+    return done == len(up)
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_element_matching_is_acyclic_and_meets_the_morse_inequalities(name):
+    for column, c in reference_complexes(get_entry(name).diagram).items():
+        vertices, levels = c.closure()
+        cells = set().union(*levels)
+        critical, up = complexes._element_matching(len(vertices), levels)
+        uppers = set(up.values())
+        # a matching on the Hasse diagram that covers every cell once
+        assert all(x & t == x and (t ^ x).bit_count() == 1 for x, t in up.items()), column
+        assert len(uppers) == len(up) and not uppers & set(up) and not critical & uppers, column
+        assert cells == critical | uppers | set(up), column
+        assert gradient_cycle_free(critical, up), column
+        betti = (0,) + homology(c).betti  # degrees -1 (the empty face) .. dim
+        morse = [0] * len(betti)
+        for m in critical:
+            morse[m.bit_count()] += 1
+        assert all(m >= b for m, b in zip(morse, betti)), (column, morse, betti)
+        alternating = 0
+        for m, b in zip(morse, betti):
+            alternating = m - b - alternating
+            assert alternating >= 0, (column, morse, betti)
+        assert alternating == 0, (column, morse, betti)
+
+
+def test_cycle_free_check_sees_a_closed_gradient_path():
+    # vertices 0..3 of a square, each paired with the edge to the next one
+    up = {0b0001: 0b0011, 0b0010: 0b0110, 0b0100: 0b1100, 0b1000: 0b1001}
+    assert not gradient_cycle_free(set(), up)
+    assert gradient_cycle_free(set(), {0b0001: 0b0011, 0b0010: 0b0110})
+
+
+@pytest.mark.parametrize(
+    "facets",
+    [
+        [(3, 4, 5)],
+        [(1000, 1001)],
+        [(1000, 1001), (3, 1001), (3, 7)],
+        [(-5, -2), (-2, 0), (0, -5), (0, 9)],
+        [],
+        [()],
+        [(4,)],
+        [(0,), (1,)],
+        [(-1,), (10**6,)],
+        [tuple((40, -3, 17, 5, 2, 900)[v] for v in f) for f in RP2],
+    ],
+    ids=["sparse", "far", "mixed", "negative", "empty", "empty-facet", "vertex",
+         "two-points", "two-far-points", "permuted-rp2"],
+)
+def test_homology_agrees_with_the_oracle_on_any_vertex_ids(facets):
+    c = SimplicialComplex(facets)
+    for reduced in (True, False):
+        assert homology(c, reduced) == oracle_homology(c, reduced)
+    assert c.face_counts() == tuple(len(bucket) for bucket in c.faces())
+
+
+# ---------------------------------------------------------------------------
 # Invariant checks raise, also under python -O
 # ---------------------------------------------------------------------------
 
@@ -300,6 +384,17 @@ def test_negative_betti_number_raises(monkeypatch):
     monkeypatch.setattr(complexes, "_dense_smith", lambda rows: [2, 2, 2])
     with pytest.raises(InvariantViolation):
         homology(SimplicialComplex(RP2))
+
+
+def test_cyclic_matching_raises(monkeypatch):
+    # a square 0-1-2-3 with a tail 0-4: the empty face goes with vertex 4,
+    # each corner with the edge to the next one round the square, which
+    # closes a gradient cycle under the critical tail edge 04
+    cyclic = ({0b10001}, {0: 0b10000, 0b0001: 0b0011, 0b0010: 0b0110,
+                         0b0100: 0b1100, 0b1000: 0b1001})
+    monkeypatch.setattr(complexes, "_element_matching", lambda n, levels: cyclic)
+    with pytest.raises(InvariantViolation, match="cycle"):
+        homology(SimplicialComplex([(0, 1), (1, 2), (2, 3), (0, 3), (0, 4)]))
 
 
 @pytest.mark.parametrize("fault", ["repeated", "oversized"])
@@ -320,6 +415,7 @@ def test_pure_morse_from_trees_raises_on_bad_tree_triples(monkeypatch, fault):
 INVARIANT_TESTS = (
     "test_complexes.py::test_unit_factor_in_the_dense_core_raises",
     "test_complexes.py::test_negative_betti_number_raises",
+    "test_complexes.py::test_cyclic_matching_raises",
     "test_complexes.py::test_pure_morse_from_trees_raises_on_bad_tree_triples",
     "test_counting.py::test_tree_count_disagreement_raises",
     "test_counting.py::test_closed_forms_disagreement_raises",
@@ -352,7 +448,7 @@ def test_invariant_checks_survive_python_O():
         capture_output=True, text=True, env=env, cwd=tests.parent,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "27 passed" in proc.stdout, proc.stdout
+    assert "28 passed" in proc.stdout, proc.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -114,8 +114,8 @@ def test_adjacent_faces_get_opposite_colours():
         d = diagram(text)
         for a in range(d.n_arcs):
             (c1, s1), (c2, s2) = d.arc_ends[a]
-            left = d.face_at_corner[(c1, (s1 - 1) % 4)]
-            right = d.face_at_corner[(c1, s1)]
+            left = d.corner_face[4 * c1 + (s1 - 1) % 4]
+            right = d.corner_face[4 * c1 + s1]
             assert d.face_colour[left] != d.face_colour[right]
 
 
@@ -124,8 +124,8 @@ def test_flanking_faces_agree_from_both_ends():
         d = diagram(text)
         for a in range(d.n_arcs):
             (c1, s1), (c2, s2) = d.arc_ends[a]
-            assert d.face_at_corner[(c1, (s1 - 1) % 4)] == d.face_at_corner[(c2, s2)]
-            assert d.face_at_corner[(c1, s1)] == d.face_at_corner[(c2, (s2 - 1) % 4)]
+            assert d.corner_face[4 * c1 + (s1 - 1) % 4] == d.corner_face[4 * c2 + s2]
+            assert d.corner_face[4 * c1 + s1] == d.corner_face[4 * c2 + (s2 - 1) % 4]
 
 
 @pytest.mark.parametrize(
