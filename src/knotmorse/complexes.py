@@ -20,9 +20,9 @@ KNOTMORSE_MAX_FACES cap and raises ResourceLimit before allocating past it.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable
 
 from .counting import spanning_trees
 from .diagram import Diagram, TaitGraph, build_tait, colour_graphs
@@ -54,6 +54,29 @@ def _max_faces() -> int:
     return value if value > 0 else DEFAULT_MAX_FACES
 
 
+class FaceLevel(Sequence):
+    """Faces with one number of vertices: int masks, seen as sorted tuples."""
+
+    def __init__(self, vertices: tuple[int, ...], masks: set[int]):
+        self.masks, self._vertices, self._tuples = masks, vertices, None
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __getitem__(self, i):
+        if self._tuples is None:
+            vs = self._vertices
+            self._tuples = tuple(sorted(tuple(v for j, v in enumerate(vs) if m >> j & 1)
+                                        for m in self.masks))
+        return self._tuples[i]
+
+    def __eq__(self, other: object) -> bool:
+        return tuple(self) == other
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 class SimplicialComplex:
     """Finite abstract simplicial complex given by its facets.
 
@@ -61,7 +84,7 @@ class SimplicialComplex:
     the face closure is built from them lazily, as int masks, and cached.
     """
 
-    __slots__ = ("facets", "_closure")
+    __slots__ = ("facets", "_faces")
 
     def __init__(self, facets: Iterable[Iterable[int]]):
         canonical = sorted({tuple(sorted(f)) for f in facets}, key=lambda f: (len(f), f))
@@ -76,13 +99,11 @@ class SimplicialComplex:
             for f in canonical
             if (len(set.intersection(*(holding[v] for v in f))) == 1 if f else len(canonical) == 1)
         )
-        self._closure: tuple[tuple[int, ...], list[set[int]]] | None = None
+        self._faces: tuple[FaceLevel, ...] | None = None
 
     @property
     def dimension(self) -> int:
-        if not self.facets:
-            return -1
-        return len(self.facets[-1]) - 1
+        return len(self.facets[-1]) - 1 if self.facets else -1
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SimplicialComplex) and self.facets == other.facets
@@ -93,18 +114,14 @@ class SimplicialComplex:
     def __repr__(self) -> str:
         return "SimplicialComplex(%d facets, dim %d)" % (len(self.facets), self.dimension)
 
-    def closure(self) -> tuple[tuple[int, ...], list[set[int]]]:
-        """The sorted vertices, and the faces as int masks by size.
-
-        Bit i stands for the i-th smallest vertex; level s holds the faces
-        with s vertices, level 0 the empty face.  Each level is built once,
-        from its facets and the level above, and the KNOTMORSE_MAX_FACES cap
-        is checked as each face is added.
-        """
-        if self._closure is None:
+    def faces(self) -> tuple[FaceLevel, ...]:
+        """All faces grouped by dimension, 0 through dimension: bit i of a mask
+        is the i-th smallest vertex; each level comes from its facets and the
+        level above, and the KNOTMORSE_MAX_FACES cap is checked face by face."""
+        if self._faces is None:
             vertices = tuple(sorted({v for f in self.facets for v in f}))
             bit = {v: 1 << i for i, v in enumerate(vertices)}
-            levels: list[set[int]] = [{0}] + [set() for _ in range(self.dimension + 1)]
+            levels: list[set[int]] = [set() for _ in range(self.dimension + 2)]
             cap = _max_faces()
             over = ResourceLimit("complex exceeds the face cap of %d (set KNOTMORSE_MAX_FACES)"
                                  % cap, stage="face closure", size=cap + 1)
@@ -125,19 +142,11 @@ class SimplicialComplex:
                             if total > cap:
                                 raise over
                             level.add(m ^ b)
-            self._closure = (vertices, levels)
-        return self._closure
-
-    def faces(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """All faces grouped by dimension, 0 through dimension, sorted."""
-        vertices, levels = self.closure()
-        return tuple(
-            tuple(sorted(tuple(v for i, v in enumerate(vertices) if m >> i & 1) for m in level))
-            for level in levels[1:]
-        )
+            self._faces = tuple(FaceLevel(vertices, level) for level in levels[1:])
+        return self._faces
 
     def face_counts(self) -> tuple[int, ...]:
-        return tuple(len(level) for level in self.closure()[1][1:])
+        return tuple(len(level) for level in self.faces())
 
     def n_faces(self) -> int:
         return sum(self.face_counts())
@@ -231,13 +240,10 @@ def _dense_smith(rows: list[list[int]]) -> list[int]:
     invs: list[int] = []
     t = 0
     while t < n_r and t < n_c:
-        pi = pj = -1
-        best = 0
-        for i in range(t, n_r):
-            for j in range(t, n_c):
-                v = abs(m[i][j])
-                if v and (best == 0 or v < best):
-                    best, pi, pj = v, i, j
+        best, pi, pj = min(
+            ((abs(m[i][j]), i, j) for i in range(t, n_r) for j in range(t, n_c) if m[i][j]),
+            default=(0, -1, -1),
+        )
         if best == 0:
             break
         m[t], m[pi] = m[pi], m[t]
@@ -265,14 +271,9 @@ def _dense_smith(rows: list[list[int]]) -> list[int]:
             if not dirty:
                 break
         pivot = abs(m[t][t])
-        stray = None
-        for i in range(t + 1, n_r):
-            for j in range(t + 1, n_c):
-                if m[i][j] % pivot:
-                    stray = i
-                    break
-            if stray is not None:
-                break
+        stray = next(
+            (i for i in range(t + 1, n_r) if any(m[i][j] % pivot for j in range(t + 1, n_c))), None
+        )
         if stray is not None:
             for j in range(t, n_c):
                 m[t][j] += m[stray][j]
@@ -409,8 +410,8 @@ def homology(c: SimplicialComplex, reduced: bool = True) -> HomologyResult:
     """
     if c.dimension < 0:
         return HomologyResult(reduced=reduced, betti=(), torsion=(), face_counts=())
-    vertices, levels = c.closure()
-    critical, up = _element_matching(len(vertices), levels)
+    levels = [{0}] + [level.masks for level in c.faces()]
+    critical, up = _element_matching(len(levels[1]), levels)
     bd = _morse_boundary(critical, up)
     dim = c.dimension
     # alive[s], invs[s]: surviving cells with s vertices, their boundary's factors

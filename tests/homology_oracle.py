@@ -6,9 +6,9 @@ Markowitz heap, the core without unit entries goes through the package's
 dense Smith normal form, and maximal facets are found by comparing every
 pair.  The engine under test instead reduces only the critical cells of an
 element matching.  The two share just ``_dense_smith``, which sees no input
-here on the corpus (every pivot there is a unit), and the face closure: the
-oracle reads it through ``SimplicialComplex.faces``, the sorted-tuple view of
-the int masks that ``SimplicialComplex.closure`` builds for the engine.
+here on the corpus (every pivot there is a unit), and the face closure
+``SimplicialComplex.faces``: the engine reads the int masks of its levels,
+the oracle their sorted-tuple view.
 """
 
 from __future__ import annotations
