@@ -14,21 +14,19 @@ a pair of rooted forests, one per colour, using disjoint crossing sets, so
 the total count is the product of the two colour polynomials in the quotient
 that kills e_black(i) * e_white(i), with every variable then set to 1.
 
-Everything is integer arithmetic: Bareiss elimination for determinants, exact
-interpolation for characteristic polynomials, dict-of-frozenset monomial maps
-for the symbolic route.  No floats anywhere.
+Everything is integer arithmetic: Bareiss elimination for determinants and
+dict-of-frozenset monomial maps for the symbolic route.  No floats anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .diagram import Diagram, PlaneGraph, UnionFind, colour_graphs
+from .diagram import Diagram, PlaneGraph, UnionFind, build_tait, colour_graphs
 from .errors import InvariantViolation
-from .states import enumerate_matchings
+from .states import _dmf_sizes
 
 __all__ = [
     "IntegerMatrix",
@@ -98,48 +96,6 @@ class IntegerMatrix:
                 m[i][k] = 0
             prev = m[k][k]
         return sign * m[n - 1][n - 1]
-
-    def char_poly(self) -> tuple[int, ...]:
-        """Coefficients of det(t*I - M), leading first, by exact interpolation.
-
-        The polynomial is monic of degree n; evaluating it at n+1 integer
-        points and solving with Fractions keeps everything exact (the result
-        is checked monic and integral).
-        """
-        n = self.n
-        if n == 0:
-            return (1,)
-        xs = list(range(n + 1))
-        ys = []
-        for t in xs:
-            shifted = IntegerMatrix(
-                rows=tuple(
-                    tuple((t if i == j else 0) - self.rows[i][j] for j in range(n))
-                    for i in range(n)
-                )
-            )
-            ys.append(shifted.det())
-        # Newton's divided differences, then expand to monomial coefficients.
-        divided = [Fraction(y) for y in ys]
-        for level in range(1, n + 1):
-            for i in range(n, level - 1, -1):
-                divided[i] = (divided[i] - divided[i - 1]) / (xs[i] - xs[i - level])
-        coeffs = [Fraction(0)] * (n + 1)  # ascending powers
-        basis = [Fraction(0)] * (n + 1)
-        basis[0] = Fraction(1)  # product of (t - x_0)...(t - x_{k-1}), degree k
-        for k in range(n + 1):
-            if k > 0:
-                root = xs[k - 1]
-                for p in range(k, 0, -1):
-                    basis[p] = basis[p - 1] - root * basis[p]
-                basis[0] = -root * basis[0]
-            for p in range(k + 1):
-                coeffs[p] += divided[k] * basis[p]
-        if any(f.denominator != 1 for f in coeffs) or coeffs[n] != 1:
-            raise InvariantViolation(
-                "characteristic polynomial must be monic and integral, got %s" % coeffs[::-1]
-            )
-        return tuple(int(f) for f in reversed(coeffs))
 
 
 def _nonloop_edges(g: PlaneGraph) -> list[int]:
@@ -374,13 +330,14 @@ def count_all_dmfs(d: Diagram, debug: bool = False) -> int:
 
 
 def count_via_enumeration(d: Diagram) -> tuple[int, int]:
-    """Brute-force (perfect dMfs, all dMfs) by streaming the matchings."""
-    from .diagram import build_tait
+    """Brute-force (perfect dMfs, all dMfs) in one search over the crossings.
 
-    t = build_tait(d)
-    n_perfect = sum(1 for _ in enumerate_matchings(t, "perfect_dmf"))
-    n_all = sum(1 for _ in enumerate_matchings(t, "dmf"))
-    return n_perfect, n_all
+    states._dmf_sizes counts the acyclic matchings by size without building
+    them, pruning only by the region-map loop walk; the perfect ones are
+    those of size n.
+    """
+    sizes = _dmf_sizes(build_tait(d))
+    return sizes[d.n_crossings], sum(sizes)
 
 
 # ---------------------------------------------------------------------------

@@ -461,9 +461,6 @@ class TaitGraph:
     def crossing_vertex(self, c: int) -> int:
         return self.n_faces + c
 
-    def edge_colour(self, e: int) -> int:
-        return self.face_colour[self.edge_region[e]]
-
     @cached_property
     def poset_arrows(self) -> tuple[tuple[int, int], ...]:
         """(tail, head) of edge e in the poset orientation, indexed by e."""

@@ -21,11 +21,13 @@ earlier walk finished, or meets its own path, which closes a loop.  The
 acyclic streams keep the same map incrementally: a loop-free matching has no
 cycle in it, so a loop in matching + e must pass through e's region r, and
 the search prunes e iff the walk from edge_region[e ^ 2] comes back to r (at
-once when the two coincide, the kink's loop of length one).  The test
-"matched crossings form a forest in each colour graph" would prune the same
-branches, but it is the forest theorem that count_all_dmfs rests on, so the
-enumeration deliberately does not use it: the brute-force count stays an
-independent check of the closed formula.
+once when the two coincide, the kink's loop of length one).  The
+brute-force count, _dmf_sizes, runs the same prune in a search that decides
+the crossings in id order and tallies the acyclic matchings by size without
+building them.  The test "matched crossings form a forest in each colour
+graph" would prune the same branches, but it is the forest theorem that
+count_all_dmfs rests on, so no search here uses it: the brute-force count
+stays an independent check of the closed formula.
 
 The Jordan resolution smooths every matched crossing (the two arc-ends beside
 the dotted corner are joined, and the opposite two), keeps unmatched crossings
@@ -318,6 +320,37 @@ def _subset_stream(t: TaitGraph, acyclic: bool) -> Iterator[Matching]:
             del arrow[r]
 
     yield from rec(0)
+
+
+def _dmf_sizes(t: TaitGraph) -> list[int]:
+    """sizes[k]: the number of acyclic matchings with k edges.
+
+    Crossings are decided in id order, each first left unmatched and then
+    matched through each free corner edge whose loop walk stays open, the
+    prune of the dmf stream; no matching is built.
+    """
+    n = t.n_crossings
+    region_of = t.edge_region
+    corners = [
+        [(region_of[e], region_of[e ^ 2]) for e in range(4 * c, 4 * c + 4)] for c in range(n)
+    ]
+    sizes = [0] * (n + 1)
+    arrow: dict[int, int] = {}  # matched region -> its next region
+
+    def rec(c: int, k: int) -> None:
+        if c == n:
+            sizes[k] += 1
+            return
+        rec(c + 1, k)
+        for r, r2 in corners[c]:
+            if r in arrow or _closes_loop(arrow, r, r2):
+                continue
+            arrow[r] = r2
+            rec(c + 1, k + 1)
+            del arrow[r]
+
+    rec(0, 0)
+    return sizes
 
 
 def _maximal_stream(

@@ -80,7 +80,7 @@ def oracle_click_tree(
     root = unmatched[0]
     adj: dict[int, list[tuple[int, int]]] = {v: [] for v in faces}
     for e in x.edges:
-        if t.edge_colour(e) == colour:
+        if t.face_colour[t.edge_region[e]] == colour:
             c = e // 4
             u, v = _colour_edge_ends(t, c, colour)
             adj[u].append((c, v))

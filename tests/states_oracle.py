@@ -131,7 +131,7 @@ def oracle_induced_forests(t: TaitGraph, x: Matching) -> ForestPair:
     out: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     for colour, faces in ((BLACK, t.black_faces), (WHITE, t.white_faces)):
         edges = tuple(
-            sorted(e // 4 for e in x.edges if t.edge_colour(e) == colour)
+            sorted(e // 4 for e in x.edges if t.face_colour[t.edge_region[e]] == colour)
         )
         uf = UnionFind(faces)
         for c in edges:

@@ -180,7 +180,7 @@ def test_criterion_07_strand_parity_and_pseudoforest_structure():
                 continue
             for g in colour_graphs(d):
                 induced = [g.edge_ends[e // 4] for e in x.edges
-                           if t.edge_colour(e) == g.colour]
+                           if t.face_colour[t.edge_region[e]] == g.colour]
                 shapes = _component_shapes(g.vertices, induced)
                 assert all(ne in (nv - 1, nv) for nv, ne in shapes), (name, x)
                 assert sum(1 for nv, ne in shapes if ne == nv - 1) == 1

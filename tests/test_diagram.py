@@ -236,10 +236,13 @@ def test_fig8_tait_counts():
 
 
 def test_tait_edge_endpoints():
-    t = build_tait(diagram(TREFOIL))
-    for e in range(t.n_edges):
-        r = t.edge_region[e]
-        assert t.face_colour[r] == t.edge_colour(e)
+    # corners k and k + 2 of a crossing share a colour, k and k + 1 do not
+    for text in (TREFOIL, FIG8, KINK):
+        t = build_tait(diagram(text))
+        colour = [t.face_colour[r] for r in t.edge_region]
+        for e in range(t.n_edges):
+            assert colour[e ^ 2] == colour[e]
+            assert colour[e ^ 1] == 1 - colour[e]
 
 
 def test_squares_alternate_regions_and_crossings():

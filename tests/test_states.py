@@ -6,6 +6,7 @@ and are pinned so regressions in the streaming enumerators show up loudly.
 
 import hashlib
 import json
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -187,7 +188,7 @@ def test_loops_alternate_matched_and_unmatched():
         for m in enumerate_matchings(t, "all"):
             for loop in monochromatic_loops(t, m):
                 assert len(loop) % 2 == 0
-                colours = {t.edge_colour(e) for e in loop}
+                colours = {t.face_colour[t.edge_region[e]] for e in loop}
                 assert len(colours) == 1
                 in_m = [e in m for e in loop]
                 assert in_m.count(True) == len(loop) // 2
@@ -519,6 +520,24 @@ def test_forest_pair_equals_the_oracle_both_ways(name, swapped):
         f = induced_forests(t, m)
         assert f == oracle_induced_forests(t, m)
         assert forests_to_matching(t, f) == oracle_forests_to_matching(t, f) == m
+
+
+def assert_dmf_sizes_equal_the_streams(d, t):
+    sizes = states._dmf_sizes(t)
+    by_size = Counter(len(x) for x in enumerate_matchings(t, "dmf"))
+    assert sizes == [by_size[k] for k in range(d.n_crossings + 1)]
+    assert sizes[-1] == sum(1 for _ in enumerate_matchings(t, "perfect_dmf"))
+
+
+@pytest.mark.parametrize("name, swapped", KERNEL_CASES)
+def test_dmf_size_count_equals_the_streams(name, swapped):
+    assert_dmf_sizes_equal_the_streams(*kernel_case(name, swapped))
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 9])
+def test_dmf_size_count_equals_the_streams_on_torus_codes(m):
+    d = build_diagram(parse_pd(torus_pd(m)))
+    assert_dmf_sizes_equal_the_streams(d, build_tait(d))
 
 
 # sha256 of [name, edges, resolved, components, component_double_points,
