@@ -2,7 +2,7 @@
 
 Parse PD codes, build colour graphs and the Tait overlay, enumerate partial
 Kauffman states and discrete Morse matchings, apply clock and click moves,
-count states by Kirchhoff-style determinants and forest polynomials, and take
+count states by Kirchhoff-style and matrix-forest determinants, and take
 exact integer homology of the matching and Morse complexes.
 """
 
@@ -49,14 +49,12 @@ from .corpus import (
     torus_pd,
 )
 from .counting import (
-    ForestPolynomial,
     IntegerMatrix,
     count_all_dmfs,
     count_perfect_dmfs,
     count_spanning_trees,
     count_via_enumeration,
     fibonacci_family_count,
-    forest_polynomial,
     laplacian,
     spanning_trees,
 )

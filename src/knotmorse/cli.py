@@ -141,7 +141,7 @@ def _oracle_counts(d: Diagram, perfect_only: bool = False) -> dict:
     """Perfect and all dMf counts, by formula and by enumeration.
 
     With perfect_only the block holds just the perfect counts, and neither
-    the all-dMf enumeration nor the forest polynomials run.
+    the all-dMf enumeration nor the all-dMf formula runs.
     """
     if perfect_only:
         n_perfect = sum(1 for _ in enumerate_matchings(build_tait(d), "perfect_dmf"))

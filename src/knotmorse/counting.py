@@ -1,4 +1,4 @@
-"""Exact counting of discrete Morse matchings by determinants and forests.
+"""Exact counting of discrete Morse matchings by determinants.
 
 Perfect acyclic matchings are counted by Kirchhoff's theorem: the black and
 white colour graphs have the same spanning-tree count, and rooting one tree
@@ -6,23 +6,36 @@ per colour gives
 
     #perfect dMfs = #trees(G_b) * |V(G_b)| * |V(G_w)|.
 
-All acyclic matchings (partial included) are counted through forest
-polynomials.  For a graph with formal edge variables, the sum over spanning
-forests F of rho(F) * prod(e in F), where rho(F) multiplies the component
-sizes, equals det(I + L_symb) by the weighted matrix-forest theorem; a dMf is
-a pair of rooted forests, one per colour, using disjoint crossing sets, so
-the total count is the product of the two colour polynomials in the quotient
-that kills e_black(i) * e_white(i), with every variable then set to 1.
+All acyclic matchings (partial included) are counted by the matrix-forest
+theorem (Chebotarev & Shamis, 1997): det(I + L(H)) is the number of rooted
+spanning forests of a graph H, where a forest with components of sizes
+s_1, ..., s_k roots in rho = s_1 * ... * s_k ways.  Edge i of either colour
+graph is crossing i, and a dMf is a rooted forest in each colour graph, the
+two on disjoint crossing sets.  Fixing the black forest F leaves the white
+forest free on the other crossings, so
 
-Everything is integer arithmetic: Bareiss elimination for determinants and
-dict-of-frozenset monomial maps for the symbolic route.  No floats anywhere.
+    #dMfs = sum over forests F of G_b of rho(F) * det(I + L(G_w - F)),
+
+where G_w - F keeps every white vertex and drops the edges of F's crossings.
+One colour's forests suffice because the determinant counts all the other
+colour's rooted forests at once; only one side is enumerated, over the 2^n
+crossing subsets.  The roles of the colours can be exchanged, and
+count_all_dmfs enumerates the colour graph with fewer vertices (black on a
+tie): its forests have fewer edges, so there are fewer of them, and T(2, m),
+a cycle against two vertices, then costs m + 1 determinants instead of
+2^m - 1.
+
+Everything is integer arithmetic: Bareiss elimination for determinants.  No
+floats anywhere.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, Sequence
+from math import prod
+from typing import Iterable
 
 from .diagram import Diagram, PlaneGraph, UnionFind, build_tait, colour_graphs
 from .errors import InvariantViolation
@@ -30,12 +43,10 @@ from .states import _dmf_sizes
 
 __all__ = [
     "IntegerMatrix",
-    "ForestPolynomial",
     "laplacian",
     "count_spanning_trees",
     "spanning_trees",
     "count_perfect_dmfs",
-    "forest_polynomial",
     "count_all_dmfs",
     "count_via_enumeration",
     "fibonacci_family_count",
@@ -102,13 +113,18 @@ def _nonloop_edges(g: PlaneGraph) -> list[int]:
     return [e for e, (u, v) in enumerate(g.edge_ends) if u != v]
 
 
-def laplacian(g: PlaneGraph) -> IntegerMatrix:
-    """L = D - A over the graph's vertex order; loop edges contribute nothing."""
+def laplacian(g: PlaneGraph, edges: Iterable[int] | None = None) -> IntegerMatrix:
+    """L = D - A over the graph's vertex order, from the given edge ids (all
+    of them by default); loop edges contribute nothing."""
     idx = g.vertex_index
     n = len(g.vertices)
     m = [[0] * n for _ in range(n)]
-    for e in _nonloop_edges(g):
-        u, v = (idx[w] for w in g.edge_ends[e])
+    ends = g.edge_ends
+    for e in range(len(ends)) if edges is None else edges:
+        a, b = ends[e]
+        if a == b:
+            continue
+        u, v = idx[a], idx[b]
         m[u][u] += 1
         m[v][v] += 1
         m[u][v] -= 1
@@ -150,183 +166,35 @@ def count_perfect_dmfs(d: Diagram) -> int:
     return tb * len(gb.vertices) * len(gw.vertices)
 
 
-# ---------------------------------------------------------------------------
-# Forest polynomials
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ForestPolynomial:
-    """Squarefree monomials (frozensets of edge variables) -> coefficients."""
-
-    coeffs: Mapping[frozenset, int]
-
-    def coefficient(self, monomial: Iterable) -> int:
-        return self.coeffs.get(frozenset(monomial), 0)
-
-    @property
-    def constant(self) -> int:
-        return self.coeffs.get(frozenset(), 0)
-
-    def evaluate_ones(self) -> int:
-        return sum(self.coeffs.values())
-
-    def variables(self) -> frozenset:
-        out: set = set()
-        for mono in self.coeffs:
-            out |= mono
-        return frozenset(out)
-
-    def multiply(
-        self,
-        other: "ForestPolynomial",
-        annihilates: Callable[[frozenset], bool] | None = None,
-    ) -> "ForestPolynomial":
-        """Product with squarefree reduction; annihilated monomials drop to 0."""
-        out: dict[frozenset, int] = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                if m1 & m2:
-                    continue  # a repeated variable is not squarefree
-                m = m1 | m2
-                if annihilates is not None and annihilates(m):
-                    continue
-                out[m] = out.get(m, 0) + c1 * c2
-        return ForestPolynomial(coeffs={m: c for m, c in out.items() if c != 0})
+def _rooted_forests(g: PlaneGraph, edges: Iterable[int]) -> int:
+    """Rooted spanning forests of g on the given edges: det(I + L)."""
+    rows = laplacian(g, edges).rows
+    return IntegerMatrix(
+        rows=tuple(tuple(v + (i == j) for j, v in enumerate(row)) for i, row in enumerate(rows))
+    ).det()
 
 
-def _resolve_variables(g: PlaneGraph, variables) -> list:
-    n = len(g.edge_ends)
-    if variables is None:
-        return list(range(n))
-    vs = list(variables)
-    if len(vs) != n:
-        raise ValueError("need one variable per edge, got %d for %d" % (len(vs), n))
-    return vs
+def _forest_sum(g: PlaneGraph, other: PlaneGraph) -> int:
+    """Sum of rho(F) * det(I + L(other - F)) over the forests F of g."""
+    crossings = range(g.n_edges)
+    total = 0
+    for mask in range(1 << g.n_edges):
+        uf = UnionFind(g.vertices)
+        # union is False on a loop edge or a cycle: then F is no forest
+        if not all(uf.union(*g.edge_ends[e]) for e in crossings if mask >> e & 1):
+            continue
+        rho = prod(Counter(map(uf.find, g.vertices)).values())
+        total += rho * _rooted_forests(other, [e for e in crossings if not mask >> e & 1])
+    return total
 
 
-def forest_polynomial(g: PlaneGraph, variables=None, debug: bool = False) -> ForestPolynomial:
-    """Sum over spanning forests of rho(F) * prod of edge variables.
-
-    rho(F) is the product of component sizes over all vertices, isolated ones
-    included, which counts the ways of rooting F.  Loop edges can never lie
-    in a forest and are skipped.  With debug=True the result is recomputed as
-    det(I + L_symb) and the two must agree.
-    """
-    varlist = _resolve_variables(g, variables)
-    idx = g.vertex_index
-    n = len(g.vertices)
-    edges = _nonloop_edges(g)
-
-    parent = list(range(n))
-    size = [1] * n
-
-    def find(i: int) -> int:
-        # No path compression: unions are undone on backtrack.
-        while parent[i] != i:
-            i = parent[i]
-        return i
-
-    coeffs: dict[frozenset, int] = {}
-    chosen: list[int] = []
-
-    def rho() -> int:
-        out = 1
-        for v in range(n):
-            if find(v) == v:
-                out *= size[v]
-        return out
-
-    def rec(start: int) -> None:
-        mono = frozenset(varlist[e] for e in chosen)
-        coeffs[mono] = coeffs.get(mono, 0) + rho()
-        for pos in range(start, len(edges)):
-            e = edges[pos]
-            u, v = (idx[w] for w in g.edge_ends[e])
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                continue  # closes a cycle
-            parent[rv] = ru
-            size[ru] += size[rv]
-            chosen.append(e)
-            rec(pos + 1)
-            chosen.pop()
-            size[ru] -= size[rv]
-            parent[rv] = rv
-
-    rec(0)
-    result = ForestPolynomial(coeffs=coeffs)
-    if debug:
-        other = _forest_polynomial_by_determinant(g, varlist)
-        if dict(result.coeffs) != dict(other.coeffs):
-            raise InvariantViolation("forest enumeration and symbolic determinant disagree")
-    return result
-
-
-def _forest_polynomial_by_determinant(g: PlaneGraph, varlist: Sequence) -> ForestPolynomial:
-    """det(I + L_symb) expanded over the monomial ring, memoized by column set.
-
-    Any monomial with a repeated variable is dropped as soon as it appears;
-    the final determinant is squarefree, and dropped monomials cancel in
-    matching pairs, so discarding them early is sound.
-    """
-    idx = g.vertex_index
-    n = len(g.vertices)
-    entries: list[list[dict[frozenset, int]]] = [
-        [dict() for _ in range(n)] for _ in range(n)
-    ]
-    for i in range(n):
-        entries[i][i][frozenset()] = 1
-    for e in _nonloop_edges(g):
-        u, v = (idx[w] for w in g.edge_ends[e])
-        var = frozenset([varlist[e]])
-        for i in (u, v):
-            entries[i][i][var] = entries[i][i].get(var, 0) + 1
-        entries[u][v][var] = entries[u][v].get(var, 0) - 1
-        entries[v][u][var] = entries[v][u].get(var, 0) - 1
-
-    from functools import lru_cache
-
-    @lru_cache(maxsize=None)
-    def minor(cols: frozenset) -> tuple:
-        if not cols:
-            return ((frozenset(), 1),)
-        r = n - len(cols)
-        out: dict[frozenset, int] = {}
-        sign = 1
-        for j in sorted(cols):
-            entry = entries[r][j]
-            if entry:
-                for sm, sc in minor(cols - {j}):
-                    for em, ec in entry.items():
-                        if em & sm:
-                            continue
-                        m = em | sm
-                        out[m] = out.get(m, 0) + sign * ec * sc
-            sign = -sign
-        return tuple(sorted(
-            ((m, c) for m, c in out.items() if c != 0),
-            key=lambda kv: (len(kv[0]), sorted(map(str, kv[0]))),
-        ))
-
-    return ForestPolynomial(coeffs=dict(minor(frozenset(range(n)))))
-
-
-def count_all_dmfs(d: Diagram, debug: bool = False) -> int:
+def count_all_dmfs(d: Diagram) -> int:
     """Count every acyclic matching, the empty one included.
 
-    An acyclic matching is a pair of rooted forests on the colour graphs with
-    disjoint crossing sets, so the count is the product of the two forest
-    polynomials in the quotient killing black(i)*white(i), all variables 1.
+    The forest sum of the module docstring, over the forests of the colour
+    graph with fewer vertices.
     """
-    gb, gw = colour_graphs(d)
-    pb = forest_polynomial(gb, [("b", e) for e in range(d.n_crossings)], debug=debug)
-    pw = forest_polynomial(gw, [("w", e) for e in range(d.n_crossings)], debug=debug)
-
-    def shares_a_crossing(mono: frozenset) -> bool:
-        crossings = [i for _, i in mono]
-        return len(crossings) != len(set(crossings))
-
-    return pb.multiply(pw, annihilates=shares_a_crossing).evaluate_ones()
+    return _forest_sum(*sorted(colour_graphs(d), key=lambda g: g.n_vertices))
 
 
 def count_via_enumeration(d: Diagram) -> tuple[int, int]:

@@ -25,9 +25,9 @@ once when the two coincide, the kink's loop of length one).  The
 brute-force count, _dmf_sizes, runs the same prune in a search that decides
 the crossings in id order and tallies the acyclic matchings by size without
 building them.  The test "matched crossings form a forest in each colour
-graph" would prune the same branches, but it is the forest theorem that
-count_all_dmfs rests on, so no search here uses it: the brute-force count
-stays an independent check of the closed formula.
+graph" would prune the same branches, but count_all_dmfs rests on it (its
+sum runs over the rooted forests of the colour graphs), so no search here
+uses it: the brute-force count stays an independent check of the formula.
 
 The Jordan resolution smooths every matched crossing (the two arc-ends beside
 the dotted corner are joined, and the opposite two), keeps unmatched crossings
@@ -250,14 +250,9 @@ def amended_poset_acyclic(t: TaitGraph, x: Matching) -> bool:
     return len(queue) == n_nodes
 
 
-def is_dmf(t: TaitGraph, x: Matching, debug: bool = False) -> bool:
+def is_dmf(t: TaitGraph, x: Matching) -> bool:
     """True iff x supports no monochromatic loop (the dMf condition)."""
-    ok = len(monochromatic_loops(t, x)) == 0
-    if debug and ok != amended_poset_acyclic(t, x):
-        raise InvariantViolation(
-            "loop criterion and poset-graph criterion disagree on %s" % (x.edges,)
-        )
-    return ok
+    return not monochromatic_loops(t, x)
 
 
 # ---------------------------------------------------------------------------

@@ -497,6 +497,12 @@ def test_selftest_violation_exits_4_with_counterexample(capsys, monkeypatch):
     assert code == 4
     assert payload["check"] == "counting"
     assert "diagram" in payload["counterexample"]
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "amended_poset_acyclic", lambda t, x: False)
+    code, payload = run(capsys, "selftest", "--max-crossings", "3")
+    assert code == 4
+    assert payload["check"] == "loop_criterion"
+    assert payload["counterexample"] == {"diagram": "3_1", "matching": []}
 
 
 # ---------------------------------------------------------------------------

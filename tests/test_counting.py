@@ -1,20 +1,25 @@
-"""Determinant counts, forest polynomials, and the closed Fibonacci form."""
+"""Determinant counts, the forest-polynomial oracle, and the closed Fibonacci form."""
 
 from fractions import Fraction
 
 import pytest
 
-from knotmorse import build_diagram, colour_graphs, counting, parse_pd
-from knotmorse.corpus import get_entry, torus_pd
-from knotmorse.counting import (
+import forest_polynomial_oracle
+from forest_polynomial_oracle import (
     ForestPolynomial,
+    count_all_dmfs_by_polynomials,
+    forest_polynomial,
+)
+from knotmorse import build_diagram, colour_graphs, parse_pd
+from knotmorse import counting
+from knotmorse.corpus import corpus_names, get_entry, rational_pd, torus_pd
+from knotmorse.counting import (
     IntegerMatrix,
     count_all_dmfs,
     count_perfect_dmfs,
     count_spanning_trees,
     count_via_enumeration,
     fibonacci_family_count,
-    forest_polynomial,
     laplacian,
 )
 from knotmorse.errors import InvariantViolation
@@ -99,6 +104,16 @@ def test_laplacian_ignores_loops():
     assert laplacian(gw).rows == ((1, -1), (-1, 1))
 
 
+def test_laplacian_of_an_edge_subset():
+    gb, gw = colour_graphs(diagram("3_1"))
+    assert laplacian(gb, iter([0])).rows == ((1, -1, 0), (-1, 1, 0), (0, 0, 0))
+    assert laplacian(gb, []).rows == ((0, 0, 0),) * 3
+    assert laplacian(gw, [1, 2]).rows == ((2, -2), (-2, 2))
+    assert laplacian(gb, range(gb.n_edges)) == laplacian(gb)
+    _, gw = colour_graphs(diagram("kink"))
+    assert laplacian(gw, [0]).rows == ((1, -1), (-1, 1))
+
+
 def test_laplacian_shape_invariants():
     for name in ("3_1", "4_1", "6_2", "7_4"):
         for g in colour_graphs(diagram(name)):
@@ -153,7 +168,7 @@ def test_perfect_count_matches_enumeration():
         assert count_all_dmfs(d) == n_all
 
 
-# -- forest polynomials ----------------------------------------------------
+# -- the forest-polynomial oracle ------------------------------------------
 
 def test_single_edge_polynomial():
     _, gw = colour_graphs(diagram("kink"))
@@ -231,7 +246,37 @@ ALL_DMFS = {"3_1": 64, "4_1": 260, "kink": 3, "5_1": 671, "7_1": 6119}
 
 @pytest.mark.parametrize("name,expected", sorted(ALL_DMFS.items()))
 def test_all_dmf_counts_frozen(name, expected):
-    assert count_all_dmfs(diagram(name), debug=True) == expected
+    assert count_all_dmfs(diagram(name)) == expected
+    assert count_all_dmfs_by_polynomials(diagram(name), debug=True) == expected
+
+
+# The sum enumerates the forests of one colour graph and takes determinants
+# of the other; count_all_dmfs picks the graph with fewer vertices, so the
+# black sum is checked on its own, and the swap puts each colour first.
+@pytest.mark.parametrize(
+    "name, swap",
+    [pytest.param(name, swap, id=name + "-swapped" * swap)
+     for name in corpus_names() for swap in (False, True)],
+)
+def test_all_dmf_formula_equals_the_polynomial_oracle(name, swap):
+    d = build_diagram(diagram(name).pd, swap_colours=swap)
+    want = count_all_dmfs_by_polynomials(d)
+    assert count_all_dmfs(d) == want
+    assert counting._forest_sum(*colour_graphs(d)) == want
+
+
+# R(2^6) and R(2^7), twelve and fourteen crossings, counted once by
+# count_via_enumeration; too slow for the polynomial oracle.
+FRONTIER = [
+    pytest.param((2,) * 6, (8281, 7001579), id="R(2^6)"),
+    pytest.param((2,) * 7, (26112, 84114105), id="R(2^7)"),
+]
+
+
+@pytest.mark.parametrize("twists, expected", FRONTIER)
+def test_frontier_counts_frozen(twists, expected):
+    d = build_diagram(parse_pd(rational_pd(twists)))
+    assert (count_perfect_dmfs(d), count_all_dmfs(d)) == expected
 
 
 def test_all_at_least_perfect():
@@ -249,9 +294,13 @@ def test_fibonacci_values():
 
 
 def test_fibonacci_matches_generated_diagrams():
-    for n in (1, 2, 3):
-        d = build_diagram(parse_pd(torus_pd(2 * n + 1)))
-        assert count_all_dmfs(d) == fibonacci_family_count(n)
+    # T(2, 3) to T(2, 15) in both colourings; the black sum enumerates the
+    # cycle's forests in one and the two-vertex graph's in the other
+    for n in range(1, 8):
+        for swap in (False, True):
+            d = build_diagram(parse_pd(torus_pd(2 * n + 1)), swap_colours=swap)
+            assert count_all_dmfs(d) == fibonacci_family_count(n)
+            assert counting._forest_sum(*colour_graphs(d)) == fibonacci_family_count(n)
 
 
 def test_tree_count_disagreement_raises(monkeypatch):
@@ -270,7 +319,7 @@ def test_closed_forms_disagreement_raises(monkeypatch):
 
 def test_forest_determinant_disagreement_raises(monkeypatch):
     monkeypatch.setattr(
-        counting, "_forest_polynomial_by_determinant",
+        forest_polynomial_oracle, "_forest_polynomial_by_determinant",
         lambda g, varlist: ForestPolynomial(coeffs={frozenset(): 1}),
     )
     black, _ = colour_graphs(diagram("3_1"))
