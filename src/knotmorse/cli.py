@@ -387,13 +387,13 @@ def cmd_table1(args) -> int:
 
 
 def _selftest_checks(cap: int):
-    smalls = [n for n in corpus_names() if get_entry(n).diagram.n_crossings <= cap]
+    diagrams = ((n, get_entry(n).diagram) for n in corpus_names())
+    smalls = [(n, d, build_tait(d)) for n, d in diagrams if d.n_crossings <= cap]
     if not smalls:
         raise SystemExit2("--max-crossings %d selects no corpus entry" % cap)
 
     def check_counting(report):
-        for name in smalls:
-            d = get_entry(name).diagram
+        for name, d, _ in smalls:
             perfect_enum, all_enum = count_via_enumeration(d)
             if count_perfect_dmfs(d) != perfect_enum:
                 return {"diagram": name, "field": "perfect"}
@@ -404,9 +404,7 @@ def _selftest_checks(cap: int):
 
     def check_loop_criterion(report):
         seen = 0
-        for name in smalls:
-            d = get_entry(name).diagram
-            t = build_tait(d)
+        for name, _, t in smalls:
             for x in enumerate_matchings(t, "all"):
                 seen += 1
                 if is_dmf(t, x) != amended_poset_acyclic(t, x):
@@ -416,8 +414,7 @@ def _selftest_checks(cap: int):
 
     def check_forest_roundtrip(report):
         seen = 0
-        for name in smalls:
-            t = build_tait(get_entry(name).diagram)
+        for name, _, t in smalls:
             for x in enumerate_matchings(t, "dmf"):
                 seen += 1
                 if forests_to_matching(t, induced_forests(t, x)) != x:
@@ -426,9 +423,7 @@ def _selftest_checks(cap: int):
         return None
 
     def check_jordan(report):
-        for name in smalls:
-            d = get_entry(name).diagram
-            t = build_tait(d)
+        for name, d, t in smalls:
             n = d.n_crossings
             for x in enumerate_matchings(t, "all"):
                 j = jordan_resolution(d, x)
@@ -441,9 +436,7 @@ def _selftest_checks(cap: int):
 
     def check_clock(report):
         seen = 0
-        for name in smalls:
-            d = get_entry(name).diagram
-            t = build_tait(d)
+        for name, d, t in smalls:
             for x in enumerate_matchings(t, "perfect_admissible"):
                 before = jordan_resolution(d, x).count
                 dmf = is_dmf(t, x)
@@ -460,9 +453,7 @@ def _selftest_checks(cap: int):
         return None
 
     def check_kpw(report):
-        for name in smalls:
-            d = get_entry(name).diagram
-            t = build_tait(d)
+        for name, d, t in smalls:
             black = colour_graphs(d)[0]
             image = set()
             for tree in spanning_trees(black):
@@ -476,8 +467,7 @@ def _selftest_checks(cap: int):
 
     def check_click_pairs(report):
         seen = 0
-        for name in smalls:
-            t = build_tait(get_entry(name).diagram)
+        for name, _, t in smalls:
             groups = {}
             for x in enumerate_matchings(t, "perfect_dmf"):
                 f = induced_forests(t, x)
@@ -495,9 +485,7 @@ def _selftest_checks(cap: int):
         return None
 
     def check_pure_facets(report):
-        for name in smalls:
-            d = get_entry(name).diagram
-            t = build_tait(d)
+        for name, d, t in smalls:
             if set(pure_morse_from_trees(d).facets) != set(
                 pure_part(morse_complex(t)).facets
             ):
@@ -505,9 +493,7 @@ def _selftest_checks(cap: int):
         return None
 
     def check_homology(report):
-        for name in smalls:
-            d = get_entry(name).diagram
-            t = build_tait(d)
+        for name, d, t in smalls:
             bound = connectivity_report(d)["bound"]
             if name == "4_1" and bound != 1:
                 return {"diagram": name, "reason": "figure-eight bound"}

@@ -10,10 +10,9 @@ tree, black root, white root) triple.
 Homology is computed over the integers by discrete Morse theory on the
 complex itself.  The faces are int masks; an iterated element matching
 (Jonsson) pairs all of them and the empty face but a few critical cells, and
-the boundary between those follows the gradient paths (Forman).  Cells of
-that small complex joined by a unit incidence are removed in pairs (Mrozek
-and Batko), and the boundaries between the cells that survive go through a
-dense Smith normal form, so torsion is exact.  The face closure respects the
+the boundary between those follows the gradient paths (Forman).  The
+boundaries between critical cells of adjacent sizes go through a dense Smith
+normal form, so torsion is exact.  The face closure respects the
 KNOTMORSE_MAX_FACES cap and raises ResourceLimit before allocating past it.
 """
 
@@ -22,7 +21,6 @@ from __future__ import annotations
 import os
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from math import gcd
 
 from .counting import spanning_trees
 from .diagram import Diagram, TaitGraph, build_tait, colour_graphs
@@ -233,7 +231,13 @@ class HomologyResult:
 
 
 def _dense_smith(rows: list[list[int]]) -> list[int]:
-    """Invariant factors (positive, divisibility-chained) of a dense matrix."""
+    """Nonzero invariant factors (positive, divisibility-chained) of a dense
+    matrix; there are as many as its rank.
+
+    Each pivot is the least entry left; row and column remainders replace it
+    until its row and column are clear, and a row with an entry it does not
+    divide is added to its row, so every pivot divides all that follows.
+    """
     m = [row[:] for row in rows]
     n_r = len(m)
     n_c = len(m[0]) if m else 0
@@ -265,13 +269,14 @@ def _dense_smith(rows: list[list[int]]) -> list[int]:
                     for i in range(t, n_r):
                         m[i][j] -= q * m[i][t]
                     if m[t][j]:
-                        for i in range(t, n_r):
-                            m[i][t] += m[i][j]
+                        for row in m[t:]:
+                            row[t], row[j] = row[j], row[t]
                         dirty = True
             if not dirty:
                 break
         pivot = abs(m[t][t])
-        stray = next(
+        # 1 divides every entry; any other pivot must divide all that is left
+        stray = None if pivot == 1 else next(
             (i for i in range(t + 1, n_r) if any(m[i][j] % pivot for j in range(t + 1, n_c))), None
         )
         if stray is not None:
@@ -280,53 +285,7 @@ def _dense_smith(rows: list[list[int]]) -> list[int]:
             continue
         invs.append(pivot)
         t += 1
-    for i in range(len(invs)):
-        for j in range(i + 1, len(invs)):
-            a, b = invs[i], invs[j]
-            if b % a:
-                g = gcd(a, b)
-                invs[i], invs[j] = g, a * b // g
     return invs
-
-
-def _reduce(bd: dict[int, dict[int, int]]) -> set[int]:
-    """Remove cell pairs joined by a unit incidence; return the survivors.
-
-    bd[b] maps each face a of cell b to <d b, a>; it loses the removed cells
-    in place.  cbd[a] has the cofaces of a as keys (a dict is smaller than a
-    set).  Removing a pair with <d b, a> = u = +-1 and setting
-    d c -= <d c, a> u d b for the other cofaces c of a is a chain homotopy
-    equivalence over the integers.  The unit of least Markowitz cost goes
-    first, so pairs that need no fill go before the others.
-    """
-    cbd: dict[int, dict[int, None]] = {a: {} for a in bd}
-    for b, col in bd.items():
-        for a in col:
-            cbd[a][b] = None
-    while True:
-        units = [
-            ((len(col) - 1) * (len(cbd[a]) - 1), a, b)
-            for b, col in bd.items() for a, v in col.items() if v in (1, -1)
-        ]
-        if not units:
-            return set(bd)
-        _, a, b = min(units)
-        for c in [c for c in cbd[a] if c != b]:
-            col = bd[c]
-            f = col[a] * bd[b][a]
-            for x, v in bd[b].items():
-                new = col.get(x, 0) - f * v
-                if new:
-                    col[x] = new
-                    cbd[x][c] = None
-                else:
-                    del col[x]
-                    del cbd[x][c]
-        for z in (a, b):
-            for y in bd.pop(z):
-                del cbd[y][z]
-            for w in cbd.pop(z):
-                del bd[w][z]
 
 
 def _element_matching(n_vertices: int, levels: list[set[int]]) -> tuple[set[int], dict[int, int]]:
@@ -403,10 +362,10 @@ def homology(c: SimplicialComplex, reduced: bool = True) -> HomologyResult:
 
     The cells are the faces and the empty face, so the chain complex is
     augmented and its homology is reduced; unreduced homology adds one free
-    class in degree 0.  Only the critical cells of the element matching and
-    their Morse boundary go on to _reduce, and the boundaries between the
-    cells that survive it go degree by degree through a dense Smith normal
-    form.
+    class in degree 0.  Only the critical cells of the element matching go
+    on: their Morse boundary between adjacent sizes goes through a dense
+    Smith normal form, whose number of factors is the rank and whose factors
+    above 1 are the torsion.
     """
     if c.dimension < 0:
         return HomologyResult(reduced=reduced, betti=(), torsion=(), face_counts=())
@@ -414,17 +373,15 @@ def homology(c: SimplicialComplex, reduced: bool = True) -> HomologyResult:
     critical, up = _element_matching(len(levels[1]), levels)
     bd = _morse_boundary(critical, up)
     dim = c.dimension
-    # alive[s], invs[s]: surviving cells with s vertices, their boundary's factors
-    alive: list[list[int]] = [[] for _ in range(dim + 2)]
-    for x in sorted(_reduce(bd)):
-        alive[x.bit_count()].append(x)
+    # cells[s], invs[s]: critical cells with s vertices, their boundary's factors
+    cells: list[list[int]] = [[] for _ in range(dim + 2)]
+    for x in sorted(critical):
+        cells[x.bit_count()].append(x)
     invs: list[list[int]] = [[] for _ in range(dim + 3)]
     for s in range(1, dim + 2):
-        if any(bd[b] for b in alive[s]):
-            invs[s] = _dense_smith([[bd[b].get(a, 0) for b in alive[s]] for a in alive[s - 1]])
-    if any(1 in factors for factors in invs):
-        raise InvariantViolation("a unit invariant factor reached the dense Smith core")
-    betti = [len(alive[k + 1]) - len(invs[k + 1]) - len(invs[k + 2]) for k in range(dim + 1)]
+        if any(bd[b] for b in cells[s]):
+            invs[s] = _dense_smith([[bd[b].get(a, 0) for b in cells[s]] for a in cells[s - 1]])
+    betti = [len(cells[k + 1]) - len(invs[k + 1]) - len(invs[k + 2]) for k in range(dim + 1)]
     if min(betti) < 0:
         raise InvariantViolation("negative betti number in %s" % betti)
     if not reduced:
@@ -432,7 +389,7 @@ def homology(c: SimplicialComplex, reduced: bool = True) -> HomologyResult:
     return HomologyResult(
         reduced=reduced,
         betti=tuple(betti),
-        torsion=tuple(tuple(invs[k + 2]) for k in range(dim + 1)),
+        torsion=tuple(tuple(v for v in invs[k + 2] if v > 1) for k in range(dim + 1)),
         face_counts=c.face_counts(),
     )
 

@@ -5,10 +5,11 @@ the full face complex is eliminated on its own with unit pivots ordered by a
 Markowitz heap, the core without unit entries goes through the package's
 dense Smith normal form, and maximal facets are found by comparing every
 pair.  The engine under test instead reduces only the critical cells of an
-element matching.  The two share just ``_dense_smith``, which sees no input
-here on the corpus (every pivot there is a unit), and the face closure
-``SimplicialComplex.faces``: the engine reads the int masks of its levels,
-the oracle their sorted-tuple view.
+element matching and sends their whole boundary, unit entries included, to
+``_dense_smith``; here that routine sees only what unit pivots leave (on
+the corpus, nothing), so a comparison of the two tests the Smith core too.
+The two also share the face closure ``SimplicialComplex.faces``: the engine
+reads the int masks of its levels, the oracle their sorted-tuple view.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,7 @@ from knotmorse import (
     spanning_trees,
 )
 from knotmorse import complexes
+from knotmorse.counting import IntegerMatrix
 from knotmorse.errors import InvariantViolation, ResourceLimit
 from knotmorse.moves import click_path_moves, clock_moves
 from knotmorse.states import (
@@ -74,6 +76,33 @@ def grid_surface(klein, n=4):
             facets.append((a, b, d))
             facets.append((a, d, c))
     return facets
+
+
+def disks_on_a_triangle(*wraps):
+    """The triangle 0-1-2 with a disk glued on for each k in wraps, its rim
+    running k times round the triangle: a 3k-cycle of rim vertices i % 3, a
+    ring of new vertices inside it and a new centre vertex."""
+    facets = []
+    fresh = 3
+    for k in wraps:
+        n = 3 * k
+        ring, centre = range(fresh, fresh + n), fresh + n
+        fresh += n + 1
+        for i in range(n):
+            a, b, r, s = i % 3, (i + 1) % 3, ring[i], ring[(i + 1) % n]
+            facets += [(a, b, r), (b, r, s), (r, s, centre)]
+    return facets
+
+
+# (facets, reduced ranks, torsion) with the values from theory
+TORSION_FIXTURES = (
+    (RP2, {}, {1: (2,)}),
+    (grid_surface(klein=False), {1: 2, 2: 1}, {}),
+    (grid_surface(klein=True), {1: 1}, {1: (2,)}),
+    (disks_on_a_triangle(2, 3), {2: 1}, {}),
+    (disks_on_a_triangle(4, 6), {2: 1}, {1: (2,)}),
+    (disks_on_a_triangle(3), {}, {1: (3,)}),  # the mod-3 Moore space
+)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +253,46 @@ def test_sparse_engine_agrees_with_dense_rational_ranks(name):
 
 
 # ---------------------------------------------------------------------------
+# The dense Smith core
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "rows, factors",
+    [([[2, 3]], [1]), ([[6, 4]], [2]), ([[-9, 15, 0, 4], [12, 12, 15, 0]], [1, 3])],
+)
+def test_dense_smith_small_matrices(rows, factors):
+    assert complexes._dense_smith(rows) == factors
+
+
+def determinantal_divisors(rows):
+    """The gcd of the k x k minors, k = 1 .. min(rows, columns)."""
+    n_r, n_c = len(rows), len(rows[0])
+    divisors = []
+    for k in range(1, min(n_r, n_c) + 1):
+        g = 0
+        for rs in combinations(range(n_r), k):
+            for cs in combinations(range(n_c), k):
+                g = gcd(g, IntegerMatrix.from_rows([[rows[i][j] for j in cs] for i in rs]).det())
+        divisors.append(g)
+    return divisors
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_dense_smith_factors_multiply_to_the_determinantal_divisors(seed):
+    rng = random.Random(seed)
+    for _ in range(300):
+        n_r, n_c = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[rng.choice((0, rng.randint(-12, 12))) for _ in range(n_c)] for _ in range(n_r)]
+        factors = complexes._dense_smith(rows)
+        products, p = [], 1
+        for v in factors:
+            p *= v
+            products.append(p)
+        divisors = determinantal_divisors(rows)
+        assert products == divisors[: len(factors)] and not any(divisors[len(factors):]), rows
+
+
+# ---------------------------------------------------------------------------
 # Second oracle: the per-degree Markowitz engine and the pairwise filter
 # ---------------------------------------------------------------------------
 
@@ -251,10 +320,13 @@ def test_reference_rows_agree_with_the_oracle_engine(name):
 @pytest.mark.parametrize("seed", range(6))
 def test_torsion_fixtures_agree_with_the_oracle_under_relabelling(seed):
     rng = random.Random(seed)
-    for facets in (RP2, grid_surface(klein=False), grid_surface(klein=True)):
+    for facets, ranks, torsion in TORSION_FIXTURES:
         c = SimplicialComplex(relabelled(facets, rng))
         for reduced in (True, False):
-            assert homology(c, reduced) == oracle_homology(c, reduced)
+            got = homology(c, reduced)
+            assert got == oracle_homology(c, reduced)
+            expected = ranks if reduced else {**ranks, 0: ranks.get(0, 0) + 1}
+            assert (got.ranks(), got.torsion_by_degree()) == (expected, torsion), (ranks, torsion)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -377,14 +449,8 @@ def test_homology_agrees_with_the_oracle_on_any_vertex_ids(facets):
 # Invariant checks raise, also under python -O
 # ---------------------------------------------------------------------------
 
-def test_unit_factor_in_the_dense_core_raises(monkeypatch):
-    monkeypatch.setattr(complexes, "_dense_smith", lambda rows: [1])
-    with pytest.raises(InvariantViolation):
-        homology(SimplicialComplex(RP2))
-
-
 def test_negative_betti_number_raises(monkeypatch):
-    # an invented rank larger than the surviving cells allow
+    # an invented rank larger than the critical cells allow
     monkeypatch.setattr(complexes, "_dense_smith", lambda rows: [2, 2, 2])
     with pytest.raises(InvariantViolation):
         homology(SimplicialComplex(RP2))
@@ -419,7 +485,6 @@ def test_pure_morse_from_trees_raises_on_bad_tree_triples(monkeypatch, fault):
 # test_char_poly_fault_raises and test_forest_determinant_disagreement_raises
 # are left out: they check test code (a helper and the polynomial oracle).
 INVARIANT_TESTS = (
-    "test_complexes.py::test_unit_factor_in_the_dense_core_raises",
     "test_complexes.py::test_negative_betti_number_raises",
     "test_complexes.py::test_cyclic_matching_raises",
     "test_complexes.py::test_pure_morse_from_trees_raises_on_bad_tree_triples",
@@ -451,7 +516,7 @@ def test_invariant_checks_survive_python_O():
         capture_output=True, text=True, env=env, cwd=tests.parent,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "24 passed" in proc.stdout, proc.stdout
+    assert "23 passed" in proc.stdout, proc.stdout
 
 
 # ---------------------------------------------------------------------------
