@@ -8,12 +8,18 @@ the images of the tree-pair construction, one top simplex per (spanning
 tree, black root, white root) triple.
 
 Homology is computed over the integers by discrete Morse theory on the
-complex itself.  The faces are int masks; an iterated element matching
-(Jonsson) pairs all of them and the empty face but a few critical cells, and
-the boundary between those follows the gradient paths (Forman).  The
-boundaries between critical cells of adjacent sizes go through a dense Smith
-normal form, so torsion is exact.  The face closure respects the
-KNOTMORSE_MAX_FACES cap and raises ResourceLimit before allocating past it.
+complex itself, with cells as int masks.  The matching complex is the
+independence complex of a conflict graph on the corner edges (two conflict
+when they share a crossing or a region), so a matching tree on that graph
+(Bousquet-Melou, Linusson & Nevo) pairs all its cells and the empty face but
+a few critical cells without listing any face, and its face counts come from
+a count of matchings by size.  Any other complex builds its face closure,
+and an iterated element matching (Jonsson) pairs those faces instead.  The
+boundary between the critical cells follows the gradient paths (Forman),
+and the boundaries between critical cells of adjacent sizes go through a
+dense Smith normal form, so torsion is exact.  The face closure and the
+matching tree respect the KNOTMORSE_MAX_FACES cap and raise ResourceLimit
+before allocating past it.
 """
 
 from __future__ import annotations
@@ -21,6 +27,8 @@ from __future__ import annotations
 import os
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 
 from .counting import spanning_trees
 from .diagram import Diagram, TaitGraph, build_tait, colour_graphs
@@ -29,6 +37,7 @@ from .states import _maximal_stream, kpw
 
 __all__ = [
     "SimplicialComplex",
+    "IndependenceComplex",
     "HomologyResult",
     "matching_complex",
     "morse_complex",
@@ -50,6 +59,11 @@ def _max_faces() -> int:
     except ValueError:
         return DEFAULT_MAX_FACES
     return value if value > 0 else DEFAULT_MAX_FACES
+
+
+def _over_cap(cap: int, stage: str) -> ResourceLimit:
+    return ResourceLimit("complex exceeds the face cap of %d (set KNOTMORSE_MAX_FACES)" % cap,
+                         stage=stage, size=cap + 1)
 
 
 class FaceLevel(Sequence):
@@ -86,16 +100,16 @@ class SimplicialComplex:
 
     def __init__(self, facets: Iterable[Iterable[int]]):
         canonical = sorted({tuple(sorted(f)) for f in facets}, key=lambda f: (len(f), f))
-        holding: dict[int, set[int]] = {}
+        holding: dict[int, int] = {}  # vertex -> bitset of the facets that hold it
         for i, f in enumerate(canonical):
             for v in f:
-                holding.setdefault(v, set()).add(i)
+                holding[v] = holding.get(v, 0) | 1 << i
         # a facet is kept when no other one holds all its vertices; the empty
         # facet lies in every other one
         self.facets: tuple[tuple[int, ...], ...] = tuple(
             f
             for f in canonical
-            if (len(set.intersection(*(holding[v] for v in f))) == 1 if f else len(canonical) == 1)
+            if (reduce(and_, [holding[v] for v in f]).bit_count() == 1 if f else len(canonical) == 1)
         )
         self._faces: tuple[FaceLevel, ...] | None = None
 
@@ -121,8 +135,7 @@ class SimplicialComplex:
             bit = {v: 1 << i for i, v in enumerate(vertices)}
             levels: list[set[int]] = [set() for _ in range(self.dimension + 2)]
             cap = _max_faces()
-            over = ResourceLimit("complex exceeds the face cap of %d (set KNOTMORSE_MAX_FACES)"
-                                 % cap, stage="face closure", size=cap + 1)
+            over = _over_cap(cap, "face closure")
             total = len(self.facets) if self.dimension >= 0 else 0
             if total > cap:
                 raise over
@@ -153,10 +166,63 @@ class SimplicialComplex:
         return sum((-1) ** k * n for k, n in enumerate(self.face_counts()))
 
 
-def matching_complex(t: TaitGraph) -> SimplicialComplex:
+class IndependenceComplex(SimplicialComplex):
+    """The independence complex of a graph on the vertices of its facets.
+
+    conflicts[i] is the neighbour mask of the i-th smallest vertex, in the
+    bits of faces(), and the facets are the maximal independent sets.
+    homology takes the matching tree of this graph and lists no face.  Face
+    counts found another way can be given; otherwise they come from faces().
+    """
+
+    __slots__ = ("conflicts", "_counts")
+
+    def __init__(self, facets: Iterable[Iterable[int]], conflicts: Iterable[int],
+                 counts: tuple[int, ...] | None = None):
+        super().__init__(facets)
+        self.conflicts, self._counts = tuple(conflicts), counts
+
+    def face_counts(self) -> tuple[int, ...]:
+        return super().face_counts() if self._counts is None else self._counts
+
+
+def _matching_counts(t: TaitGraph) -> tuple[int, ...]:
+    """Number of matchings of each size from 1 up, crossing by crossing.
+
+    The state is the mask of the regions used so far; its value counts the
+    matchings of the crossings so far by size, as a polynomial packed in an
+    int with w bits per coefficient, so that adding a corner edge is a shift.
+    No count exceeds 5^n, one of five choices per crossing.
+    """
+    w = (5 ** t.n_crossings).bit_length()
+    states = {0: 1}
+    for c in range(t.n_crossings):
+        grown = dict(states)  # c left unmatched
+        for used, poly in states.items():
+            for r in t.edge_region[4 * c:4 * c + 4]:
+                if not used >> r & 1:
+                    key = used | 1 << r
+                    grown[key] = grown.get(key, 0) + (poly << w)
+        states = grown
+    total = sum(states.values())
+    return tuple(total >> k * w & (1 << w) - 1 for k in range(1, (total.bit_length() - 1) // w + 1))
+
+
+def matching_complex(t: TaitGraph) -> IndependenceComplex:
     """Faces are the matchings; facets the maximal ones, perfect or not,
-    taken from one pass of the maximal-matching search."""
-    return SimplicialComplex([x.edges for x in _maximal_stream(t, skip=True)])
+    taken from one pass of the maximal-matching search.
+
+    It is the independence complex of the corner edges, two of which
+    conflict when they share a crossing or a region; every edge lies in a
+    facet, so edge e is bit e.
+    """
+    region = t.edge_region
+    conflicts = [
+        sum(1 << f for f in range(t.n_edges) if f != e and (f // 4 == e // 4 or region[f] == region[e]))
+        for e in range(t.n_edges)
+    ]
+    return IndependenceComplex([x.edges for x in _maximal_stream(t, skip=True)], conflicts,
+                               _matching_counts(t))
 
 
 def morse_complex(t: TaitGraph) -> SimplicialComplex:
@@ -293,14 +359,114 @@ def _element_matching(n_vertices: int, levels: list[set[int]]) -> tuple[set[int]
     matching: for each vertex v in turn, every unpaired cell without v goes
     with the cell that adds v, when that one is unpaired too.  It is acyclic
     by the element-matching lemma (Jonsson, Simplicial Complexes of Graphs).
+
+    At step v only cells holding v can be upper cells, so each unpaired cell
+    waits in the bucket of its lowest vertex not yet stepped past, and moves
+    on to its next vertex when its partner below is gone.
     """
     free = set().union(*levels)
     up: dict[int, int] = {}
-    for v in (1 << i for i in range(n_vertices)):
-        highs = [t for t in free if t & v and t ^ v in free]
-        up.update((t ^ v, t) for t in highs)
-        free.difference_update(highs, [t ^ v for t in highs])
+    buckets: list[list[int]] = [[] for _ in range(n_vertices)]
+    for t in free:
+        if t:
+            buckets[(t & -t).bit_length() - 1].append(t)
+    for i, bucket in enumerate(buckets):
+        v = 1 << i
+        for t in bucket:
+            if t not in free:  # taken as a lower cell meanwhile
+                continue
+            low = t ^ v
+            if low in free:
+                up[low] = t
+                free.remove(t)
+                free.remove(low)
+            elif t >> i + 1:
+                rest = t >> i + 1
+                buckets[i + (rest & -rest).bit_length()].append(t)
     return free, up
+
+
+class _TreePartners(dict):
+    """The pairs (lower -> upper) of a matching tree, for _morse_boundary.
+
+    A cell walks the tree by whether it holds each pivot.  The leaf it
+    reaches is a cone vertex v, and the cell is the lower one of its pair
+    when it lacks v, or 0, the critical cell.  Answers are memoised, 0 for a
+    cell that is no lower cell.  Each memoised cell, and the flow that
+    _morse_boundary keeps for each lower one, counts against what the
+    tree's nodes left of the cap.
+    """
+
+    def __init__(self, tree: list, cap: int):
+        super().__init__()
+        self.tree, self.cap, self.budget = tree, cap, cap - len(tree)
+
+    def __missing__(self, x: int) -> int:
+        tree = self.tree
+        node = tree[0]
+        while node.__class__ is tuple:
+            p, with_p, without_p = node
+            node = tree[with_p if x & p else without_p]
+        partner = x | node if node and not x & node else 0
+        self.budget -= 2 if partner else 1
+        if self.budget < 0:
+            raise _over_cap(self.cap, "matching tree")
+        self[x] = partner
+        return partner
+
+    def __contains__(self, x: object) -> bool:
+        return self[x] != 0
+
+    def get(self, x: int, default=None):
+        return self[x] or default
+
+
+def _matching_tree(conflicts: Sequence[int]) -> tuple[set[int], _TreePartners]:
+    """Critical cells and pairs of a matching tree on the independence
+    complex of a graph (Bousquet-Melou, Linusson & Nevo, J. Algebraic
+    Combin. 2008), without listing its faces.
+
+    A node (A, B) holds the independent sets that contain A and avoid B,
+    where B holds every neighbour of A; its free vertices are the rest.  A
+    free vertex with no free neighbour is a cone point, and the node pairs
+    each of its sets s with s ^ v.  Otherwise the node splits on a pivot p,
+    a free neighbour of the free vertex with the fewest, into (A + p, B and
+    the neighbours of p) and (A, B + p).  A node with no free vertex is the
+    critical cell A.  The matching is acyclic by Jonsson's cluster lemma.
+    Tree nodes count against the KNOTMORSE_MAX_FACES cap, as do the cells
+    that the partner lookup memoises.
+    """
+    cap = _max_faces()
+    everything = (1 << len(conflicts)) - 1
+    # a node is (pivot, index with it, index without it), a cone vertex bit,
+    # or 0 for a critical cell
+    tree: list = [None]
+    critical: set[int] = set()
+    stack = [(0, 0, 0)]  # (node index, A, B)
+    while stack:
+        i, a, b = stack.pop()
+        free = everything & ~(a | b)
+        best, fewest, rest = 0, None, free
+        while rest and fewest != 0:
+            v = rest & -rest
+            rest ^= v
+            k = (conflicts[v.bit_length() - 1] & free).bit_count()
+            if fewest is None or k < fewest:
+                best, fewest = v, k
+        if not fewest:
+            tree[i] = best
+            if not best:
+                critical.add(a)
+            continue
+        neighbours = conflicts[best.bit_length() - 1] & free
+        p = neighbours & -neighbours
+        j = len(tree)
+        tree[i] = (p, j, j + 1)
+        tree += [None, None]
+        if len(tree) > cap:
+            raise _over_cap(cap, "matching tree")
+        stack += [(j, a | p, b | conflicts[p.bit_length() - 1]), (j + 1, a, b | p)]
+    return critical, _TreePartners(tree, cap)
 
 
 def _signed_faces(t: int) -> list[tuple[int, int]]:
@@ -358,19 +524,23 @@ def _morse_boundary(critical: set[int], up: dict[int, int]) -> dict[int, dict[in
 
 
 def homology(c: SimplicialComplex, reduced: bool = True) -> HomologyResult:
-    """Exact integer homology through an element matching on the faces.
+    """Exact integer homology through an acyclic matching on the cells.
 
     The cells are the faces and the empty face, so the chain complex is
     augmented and its homology is reduced; unreduced homology adds one free
-    class in degree 0.  Only the critical cells of the element matching go
-    on: their Morse boundary between adjacent sizes goes through a dense
-    Smith normal form, whose number of factors is the rank and whose factors
-    above 1 are the torsion.
+    class in degree 0.  An independence complex is matched by its matching
+    tree, any other by an element matching on its face closure.  Only the
+    critical cells go on: their Morse boundary between adjacent sizes goes
+    through a dense Smith normal form, whose number of factors is the rank
+    and whose factors above 1 are the torsion.
     """
     if c.dimension < 0:
         return HomologyResult(reduced=reduced, betti=(), torsion=(), face_counts=())
-    levels = [{0}] + [level.masks for level in c.faces()]
-    critical, up = _element_matching(len(levels[1]), levels)
+    if isinstance(c, IndependenceComplex):
+        critical, up = _matching_tree(c.conflicts)
+    else:
+        levels = [{0}] + [level.masks for level in c.faces()]
+        critical, up = _element_matching(len(levels[1]), levels)
     bd = _morse_boundary(critical, up)
     dim = c.dimension
     # cells[s], invs[s]: critical cells with s vertices, their boundary's factors

@@ -8,8 +8,12 @@ pair.  The engine under test instead reduces only the critical cells of an
 element matching and sends their whole boundary, unit entries included, to
 ``_dense_smith``; here that routine sees only what unit pivots leave (on
 the corpus, nothing), so a comparison of the two tests the Smith core too.
-The two also share the face closure ``SimplicialComplex.faces``: the engine
-reads the int masks of its levels, the oracle their sorted-tuple view.
+The oracle always reads the face closure ``SimplicialComplex.faces``, as
+sorted tuples.  For a plain ``SimplicialComplex`` the engine reads the int
+masks of the same closure.  For the matching complex, an
+``IndependenceComplex``, it lists no face: a matching tree on the conflict
+graph gives its critical cells and a count of matchings by size its face
+counts, so there a comparison checks both against the closure.
 """
 
 from __future__ import annotations

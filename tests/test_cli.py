@@ -412,11 +412,21 @@ def test_face_cap_reports_its_stage_and_size(capsys, monkeypatch):
     with pytest.raises(ResourceLimit) as raised:
         matching_complex(build_tait(get_entry("5_1").diagram)).faces()
     assert (raised.value.stage, raised.value.size) == ("face closure", 11)
-    code = cli.main(["complex", "5_1", "--kind", "matching", "--homology"])
+    # the Morse complex builds its face closure; the matching complex does not
+    code = cli.main(["complex", "5_1", "--kind", "morse", "--homology"])
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("resource limit: ") and err.count("\n") == 1
     assert err.endswith("; stage face closure, size 11\n")
+
+
+def test_matching_tree_cap_reports_its_stage(capsys, monkeypatch):
+    monkeypatch.setenv("KNOTMORSE_MAX_FACES", "10")
+    code = cli.main(["complex", "5_1", "--kind", "matching", "--homology"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("resource limit: ") and err.count("\n") == 1
+    assert err.endswith("; stage matching tree, size 11\n")
 
 
 # ---------------------------------------------------------------------------

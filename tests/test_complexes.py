@@ -10,6 +10,8 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotmorse import (
     REFERENCE_HOMOLOGY,
@@ -34,7 +36,10 @@ from knotmorse import (
     spanning_trees,
 )
 from knotmorse import complexes
+from knotmorse.complexes import IndependenceComplex
+from knotmorse.corpus import torus_pd
 from knotmorse.counting import IntegerMatrix
+from knotmorse.diagram import build_diagram, parse_pd
 from knotmorse.errors import InvariantViolation, ResourceLimit
 from knotmorse.moves import click_path_moves, clock_moves
 from knotmorse.states import (
@@ -386,28 +391,143 @@ def gradient_cycle_free(critical, up):
     return done == len(up)
 
 
+def assert_acyclic_morse_matching(cells, critical, up, betti, column):
+    """The pairs (lower -> upper) and critical cells cover the cells once
+    along the Hasse diagram, close no gradient path and meet the strong
+    Morse inequalities against the reduced betti numbers."""
+    uppers = set(up.values())
+    assert all(x & t == x and (t ^ x).bit_count() == 1 for x, t in up.items()), column
+    assert len(uppers) == len(up) and not uppers & set(up) and not critical & uppers, column
+    assert cells == critical | uppers | set(up), column
+    assert gradient_cycle_free(critical, up), column
+    betti = (0,) + betti  # degrees -1 (the empty face) .. dim
+    morse = [0] * len(betti)
+    for m in critical:
+        morse[m.bit_count()] += 1
+    assert all(m >= b for m, b in zip(morse, betti)), (column, morse, betti)
+    alternating = 0
+    for m, b in zip(morse, betti):
+        alternating = m - b - alternating
+        assert alternating >= 0, (column, morse, betti)
+    assert alternating == 0, (column, morse, betti)
+
+
 @pytest.mark.parametrize("name", corpus_names())
 def test_element_matching_is_acyclic_and_meets_the_morse_inequalities(name):
     for column, c in reference_complexes(get_entry(name).diagram).items():
         levels = [{0}] + [level.masks for level in c.faces()]
-        cells = set().union(*levels)
         critical, up = complexes._element_matching(len(levels[1]), levels)
-        uppers = set(up.values())
-        # a matching on the Hasse diagram that covers every cell once
-        assert all(x & t == x and (t ^ x).bit_count() == 1 for x, t in up.items()), column
-        assert len(uppers) == len(up) and not uppers & set(up) and not critical & uppers, column
-        assert cells == critical | uppers | set(up), column
-        assert gradient_cycle_free(critical, up), column
-        betti = (0,) + homology(c).betti  # degrees -1 (the empty face) .. dim
-        morse = [0] * len(betti)
-        for m in critical:
-            morse[m.bit_count()] += 1
-        assert all(m >= b for m, b in zip(morse, betti)), (column, morse, betti)
-        alternating = 0
-        for m, b in zip(morse, betti):
-            alternating = m - b - alternating
-            assert alternating >= 0, (column, morse, betti)
-        assert alternating == 0, (column, morse, betti)
+        assert_acyclic_morse_matching(set().union(*levels), critical, up, homology(c).betti, column)
+
+
+def element_matching_by_rescan(n_vertices, levels):
+    """The element matching as first written: each vertex scans every
+    unpaired cell."""
+    free = set().union(*levels)
+    up = {}
+    for v in (1 << i for i in range(n_vertices)):
+        highs = [t for t in free if t & v and t ^ v in free]
+        up.update((t ^ v, t) for t in highs)
+        free.difference_update(highs, [t ^ v for t in highs])
+    return free, up
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_bucketed_element_matching_equals_the_rescan(name):
+    for column, c in reference_complexes(get_entry(name).diagram).items():
+        levels = [{0}] + [level.masks for level in c.faces()]
+        n = len(levels[1])
+        assert complexes._element_matching(n, levels) == element_matching_by_rescan(n, levels), column
+
+
+# ---------------------------------------------------------------------------
+# The matching tree behind the matching column
+# ---------------------------------------------------------------------------
+
+def closure_of(c):
+    """The same complex as a plain SimplicialComplex: its face closure goes
+    through the element matching."""
+    plain = SimplicialComplex(c.facets)
+    assert type(plain) is SimplicialComplex and plain == c
+    return plain
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_matching_tree_agrees_with_the_closure_on_the_corpus(name):
+    c = matching_complex(build_tait(get_entry(name).diagram))
+    assert isinstance(c, IndependenceComplex)
+    plain = closure_of(c)
+    # the counts of matchings by size against the face closure
+    assert c.face_counts() == plain.face_counts()
+    assert homology(c) == homology(plain) == oracle_homology(plain)
+    assert homology(c, reduced=False) == homology(plain, reduced=False)
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_matching_tree_is_acyclic_and_meets_the_morse_inequalities(name):
+    c = matching_complex(build_tait(get_entry(name).diagram))
+    cells = {0}.union(*(level.masks for level in c.faces()))
+    critical, partners = complexes._matching_tree(c.conflicts)
+    up = {x: partners.get(x) for x in cells if x in partners}
+    assert_acyclic_morse_matching(cells, critical, up, homology(c).betti, "matching")
+
+
+def maximal_independent_sets(conflicts):
+    """Vertex masks of the maximal independent sets, by brute force."""
+    n = len(conflicts)
+    independent = {m for m in range(1 << n)
+                   if not any(m >> i & 1 and conflicts[i] & m for i in range(n))}
+    return [m for m in independent
+            if not any(m | 1 << i in independent for i in range(n) if not m >> i & 1)]
+
+
+@st.composite
+def graphs(draw, max_vertices=10):
+    """Neighbour masks of a graph on at most max_vertices vertices."""
+    n = draw(st.integers(1, max_vertices))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    conflicts = [0] * n
+    for i, j in edges:
+        conflicts[i] |= 1 << j
+        conflicts[j] |= 1 << i
+    return conflicts
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(conflicts=graphs(), gap=st.integers(1, 5))
+def test_matching_tree_agrees_with_the_closure_on_random_graphs(conflicts, gap):
+    # vertex i is named gap * i, so bit i stands for the i-th smallest name
+    facets = [tuple(gap * i for i in range(len(conflicts)) if m >> i & 1)
+              for m in maximal_independent_sets(conflicts)]
+    c = IndependenceComplex(facets, conflicts)
+    plain = closure_of(c)
+    for reduced in (True, False):
+        assert homology(c, reduced) == homology(plain, reduced) == oracle_homology(plain, reduced)
+
+
+def subdivided_projective_plane():
+    """The barycentric subdivision of RP2, a flag complex: the independence
+    complex of the graph joining two faces when neither holds the other."""
+    faces = sorted({g for f in RP2 for k in (1, 2, 3) for g in combinations(f, k)})
+    index = {g: i for i, g in enumerate(faces)}
+    conflicts = [sum(1 << j for j, h in enumerate(faces)
+                     if not (set(g) <= set(h) or set(h) <= set(g))) for g in faces]
+    # one maximal chain vertex < edge < triangle per ordered pair in a triangle
+    facets = [(index[(a,)], index[tuple(sorted((a, b)))], index[f])
+              for f in RP2 for a in f for b in f if a != b]
+    return IndependenceComplex(facets, conflicts)
+
+
+def test_matching_tree_finds_the_two_torsion_of_a_subdivided_projective_plane():
+    c = subdivided_projective_plane()
+    plain = closure_of(c)
+    assert c.face_counts() == (31, 90, 60)
+    for reduced in (True, False):
+        got = homology(c, reduced)
+        assert got == homology(plain, reduced) == oracle_homology(plain, reduced)
+        assert got.ranks() == ({} if reduced else {0: 1})
+        assert got.torsion_by_degree() == {1: (2,)}
 
 
 def test_cycle_free_check_sees_a_closed_gradient_path():
@@ -757,8 +877,24 @@ def test_face_cap_ignores_malformed_values(monkeypatch):
 def test_homology_reports_the_cap_through_resource_limit(monkeypatch):
     monkeypatch.setenv("KNOTMORSE_MAX_FACES", "5")
     t = build_tait(get_entry("3_1").diagram)
-    with pytest.raises(ResourceLimit):
+    with pytest.raises(ResourceLimit) as raised:
         homology(matching_complex(t))
+    assert raised.value.stage == "matching tree"
+    with pytest.raises(ResourceLimit) as raised:
+        homology(morse_complex(t))
+    assert raised.value.stage == "face closure"
+
+
+def test_matching_tree_lists_no_face_of_the_torus_knot_t_2_11(monkeypatch):
+    # the matching complex of T(2,11) has 1,270,744 faces, past this cap;
+    # the tree and the count of matchings by size never list them
+    monkeypatch.setenv("KNOTMORSE_MAX_FACES", "1000000")
+    c = matching_complex(build_tait(build_diagram(parse_pd(torus_pd(11)))))
+    h = homology(c)
+    assert h.ranks() == {7: 65} and h.is_torsion_free()
+    assert h.face_counts == (44, 759, 6864, 36740, 123200, 264187, 359788, 300443,
+                             142780, 33275, 2664)
+    assert sum(h.face_counts) == 1_270_744
 
 
 # ---------------------------------------------------------------------------
