@@ -15,12 +15,10 @@ from .errors import (
     InvalidForest,
     InvariantViolation,
     KnotmorseError,
-    LeafOfAmbient,
     MalformedSyntax,
     NonPlanarCode,
     NotAcyclic,
     NotAdmissible,
-    NotALeaf,
     NotPerfectAdmissible,
     NotSpanning,
     ResourceLimit,
@@ -84,11 +82,9 @@ from .moves import (
     click_path_avoidance,
     click_path_moves,
     clock_moves,
-    leaf_spin,
     marked_arc_roots,
     move_graph_to_dict,
     move_graph_to_dot,
-    shortest_move_sequence,
     two_click_connect,
     verify_connectivity,
 )
@@ -98,7 +94,6 @@ from .states import (
     Matching,
     critical_cells,
     enumerate_matchings,
-    find_nonextendable,
     forests_to_matching,
     induced_forests,
     is_admissible,
@@ -108,7 +103,6 @@ from .states import (
     jordan_resolution,
     kauffman_states,
     kpw,
-    loop_sides,
     monochromatic_loops,
 )
 

@@ -458,9 +458,6 @@ class TaitGraph:
     def black_faces(self) -> tuple[int, ...]:
         return tuple(f for f in range(self.n_faces) if self.face_colour[f] == BLACK)
 
-    def crossing_vertex(self, c: int) -> int:
-        return self.n_faces + c
-
     @cached_property
     def poset_arrows(self) -> tuple[tuple[int, int], ...]:
         """(tail, head) of edge e in the poset orientation, indexed by e."""

@@ -20,8 +20,6 @@ __all__ = [
     "InvalidForest",
     "NotSpanning",
     "NotPerfectAdmissible",
-    "NotALeaf",
-    "LeafOfAmbient",
     "ResourceLimit",
     "InvariantViolation",
 ]
@@ -69,14 +67,6 @@ class NotSpanning(KnotmorseError):
 
 class NotPerfectAdmissible(KnotmorseError):
     """The operation needs a perfect admissible state and was given less."""
-
-
-class NotALeaf(KnotmorseError):
-    """The designated edge is not a leaf of the subgraph."""
-
-
-class LeafOfAmbient(KnotmorseError):
-    """No admissible target position exists in the ambient rotation."""
 
 
 class ResourceLimit(KnotmorseError):

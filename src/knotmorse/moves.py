@@ -1,4 +1,4 @@
-"""Clock, click-loop, click-path, and leaf-spin moves, and move graphs.
+"""Clock, click-loop and click-path moves, and move graphs.
 
 A clock move acts at a square face of the overlay whose two opposite edges of
 one pattern are both matched: those leave the matching and the other opposite
@@ -18,8 +18,6 @@ colour along its tree component, re-matching every crossing on the path
 toward the root.  The trees are the region map that the loops are cycles of
 (see states): a region matched by edge e hangs below edge_region[e ^ 2], and
 a step toggles bits e and e ^ 2.  Neither move changes the Jordan resolution.
-A leaf spin acts on a subgraph of a colour graph, rotating a leaf edge around
-its degree-one endpoint to the next eligible edge in the rotation system.
 
 Move graphs collect a population of matchings as nodes and the moves staying
 inside the population as undirected edges; connectivity of these graphs is
@@ -34,18 +32,11 @@ target instead.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .diagram import BLACK, WHITE, Diagram, PlaneGraph, TaitGraph, UnionFind
-from .errors import (
-    InvariantViolation,
-    LeafOfAmbient,
-    NotAcyclic,
-    NotALeaf,
-    NotPerfectAdmissible,
-)
+from .diagram import BLACK, WHITE, Diagram, TaitGraph, UnionFind
+from .errors import InvariantViolation, NotAcyclic, NotPerfectAdmissible
 from .states import (
     Matching,
     _validate,
@@ -66,11 +57,9 @@ __all__ = [
     "click_loop_moves",
     "click_path_moves",
     "two_click_connect",
-    "leaf_spin",
     "marked_arc_roots",
     "build_move_graph",
     "verify_connectivity",
-    "shortest_move_sequence",
     "move_graph_to_dot",
     "move_graph_to_dict",
     "click_path_avoidance",
@@ -88,10 +77,9 @@ _COLOUR_NAME = {BLACK: "black", WHITE: "white"}
 class Move:
     """One move at one site.
 
-    site is (arc,) for clock moves, the canonical loop for click loops,
-    (colour name, path vertex sequence) for click paths, and (subgraph,
-    leaf edge, direction) for leaf spins.  clock_type, delta_j and
-    orientation are set on clock moves only.
+    site is (arc,) for clock moves, the canonical loop for click loops, and
+    (colour name, path vertex sequence) for click paths.  clock_type,
+    delta_j and orientation are set on clock moves only.
     """
 
     kind: str
@@ -357,66 +345,6 @@ def _built_moves(t: TaitGraph, x: Matching, kind: str) -> list[tuple[Move, Match
 
 
 # ---------------------------------------------------------------------------
-# Leaf spins
-# ---------------------------------------------------------------------------
-
-def leaf_spin(
-    g: PlaneGraph,
-    h: Iterable[int],
-    leaf: int,
-    direction: str,
-    pivot: int | None = None,
-) -> tuple[int, ...]:
-    """Rotate a leaf edge of h around its degree-one endpoint.
-
-    The replacement is the next edge in the rotation system at the pivot, in
-    the given direction ("ccw" runs forward along the stored rotation, "cw"
-    backward), skipping edges of h and ambient loop edges (a loop can never
-    extend a forest).  When both endpoints have h-degree one the smaller
-    vertex id is the pivot unless one is passed explicitly.
-    """
-    if direction not in ("cw", "ccw"):
-        raise ValueError("direction must be 'cw' or 'ccw'")
-    edges = frozenset(h)
-    if leaf not in edges:
-        raise NotALeaf("edge %d is not in the subgraph" % leaf)
-    u, v = g.edge_ends[leaf]
-    if u == v:
-        raise NotALeaf("a loop edge is never a leaf")
-    hdeg = {u: 0, v: 0}
-    for e in edges:
-        for w in g.edge_ends[e]:
-            if w in hdeg:
-                hdeg[w] += 1
-    candidates = [w for w in sorted({u, v}) if hdeg[w] == 1]
-    if pivot is not None:
-        if pivot not in (u, v) or hdeg[pivot] != 1:
-            raise NotALeaf("vertex %s is not a degree-one endpoint of edge %d" % (pivot, leaf))
-    else:
-        if not candidates:
-            raise NotALeaf("edge %d has no degree-one endpoint" % leaf)
-        pivot = candidates[0]
-    rot = [c for c, _ in g.rotation_at[pivot]]
-    hits = [i for i, e in enumerate(rot) if e == leaf]
-    if len(hits) != 1:
-        raise InvariantViolation(
-            "edge %d appears %d times in the rotation at vertex %d" % (leaf, len(hits), pivot)
-        )
-    start = hits[0]
-    step = 1 if direction == "ccw" else -1
-    n = len(rot)
-    for k in range(1, n):
-        e = rot[(start + step * k) % n]
-        if e == leaf or e in edges:
-            continue
-        eu, ev = g.edge_ends[e]
-        if eu == ev:
-            continue
-        return tuple(sorted(edges - {leaf} | {e}))
-    raise LeafOfAmbient("no edge to spin to at vertex %d" % pivot)
-
-
-# ---------------------------------------------------------------------------
 # Move graphs
 # ---------------------------------------------------------------------------
 
@@ -515,32 +443,6 @@ def verify_connectivity(mg: MoveGraph) -> tuple[bool, int]:
     """(is connected, number of components); the empty graph counts as connected."""
     count = len(set(_component_roots(len(mg.nodes), mg.edges)))
     return count <= 1, count
-
-
-def shortest_move_sequence(mg: MoveGraph, start: int, goal: int) -> tuple[Move, ...] | None:
-    """Breadth-first shortest path between two node indices, for debugging."""
-    if start == goal:
-        return ()
-    adj: dict[int, list[tuple[int, Move]]] = {i: [] for i in range(len(mg.nodes))}
-    for i, j, move in mg.edges:
-        adj[i].append((j, move))
-        adj[j].append((i, move))
-    prev: dict[int, tuple[int, Move]] = {start: (start, None)}  # type: ignore[dict-item]
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w, move in adj[v]:
-            if w not in prev:
-                prev[w] = (v, move)
-                if w == goal:
-                    seq = []
-                    cur = w
-                    while cur != start:
-                        cur, mv = prev[cur]
-                        seq.append(mv)
-                    return tuple(reversed(seq))
-                queue.append(w)
-    return None
 
 
 def click_path_avoidance(t: TaitGraph, mg: MoveGraph) -> dict:

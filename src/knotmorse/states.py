@@ -67,9 +67,6 @@ __all__ = [
     "induced_forests",
     "forests_to_matching",
     "kpw",
-    "find_nonextendable",
-    "loop_sides",
-    "matched_crossings",
     "matched_regions",
     "is_perfect",
     "is_maximal",
@@ -135,11 +132,6 @@ def _validate(t: TaitGraph, x: Matching) -> None:
         pass
 
 
-def matched_crossings(t: TaitGraph, x: Matching) -> dict[int, int]:
-    """Crossing -> its matched edge."""
-    return {e // 4: e for e in x.edges}
-
-
 def matched_regions(t: TaitGraph, x: Matching) -> dict[int, int]:
     """Region -> its matched edge."""
     return {t.edge_region[e]: e for e in x.edges}
@@ -152,7 +144,7 @@ def is_perfect(t: TaitGraph, x: Matching) -> bool:
 def is_maximal(t: TaitGraph, x: Matching) -> bool:
     """No overlay edge can be added (perfect states included)."""
     free_r = set(range(t.n_faces)) - set(matched_regions(t, x))
-    free_c = set(range(t.n_crossings)) - set(matched_crossings(t, x))
+    free_c = set(range(t.n_crossings)) - {e // 4 for e in x.edges}
     return not any(
         t.edge_region[4 * c + k] in free_r for c in free_c for k in range(4)
     )
@@ -169,7 +161,7 @@ def critical_cells(t: TaitGraph, x: Matching) -> tuple[tuple[int, ...], tuple[in
     """Unmatched (black regions, crossings, white regions), each sorted."""
     _validate(t, x)
     mr = matched_regions(t, x)
-    mc = matched_crossings(t, x)
+    mc = {e // 4 for e in x.edges}
     black = tuple(f for f in t.black_faces if f not in mr)
     white = tuple(f for f in t.white_faces if f not in mr)
     crossings = tuple(c for c in range(t.n_crossings) if c not in mc)
@@ -426,13 +418,6 @@ def kauffman_states(t: TaitGraph, v_b: int, v_w: int) -> tuple[Matching, ...]:
     return tuple(out)
 
 
-def find_nonextendable(t: TaitGraph) -> Iterator[Matching]:
-    """All maximal matchings that are not perfect, lazily, in the DFS order of
-    the maximal stream: crossings in id order, edges ascending, unmatched last.
-    """
-    yield from (x for x in _maximal_stream(t, skip=True) if len(x) < t.n_crossings)
-
-
 # ---------------------------------------------------------------------------
 # Jordan resolutions
 # ---------------------------------------------------------------------------
@@ -681,49 +666,3 @@ def kpw(t: TaitGraph, T: Iterable[int], v_b: int, v_w: int) -> Matching:
         white_roots=(v_w,),
     )
     return forests_to_matching(t, pair)
-
-
-# ---------------------------------------------------------------------------
-# Loop complement sides
-# ---------------------------------------------------------------------------
-
-def loop_sides(t: TaitGraph, loop: tuple[int, ...]) -> tuple[frozenset[int], frozenset[int]]:
-    """Vertices strictly on either side of a supported loop.
-
-    The overlay's faces are the arc squares; removing the loop's edges from
-    the square adjacency splits it into exactly two components, and every
-    vertex not on the loop lies in squares of a single side.  Vertices are
-    region ids and crossing vertex ids (n_faces + c).
-    """
-    edge_squares: dict[int, list[int]] = {e: [] for e in range(t.n_edges)}
-    for sq in t.squares:
-        for e in sq.edges:
-            edge_squares[e].append(sq.arc)
-    loop_set = set(loop)
-    uf = UnionFind(range(len(t.squares)))
-    for e, sqs in edge_squares.items():
-        if e in loop_set:
-            continue
-        for other in sqs[1:]:
-            uf.union(sqs[0], other)
-    comps: dict[int, set[int]] = {}
-    for sq in t.squares:
-        comps.setdefault(uf.find(sq.arc), set()).add(sq.arc)
-    if len(comps) != 2:
-        raise InvariantViolation(
-            "a loop must split the square adjacency in two, got %d parts" % len(comps)
-        )
-    on_loop = {t.edge_region[e] for e in loop_set} | {
-        t.crossing_vertex(e // 4) for e in loop_set
-    }
-    sides = []
-    for key in sorted(comps, key=lambda k: min(comps[k])):
-        verts: set[int] = set()
-        for a in comps[key]:
-            sq = t.squares[a]
-            verts.update(sq.regions)
-            verts.update(t.crossing_vertex(c) for c in sq.crossings)
-        sides.append(frozenset(verts - on_loop))
-    if sides[0] & sides[1]:
-        raise InvariantViolation("square sides must not share off-loop vertices")
-    return sides[0], sides[1]

@@ -1,17 +1,23 @@
 """Command line interface: exit codes, JSON shapes, file outputs."""
 
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import permutations
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotmorse import cli
 from knotmorse.corpus import corpus_names, get_entry
 from knotmorse.complexes import matching_complex
-from knotmorse.diagram import build_tait
+from knotmorse.diagram import build_tait, parse_pd
 from knotmorse.errors import InvariantViolation, ResourceLimit
 from knotmorse.moves import (
     MOVE_KINDS,
@@ -553,6 +559,56 @@ def test_cli_output_is_frozen(capsys):
             runs += 1
     assert runs == 240
     assert digest.hexdigest() == FROZEN_CLI_OUTPUT
+
+
+# ---------------------------------------------------------------------------
+# robustness: mutated PD text
+# ---------------------------------------------------------------------------
+
+MUTANT_SOURCES = tuple(n for n in corpus_names() if get_entry(n).crossings <= 6)
+MUTANT_COMMANDS = (
+    ["parse"],
+    ["info"],
+    ["complex", "--kind", "morse", "--homology"],
+    ["moves", "--connectivity"],
+)
+
+
+@st.composite
+def mutated_pd_texts(draw):
+    """A corpus code of up to 6 crossings after one to three mutations: drop
+    a crossing, repeat one, relabel an arc, or permute one tuple."""
+    source = get_entry(draw(st.sampled_from(MUTANT_SOURCES))).pd_text
+    crossings = [list(c) for c in parse_pd(source).crossings]
+    for _ in range(draw(st.integers(1, 3))):
+        if not crossings:
+            break
+        i = draw(st.integers(0, len(crossings) - 1))
+        kind = draw(st.sampled_from(("drop", "repeat", "relabel", "permute")))
+        if kind == "drop":
+            del crossings[i]
+        elif kind == "repeat":
+            crossings.insert(i, list(crossings[i]))
+        elif kind == "relabel":
+            old = crossings[i][draw(st.integers(0, 3))]
+            new = draw(st.integers(1, max(label for c in crossings for label in c) + 1))
+            crossings = [[new if label == old else label for label in c] for c in crossings]
+        else:
+            crossings[i] = draw(st.permutations(crossings[i]))
+    return " ".join("X(%d,%d,%d,%d)" % tuple(c) for c in crossings)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(text=mutated_pd_texts())
+def test_mutated_pd_text_exits_with_a_documented_code(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutant.pd"
+        path.write_text(text)
+        for command in MUTANT_COMMANDS:
+            argv = [command[0], str(path), *command[1:]]
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = cli.main(argv)
+            assert code in (0, 2, 3, 4), (text, argv, code)
 
 
 # ---------------------------------------------------------------------------

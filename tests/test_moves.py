@@ -1,23 +1,17 @@
-"""Moves and move graphs: clock, click loop, click path, leaf spin."""
+"""Moves and move graphs: clock, click loop, click path."""
 
 import ast
 import hashlib
 import json
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
 
-from knotmorse import build_tait, colour_graphs, get_entry, moves
+from knotmorse import build_tait, get_entry, moves
 from knotmorse.corpus import load_corpus, rational_pd, torus_pd
-from knotmorse.diagram import BLACK, WHITE, PlaneGraph, build_diagram, parse_pd
-from knotmorse.errors import (
-    InvariantViolation,
-    LeafOfAmbient,
-    NotAcyclic,
-    NotALeaf,
-    NotPerfectAdmissible,
-)
+from knotmorse.diagram import BLACK, WHITE, build_diagram, parse_pd
+from knotmorse.errors import InvariantViolation, NotAcyclic, NotPerfectAdmissible
 from knotmorse.corpus import corpus_names
 from knotmorse.moves import (
     MOVE_KINDS,
@@ -28,11 +22,9 @@ from knotmorse.moves import (
     click_path_avoidance,
     click_path_moves,
     clock_moves,
-    leaf_spin,
     marked_arc_roots,
     move_graph_to_dict,
     move_graph_to_dot,
-    shortest_move_sequence,
     two_click_connect,
     verify_connectivity,
 )
@@ -467,111 +459,6 @@ def test_click_path_avoidance_needs_its_population_and_kinds(population, kinds):
 
 
 # ---------------------------------------------------------------------------
-# Leaf spins
-# ---------------------------------------------------------------------------
-
-def spanning_forest_state(g, edges):
-    parent = {v: v for v in g.vertices}
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    acyclic = True
-    for e in edges:
-        u, v = g.edge_ends[e]
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            acyclic = False
-        else:
-            parent[ru] = rv
-    return acyclic, len({find(v) for v in g.vertices})
-
-
-@pytest.mark.parametrize("name", ("3_1", "4_1", "5_2"))
-def test_leaf_spins_preserve_forests_and_components(name):
-    for g in colour_graphs(get_entry(name).diagram):
-        nonloop = [e for e in range(g.n_edges) if g.edge_ends[e][0] != g.edge_ends[e][1]]
-        for k in range(1, min(4, len(nonloop) + 1)):
-            for sub in combinations(nonloop, k):
-                acyclic, comps = spanning_forest_state(g, sub)
-                if not acyclic:
-                    continue
-                for leaf in sub:
-                    for direction in ("cw", "ccw"):
-                        try:
-                            h2 = leaf_spin(g, sub, leaf, direction)
-                        except (NotALeaf, LeafOfAmbient):
-                            continue
-                        acyclic2, comps2 = spanning_forest_state(g, h2)
-                        assert acyclic2
-                        assert comps2 == comps
-                        new_edge = (set(h2) - set(sub)).pop()
-                        u, v = g.edge_ends[leaf]
-                        hdeg = {u: 0, v: 0}
-                        for e in sub:
-                            for w in g.edge_ends[e]:
-                                if w in hdeg:
-                                    hdeg[w] += 1
-                        pivot = min(w for w in (u, v) if hdeg[w] == 1)
-                        opposite = "ccw" if direction == "cw" else "cw"
-                        h3 = leaf_spin(g, h2, new_edge, opposite, pivot=pivot)
-                        assert h3 == tuple(sorted(sub))
-
-
-def test_leaf_spins_preserve_spanning_trees_of_the_trefoil_black_graph():
-    g = colour_graphs(get_entry("3_1").diagram)[0]
-    trees = [
-        s
-        for s in combinations(range(g.n_edges), g.n_vertices - 1)
-        if spanning_forest_state(g, s) == (True, 1)
-    ]
-    assert len(trees) == 3
-    for s in trees:
-        for leaf in s:
-            for direction in ("cw", "ccw"):
-                try:
-                    h2 = leaf_spin(g, s, leaf, direction)
-                except (NotALeaf, LeafOfAmbient):
-                    continue
-                assert spanning_forest_state(g, h2) == (True, 1)
-
-
-def test_leaf_spin_rejects_bad_leaves_and_directions():
-    g = colour_graphs(get_entry("3_1").diagram)[0]
-    with pytest.raises(NotALeaf):
-        leaf_spin(g, (0,), 1, "cw")
-    with pytest.raises(ValueError):
-        leaf_spin(g, (0,), 0, "up")
-    with pytest.raises(NotALeaf):
-        leaf_spin(g, (0, 1), 0, "cw", pivot=99)
-    kink_black = colour_graphs(get_entry("kink").diagram)[0]
-    with pytest.raises(NotALeaf):
-        leaf_spin(kink_black, (0,), 0, "cw")
-
-
-def test_leaf_spin_needs_an_edge_to_spin_to():
-    kink_white = colour_graphs(get_entry("kink").diagram)[1]
-    assert kink_white.n_edges == 1
-    with pytest.raises(LeafOfAmbient):
-        leaf_spin(kink_white, (0,), 0, "cw")
-
-
-def test_leaf_spin_skips_ambient_loops_at_the_pivot():
-    g = PlaneGraph(
-        colour=BLACK,
-        vertices=(0, 1),
-        edge_ends=((0, 0), (0, 1), (0, 1)),
-        rotations=(((0, 0), (0, 2), (1, 1), (2, 3)), ((1, 0), (2, 2))),
-    )
-    assert leaf_spin(g, (1,), 1, "ccw", pivot=0) == (2,)
-    assert leaf_spin(g, (1,), 1, "cw", pivot=0) == (2,)
-    assert leaf_spin(g, (1,), 1, "ccw", pivot=1) == (2,)
-
-
-# ---------------------------------------------------------------------------
 # Move graphs
 # ---------------------------------------------------------------------------
 
@@ -607,17 +494,6 @@ def test_empty_graph_counts_as_connected():
         diagram_id="", population="perfect_dmfs", kinds=(), nodes=(), edges=()
     )
     assert verify_connectivity(mg) == (True, 0)
-
-
-def test_shortest_move_sequence_on_the_trefoil():
-    t = tait("3_1")
-    mg = build_move_graph(t, "perfect_admissible")
-    assert shortest_move_sequence(mg, 4, 4) == ()
-    seq = shortest_move_sequence(mg, 0, len(mg.nodes) - 1)
-    assert seq is not None and 1 <= len(seq) <= 4
-    isolated = build_move_graph(t, "perfect_admissible", kinds=("click_loop",))
-    assert isolated.edges == ()
-    assert shortest_move_sequence(isolated, 0, 1) is None
 
 
 def test_marked_arc_roots_are_the_flanking_regions():
@@ -845,16 +721,3 @@ def test_two_click_connect_faults_raise(monkeypatch, fault):
         monkeypatch.setattr(moves, "_click_step", lambda mask, e: mask)
     with pytest.raises(InvariantViolation, match="no click path" if fault == "no_path" else "ended at"):
         two_click_connect(t, x, v_b, white[0])
-
-
-@pytest.mark.parametrize("fault", ["missing", "twice"])
-def test_leaf_spin_rotation_fault_raises(fault):
-    at_zero = ((0, 0), (0, 2), (2, 3)) if fault == "missing" else ((0, 0), (1, 1), (1, 1), (2, 3))
-    g = PlaneGraph(
-        colour=BLACK,
-        vertices=(0, 1),
-        edge_ends=((0, 0), (0, 1), (0, 1)),
-        rotations=(at_zero, ((1, 0), (2, 2))),
-    )
-    with pytest.raises(InvariantViolation, match="appears"):
-        leaf_spin(g, (1,), 1, "ccw", pivot=0)

@@ -21,7 +21,6 @@ from knotmorse import (
     build_tait,
     critical_cells,
     enumerate_matchings,
-    find_nonextendable,
     forests_to_matching,
     induced_forests,
     is_admissible,
@@ -31,14 +30,13 @@ from knotmorse import (
     jordan_resolution,
     kauffman_states,
     kpw,
-    loop_sides,
     monochromatic_loops,
     parse_pd,
 )
 from knotmorse import cli, moves, states
 from knotmorse.corpus import corpus_names, get_entry, rational_pd, torus_pd
 from knotmorse.errors import InvariantViolation
-from knotmorse.states import amended_poset_acyclic, matched_regions, matching_to_dict
+from knotmorse.states import _maximal_stream, amended_poset_acyclic, matched_regions, matching_to_dict
 from states_oracle import (
     oracle_amended_poset_acyclic,
     oracle_forests_to_matching,
@@ -204,36 +202,6 @@ def test_monochromatic_loops_are_frozen():
     assert digest.hexdigest() == FROZEN_LOOPS
 
 
-def test_loop_sides_hold_an_unmatched_vertex_each():
-    for text in (TREFOIL, FIG8, KINK):
-        d, t = setup(text)
-        for m in enumerate_matchings(t, "all"):
-            mr = matched_regions(t, m)
-            mc = {e // 4 for e in m.edges}
-            for loop in monochromatic_loops(t, m):
-                for side in loop_sides(t, loop):
-                    free = [
-                        v
-                        for v in side
-                        if (v < t.n_faces and v not in mr)
-                        or (v >= t.n_faces and v - t.n_faces not in mc)
-                    ]
-                    assert free, (m.edges, loop)
-
-
-def test_fig8_loop_sides_frozen():
-    _, t = setup(FIG8)
-    s1, s2 = loop_sides(t, (1, 3, 5, 7))
-    assert sorted(s1) == [0]
-    assert sorted(s2) == [2, 4, 5, 8, 9]
-
-
-def test_loop_sides_of_a_non_loop_raise():
-    _, t = setup(FIG8)
-    with pytest.raises(InvariantViolation, match="split"):
-        loop_sides(t, ())
-
-
 # -- Jordan resolutions ----------------------------------------------------
 
 @pytest.mark.parametrize("text", [TREFOIL, FIG8, KINK])
@@ -308,10 +276,16 @@ def test_empty_matching_keeps_all_double_points():
 
 # -- maximality ------------------------------------------------------------
 
+def nonextendable(t):
+    """The maximal matchings that are not perfect: the skip branch of the
+    maximal stream that the matching complex reads its facets from."""
+    return (x for x in _maximal_stream(t, skip=True) if len(x) < t.n_crossings)
+
+
 @pytest.mark.parametrize("text", [TREFOIL, FIG8, KINK])
 def test_no_small_diagram_has_nonextendable_matchings(text):
     d, t = setup(text)
-    assert list(find_nonextendable(t)) == []
+    assert list(nonextendable(t)) == []
     allm = oracle_matchings(t)
     assert [m for m in allm if is_maximal(t, m) and not is_perfect(t, m)] == []
 
@@ -322,13 +296,13 @@ def test_nonextendable_search_equals_the_filtered_full_stream(name):
     kept = {
         m for m in enumerate_matchings(t, "all") if is_maximal(t, m) and not is_perfect(t, m)
     }
-    found = list(find_nonextendable(t))
+    found = list(nonextendable(t))
     assert len(found) == len(set(found))
     assert set(found) == kept
 
 
 # sha256 of [name, filter, edges] per matching of the three perfect filters
-# and find_nonextendable, in stream order, over the corpus, T(2,9), the
+# and the non-perfect maximal matchings, in stream order, over the corpus, T(2,9), the
 # 8-crossing rational vectors below and a composite projection (18,966,
 # 9,222, 6,858 and 11,185 matchings), taken from the separate perfect and
 # non-extendable searches before one maximal-matching search replaced both.
@@ -348,7 +322,7 @@ def test_maximal_streams_are_frozen():
         t = build_tait(d)
         for filter in ("maximal_pks", "perfect_admissible", "perfect_dmf", "nonextendable"):
             if filter == "nonextendable":
-                stream = find_nonextendable(t)
+                stream = nonextendable(t)
             else:
                 stream = enumerate_matchings(t, filter)
             for m in stream:
