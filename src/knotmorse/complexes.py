@@ -25,10 +25,8 @@ before allocating past it.
 from __future__ import annotations
 
 import os
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from functools import reduce
-from operator import and_
 
 from .counting import spanning_trees
 from .diagram import Diagram, TaitGraph, build_tait, colour_graphs
@@ -92,25 +90,17 @@ class FaceLevel(Sequence):
 class SimplicialComplex:
     """Finite abstract simplicial complex given by its facets.
 
-    Facets are canonical sorted vertex-id tuples, pairwise non-contained;
-    the face closure is built from them lazily, as int masks, and cached.
+    The facets must be pairwise non-contained, as the maximal matchings and
+    the tree triples are: they are kept as given, as canonical sorted
+    vertex-id tuples, deduplicated and ordered by size.  The face closure is
+    built from them lazily, as int masks, and cached.
     """
 
     __slots__ = ("facets", "_faces")
 
     def __init__(self, facets: Iterable[Iterable[int]]):
-        canonical = sorted({tuple(sorted(f)) for f in facets}, key=lambda f: (len(f), f))
-        holding: dict[int, int] = {}  # vertex -> bitset of the facets that hold it
-        for i, f in enumerate(canonical):
-            for v in f:
-                holding[v] = holding.get(v, 0) | 1 << i
-        # a facet is kept when no other one holds all its vertices; the empty
-        # facet lies in every other one
         self.facets: tuple[tuple[int, ...], ...] = tuple(
-            f
-            for f in canonical
-            if (reduce(and_, [holding[v] for v in f]).bit_count() == 1 if f else len(canonical) == 1)
-        )
+            sorted({tuple(sorted(f)) for f in facets}, key=lambda f: (len(f), f)))
         self._faces: tuple[FaceLevel, ...] | None = None
 
     @property
@@ -171,19 +161,19 @@ class IndependenceComplex(SimplicialComplex):
 
     conflicts[i] is the neighbour mask of the i-th smallest vertex, in the
     bits of faces(), and the facets are the maximal independent sets.
-    homology takes the matching tree of this graph and lists no face.  Face
-    counts found another way can be given; otherwise they come from faces().
+    homology takes the matching tree of this graph and lists no face; the
+    face counts, by size from one vertex up, are found another way and given.
     """
 
     __slots__ = ("conflicts", "_counts")
 
     def __init__(self, facets: Iterable[Iterable[int]], conflicts: Iterable[int],
-                 counts: tuple[int, ...] | None = None):
+                 counts: tuple[int, ...]):
         super().__init__(facets)
         self.conflicts, self._counts = tuple(conflicts), counts
 
     def face_counts(self) -> tuple[int, ...]:
-        return super().face_counts() if self._counts is None else self._counts
+        return self._counts
 
 
 def _matching_counts(t: TaitGraph) -> tuple[int, ...]:
@@ -270,9 +260,8 @@ def pure_morse_from_trees(d: Diagram) -> SimplicialComplex:
 
 @dataclass(frozen=True)
 class HomologyResult:
-    """Reduced or unreduced integer homology, one entry per degree."""
+    """Reduced integer homology, one entry per degree."""
 
-    reduced: bool
     betti: tuple[int, ...]
     torsion: tuple[tuple[int, ...], ...]
     face_counts: tuple[int, ...]
@@ -289,7 +278,7 @@ class HomologyResult:
 
     def to_dict(self) -> dict:
         return {
-            "reduced": self.reduced,
+            "reduced": True,
             "betti": {str(k): b for k, b in self.ranks().items()},
             "torsion": {str(k): list(v) for k, v in self.torsion_by_degree().items()},
             "face_counts": list(self.face_counts),
@@ -387,14 +376,14 @@ def _element_matching(n_vertices: int, levels: list[set[int]]) -> tuple[set[int]
 
 
 class _TreePartners(dict):
-    """The pairs (lower -> upper) of a matching tree, for _morse_boundary.
+    """The partner lookup of a matching tree, for _morse_boundary: self[x]
+    is the upper cell paired with a lower cell x, or 0 for any other cell.
 
     A cell walks the tree by whether it holds each pivot.  The leaf it
     reaches is a cone vertex v, and the cell is the lower one of its pair
-    when it lacks v, or 0, the critical cell.  Answers are memoised, 0 for a
-    cell that is no lower cell.  Each memoised cell, and the flow that
-    _morse_boundary keeps for each lower one, counts against what the
-    tree's nodes left of the cap.
+    when it lacks v, or 0, the critical cell.  Answers are memoised.  Each
+    memoised cell, and the flow that _morse_boundary keeps for each lower
+    one, counts against what the tree's nodes left of the cap.
     """
 
     def __init__(self, tree: list, cap: int):
@@ -413,12 +402,6 @@ class _TreePartners(dict):
             raise _over_cap(self.cap, "matching tree")
         self[x] = partner
         return partner
-
-    def __contains__(self, x: object) -> bool:
-        return self[x] != 0
-
-    def get(self, x: int, default=None):
-        return self[x] or default
 
 
 def _matching_tree(conflicts: Sequence[int]) -> tuple[set[int], _TreePartners]:
@@ -481,8 +464,10 @@ def _signed_faces(t: int) -> list[tuple[int, int]]:
     return out
 
 
-def _morse_boundary(critical: set[int], up: dict[int, int]) -> dict[int, dict[int, int]]:
-    """Boundary of each critical cell in the Morse complex of the matching.
+def _morse_boundary(critical: set[int], partner: Callable[[int], int]) -> dict[int, dict[int, int]]:
+    """Boundary of each critical cell in the Morse complex of the matching,
+    whose pairs partner gives: the upper cell of a lower cell x, or 0 for
+    any other cell.
 
     By gradient paths (Forman, Morse theory for cell complexes, 1998): a face
     g flows to itself when it is critical, to 0 when it is the upper cell of
@@ -502,11 +487,11 @@ def _morse_boundary(critical: set[int], up: dict[int, int]) -> dict[int, dict[in
                 continue
             terms = opened.pop(x, None)
             if terms is None:
-                t = up.get(x, x)
+                t = partner(x) or x
                 faces = _signed_faces(t)
                 unit = 1 if t == x else -next(k for k, g in faces if g == x)
-                terms = [(unit * k, g) for k, g in faces if g != x and (g in up or g in critical)]
-                todo = [g for _, g in terms if g in up and g not in flow]
+                terms = [(unit * k, g) for k, g in faces if g != x and (partner(g) or g in critical)]
+                todo = [g for _, g in terms if g not in critical and g not in flow]
                 if todo:
                     if not opened.keys().isdisjoint(todo):
                         raise InvariantViolation(
@@ -523,25 +508,25 @@ def _morse_boundary(critical: set[int], up: dict[int, int]) -> dict[int, dict[in
     return {c: flow[c] for c in critical}
 
 
-def homology(c: SimplicialComplex, reduced: bool = True) -> HomologyResult:
-    """Exact integer homology through an acyclic matching on the cells.
+def homology(c: SimplicialComplex) -> HomologyResult:
+    """Exact reduced integer homology through an acyclic matching on the cells.
 
     The cells are the faces and the empty face, so the chain complex is
-    augmented and its homology is reduced; unreduced homology adds one free
-    class in degree 0.  An independence complex is matched by its matching
-    tree, any other by an element matching on its face closure.  Only the
-    critical cells go on: their Morse boundary between adjacent sizes goes
-    through a dense Smith normal form, whose number of factors is the rank
-    and whose factors above 1 are the torsion.
+    augmented and its homology is reduced.  An independence complex is
+    matched by its matching tree, any other by an element matching on its
+    face closure.  Only the critical cells go on: their Morse boundary
+    between adjacent sizes goes through a dense Smith normal form, whose
+    number of factors is the rank and whose factors above 1 are the torsion.
     """
     if c.dimension < 0:
-        return HomologyResult(reduced=reduced, betti=(), torsion=(), face_counts=())
+        return HomologyResult(betti=(), torsion=(), face_counts=())
     if isinstance(c, IndependenceComplex):
-        critical, up = _matching_tree(c.conflicts)
+        critical, partners = _matching_tree(c.conflicts)
+        bd = _morse_boundary(critical, partners.__getitem__)
     else:
         levels = [{0}] + [level.masks for level in c.faces()]
         critical, up = _element_matching(len(levels[1]), levels)
-    bd = _morse_boundary(critical, up)
+        bd = _morse_boundary(critical, lambda x: up.get(x, 0))
     dim = c.dimension
     # cells[s], invs[s]: critical cells with s vertices, their boundary's factors
     cells: list[list[int]] = [[] for _ in range(dim + 2)]
@@ -554,10 +539,7 @@ def homology(c: SimplicialComplex, reduced: bool = True) -> HomologyResult:
     betti = [len(cells[k + 1]) - len(invs[k + 1]) - len(invs[k + 2]) for k in range(dim + 1)]
     if min(betti) < 0:
         raise InvariantViolation("negative betti number in %s" % betti)
-    if not reduced:
-        betti[0] += 1
     return HomologyResult(
-        reduced=reduced,
         betti=tuple(betti),
         torsion=tuple(tuple(v for v in invs[k + 2] if v > 1) for k in range(dim + 1)),
         face_counts=c.face_counts(),

@@ -33,9 +33,7 @@ build_diagram(pd, swap_colours=True) flips every colour instead.
 Colour graphs.  The black graph has one vertex per black face and one edge per
 crossing, joining the faces at the crossing's two black corners (loops and
 parallel edges kept); likewise the white graph.  Edge ids are crossing ids, so
-an edge and its dual (the white edge at the same crossing) share an id.  Each
-vertex carries its rotation: the cyclic sequence of (crossing, corner) edge
-ends in face-walk order.
+an edge and its dual (the white edge at the same crossing) share an id.
 
 Tait overlay.  The overlay graph has a vertex for every face (region vertices,
 ids 0..F-1) and every crossing (ids F..F+n-1), and one edge per corner: edge
@@ -165,7 +163,6 @@ class Diagram:
     arc_labels: tuple[int, ...]
     arc_ends: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
     faces: tuple[Face, ...]
-    colours_swapped: bool = False
 
     @property
     def n_crossings(self) -> int:
@@ -310,7 +307,6 @@ def build_diagram(pd: PDCode, swap_colours: bool = False) -> Diagram:
         arc_labels=tuple(labels),
         arc_ends=arc_ends,
         faces=faces,
-        colours_swapped=swap_colours,
     )
 
 
@@ -320,18 +316,14 @@ def build_diagram(pd: PDCode, swap_colours: bool = False) -> Diagram:
 
 @dataclass(frozen=True)
 class PlaneGraph:
-    """One colour class of faces with an edge per crossing, plus rotations.
+    """One colour class of faces with an edge per crossing.
 
     Edge i joins the two faces at crossing i's corners of this colour.
-    rotations[j] lists the edge ends (crossing, corner) around vertices[j]
-    in face-walk order, so loops appear twice and parallel edges keep their
-    places.
     """
 
     colour: int
     vertices: tuple[int, ...]
     edge_ends: tuple[tuple[int, int], ...]
-    rotations: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
     def n_vertices(self) -> int:
@@ -345,9 +337,15 @@ class PlaneGraph:
     def vertex_index(self) -> dict[int, int]:
         return {v: i for i, v in enumerate(self.vertices)}
 
-    @cached_property
-    def rotation_at(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        return {v: rot for v, rot in zip(self.vertices, self.rotations)}
+
+def _colour_corner(face_colour: tuple[int, ...], corner_face: tuple[int, ...], c: int,
+                   colour: int) -> int:
+    """Corner 4 * c + k, k 0 or 1, of crossing c whose face has the colour.
+
+    Corners alternate colours around a crossing, so the colour sits at
+    corners k and k + 2 (the corner edge e and e ^ 2 of the overlay).
+    """
+    return 4 * c + (face_colour[corner_face[4 * c]] != colour)
 
 
 def _one_colour_graph(d: Diagram, colour: int) -> PlaneGraph:
@@ -355,14 +353,8 @@ def _one_colour_graph(d: Diagram, colour: int) -> PlaneGraph:
     vset = set(vertices)
     edge_ends: list[tuple[int, int]] = []
     for c in range(d.n_crossings):
-        # Corners alternate colours around a crossing; this colour sits at
-        # either {0, 2} or {1, 3}.
-        corner = 4 * c if d.face_colour[d.corner_face[4 * c]] == colour else 4 * c + 1
+        corner = _colour_corner(d.face_colour, d.corner_face, c, colour)
         edge_ends.append((d.corner_face[corner], d.corner_face[corner + 2]))
-    rotations = []
-    for v in vertices:
-        face = d.faces[v]
-        rotations.append(tuple(face.corners))
     if not all(f in vset for ends in edge_ends for f in ends):
         raise InvariantViolation(
             "a %s graph edge ends off its colour" % ("white" if colour == WHITE else "black")
@@ -371,7 +363,6 @@ def _one_colour_graph(d: Diagram, colour: int) -> PlaneGraph:
         colour=colour,
         vertices=tuple(vertices),
         edge_ends=tuple(edge_ends),
-        rotations=tuple(rotations),
     )
 
 
@@ -421,8 +412,6 @@ class Square:
     """
 
     arc: int
-    crossings: tuple[int, int]
-    regions: tuple[int, int]
     edges: tuple[int, int, int, int]
 
 
@@ -478,7 +467,7 @@ def build_tait(d: Diagram) -> TaitGraph:
         # The other end sees the same two regions from the far side.
         if (f_left, f_right) != (g_left, g_right):
             raise InvariantViolation("the two ends of arc %d see different regions" % a)
-        squares.append(Square(arc=a, crossings=(c1, c2), regions=(f_left, f_right), edges=edges))
+        squares.append(Square(arc=a, edges=edges))
     return TaitGraph(
         diagram=d,
         n_crossings=d.n_crossings,

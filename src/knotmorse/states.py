@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .diagram import BLACK, WHITE, Diagram, TaitGraph, UnionFind
+from .diagram import BLACK, WHITE, Diagram, TaitGraph, UnionFind, _colour_corner
 from .errors import InvalidForest, InvariantViolation, NotAcyclic, NotAdmissible, NotSpanning
 
 __all__ = [
@@ -534,11 +534,6 @@ class ForestPair:
         return tuple(sorted(self.black_roots + self.white_roots))
 
 
-def _colour_edge_ends(t: TaitGraph, c: int, colour: int) -> tuple[int, int]:
-    e = 4 * c + (t.face_colour[t.edge_region[4 * c]] != colour)  # corners k0, k0 + 2
-    return t.edge_region[e], t.edge_region[e ^ 2]
-
-
 def induced_forests(t: TaitGraph, x: Matching) -> ForestPair:
     """The rooted forest pair of an acyclic matching.
 
@@ -605,7 +600,7 @@ def forests_to_matching(t: TaitGraph, f: ForestPair) -> Matching:
         for c in forest:
             if not 0 <= c < t.n_crossings:
                 raise InvalidForest("edge id %d out of range" % c)
-            e = 4 * c + (colour_of[region_of[4 * c]] != colour)  # corners k0, k0 + 2
+            e = _colour_corner(colour_of, region_of, c, colour)
             u, v = region_of[e], region_of[e ^ 2]
             if not uf.union(u, v):
                 raise InvalidForest("edge %d closes a cycle" % c)
@@ -652,7 +647,8 @@ def kpw(t: TaitGraph, T: Iterable[int], v_b: int, v_w: int) -> Matching:
         )
     uf = UnionFind(t.black_faces)
     for c in tree:
-        if not uf.union(*_colour_edge_ends(t, c, BLACK)):
+        e = _colour_corner(t.face_colour, t.edge_region, c, BLACK)
+        if not uf.union(t.edge_region[e], t.edge_region[e ^ 2]):
             raise NotSpanning("edge %d closes a cycle in the black graph" % c)
     if t.face_colour[v_b] != BLACK:
         raise ValueError("root %d is not a black region" % v_b)

@@ -1,10 +1,12 @@
-"""A second homology engine and facet filter, kept as test oracles.
+"""A second homology engine and a maximal-facet filter, kept as test oracles.
 
 These are the package's original implementations: each boundary matrix of
 the full face complex is eliminated on its own with unit pivots ordered by a
 Markowitz heap, the core without unit entries goes through the package's
 dense Smith normal form, and maximal facets are found by comparing every
-pair.  The engine under test instead reduces only the critical cells of an
+pair.  The package no longer filters facets: ``SimplicialComplex`` takes
+them as given, pairwise non-contained, so the pairwise filter now checks
+that each facet list the program builds is such an antichain.  The engine under test instead reduces only the critical cells of an
 element matching and sends their whole boundary, unit entries included, to
 ``_dense_smith``; here that routine sees only what unit pivots leave (on
 the corpus, nothing), so a comparison of the two tests the Smith core too.
@@ -114,16 +116,17 @@ def _boundary_columns(
     return out
 
 
-def oracle_homology(c: SimplicialComplex, reduced: bool = True) -> HomologyResult:
-    """Integer homology from per-degree Smith normal forms of the boundaries."""
+def oracle_homology(c: SimplicialComplex) -> HomologyResult:
+    """Reduced integer homology from per-degree Smith normal forms of the
+    boundaries."""
     faces = c.faces()
     if not faces:
-        return HomologyResult(reduced=reduced, betti=(), torsion=(), face_counts=())
+        return HomologyResult(betti=(), torsion=(), face_counts=())
     counts = [len(bucket) for bucket in faces]
     dim = len(faces) - 1
     ranks = [0] * (dim + 2)
     torsion: list[tuple[int, ...]] = [() for _ in range(dim + 1)]
-    if reduced and counts[0]:
+    if counts[0]:
         ranks[0] = 1
     lower_index = {face: i for i, face in enumerate(faces[0])}
     for k in range(1, dim + 1):
@@ -132,7 +135,6 @@ def oracle_homology(c: SimplicialComplex, reduced: bool = True) -> HomologyResul
         lower_index = {face: i for i, face in enumerate(faces[k])}
     betti = tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(dim + 1))
     return HomologyResult(
-        reduced=reduced,
         betti=betti,
         torsion=tuple(torsion),
         face_counts=tuple(counts),

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Sequence
 
-from knotmorse.diagram import BLACK, WHITE, TaitGraph
+from knotmorse.diagram import BLACK, WHITE, TaitGraph, _colour_corner
 from knotmorse.errors import InvariantViolation
 from knotmorse.moves import (
     MOVE_KINDS,
@@ -35,7 +35,6 @@ from knotmorse.moves import (
 )
 from knotmorse.states import (
     Matching,
-    _colour_edge_ends,
     enumerate_matchings,
     kauffman_states,
     matched_regions,
@@ -82,7 +81,8 @@ def oracle_click_tree(
     for e in x.edges:
         if t.face_colour[t.edge_region[e]] == colour:
             c = e // 4
-            u, v = _colour_edge_ends(t, c, colour)
+            corner = _colour_corner(t.face_colour, t.edge_region, c, colour)
+            u, v = t.edge_region[corner], t.edge_region[corner ^ 2]
             adj[u].append((c, v))
             adj[v].append((c, u))
     parent: dict[int, tuple[int, int] | None] = {root: None}

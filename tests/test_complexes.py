@@ -44,7 +44,6 @@ from knotmorse.errors import InvariantViolation, ResourceLimit
 from knotmorse.moves import click_path_moves, clock_moves
 from knotmorse.states import (
     Matching,
-    _maximal_stream,
     critical_cells,
     enumerate_matchings,
     induced_forests,
@@ -114,15 +113,11 @@ TORSION_FIXTURES = (
 # SimplicialComplex basics
 # ---------------------------------------------------------------------------
 
-def test_facets_are_canonical_deduped_and_containment_free():
-    c = SimplicialComplex([(2, 1), (1, 2), (1,), (3, 4, 5), (4, 3)])
-    assert c.facets == ((1, 2), (3, 4, 5))
+def test_facets_are_canonical_deduped_and_sorted():
+    c = SimplicialComplex([(5, 3, 4), (2, 1), (1, 2), (0, 6), (3, 4, 5)])
+    assert c.facets == ((0, 6), (1, 2), (3, 4, 5))
     assert c.dimension == 2
-
-
-def test_empty_facet_is_kept_only_when_alone():
-    assert SimplicialComplex([()]).facets == ((),)
-    assert SimplicialComplex([(), (3,), ()]).facets == ((3,),)
+    assert SimplicialComplex([(), ()]).facets == ((),)
 
 
 def test_empty_complex():
@@ -168,11 +163,6 @@ def test_circle_has_one_loop():
     h = homology(c)
     assert h.ranks() == {1: 1}
     assert h.is_torsion_free()
-
-
-def test_unreduced_circle_counts_the_component():
-    h = homology(SimplicialComplex([(0, 1), (1, 2), (0, 2)]), reduced=False)
-    assert h.ranks() == {0: 1, 1: 1}
 
 
 def test_solid_simplex_is_acyclic():
@@ -327,11 +317,9 @@ def test_torsion_fixtures_agree_with_the_oracle_under_relabelling(seed):
     rng = random.Random(seed)
     for facets, ranks, torsion in TORSION_FIXTURES:
         c = SimplicialComplex(relabelled(facets, rng))
-        for reduced in (True, False):
-            got = homology(c, reduced)
-            assert got == oracle_homology(c, reduced)
-            expected = ranks if reduced else {**ranks, 0: ranks.get(0, 0) + 1}
-            assert (got.ranks(), got.torsion_by_degree()) == (expected, torsion), (ranks, torsion)
+        got = homology(c)
+        assert got == oracle_homology(c)
+        assert (got.ranks(), got.torsion_by_degree()) == (ranks, torsion)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -341,25 +329,18 @@ def test_random_complexes_agree_with_the_oracle(seed):
     # Markowitz pivot
     for _ in range(30):
         facets = random_facets(rng, rng.randint(1, 12), rng.randint(0, 30), 4)
+        # facets held in others add no face, so both engines see one closure
         c = SimplicialComplex(facets)
-        for reduced in (True, False):
-            assert homology(c, reduced) == oracle_homology(c, reduced), facets
+        assert homology(c) == oracle_homology(c), facets
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_facet_filter_agrees_with_the_pairwise_filter(seed):
-    rng = random.Random(seed)
-    for _ in range(200):
-        facets = random_facets(rng, rng.randint(1, 8), rng.randint(0, 12), 6)
-        assert SimplicialComplex(facets).facets == pairwise_maximal_facets(facets), facets
-
-
-@pytest.mark.parametrize("name", SIX_OR_LESS + ("7_7",))
-def test_facet_filter_agrees_with_the_pairwise_filter_on_the_corpus(name):
-    t = build_tait(get_entry(name).diagram)
-    offered = [x.edges for x in enumerate_matchings(t, "maximal_pks")]
-    offered.extend(x.edges for x in _maximal_stream(t, skip=True) if len(x) < t.n_crossings)
-    assert matching_complex(t).facets == pairwise_maximal_facets(offered)
+@pytest.mark.parametrize("name", corpus_names())
+def test_facet_lists_are_antichains(name):
+    # SimplicialComplex takes its facets as given, pairwise non-contained
+    d = get_entry(name).diagram
+    built = {**reference_complexes(d), "from_trees": pure_morse_from_trees(d)}
+    for column, c in built.items():
+        assert c.facets == pairwise_maximal_facets(c.facets), column
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +441,6 @@ def test_matching_tree_agrees_with_the_closure_on_the_corpus(name):
     # the counts of matchings by size against the face closure
     assert c.face_counts() == plain.face_counts()
     assert homology(c) == homology(plain) == oracle_homology(plain)
-    assert homology(c, reduced=False) == homology(plain, reduced=False)
 
 
 @pytest.mark.parametrize("name", corpus_names())
@@ -468,15 +448,20 @@ def test_matching_tree_is_acyclic_and_meets_the_morse_inequalities(name):
     c = matching_complex(build_tait(get_entry(name).diagram))
     cells = {0}.union(*(level.masks for level in c.faces()))
     critical, partners = complexes._matching_tree(c.conflicts)
-    up = {x: partners.get(x) for x in cells if x in partners}
+    up = {x: partners[x] for x in cells if partners[x]}
     assert_acyclic_morse_matching(cells, critical, up, homology(c).betti, "matching")
+
+
+def independent_sets(conflicts):
+    """Vertex masks of the independent sets, by brute force."""
+    n = len(conflicts)
+    return {m for m in range(1 << n) if not any(m >> i & 1 and conflicts[i] & m for i in range(n))}
 
 
 def maximal_independent_sets(conflicts):
     """Vertex masks of the maximal independent sets, by brute force."""
     n = len(conflicts)
-    independent = {m for m in range(1 << n)
-                   if not any(m >> i & 1 and conflicts[i] & m for i in range(n))}
+    independent = independent_sets(conflicts)
     return [m for m in independent
             if not any(m | 1 << i in independent for i in range(n) if not m >> i & 1)]
 
@@ -500,10 +485,12 @@ def test_matching_tree_agrees_with_the_closure_on_random_graphs(conflicts, gap):
     # vertex i is named gap * i, so bit i stands for the i-th smallest name
     facets = [tuple(gap * i for i in range(len(conflicts)) if m >> i & 1)
               for m in maximal_independent_sets(conflicts)]
-    c = IndependenceComplex(facets, conflicts)
+    sizes = [m.bit_count() for m in independent_sets(conflicts)]
+    counts = tuple(sizes.count(k) for k in range(1, max(sizes) + 1))
+    c = IndependenceComplex(facets, conflicts, counts)
     plain = closure_of(c)
-    for reduced in (True, False):
-        assert homology(c, reduced) == homology(plain, reduced) == oracle_homology(plain, reduced)
+    assert c.face_counts() == plain.face_counts()
+    assert homology(c) == homology(plain) == oracle_homology(plain)
 
 
 def subdivided_projective_plane():
@@ -516,18 +503,21 @@ def subdivided_projective_plane():
     # one maximal chain vertex < edge < triangle per ordered pair in a triangle
     facets = [(index[(a,)], index[tuple(sorted((a, b)))], index[f])
               for f in RP2 for a in f for b in f if a != b]
-    return IndependenceComplex(facets, conflicts)
+    # its faces are the chains of faces of RP2, counted by length
+    chains = [[(g,) for g in faces]]
+    for _ in range(2):
+        chains.append([ch + (h,) for ch in chains[-1] for h in faces if set(ch[-1]) < set(h)])
+    return IndependenceComplex(facets, conflicts, tuple(map(len, chains)))
 
 
 def test_matching_tree_finds_the_two_torsion_of_a_subdivided_projective_plane():
     c = subdivided_projective_plane()
     plain = closure_of(c)
-    assert c.face_counts() == (31, 90, 60)
-    for reduced in (True, False):
-        got = homology(c, reduced)
-        assert got == homology(plain, reduced) == oracle_homology(plain, reduced)
-        assert got.ranks() == ({} if reduced else {0: 1})
-        assert got.torsion_by_degree() == {1: (2,)}
+    assert c.face_counts() == plain.face_counts() == (31, 90, 60)
+    got = homology(c)
+    assert got == homology(plain) == oracle_homology(plain)
+    assert got.ranks() == {}
+    assert got.torsion_by_degree() == {1: (2,)}
 
 
 def test_cycle_free_check_sees_a_closed_gradient_path():
@@ -556,8 +546,7 @@ def test_cycle_free_check_sees_a_closed_gradient_path():
 )
 def test_homology_agrees_with_the_oracle_on_any_vertex_ids(facets):
     c = SimplicialComplex(facets)
-    for reduced in (True, False):
-        assert homology(c, reduced) == oracle_homology(c, reduced)
+    assert homology(c) == oracle_homology(c)
     # the faces are every vertex subset of a given facet, counted apart
     top = max(map(len, facets), default=0)
     expected = [{g for f in facets for g in combinations(sorted(f), k)} for k in range(1, top + 1)]

@@ -104,7 +104,6 @@ def test_face_degrees_sum_to_arc_incidences():
 
 def test_swap_colours():
     d = build_diagram(parse_pd(TREFOIL), swap_colours=True)
-    assert d.colours_swapped
     assert d.white_faces == (1, 3, 4)
     assert d.black_faces == (0, 2)
 
@@ -176,19 +175,6 @@ def test_colour_graphs_are_plane_duals():
         assert len(gb.edge_ends) == len(gw.edge_ends) == d.n_crossings
 
 
-def test_rotations_list_every_incidence():
-    # rotation_at[v] walks the face corners in cyclic order; each corner
-    # (crossing, k) is one end of colour edge `crossing`.
-    for text in (TREFOIL, FIG8, KINK):
-        d = diagram(text)
-        for g in colour_graphs(d):
-            for v in g.vertices:
-                rot = [c for c, _ in g.rotation_at[v]]
-                assert sorted(rot) == sorted(
-                    e for e, (a, b) in enumerate(g.edge_ends) for end in (a, b) if end == v
-                )
-
-
 # -- union-find ------------------------------------------------------------
 
 def _reachable(adj, a, b):
@@ -249,9 +235,10 @@ def test_squares_alternate_regions_and_crossings():
     for text in (TREFOIL, FIG8, KINK):
         t = build_tait(diagram(text))
         for sq in t.squares:
-            c1, c2 = sq.crossings
-            assert {e // 4 for e in sq.edges} == {c1, c2}
-            r1, r2 = sq.regions
+            # edges run f_left - c1 - f_right - c2 - f_left
+            c1, c2 = (e // 4 for e in sq.edges[1::2])
+            assert [e // 4 for e in sq.edges] == [c1, c1, c2, c2]
+            r1, r2 = (t.edge_region[e] for e in sq.edges[:2])
             assert {t.face_colour[r1], t.face_colour[r2]} == {BLACK, WHITE}
             # each opposite-edge pattern covers both regions
             for ea, eb in (sq.edges[0::2], sq.edges[1::2]):
