@@ -32,7 +32,6 @@ from .counting import (
     count_perfect_dmfs,
     count_spanning_trees,
     count_via_enumeration,
-    spanning_trees,
 )
 from .diagram import Diagram, build_diagram, build_tait, colour_graphs, is_reduced, parse_pd
 from .errors import InvariantViolation, KnotmorseError, ResourceLimit
@@ -57,7 +56,6 @@ from .states import (
     is_admissible,
     is_dmf,
     jordan_resolution,
-    kpw,
     matching_to_dict,
     FILTERS,
 )
@@ -454,14 +452,8 @@ def _selftest_checks(cap: int):
 
     def check_kpw(report):
         for name, d, t in smalls:
-            black = colour_graphs(d)[0]
-            image = set()
-            for tree in spanning_trees(black):
-                for v_b in t.black_faces:
-                    for v_w in t.white_faces:
-                        image.add(kpw(t, tree, v_b, v_w).edges)
             direct = {x.edges for x in enumerate_matchings(t, "perfect_dmf")}
-            if image != direct:
+            if set(pure_morse_from_trees(d).facets) != direct:
                 return {"diagram": name}
         return None
 

@@ -64,29 +64,6 @@ def _over_cap(cap: int, stage: str) -> ResourceLimit:
                          stage=stage, size=cap + 1)
 
 
-class FaceLevel(Sequence):
-    """Faces with one number of vertices: int masks, seen as sorted tuples."""
-
-    def __init__(self, vertices: tuple[int, ...], masks: set[int]):
-        self.masks, self._vertices, self._tuples = masks, vertices, None
-
-    def __len__(self) -> int:
-        return len(self.masks)
-
-    def __getitem__(self, i):
-        if self._tuples is None:
-            vs = self._vertices
-            self._tuples = tuple(sorted(tuple(v for j, v in enumerate(vs) if m >> j & 1)
-                                        for m in self.masks))
-        return self._tuples[i]
-
-    def __eq__(self, other: object) -> bool:
-        return tuple(self) == other
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-
 class SimplicialComplex:
     """Finite abstract simplicial complex given by its facets.
 
@@ -101,7 +78,7 @@ class SimplicialComplex:
     def __init__(self, facets: Iterable[Iterable[int]]):
         self.facets: tuple[tuple[int, ...], ...] = tuple(
             sorted({tuple(sorted(f)) for f in facets}, key=lambda f: (len(f), f)))
-        self._faces: tuple[FaceLevel, ...] | None = None
+        self._faces: tuple[set[int], ...] | None = None
 
     @property
     def dimension(self) -> int:
@@ -116,12 +93,13 @@ class SimplicialComplex:
     def __repr__(self) -> str:
         return "SimplicialComplex(%d facets, dim %d)" % (len(self.facets), self.dimension)
 
-    def faces(self) -> tuple[FaceLevel, ...]:
-        """All faces grouped by dimension, 0 through dimension: bit i of a mask
-        is the i-th smallest vertex; each level comes from its facets and the
-        level above, and the KNOTMORSE_MAX_FACES cap is checked face by face."""
+    def faces(self) -> tuple[set[int], ...]:
+        """All faces grouped by dimension, 0 through dimension, as sets of int
+        masks: bit i of a mask is the i-th smallest vertex; each level comes
+        from its facets and the level above, and the KNOTMORSE_MAX_FACES cap
+        is checked face by face."""
         if self._faces is None:
-            vertices = tuple(sorted({v for f in self.facets for v in f}))
+            vertices = sorted({v for f in self.facets for v in f})
             bit = {v: 1 << i for i, v in enumerate(vertices)}
             levels: list[set[int]] = [set() for _ in range(self.dimension + 2)]
             cap = _max_faces()
@@ -143,14 +121,11 @@ class SimplicialComplex:
                             if total > cap:
                                 raise over
                             level.add(m ^ b)
-            self._faces = tuple(FaceLevel(vertices, level) for level in levels[1:])
+            self._faces = tuple(levels[1:])
         return self._faces
 
     def face_counts(self) -> tuple[int, ...]:
         return tuple(len(level) for level in self.faces())
-
-    def n_faces(self) -> int:
-        return sum(self.face_counts())
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * n for k, n in enumerate(self.face_counts()))
@@ -524,7 +499,7 @@ def homology(c: SimplicialComplex) -> HomologyResult:
         critical, partners = _matching_tree(c.conflicts)
         bd = _morse_boundary(critical, partners.__getitem__)
     else:
-        levels = [{0}] + [level.masks for level in c.faces()]
+        levels = [{0}, *c.faces()]
         critical, up = _element_matching(len(levels[1]), levels)
         bd = _morse_boundary(critical, lambda x: up.get(x, 0))
     dim = c.dimension

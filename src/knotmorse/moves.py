@@ -8,8 +8,8 @@ count is unchanged, the two local strands rerouted at the square's crossings
 either lie on one strand before the move (Type I) or on two distinct strands
 (Type II).  The strand counts behind delta_j and the strands behind the Type
 I/II test come from ``_strand_roots``, a union-find over arc ids that never
-builds the resolution itself.  ``states.jordan_resolution``, which resolves
-darts and walks every closed strand, is kept as its independent oracle: the
+builds the resolution itself.  ``states.jordan_resolution``, which smooths
+darts and searches them for strands, is kept as its independent oracle: the
 tests and the selftest clock check recount delta_j with it.
 
 A click loop move toggles matched and unmatched edges along one supported

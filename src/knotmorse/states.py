@@ -33,15 +33,17 @@ The Jordan resolution smooths every matched crossing (the two arc-ends beside
 the dotted corner are joined, and the opposite two), keeps unmatched crossings
 as double points, and partitions the arcs into strand components by a search
 over arcs, each dart 4c + s stepping to the dart its smoothing joins it to or,
-at a double point, to all four darts of the crossing.  It shares no code with
-the arc-level strand count of moves, which it checks.  Acyclic matchings
-induce a rooted forest in each colour graph (edge per crossing matched into
-that colour, root = the unique unmatched region of each component); that
-forest pair determines the matching, which is the bijection behind the KPW
-construction of perfect states from spanning trees.  The region map is the
-forests' parent pointers: a region matched by edge e hangs below
-edge_region[e ^ 2], and a root, unmatched, has no parent.  induced_forests
-and the click trees of moves are read off the matching that way.
+at a double point, to all four darts of the crossing.  It keeps the
+smoothing and the strands, all that the clock and click statements read, and
+shares no code with the arc-level strand count of moves, which it checks.
+Acyclic matchings induce a rooted forest in each colour graph (edge per
+crossing matched into that colour, root = the unique unmatched region of
+each component); that forest pair determines the matching, which is the
+bijection behind the KPW construction of perfect states from spanning
+trees.  The region map is the forests' parent pointers: a region matched by
+edge e hangs below edge_region[e ^ 2], and a root, unmatched, has no parent.
+induced_forests and the click trees of moves are read off the matching that
+way.
 """
 
 from __future__ import annotations
@@ -430,24 +432,16 @@ class JordanResolution:
     {p, p+1} and {p+2, p+3} are joined.  A dot in corner k separates the two
     strands bounding that corner, so the dotted region flows through the
     crossing: p = (k + 1) mod 2.  Diagonally opposite dotted corners smooth
-    identically.  components
-    partitions the arcs into strands; cycles[i] is the cyclic arc-end walk of
-    component i when it carries no double point, else None.
+    identically.  components partitions the arcs into strands, each a sorted
+    tuple of arc ids, in order of their least arc; count is their number.
     """
 
     resolved: tuple[tuple[int, int], ...]
-    double_points: tuple[int, ...]
     components: tuple[tuple[int, ...], ...]
-    component_double_points: tuple[tuple[int, ...], ...]
-    cycles: tuple[tuple[tuple[int, int], ...] | None, ...]
 
     @property
     def count(self) -> int:
         return len(self.components)
-
-    @property
-    def connected(self) -> bool:
-        return len(self.components) == 1
 
 
 def jordan_resolution(d: Diagram, x: Matching) -> JordanResolution:
@@ -457,13 +451,10 @@ def jordan_resolution(d: Diagram, x: Matching) -> JordanResolution:
     slot s ^ 3 when p = 1 ({1, 2} and {3, 0}), s ^ 1 when p = 0, and -1 at a
     double point, which joins all four of its darts.  A search over arcs from
     each unlabelled arc, ascending, finds the strands in order of their least
-    arc; a strand free of double points is then walked from its least dart,
-    through an arc, then across a smoothing.  Raises ValueError on an
-    invalid matching, as _validate does.
+    arc.  Raises ValueError on an invalid matching, as _validate does.
     """
-    n = d.n_crossings
     dart_arc, arc_darts = d.dart_arc, d.arc_darts
-    join = [-1] * (4 * n)
+    join = [-1] * (4 * d.n_crossings)
     resolved: list[tuple[int, int]] = []
     for e, c, _ in _checked(d.corner_face, x.edges):
         p = (e + 1) % 2
@@ -471,49 +462,23 @@ def jordan_resolution(d: Diagram, x: Matching) -> JordanResolution:
             join[i] = i ^ (2 * p + 1)
         resolved.append((c, p))
     resolved.sort()
-    double_points = tuple(c for c in range(n) if join[4 * c] < 0)
 
-    comp = [-1] * d.n_arcs
+    seen = [False] * d.n_arcs
     components: list[tuple[int, ...]] = []
     for a0 in range(d.n_arcs):
-        if comp[a0] >= 0:
+        if seen[a0]:
             continue
-        k = comp[a0] = len(components)
+        seen[a0] = True
         arcs = [a0]
         for a in arcs:  # grows as the search goes
             for i in arc_darts[a]:
                 j = join[i]
                 for b in dart_arc[i & ~3 : (i | 3) + 1] if j < 0 else (dart_arc[j],):
-                    if comp[b] < 0:
-                        comp[b] = k
+                    if not seen[b]:
+                        seen[b] = True
                         arcs.append(b)
         components.append(tuple(sorted(arcs)))
-    comp_doubles: list[list[int]] = [[] for _ in components]
-    for c in double_points:
-        comp_doubles[comp[dart_arc[4 * c]]].append(c)
-
-    cycles: list[tuple[tuple[int, int], ...] | None] = []
-    for arcs, doubles in zip(components, comp_doubles):
-        if doubles:
-            cycles.append(None)
-            continue
-        start = i = min(arc_darts[a][0] for a in arcs)
-        walk: list[tuple[int, int]] = []
-        while True:
-            lo, hi = arc_darts[dart_arc[i]]
-            m = lo + hi - i  # the arc's other end
-            walk += (divmod(i, 4), divmod(m, 4))
-            i = join[m]
-            if i == start:
-                break
-        cycles.append(tuple(walk))
-    return JordanResolution(
-        resolved=tuple(resolved),
-        double_points=double_points,
-        components=tuple(components),
-        component_double_points=tuple(map(tuple, comp_doubles)),
-        cycles=tuple(cycles),
-    )
+    return JordanResolution(resolved=tuple(resolved), components=tuple(components))
 
 
 # ---------------------------------------------------------------------------
@@ -528,10 +493,6 @@ class ForestPair:
     white_edges: tuple[int, ...]
     black_roots: tuple[int, ...]
     white_roots: tuple[int, ...]
-
-    @property
-    def roots(self) -> tuple[int, ...]:
-        return tuple(sorted(self.black_roots + self.white_roots))
 
 
 def induced_forests(t: TaitGraph, x: Matching) -> ForestPair:
@@ -638,7 +599,8 @@ def kpw(t: TaitGraph, T: Iterable[int], v_b: int, v_w: int) -> Matching:
     tree of the black graph.
     """
     tree = tuple(sorted(T))
-    if len(set(tree)) != len(tree) or any(not 0 <= c < t.n_crossings for c in tree):
+    in_tree = set(tree)
+    if len(in_tree) != len(tree) or any(not 0 <= c < t.n_crossings for c in tree):
         raise NotSpanning("edge list is not a set of crossing ids")
     n_black = len(t.black_faces)
     if len(tree) != n_black - 1:
@@ -654,7 +616,7 @@ def kpw(t: TaitGraph, T: Iterable[int], v_b: int, v_w: int) -> Matching:
         raise ValueError("root %d is not a black region" % v_b)
     if t.face_colour[v_w] != WHITE:
         raise ValueError("root %d is not a white region" % v_w)
-    cotree = tuple(c for c in range(t.n_crossings) if c not in set(tree))
+    cotree = tuple(c for c in range(t.n_crossings) if c not in in_tree)
     pair = ForestPair(
         black_edges=tree,
         white_edges=cotree,

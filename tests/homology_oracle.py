@@ -6,21 +6,25 @@ Markowitz heap, the core without unit entries goes through the package's
 dense Smith normal form, and maximal facets are found by comparing every
 pair.  The package no longer filters facets: ``SimplicialComplex`` takes
 them as given, pairwise non-contained, so the pairwise filter now checks
-that each facet list the program builds is such an antichain.  The engine under test instead reduces only the critical cells of an
-element matching and sends their whole boundary, unit entries included, to
-``_dense_smith``; here that routine sees only what unit pivots leave (on
-the corpus, nothing), so a comparison of the two tests the Smith core too.
-The oracle always reads the face closure ``SimplicialComplex.faces``, as
-sorted tuples.  For a plain ``SimplicialComplex`` the engine reads the int
-masks of the same closure.  For the matching complex, an
-``IndependenceComplex``, it lists no face: a matching tree on the conflict
-graph gives its critical cells and a count of matchings by size its face
-counts, so there a comparison checks both against the closure.
+that each facet list the program builds is such an antichain.  The engine
+under test instead reduces only the critical cells of an element matching
+and sends their whole boundary, unit entries included, to ``_dense_smith``;
+here that routine sees only what unit pivots leave (on the corpus,
+nothing), so a comparison of the two tests the Smith core too.
+The oracle builds its own face closure, ``oracle_faces``: every nonempty
+subset of each facet, as sorted tuples grouped by size; it never reads
+``SimplicialComplex.faces``.  For a plain ``SimplicialComplex`` the engine
+reads its own closure as int masks, so a comparison checks that closure
+too.  For the matching complex, an ``IndependenceComplex``, the engine lists
+no face: a matching tree on the conflict graph gives its critical cells and
+a count of matchings by size its face counts, so there a comparison checks
+both against the oracle's closure.
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import combinations
 from typing import Iterable, Mapping
 
 from knotmorse.complexes import HomologyResult, SimplicialComplex, _dense_smith
@@ -31,6 +35,16 @@ def pairwise_maximal_facets(facets: Iterable[Iterable[int]]) -> tuple[tuple[int,
     canonical = {tuple(sorted(f)) for f in facets}
     kept = [f for f in canonical if not any(set(f) < set(g) for g in canonical)]
     return tuple(sorted(kept, key=lambda f: (len(f), f)))
+
+
+def oracle_faces(c: SimplicialComplex) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The face closure of c's facets: every nonempty subset of each facet,
+    as sorted tuples, grouped by size from one vertex up and sorted."""
+    levels: list[set[tuple[int, ...]]] = [set() for _ in range(c.dimension + 1)]
+    for f in c.facets:
+        for k in range(1, len(f) + 1):
+            levels[k - 1].update(combinations(f, k))
+    return tuple(tuple(sorted(level)) for level in levels)
 
 
 def _sparse_rank_and_invariants(columns: list[dict[int, int]]) -> tuple[int, tuple[int, ...]]:
@@ -119,7 +133,7 @@ def _boundary_columns(
 def oracle_homology(c: SimplicialComplex) -> HomologyResult:
     """Reduced integer homology from per-degree Smith normal forms of the
     boundaries."""
-    faces = c.faces()
+    faces = oracle_faces(c)
     if not faces:
         return HomologyResult(betti=(), torsion=(), face_counts=())
     counts = [len(bucket) for bucket in faces]

@@ -60,63 +60,30 @@ def oracle_jordan_resolution(d: Diagram, x: Matching) -> JordanResolution:
     n = d.n_crossings
     darts = [(c, s) for c in range(n) for s in range(4)]
     uf = UnionFind(darts)
-    mate = {}
     for d1, d2 in d.arc_ends:
         uf.union(d1, d2)
-        mate[d1], mate[d2] = d2, d1
 
     resolved: list[tuple[int, int]] = []
     matched = {}
     for e in sorted(x.edges):
         matched[e // 4] = e
-    join: dict[tuple[int, int], tuple[int, int]] = {}
     for c in range(n):
         if c in matched:
             p = (matched[c] % 4 + 1) % 2
-            pairs = (((c, p), (c, (p + 1) % 4)), ((c, (p + 2) % 4), (c, (p + 3) % 4)))
-            for da, db in pairs:
-                uf.union(da, db)
-                join[da], join[db] = db, da
+            uf.union((c, p), (c, (p + 1) % 4))
+            uf.union((c, (p + 2) % 4), (c, (p + 3) % 4))
             resolved.append((c, p))
-    double_points = tuple(c for c in range(n) if c not in matched)
-    for c in double_points:
-        for s in range(1, 4):
-            uf.union((c, 0), (c, s))
+        else:
+            for s in range(1, 4):
+                uf.union((c, 0), (c, s))
 
     comp_arcs: dict[tuple[int, int], list[int]] = {}
     for a in range(d.n_arcs):
         comp_arcs.setdefault(uf.find(d.arc_ends[a][0]), []).append(a)
-    comp_doubles: dict[tuple[int, int], list[int]] = {k: [] for k in comp_arcs}
-    for c in double_points:
-        comp_doubles[uf.find((c, 0))].append(c)
-
     keys = sorted(comp_arcs, key=lambda k: comp_arcs[k][0])
-    components = tuple(tuple(sorted(comp_arcs[k])) for k in keys)
-    component_double_points = tuple(tuple(sorted(comp_doubles[k])) for k in keys)
-
-    cycles: list[tuple[tuple[int, int], ...] | None] = []
-    for i, k in enumerate(keys):
-        if component_double_points[i]:
-            cycles.append(None)
-            continue
-        # Walk the closed strand: through an arc, then across a smoothing.
-        d0 = min(min(d.arc_ends[a]) for a in components[i])
-        walk: list[tuple[int, int]] = []
-        cur = d0
-        while True:
-            walk.append(cur)
-            other = mate[cur]
-            walk.append(other)
-            cur = join[other]
-            if cur == d0:
-                break
-        cycles.append(tuple(walk))
     return JordanResolution(
         resolved=tuple(resolved),
-        double_points=double_points,
-        components=components,
-        component_double_points=component_double_points,
-        cycles=tuple(cycles),
+        components=tuple(tuple(sorted(comp_arcs[k])) for k in keys),
     )
 
 

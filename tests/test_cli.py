@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from knotmorse import cli
 from knotmorse.corpus import corpus_names, get_entry
-from knotmorse.complexes import matching_complex
+from knotmorse.complexes import SimplicialComplex, matching_complex
 from knotmorse.diagram import build_tait, parse_pd
 from knotmorse.errors import InvariantViolation, ResourceLimit
 from knotmorse.moves import (
@@ -521,6 +521,15 @@ def test_selftest_violation_exits_4_with_counterexample(capsys, monkeypatch):
     assert payload["counterexample"] == {"diagram": "3_1", "matching": []}
 
 
+def test_selftest_kpw_image_sees_a_missing_tree_simplex(capsys, monkeypatch):
+    real = cli.pure_morse_from_trees
+    monkeypatch.setattr(cli, "pure_morse_from_trees",
+                        lambda d: SimplicialComplex(real(d).facets[1:]))
+    code, payload = run(capsys, "selftest", "--max-crossings", "3")
+    assert code == 4
+    assert payload == {"check": "kpw_image", "counterexample": {"diagram": "3_1"}}
+
+
 # ---------------------------------------------------------------------------
 # frozen output
 # ---------------------------------------------------------------------------
@@ -559,6 +568,22 @@ def test_cli_output_is_frozen(capsys):
             runs += 1
     assert runs == 240
     assert digest.hexdigest() == FROZEN_CLI_OUTPUT
+
+
+# sha256 of the stdout of `knotmorse table1` over the whole reference table
+FROZEN_TABLE1 = "ce75fb9a1a99c47393ede60fbc4dc0ab05bc64e69a3409f5f80206e44a19a2b5"
+
+
+def test_table1_output_is_frozen(capsys):
+    assert cli.main(["table1"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == FROZEN_TABLE1
+
+
+def test_selftest_output_equals_the_benchmark_gate(capsys):
+    # the benchmark's selftest workload checks its output against this file
+    expected = Path(__file__).resolve().parents[1] / "perfbench" / "selftest_expected.txt"
+    assert cli.main(["selftest", "--max-crossings", "6"]) == 0
+    assert capsys.readouterr().out == expected.read_text()
 
 
 # ---------------------------------------------------------------------------

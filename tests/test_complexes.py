@@ -51,7 +51,7 @@ from knotmorse.states import (
     monochromatic_loops,
 )
 
-from homology_oracle import oracle_homology, pairwise_maximal_facets
+from homology_oracle import oracle_faces, oracle_homology, pairwise_maximal_facets
 
 SMALL = ("3_1", "4_1", "kink", "5_1", "5_2")
 SIX_OR_LESS = ("3_1", "4_1", "kink", "5_1", "5_2", "6_1", "6_2", "6_3")
@@ -134,9 +134,9 @@ def test_empty_complex():
 def test_faces_group_by_dimension_and_count():
     c = SimplicialComplex([(0, 1, 2)])
     assert c.face_counts() == (3, 3, 1)
-    assert c.n_faces() == 7
     assert c.euler_characteristic() == 1
-    assert c.faces()[1] == ((0, 1), (0, 2), (1, 2))
+    assert c.faces()[1] == {0b011, 0b101, 0b110}
+    assert oracle_faces(c)[1] == ((0, 1), (0, 2), (1, 2))
 
 
 def test_equality_and_hash_follow_facets():
@@ -213,7 +213,7 @@ def test_homology_result_to_dict():
 def test_sparse_engine_agrees_with_dense_rational_ranks(name):
     t = build_tait(get_entry(name).diagram)
     for c in (morse_complex(t), matching_complex(t)):
-        faces = c.faces()
+        faces = oracle_faces(c)
         counts = [len(fs) for fs in faces]
         ranks = [0] * (len(faces) + 1)
         for k in range(1, len(faces)):
@@ -334,6 +334,20 @@ def test_random_complexes_agree_with_the_oracle(seed):
         assert homology(c) == oracle_homology(c), facets
 
 
+def decoded_faces(c):
+    """The engine's face closure as sets of sorted tuples, bit i of a mask
+    read as the i-th smallest vertex of the facets."""
+    vertices = sorted({v for f in c.facets for v in f})
+    return [{tuple(v for i, v in enumerate(vertices) if m >> i & 1) for m in level}
+            for level in c.faces()]
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_face_closure_equals_the_oracle_closure(name):
+    for column, c in reference_complexes(get_entry(name).diagram).items():
+        assert decoded_faces(c) == [set(level) for level in oracle_faces(c)], column
+
+
 @pytest.mark.parametrize("name", corpus_names())
 def test_facet_lists_are_antichains(name):
     # SimplicialComplex takes its facets as given, pairwise non-contained
@@ -396,7 +410,7 @@ def assert_acyclic_morse_matching(cells, critical, up, betti, column):
 @pytest.mark.parametrize("name", corpus_names())
 def test_element_matching_is_acyclic_and_meets_the_morse_inequalities(name):
     for column, c in reference_complexes(get_entry(name).diagram).items():
-        levels = [{0}] + [level.masks for level in c.faces()]
+        levels = [{0}, *c.faces()]
         critical, up = complexes._element_matching(len(levels[1]), levels)
         assert_acyclic_morse_matching(set().union(*levels), critical, up, homology(c).betti, column)
 
@@ -416,7 +430,7 @@ def element_matching_by_rescan(n_vertices, levels):
 @pytest.mark.parametrize("name", corpus_names())
 def test_bucketed_element_matching_equals_the_rescan(name):
     for column, c in reference_complexes(get_entry(name).diagram).items():
-        levels = [{0}] + [level.masks for level in c.faces()]
+        levels = [{0}, *c.faces()]
         n = len(levels[1])
         assert complexes._element_matching(n, levels) == element_matching_by_rescan(n, levels), column
 
@@ -446,7 +460,7 @@ def test_matching_tree_agrees_with_the_closure_on_the_corpus(name):
 @pytest.mark.parametrize("name", corpus_names())
 def test_matching_tree_is_acyclic_and_meets_the_morse_inequalities(name):
     c = matching_complex(build_tait(get_entry(name).diagram))
-    cells = {0}.union(*(level.masks for level in c.faces()))
+    cells = {0}.union(*c.faces())
     critical, partners = complexes._matching_tree(c.conflicts)
     up = {x: partners[x] for x in cells if partners[x]}
     assert_acyclic_morse_matching(cells, critical, up, homology(c).betti, "matching")
@@ -551,7 +565,7 @@ def test_homology_agrees_with_the_oracle_on_any_vertex_ids(facets):
     top = max(map(len, facets), default=0)
     expected = [{g for f in facets for g in combinations(sorted(f), k)} for k in range(1, top + 1)]
     assert c.face_counts() == tuple(map(len, expected))
-    assert [set(bucket) for bucket in c.faces()] == expected
+    assert decoded_faces(c) == [set(bucket) for bucket in oracle_faces(c)] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +649,7 @@ def test_matching_complex_faces_are_exactly_the_nonempty_matchings(name):
     t = build_tait(get_entry(name).diagram)
     c = matching_complex(t)
     everything = {x.edges for x in enumerate_matchings(t, "all")} - {()}
-    got = {f for bucket in c.faces() for f in bucket}
+    got = {f for bucket in oracle_faces(c) for f in bucket}
     assert got == everything
 
 
@@ -657,7 +671,7 @@ def test_morse_facets_are_loop_free_maximal_matchings(name):
 def test_morse_faces_are_loop_free_matchings(name):
     t = build_tait(get_entry(name).diagram)
     acyclic = {x.edges for x in enumerate_matchings(t, "dmf")} - {()}
-    got = {f for bucket in morse_complex(t).faces() for f in bucket}
+    got = {f for bucket in oracle_faces(morse_complex(t)) for f in bucket}
     assert got <= acyclic
 
 
@@ -667,7 +681,7 @@ def test_small_morse_complexes_carry_every_loop_free_matching(name):
     # facets reaches every loop-free matching
     t = build_tait(get_entry(name).diagram)
     acyclic = {x.edges for x in enumerate_matchings(t, "dmf")} - {()}
-    got = {f for bucket in morse_complex(t).faces() for f in bucket}
+    got = {f for bucket in oracle_faces(morse_complex(t)) for f in bucket}
     assert got == acyclic
 
 
@@ -676,7 +690,7 @@ def test_five_one_excludes_loop_free_matchings_with_no_loop_free_completion():
     # loop; they are deliberately not faces
     t = build_tait(get_entry("5_1").diagram)
     acyclic = {x.edges for x in enumerate_matchings(t, "dmf")} - {()}
-    got = {f for bucket in morse_complex(t).faces() for f in bucket}
+    got = {f for bucket in oracle_faces(morse_complex(t)) for f in bucket}
     assert got < acyclic
 
 
@@ -856,9 +870,9 @@ def test_face_cap_raises_resource_limit(monkeypatch):
 def test_face_cap_ignores_malformed_values(monkeypatch):
     monkeypatch.setenv("KNOTMORSE_MAX_FACES", "lots")
     c = SimplicialComplex([(0, 1, 2)])
-    assert c.n_faces() == 7
+    assert c.face_counts() == (3, 3, 1)
     monkeypatch.setenv("KNOTMORSE_MAX_FACES", "-3")
-    assert SimplicialComplex([(0, 1, 2)]).n_faces() == 7
+    assert SimplicialComplex([(0, 1, 2)]).face_counts() == (3, 3, 1)
 
 
 def test_homology_reports_the_cap_through_resource_limit(monkeypatch):

@@ -230,31 +230,14 @@ def test_resolution_partitions_arcs():
             arcs = sorted(a for comp in J.components for a in comp)
             assert arcs == list(range(d.n_arcs))
             assert len(J.resolved) == len(m)
-            assert len(J.double_points) == t.n_crossings - len(m)
-
-
-def test_resolution_cycles_cover_their_components():
-    d, t = setup(FIG8)
-    for m in enumerate_matchings(t, "maximal_pks"):
-        J = jordan_resolution(d, m)
-        for comp, cyc in zip(J.components, J.cycles):
-            assert cyc is not None  # no double points on a perfect state
-            assert len(cyc) == 4 * len(comp) // 2
-            assert {dart for dart in cyc} == {
-                end for a in comp for end in d.arc_ends[a]
-            }
 
 
 def test_trefoil_connected_resolution_frozen():
     d, t = setup(TREFOIL)
     m = Matching((2, 4, 9))
     J = jordan_resolution(d, m)
-    assert J.count == 1 and J.connected
+    assert J.count == 1
     assert J.resolved == ((0, 1), (1, 1), (2, 0))
-    assert J.cycles[0] == (
-        (0, 0), (1, 3), (1, 0), (2, 3), (2, 2), (1, 1),
-        (1, 2), (0, 1), (0, 2), (2, 1), (2, 0), (0, 3),
-    )
 
 
 def test_opposite_dots_resolve_identically():
@@ -269,9 +252,8 @@ def test_opposite_dots_resolve_identically():
 def test_empty_matching_keeps_all_double_points():
     d, t = setup(TREFOIL)
     J = jordan_resolution(d, Matching(()))
-    assert J.double_points == (0, 1, 2)
+    assert J.resolved == ()
     assert J.count == 1  # the underlying curve is connected
-    assert J.cycles == (None,)
 
 
 # -- maximality ------------------------------------------------------------
@@ -371,7 +353,6 @@ def test_trefoil_forest_frozen():
     f = induced_forests(t, Matching((2, 4, 9)))
     assert f.black_edges == (0, 1) and f.black_roots == (1,)
     assert f.white_edges == (2,) and f.white_roots == (0,)
-    assert f.roots == (0, 1)
 
 
 def test_forests_reject_shared_crossing():
@@ -506,11 +487,11 @@ def test_dmf_size_count_equals_the_streams_on_torus_codes(m):
     assert_dmf_sizes_equal_the_streams(d, build_tait(d))
 
 
-# sha256 of [name, edges, resolved, components, component_double_points,
-# cycles] per matching of every corpus entry's "all" stream (129,261
-# matchings), from the union-find over (crossing, slot) darts that
-# jordan_resolution was before it searched int darts.
-FROZEN_RESOLUTIONS = "cd8139f375a564eac12b0b2ebb57426e265ea9b734fcdc4fec862114590c3894"
+# sha256 of [name, edges, resolved, components] per matching of every
+# corpus entry's "all" stream (129,261 matchings), the same fields that the
+# union-find over (crossing, slot) darts gave before jordan_resolution
+# searched int darts.
+FROZEN_RESOLUTIONS = "fb7b24df3848ef75325ca1a3e9fe334f8bfbcac473b4cf699530c47ecda2510e"
 
 
 def test_jordan_resolutions_are_frozen():
@@ -519,7 +500,7 @@ def test_jordan_resolutions_are_frozen():
         d = get_entry(name).diagram
         for m in enumerate_matchings(build_tait(d), "all"):
             j = jordan_resolution(d, m)
-            row = [name, m.edges, j.resolved, j.components, j.component_double_points, j.cycles]
+            row = [name, m.edges, j.resolved, j.components]
             digest.update(json.dumps(row).encode())
     assert digest.hexdigest() == FROZEN_RESOLUTIONS
 
