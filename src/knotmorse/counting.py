@@ -198,11 +198,11 @@ def count_all_dmfs(d: Diagram) -> int:
 
 
 def count_via_enumeration(d: Diagram) -> tuple[int, int]:
-    """Brute-force (perfect dMfs, all dMfs) in one search over the crossings.
+    """(perfect dMfs, all dMfs) in one transfer over the crossings.
 
     states._dmf_sizes counts the acyclic matchings by size without building
-    them, pruning only by the region-map loop walk; the perfect ones are
-    those of size n.
+    them, reading only the region map and its loop walk; the perfect ones
+    are those of size n.
     """
     sizes = _dmf_sizes(build_tait(d))
     return sizes[d.n_crossings], sum(sizes)

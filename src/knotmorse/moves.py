@@ -204,28 +204,28 @@ def click_loop_moves(t: TaitGraph, x: Matching) -> list[tuple[Move, Matching]]:
     return _built_moves(t, x, "click_loop")
 
 
-def _click_tree(t: TaitGraph, x: Matching, colour: int) -> tuple[dict[int, int], list[int]]:
-    """(matched_regions(t, x), breadth-first order of the tree of x's one
-    unmatched region of a colour, root first).  Region u hangs below
-    t.edge_region[mr[u] ^ 2]; the root has no parent, so the regions whose
-    parents lead to it form a tree, and a region on or below a loop never
-    does.  Children come in ascending order of their matched edges.  Raises
-    InvariantViolation unless exactly one region of the colour is unmatched.
+def _click_forest(t: TaitGraph, x: Matching) -> tuple[dict[int, int], list[list[int]]]:
+    """(matched_regions(t, x), and indexed by colour the breadth-first order
+    of the tree of x's one unmatched region of that colour, root first).
+    Region u hangs below t.edge_region[mr[u] ^ 2]; a root has no parent, so
+    the regions whose parents lead to it form a tree, and a region on or
+    below a loop never does.  Children come in ascending order of their
+    matched edges.  Raises InvariantViolation unless exactly one region of
+    each colour is unmatched.
     """
     mr = matched_regions(t, x)
-    faces = t.black_faces if colour == BLACK else t.white_faces
-    order = [f for f in faces if f not in mr]
-    if len(order) != 1:
-        raise InvariantViolation(
-            "a perfect admissible matching left %d unmatched %s regions"
-            % (len(order), _COLOUR_NAME[colour])
-        )
     children: dict[int, list[int]] = {}
     for u, e in mr.items():
         children.setdefault(t.edge_region[e ^ 2], []).append(u)
-    for v in order:  # the list grows as it is read: a breadth-first search
-        order.extend(children.get(v, ()))
-    return mr, order
+    orders: list[list[int]] = [[], []]
+    for colour, faces in ((BLACK, t.black_faces), (WHITE, t.white_faces)):
+        order = orders[colour] = [f for f in faces if f not in mr]
+        if len(order) != 1:
+            raise InvariantViolation("a perfect admissible matching left %d unmatched %s regions"
+                                     % (len(order), _COLOUR_NAME[colour]))
+        for v in order:  # the list grows as it is read: a breadth-first search
+            order.extend(children.get(v, ()))
+    return mr, orders
 
 
 def _click_step(mask: int, e: int) -> int:
@@ -237,8 +237,9 @@ def _click_path_targets(t: TaitGraph, x: Matching) -> Iterator[tuple[int, tuple]
     """(target mask, (colour name, path)) of each click path move on x.  A
     target's edge set and path are its tree parent's, with the target's
     matched crossing re-matched toward the parent and the target appended."""
+    mr, orders = _click_forest(t, x)
     for colour in (BLACK, WHITE):
-        mr, order = _click_tree(t, x, colour)
+        order = orders[colour]
         masks, paths = {order[0]: x.mask}, {order[0]: (order[0],)}
         for u in order[1:]:
             e = mr[u]
@@ -269,9 +270,10 @@ def two_click_connect(
 ) -> tuple[tuple[Move, Matching], ...]:
     """Carry a perfect dMf to the one with critical regions (v_b, v_w).
 
-    At most one black and one white click path move, black first; the white
-    tree is untouched by the black move, so both paths exist.  Each move is
-    the click_path_moves move to its target, built alone by walking the
+    At most one black and one white click path move, black first.  The black
+    move re-matches crossings between black regions only, so x's white tree
+    is the one after it: both paths are read off x's click forest.  Each move
+    is the click_path_moves move to its target, built alone by walking the
     target's tree path up to the root.  Returns the (move, matching) steps;
     empty when the targets are already critical.
     """
@@ -286,8 +288,9 @@ def two_click_connect(
         raise NotAcyclic("need an acyclic matching: every region must be reachable")
     steps: list[tuple[Move, Matching]] = []
     cur = x
+    mr, orders = _click_forest(t, x)
     for colour, target in ((BLACK, v_b), (WHITE, v_w)):
-        mr, order = _click_tree(t, cur, colour)
+        order = orders[colour]
         if order[0] == target:
             continue
         if target not in order:
@@ -417,6 +420,7 @@ def build_move_graph(
 
     edges: list[tuple[int, int, Move]] = []
     for i, x in enumerate(nodes):
+        found: dict[int, list[Move]] = {}  # higher end -> the moves to it
         for kind in (k for k in MOVE_KINDS if k in kinds):
             targets, classifier = _KINDS[kind]
             classify = classifier(t, x, strands)
@@ -425,9 +429,12 @@ def build_move_graph(
                 # recorded this edge already.
                 j = index.get(mask, -1)
                 if j > i:
-                    edges.append((i, j, classify(site, nodes[j])))
+                    found.setdefault(j, []).append(classify(site, nodes[j]))
         counted.pop(x.mask, None)
-    edges.sort(key=lambda e: (e[0], e[1], repr(_edge_key(e[2]))))
+        for j, shared in sorted(found.items()):
+            if len(shared) > 1:  # moves with both ends in common go by their keys
+                shared.sort(key=lambda m: repr(_edge_key(m)))
+            edges += ((i, j, m) for m in shared)
     return MoveGraph(t.diagram.pd.to_text(), population, kinds, nodes, tuple(edges))
 
 

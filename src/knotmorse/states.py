@@ -21,13 +21,13 @@ earlier walk finished, or meets its own path, which closes a loop.  The
 acyclic streams keep the same map incrementally: a loop-free matching has no
 cycle in it, so a loop in matching + e must pass through e's region r, and
 the search prunes e iff the walk from edge_region[e ^ 2] comes back to r (at
-once when the two coincide, the kink's loop of length one).  The
-brute-force count, _dmf_sizes, runs the same prune in a search that decides
-the crossings in id order and tallies the acyclic matchings by size without
-building them.  The test "matched crossings form a forest in each colour
-graph" would prune the same branches, but count_all_dmfs rests on it (its
-sum runs over the rooted forests of the colour graphs), so no search here
-uses it: the brute-force count stays an independent check of the formula.
+once when the two coincide, the kink's loop of length one).  The count
+_dmf_sizes runs the same prune as a transfer over the crossings in id order,
+its state where the walks of the regions that later crossings meet end.  The
+test "matched crossings form a forest in each colour graph" would prune the
+same branches, but count_all_dmfs rests on it (its sum runs over the rooted
+forests of the colour graphs), so the transfer does not use it: it stays an
+independent check of the formula.
 
 The Jordan resolution smooths every matched crossing (the two arc-ends beside
 the dotted corner are joined, and the opposite two), keeps unmatched crossings
@@ -314,32 +314,45 @@ def _subset_stream(t: TaitGraph, acyclic: bool) -> Iterator[Matching]:
 def _dmf_sizes(t: TaitGraph) -> list[int]:
     """sizes[k]: the number of acyclic matchings with k edges.
 
-    Crossings are decided in id order, each first left unmatched and then
-    matched through each free corner edge whose loop walk stays open, the
-    prune of the dmf stream; no matching is built.
+    The frontier lists the regions met so far that a later crossing meets; a
+    state holds, at each one's position, the position where its walk along
+    the region map ends: its own while unmatched, -1 at a region no later
+    crossing meets, which stays unmatched and closes no loop.  Crossing c is
+    left unmatched, or matches r through corner (r, r2) when r is unmatched
+    and r2's walk does not end at r (r2 == r is the kink's loop), and every
+    walk that ended at r then ends where r2's does.  A state's value counts
+    its matchings by size, packed in an int with w bits per coefficient.
     """
     n = t.n_crossings
     region_of = t.edge_region
-    corners = [
-        [(region_of[e], region_of[e ^ 2]) for e in range(4 * c, 4 * c + 4)] for c in range(n)
-    ]
-    sizes = [0] * (n + 1)
-    arrow: dict[int, int] = {}  # matched region -> its next region
-
-    def rec(c: int, k: int) -> None:
-        if c == n:
-            sizes[k] += 1
-            return
-        rec(c + 1, k)
-        for r, r2 in corners[c]:
-            if r in arrow or _closes_loop(arrow, r, r2):
-                continue
-            arrow[r] = r2
-            rec(c + 1, k + 1)
-            del arrow[r]
-
-    rec(0, 0)
-    return sizes
+    last_chance = {r: e // 4 for e, r in enumerate(region_of)}  # ascending: the last wins
+    w = (5 ** n).bit_length()  # one of five choices per crossing
+    frontier: list[int] = []
+    states = {(): 1}
+    for c in range(n):
+        new = [r for r in dict.fromkeys(region_of[4 * c : 4 * c + 4]) if r not in frontier]
+        fresh = tuple(range(len(frontier), len(frontier) + len(new)))
+        frontier += new
+        corners = [(frontier.index(region_of[e]), frontier.index(region_of[e ^ 2]))
+                   for e in range(4 * c, 4 * c + 4)]
+        keep = [i for i, r in enumerate(frontier) if last_chance[r] > c]
+        # position now -> position after c, and -1 (also the last entry) -> -1
+        renumber = [keep.index(i) if i in keep else -1 for i in range(len(frontier) + 1)]
+        grown: dict[tuple[int, ...], int] = {}
+        for state, poly in states.items():
+            end = state + fresh
+            kept = [end[i] for i in keep]
+            key = tuple(map(renumber.__getitem__, kept))
+            grown[key] = grown.get(key, 0) + poly
+            for i, j in corners:
+                if end[i] == i and end[j] != i:
+                    redirected = renumber.copy()
+                    redirected[i] = renumber[end[j]]
+                    key = tuple(map(redirected.__getitem__, kept))
+                    grown[key] = grown.get(key, 0) + (poly << w)
+        states = grown
+        frontier = [frontier[i] for i in keep]
+    return [states[()] >> k * w & (1 << w) - 1 for k in range(n + 1)]
 
 
 def _maximal_stream(

@@ -265,8 +265,9 @@ def test_all_dmf_formula_equals_the_polynomial_oracle(name, swap):
     assert counting._forest_sum(*colour_graphs(d)) == want
 
 
-# R(2^6) and R(2^7), twelve and fourteen crossings, counted once by
-# count_via_enumeration; too slow for the polynomial oracle.
+# R(2^6) and R(2^7), twelve and fourteen crossings, counted by both formulas
+# and by the transfer of count_via_enumeration; too slow for the polynomial
+# oracle.
 FRONTIER = [
     pytest.param((2,) * 6, (8281, 7001579), id="R(2^6)"),
     pytest.param((2,) * 7, (26112, 84114105), id="R(2^7)"),
@@ -277,6 +278,15 @@ FRONTIER = [
 def test_frontier_counts_frozen(twists, expected):
     d = build_diagram(parse_pd(rational_pd(twists)))
     assert (count_perfect_dmfs(d), count_all_dmfs(d)) == expected
+    assert count_via_enumeration(d) == expected
+
+
+@pytest.mark.parametrize("m", [11, 13, 15])
+def test_frontier_torus_counts_agree(m):
+    d = build_diagram(parse_pd(torus_pd(m)))
+    counts = count_via_enumeration(d)
+    assert counts == (count_perfect_dmfs(d), count_all_dmfs(d))
+    assert counts[1] == fibonacci_family_count((m - 1) // 2)
 
 
 def test_all_at_least_perfect():

@@ -709,14 +709,14 @@ def test_two_click_connect_faults_raise(monkeypatch, fault):
     t, x = perfect_dmf()
     black, _, white = critical_cells(t, x)
     v_b = next(v for v in t.black_faces if v != black[0])
-    if fault == "no_path":  # the tree holds the root alone
-        real = moves._click_tree
+    if fault == "no_path":  # each tree holds its root alone
+        real = moves._click_forest
 
-        def root_only(t, cur, colour):
-            mr, order = real(t, cur, colour)
-            return mr, order[:1]
+        def roots_only(t, cur):
+            mr, orders = real(t, cur)
+            return mr, tuple(order[:1] for order in orders)
 
-        monkeypatch.setattr(moves, "_click_tree", root_only)
+        monkeypatch.setattr(moves, "_click_forest", roots_only)
     else:  # every step leaves the matching as it was
         monkeypatch.setattr(moves, "_click_step", lambda mask, e: mask)
     with pytest.raises(InvariantViolation, match="no click path" if fault == "no_path" else "ended at"):

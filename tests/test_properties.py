@@ -1,16 +1,17 @@
 """Property and metamorphic tests over generated rational projections.
 
-Random twist vectors of up to 7 crossings are closed by ``rational_pd`` and
+Random twist vectors of up to 12 crossings are closed by ``rational_pd`` and
 then written differently: crossings reordered, each X(...) tuple rotated and
 the arc labels renamed.  The projection is the same, so both dMf counts must
-be too, and each enumeration count must equal its closed formula.  Up to 6
+be too, and each transfer count must equal its closed formula; reordering
+the crossings reorders the transfer's frontier.  Up to 6
 crossings the perfect admissible move graph must keep its size, its number
 of components and its clock moves by type and size of strand-count change,
 the four complexes must keep their homology, and swapping the chequerboard
 colours must keep every matching's loops and the dMf stream.  The T(2, m)
-codes of ``torus_pd`` are scrambled the same way: their black graph is m
-parallel edges between two regions, the family's extreme of a colour graph
-with repeated edges.
+codes of ``torus_pd`` are scrambled the same way, up to m = 13 (move graphs
+up to 7): their black graph is m parallel edges between two regions, the
+family's extreme of a colour graph with repeated edges.
 """
 
 from collections import Counter
@@ -31,16 +32,16 @@ from knotmorse.moves import build_move_graph, verify_connectivity
 from knotmorse.reference import computed_row
 from knotmorse.states import enumerate_matchings, monochromatic_loops
 
-MAX_CROSSINGS = 7
+COUNT_CROSSINGS = 12
 MOVE_GRAPH_CROSSINGS = 6
 SWAP_CROSSINGS = 6
-TORUS_CROSSINGS = (3, 5, 7, 9)
+TORUS_CROSSINGS = (3, 5, 7, 9, 11, 13)
 TORUS_MOVE_GRAPH_CROSSINGS = 7
 HOMOLOGY_CROSSINGS = 6
 
 
 @st.composite
-def twist_vectors(draw, max_crossings=MAX_CROSSINGS):
+def twist_vectors(draw, max_crossings):
     """Positive twist vectors with at most max_crossings crossings in all.
 
     ``rational_pd`` takes an even-length vector only when it ends with at
@@ -79,9 +80,9 @@ def both_counts(pd_text: str) -> tuple[tuple[int, int], tuple[int, int]]:
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
-@given(twists=twist_vectors(), data=st.data())
+@given(twists=twist_vectors(COUNT_CROSSINGS), data=st.data())
 def test_counts_agree_and_survive_scrambling(twists, data):
-    assert sum(twists) <= MAX_CROSSINGS
+    assert sum(twists) <= COUNT_CROSSINGS
     base = rational_pd(twists)
     enumerated, formula = both_counts(base)
     assert enumerated == formula

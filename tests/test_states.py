@@ -487,6 +487,14 @@ def test_dmf_size_count_equals_the_streams_on_torus_codes(m):
     assert_dmf_sizes_equal_the_streams(d, build_tait(d))
 
 
+# the one-crossing kink, whose corner loop r2 == r the prune must cut, and two
+# kinks in a row, whose looped region and one more cross the frontier
+@pytest.mark.parametrize("code", ["X(1,1,2,2)", "X(1,2,3,1) X(2,4,4,3)"])
+def test_dmf_size_count_equals_the_streams_on_kinks(code):
+    d = build_diagram(parse_pd(code))
+    assert_dmf_sizes_equal_the_streams(d, build_tait(d))
+
+
 # sha256 of [name, edges, resolved, components] per matching of every
 # corpus entry's "all" stream (129,261 matchings), the same fields that the
 # union-find over (crossing, slot) darts gave before jordan_resolution
