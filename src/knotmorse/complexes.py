@@ -154,19 +154,25 @@ class IndependenceComplex(SimplicialComplex):
 def _matching_counts(t: TaitGraph) -> tuple[int, ...]:
     """Number of matchings of each size from 1 up, crossing by crossing.
 
-    The state is the mask of the regions used so far; its value counts the
-    matchings of the crossings so far by size, as a polynomial packed in an
-    int with w bits per coefficient, so that adding a corner edge is a shift.
-    No count exceeds 5^n, one of five choices per crossing.
+    The state is the mask of the used regions that a later crossing meets;
+    its value counts the matchings so far by size, packed in an int with w
+    bits per coefficient, so adding a corner edge is a shift.  No count
+    exceeds 5^n, one of five choices per crossing.
     """
+    region_of = t.edge_region
+    last_chance = {r: e // 4 for e, r in enumerate(region_of)}  # ascending: the last wins
     w = (5 ** t.n_crossings).bit_length()
     states = {0: 1}
     for c in range(t.n_crossings):
-        grown = dict(states)  # c left unmatched
+        corners = region_of[4 * c:4 * c + 4]
+        live = ~sum(1 << r for r in set(corners) if last_chance[r] == c)
+        grown: dict[int, int] = {}
         for used, poly in states.items():
-            for r in t.edge_region[4 * c:4 * c + 4]:
+            key = used & live  # c left unmatched
+            grown[key] = grown.get(key, 0) + poly
+            for r in corners:
                 if not used >> r & 1:
-                    key = used | 1 << r
+                    key = (used | 1 << r) & live
                     grown[key] = grown.get(key, 0) + (poly << w)
         states = grown
     total = sum(states.values())

@@ -448,12 +448,24 @@ class TaitGraph:
         return tuple(f for f in range(self.n_faces) if self.face_colour[f] == BLACK)
 
     @cached_property
-    def poset_arrows(self) -> tuple[tuple[int, int], ...]:
-        """(tail, head) of edge e in the poset orientation, indexed by e."""
-        return tuple(
-            (r, self.n_faces + e // 4) if self.face_colour[r] == WHITE else (self.n_faces + e // 4, r)
-            for e, r in enumerate(self.edge_region)
-        )
+    def face_masks(self) -> tuple[int, int]:
+        """(white, black): the regions of each colour as a bit mask."""
+        return sum(1 << f for f in self.white_faces), sum(1 << f for f in self.black_faces)
+
+    @cached_property
+    def poset_tables(self) -> tuple[tuple[tuple[int, int, bool], ...], tuple[int, ...], tuple[int, ...]]:
+        """(arrows, successors, predecessors) of the poset orientation:
+        arrows[e] is (tail, head, lone) of edge e, lone unless another edge
+        has the same ends (a kink's region meets its crossing at two opposite
+        corners); successors[v] and predecessors[v] are vertex bit masks."""
+        n_faces, colour = self.n_faces, self.face_colour
+        arrows = [(r, n_faces + e // 4) if colour[r] == WHITE else (n_faces + e // 4, r)
+                  for e, r in enumerate(self.edge_region)]
+        succ, pred = [0] * self.n_vertices, [0] * self.n_vertices
+        for u, v in arrows:
+            succ[u] |= 1 << v
+            pred[v] |= 1 << u
+        return tuple((u, v, arrows.count((u, v)) == 1) for u, v in arrows), tuple(succ), tuple(pred)
 
 
 def build_tait(d: Diagram) -> TaitGraph:

@@ -373,15 +373,6 @@ def marked_arc_roots(t: TaitGraph, arc: int) -> tuple[int, int]:
     return right, left
 
 
-def _edge_key(move: Move) -> tuple:
-    if move.kind == "clock":
-        return ("clock", move.site[0])
-    if move.kind == "click_loop":
-        return ("click_loop", frozenset(move.site))
-    colour, path = move.site
-    return ("click_path", colour, frozenset((path[0], path[-1])))
-
-
 def build_move_graph(
     t: TaitGraph,
     population: str,
@@ -393,7 +384,8 @@ def build_move_graph(
     v_w), perfect_dmfs, or perfect_admissible.  Edges are kept only when both
     endpoints belong to the population, each once, as (lower node, higher
     node, move); the move is built only once its target is found, and each
-    node's strands are counted once."""
+    node's strands are counted once.  A move's ends fix the edges it
+    toggles, so two moves with the same ends raise InvariantViolation."""
     kinds = tuple(kinds)
     for k in kinds:
         if k not in MOVE_KINDS:
@@ -420,7 +412,7 @@ def build_move_graph(
 
     edges: list[tuple[int, int, Move]] = []
     for i, x in enumerate(nodes):
-        found: dict[int, list[Move]] = {}  # higher end -> the moves to it
+        found: dict[int, Move] = {}  # higher end -> the move to it
         for kind in (k for k in MOVE_KINDS if k in kinds):
             targets, classifier = _KINDS[kind]
             classify = classifier(t, x, strands)
@@ -429,12 +421,13 @@ def build_move_graph(
                 # recorded this edge already.
                 j = index.get(mask, -1)
                 if j > i:
-                    found.setdefault(j, []).append(classify(site, nodes[j]))
+                    if j in found:
+                        raise InvariantViolation(
+                            "two moves join nodes %d and %d of the %s graph" % (i, j, population)
+                        )
+                    found[j] = classify(site, nodes[j])
         counted.pop(x.mask, None)
-        for j, shared in sorted(found.items()):
-            if len(shared) > 1:  # moves with both ends in common go by their keys
-                shared.sort(key=lambda m: repr(_edge_key(m)))
-            edges += ((i, j, m) for m in shared)
+        edges += ((i, j, found[j]) for j in sorted(found))
     return MoveGraph(t.diagram.pd.to_text(), population, kinds, nodes, tuple(edges))
 
 

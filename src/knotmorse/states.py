@@ -33,7 +33,7 @@ The Jordan resolution smooths every matched crossing (the two arc-ends beside
 the dotted corner are joined, and the opposite two), keeps unmatched crossings
 as double points, and partitions the arcs into strand components by a search
 over arcs, each dart 4c + s stepping to the dart its smoothing joins it to or,
-at a double point, to all four darts of the crossing.  It keeps the
+at a double point, to the next of the crossing's four darts.  It keeps the
 smoothing and the strands, all that the clock and click statements read, and
 shares no code with the arc-level strand count of moves, which it checks.
 Acyclic matchings induce a rooted forest in each colour graph (edge per
@@ -111,27 +111,25 @@ class Matching:
         return sum(1 << e for e in self.edges)
 
 
-def _checked(region_of: tuple[int, ...], edges: Iterable[int]) -> Iterator[tuple[int, int, int]]:
-    """(edge, crossing, region) of each edge, raising ValueError as soon as
-    the edges stop being a matching."""
-    crossings: set[int] = set()
-    regions: set[int] = set()
+def _checked(region_of: tuple[int, ...], edges: tuple[int, ...]) -> None:
+    """Raise ValueError at the first edge that stops edges being a matching:
+    an id out of range, or a crossing or region met twice (bits of two masks)."""
+    n = len(region_of)
+    crossings = regions = 0
     for e in edges:
-        if not 0 <= e < len(region_of):
+        if not 0 <= e < n:
             raise ValueError("edge id %d out of range" % e)
-        c, r = e // 4, region_of[e]
-        if c in crossings:
+        c, r = e >> 2, region_of[e]
+        if crossings >> c & 1:
             raise ValueError("crossing %d matched twice" % c)
-        if r in regions:
+        if regions >> r & 1:
             raise ValueError("region %d matched twice" % r)
-        crossings.add(c)
-        regions.add(r)
-        yield e, c, r
+        crossings |= 1 << c
+        regions |= 1 << r
 
 
 def _validate(t: TaitGraph, x: Matching) -> None:
-    for _ in _checked(t.edge_region, x.edges):
-        pass
+    _checked(t.edge_region, x.edges)
 
 
 def matched_regions(t: TaitGraph, x: Matching) -> dict[int, int]:
@@ -145,18 +143,17 @@ def is_perfect(t: TaitGraph, x: Matching) -> bool:
 
 def is_maximal(t: TaitGraph, x: Matching) -> bool:
     """No overlay edge can be added (perfect states included)."""
-    free_r = set(range(t.n_faces)) - set(matched_regions(t, x))
-    free_c = set(range(t.n_crossings)) - {e // 4 for e in x.edges}
-    return not any(
-        t.edge_region[4 * c + k] in free_r for c in free_c for k in range(4)
-    )
+    used_r = {t.edge_region[e] for e in x.edges}
+    used_c = {e // 4 for e in x.edges}
+    return all(e // 4 in used_c or r in used_r for e, r in enumerate(t.edge_region))
 
 
 def is_admissible(t: TaitGraph, x: Matching) -> bool:
-    mr = matched_regions(t, x)
-    return any(f not in mr for f in t.black_faces) and any(
-        f not in mr for f in t.white_faces
-    )
+    used = 0
+    for e in x.edges:
+        used |= 1 << t.edge_region[e]
+    white, black = t.face_masks
+    return bool(white & ~used and black & ~used)
 
 
 def critical_cells(t: TaitGraph, x: Matching) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -186,13 +183,6 @@ def matching_to_dict(t: TaitGraph, x: Matching) -> dict:
 # Monochromatic loops and the dMf condition
 # ---------------------------------------------------------------------------
 
-def _canonical_cycle(seq: list[int]) -> tuple[int, ...]:
-    # Rotate so the smallest edge id comes first; traversal direction is
-    # already fixed by the region map.
-    i = seq.index(min(seq))
-    return tuple(seq[i:] + seq[:i])
-
-
 def monochromatic_loops(t: TaitGraph, x: Matching) -> tuple[tuple[int, ...], ...]:
     """All supported loops, each a cyclic edge sequence, canonicalized."""
     _validate(t, x)
@@ -212,7 +202,10 @@ def monochromatic_loops(t: TaitGraph, x: Matching) -> tuple[tuple[int, ...], ...
             while not seq or q != r:
                 seq += (out[q], out[q] ^ 2)
                 q = region_of[out[q] ^ 2]
-            loops.append(_canonical_cycle(seq))
+            # Rotate so the smallest edge id comes first; the region map
+            # already fixes the direction.
+            i = seq.index(min(seq))
+            loops.append(tuple(seq[i:] + seq[:i]))
     return tuple(sorted(loops))
 
 
@@ -220,28 +213,31 @@ def amended_poset_acyclic(t: TaitGraph, x: Matching) -> bool:
     """Acyclicity of the full poset arrow graph with matched arrows reversed.
 
     Base arrows run white region -> crossing -> black region; each matched
-    edge reverses its arrow.  Used as an independent cross-check of the loop
-    criterion, so it reads neither the region map nor the loops.  Raises
-    ValueError on an invalid matching, as _validate does.
-    """
-    n_nodes = t.n_vertices
-    flipped = bytearray(t.n_edges)
-    for e, _, _ in _checked(t.edge_region, x.edges):
-        flipped[e] = 1
-    succ: list[list[int]] = [[] for _ in range(n_nodes)]
-    indeg = [0] * n_nodes
-    for flip, (src, dst) in zip(flipped, t.poset_arrows):
-        if flip:
-            src, dst = dst, src
-        succ[src].append(dst)
-        indeg[dst] += 1
-    queue = [v for v in range(n_nodes) if not indeg[v]]
+    edge reverses its arrow, in copies of the TaitGraph.poset_tables masks
+    (a parallel twin, at a kink, keeps its bit), and sources are peeled bit
+    by bit.  An independent cross-check of the loop criterion, it reads
+    neither the region map nor the loops.  Raises ValueError on an invalid
+    matching, as _validate does."""
+    _checked(t.edge_region, x.edges)
+    arrows, succ, pred = t.poset_tables
+    succ, pred = list(succ), list(pred)
+    for e in x.edges:
+        u, v, lone = arrows[e]
+        if lone:  # the bits are set, so ^ clears them
+            succ[u] ^= 1 << v
+            pred[v] ^= 1 << u
+        succ[v] |= 1 << u
+        pred[u] |= 1 << v
+    queue = [v for v, p in enumerate(pred) if not p]
     for v in queue:  # grows as the arrows are peeled
-        for w in succ[v]:
-            indeg[w] -= 1
-            if not indeg[w]:
+        bit, s = 1 << v, succ[v]
+        while s:
+            w = (s & -s).bit_length() - 1
+            s &= s - 1
+            pred[w] ^= bit
+            if not pred[w]:
                 queue.append(w)
-    return len(queue) == n_nodes
+    return len(queue) == len(pred)
 
 
 def is_dmf(t: TaitGraph, x: Matching) -> bool:
@@ -425,12 +421,9 @@ def kauffman_states(t: TaitGraph, v_b: int, v_w: int) -> tuple[Matching, ...]:
         raise ValueError("vertex %d is not a black region" % v_b)
     if t.face_colour[v_w] != WHITE:
         raise ValueError("vertex %d is not a white region" % v_w)
-    out = []
-    for x in _maximal_stream(t, admissible=True):
-        mr = matched_regions(t, x)
-        if v_b not in mr and v_w not in mr:
-            out.append(x)
-    return tuple(out)
+    pair = {v_b, v_w}
+    return tuple(x for x in _maximal_stream(t, admissible=True)
+                 if pair.isdisjoint(t.edge_region[e] for e in x.edges))
 
 
 # ---------------------------------------------------------------------------
@@ -460,20 +453,23 @@ class JordanResolution:
 def jordan_resolution(d: Diagram, x: Matching) -> JordanResolution:
     """Resolve the matched crossings and search the arcs for strands.
 
-    join[i] is the dart that the smoothing at dart i = 4c + s joins it to:
-    slot s ^ 3 when p = 1 ({1, 2} and {3, 0}), s ^ 1 when p = 0, and -1 at a
-    double point, which joins all four of its darts.  A search over arcs from
-    each unlabelled arc, ascending, finds the strands in order of their least
-    arc.  Raises ValueError on an invalid matching, as _validate does.
+    join[i] is the dart that dart i = 4c + s leads to: at a smoothing the
+    dart it is joined with, slot s ^ 3 when p = 1 ({1, 2} and {3, 0}) and
+    s ^ 1 when p = 0; at a double point slot s + 1 mod 4, so that its four
+    darts form one cycle.  A search over arcs, following both darts of each
+    arc it reaches, from each unlabelled arc in ascending order finds the
+    strands in order of their least arc.  Raises ValueError on an invalid
+    matching, as _validate does.
     """
+    _checked(d.corner_face, x.edges)
     dart_arc, arc_darts = d.dart_arc, d.arc_darts
-    join = [-1] * (4 * d.n_crossings)
+    join = list(range(1, 4 * d.n_crossings + 1))
+    join[3::4] = range(0, 4 * d.n_crossings, 4)
     resolved: list[tuple[int, int]] = []
-    for e, c, _ in _checked(d.corner_face, x.edges):
-        p = (e + 1) % 2
-        for i in range(4 * c, 4 * c + 4):
-            join[i] = i ^ (2 * p + 1)
-        resolved.append((c, p))
+    for e in x.edges:
+        i, p = e & ~3, (e + 1) % 2
+        join[i : i + 4] = (i + 3, i + 2, i + 1, i) if p else (i + 1, i, i + 3, i + 2)
+        resolved.append((e >> 2, p))
     resolved.sort()
 
     seen = [False] * d.n_arcs
@@ -485,12 +481,12 @@ def jordan_resolution(d: Diagram, x: Matching) -> JordanResolution:
         arcs = [a0]
         for a in arcs:  # grows as the search goes
             for i in arc_darts[a]:
-                j = join[i]
-                for b in dart_arc[i & ~3 : (i | 3) + 1] if j < 0 else (dart_arc[j],):
-                    if not seen[b]:
-                        seen[b] = True
-                        arcs.append(b)
-        components.append(tuple(sorted(arcs)))
+                b = dart_arc[join[i]]
+                if not seen[b]:
+                    seen[b] = True
+                    arcs.append(b)
+        arcs.sort()
+        components.append(tuple(arcs))
     return JordanResolution(resolved=tuple(resolved), components=tuple(components))
 
 
@@ -586,8 +582,6 @@ def forests_to_matching(t: TaitGraph, f: ForestPair) -> Matching:
         for r in roots:
             if r not in adj:
                 raise InvalidForest("root %d is not a %s region" % (r, "black" if colour == BLACK else "white"))
-        if len({uf.find(r) for r in roots}) != n_comps:
-            raise InvalidForest("roots must pick one vertex per component")
         # Orient away from each root; a forest edge's crossing is matched to
         # the child endpoint through its corner edge there.
         seen = set(roots)
@@ -598,7 +592,10 @@ def forests_to_matching(t: TaitGraph, f: ForestPair) -> Matching:
                     seen.add(w)
                     edges.append(e)
                     stack.append(w)
-    x = Matching.from_edges(edges)
+        if len(seen) != len(faces):  # some component has no root
+            raise InvalidForest("roots must pick one vertex per component")
+    edges.sort()
+    x = Matching(tuple(edges))
     _validate(t, x)
     return x
 

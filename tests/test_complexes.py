@@ -37,7 +37,7 @@ from knotmorse import (
 )
 from knotmorse import complexes
 from knotmorse.complexes import IndependenceComplex
-from knotmorse.corpus import torus_pd
+from knotmorse.corpus import rational_pd, torus_pd
 from knotmorse.counting import IntegerMatrix
 from knotmorse.diagram import build_diagram, parse_pd
 from knotmorse.errors import InvariantViolation, ResourceLimit
@@ -455,6 +455,31 @@ def test_matching_tree_agrees_with_the_closure_on_the_corpus(name):
     # the counts of matchings by size against the face closure
     assert c.face_counts() == plain.face_counts()
     assert homology(c) == homology(plain) == oracle_homology(plain)
+
+
+# counts of matchings by size from 1 up, computed when the transfer still
+# kept every used region in its state
+T_2_15_MATCHINGS = (60, 1455, 19240, 158430, 872256, 3340865, 9086220, 17666010,
+                    24431720, 23630034, 15487680, 6528340, 1621920, 202665, 8852)
+R_2_7_MATCHINGS = (56, 1357, 18812, 166208, 986660, 4041287, 11542736, 22956008,
+                   31386808, 28754462, 16898208, 5920928, 1082520, 75630)
+
+
+def test_matching_counts_of_the_torus_knot_t_2_15_are_frozen():
+    t = build_tait(build_diagram(parse_pd(torus_pd(15))))
+    assert complexes._matching_counts(t) == T_2_15_MATCHINGS
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_matching_counts_survive_a_scrambled_crossing_order(seed):
+    # the regions a transfer forgets, and when, follow the crossing order
+    rng = random.Random(seed)
+    crossings = list(parse_pd(rational_pd([2] * 7)).crossings)
+    rng.shuffle(crossings)
+    text = " ".join("X(%d,%d,%d,%d)" % (c[k:] + c[:k]) for c in crossings
+                    for k in [rng.randrange(4)])
+    t = build_tait(build_diagram(parse_pd(text)))
+    assert complexes._matching_counts(t) == R_2_7_MATCHINGS
 
 
 @pytest.mark.parametrize("name", corpus_names())

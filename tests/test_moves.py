@@ -696,6 +696,21 @@ def test_clock_move_strand_count_fault_raises(monkeypatch, perfect, extra):
         clock_moves(t, x)
 
 
+@pytest.mark.parametrize("kind", MOVE_KINDS)
+def test_two_moves_with_the_same_ends_raise(monkeypatch, kind):
+    # a move's ends fix the edges it toggles, so a repeated target is a fault
+    real, classifier = moves._KINDS[kind]
+
+    def twice(t, x):
+        for target in real(t, x):
+            yield target
+            yield target
+
+    monkeypatch.setitem(moves._KINDS, kind, (twice, classifier))
+    with pytest.raises(InvariantViolation, match="two moves join nodes"):
+        build_move_graph(tait("4_1"), "perfect_admissible", kinds=(kind,))
+
+
 def test_click_path_needs_one_unmatched_region_per_colour(monkeypatch):
     t, x = perfect_dmf()
     real = moves.matched_regions

@@ -35,6 +35,7 @@ from knotmorse import (
 )
 from knotmorse import cli, moves, states
 from knotmorse.corpus import corpus_names, get_entry, rational_pd, torus_pd
+from knotmorse.diagram import BLACK
 from knotmorse.errors import InvariantViolation
 from knotmorse.states import _maximal_stream, amended_poset_acyclic, matched_regions, matching_to_dict
 from states_oracle import (
@@ -525,6 +526,49 @@ def test_kernels_reject_invalid_matchings_like_validate(kernel, edges):
     with pytest.raises(ValueError) as got:
         getattr(states, kernel)(arg, x)
     assert str(got.value) == str(want.value)
+
+
+def test_checked_rejects_a_negative_edge_id_and_accepts_the_empty_matching():
+    # a negative id would index the region map from its end and pass
+    d, t = setup(TREFOIL)
+    with pytest.raises(ValueError, match="edge id -1 out of range"):
+        states._checked(t.edge_region, (-1,))
+    with pytest.raises(ValueError, match="edge id -4 out of range"):
+        states._checked(t.edge_region, (0, -4))
+    assert states._checked(t.edge_region, ()) is None
+    empty = Matching(())
+    assert amended_poset_acyclic(t, empty) and is_admissible(t, empty)
+    assert jordan_resolution(d, empty).count == 1
+
+
+def test_kink_parallel_arrows_survive_a_flip():
+    # At the kink its looped region meets the crossing at two opposite
+    # corners, so edges 0 and 2 give the same arrow, one bit in the masks.
+    # Flipping edge 0 must leave edge 2's arrow: the two then close the
+    # 2-cycle that is the kink's loop (0, 2).  Clearing the shared bit
+    # would lose it and call the looped matching acyclic.
+    d, t = setup(KINK)
+    arrows, _, _ = t.poset_tables
+    assert arrows[0][:2] == arrows[2][:2] and not arrows[0][2] and not arrows[2][2]
+    assert arrows[1][2] and arrows[3][2]
+    for e in range(4):
+        looped = bool(monochromatic_loops(t, Matching((e,))))
+        assert looped == (e in (0, 2))
+        assert amended_poset_acyclic(t, Matching((e,))) == (not looped)
+
+
+def test_forests_reject_two_roots_in_one_component_and_none_in_another():
+    # the black forest of 3_1 holds one edge, so one component has two
+    # regions and the other one; rooting both ends of the edge leaves the
+    # lone region unreached though the root count is right
+    d, t = setup(TREFOIL)
+    e = next(e for e in range(4) if t.face_colour[t.edge_region[e]] == BLACK)
+    u, v = t.edge_region[e], t.edge_region[e ^ 2]
+    for roots in ((u, v), (u, u)):
+        bad = ForestPair(black_edges=(0,), white_edges=(), black_roots=roots,
+                         white_roots=t.white_faces)
+        with pytest.raises(InvalidForest, match="one vertex per component"):
+            forests_to_matching(t, bad)
 
 
 def test_jordan_resolution_never_calls_the_strand_kernel(monkeypatch):
