@@ -65,6 +65,7 @@ from .complexes import (
     homology,
     matching_complex,
     morse_complex,
+    pure_matching_complex,
     pure_morse_from_trees,
     pure_part,
 )

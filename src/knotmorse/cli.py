@@ -19,10 +19,12 @@ from itertools import combinations
 from pathlib import Path
 
 from .complexes import (
+    SimplicialComplex,
     connectivity_report,
     homology,
     matching_complex,
     morse_complex,
+    pure_matching_complex,
     pure_morse_from_trees,
     pure_part,
 )
@@ -49,6 +51,7 @@ from .moves import (
 )
 from .reference import COLUMNS, REFERENCE_HOMOLOGY, computed_row
 from .states import (
+    _maximal_stream,
     amended_poset_acyclic,
     enumerate_matchings,
     forests_to_matching,
@@ -284,24 +287,28 @@ def cmd_count(args) -> int:
 def cmd_complex(args) -> int:
     name, d = _load(args.diagram, args.swap_colours)
     t = build_tait(d)
-    c = matching_complex(t) if args.kind == "matching" else morse_complex(t)
-    if args.pure:
-        c = pure_part(c)
+    if args.kind == "morse":
+        c = pure_part(morse_complex(t)) if args.pure else morse_complex(t)
+    else:
+        c = pure_matching_complex(t) if args.pure else matching_complex(t)
+    # the matching complex lists no facet: only here are all maximal matchings read
+    facets = c.facets if isinstance(c, SimplicialComplex) else SimplicialComplex(
+        x.edges for x in _maximal_stream(t, skip=True)).facets
     payload = {
         "name": name,
         "kind": args.kind,
         "pure": args.pure,
         "dimension": c.dimension,
-        "n_facets": len(c.facets),
+        "n_facets": len(facets),
         "face_counts": list(c.face_counts()),
         "euler_characteristic": c.euler_characteristic(),
     }
     if args.facets:
-        payload["facets"] = [list(f) for f in c.facets]
+        payload["facets"] = [list(f) for f in facets]
     lines = [
         "%s %s%s: dimension %d, %d facets, euler %d"
         % (name, args.kind, " pure" if args.pure else "", c.dimension,
-           len(c.facets), payload["euler_characteristic"])
+           len(facets), payload["euler_characteristic"])
     ]
     if args.homology:
         h = homology(c)

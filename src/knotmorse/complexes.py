@@ -1,25 +1,24 @@
 """Matching and Morse complexes with exact integer homology.
 
 The matching complex of the overlay has the Tait edges as vertices and the
-matchings as simplices, so its facets are the maximal matchings; the Morse
-complex keeps the loop-free facets among them, and both have pure parts
-generated by the top-dimensional facets.  The pure Morse facets are exactly
-the images of the tree-pair construction, one top simplex per (spanning
-tree, black root, white root) triple.
+matchings as simplices: the independence complex of a conflict graph on the
+corner edges (two conflict when they share a crossing or a region), held as
+that graph and a count of matchings by size, with no facet listed.  Its
+pure part is generated by the perfect matchings, the Morse complex by the
+loop-free maximal matchings, and the pure Morse complex by the top ones
+among these: exactly the images of the tree-pair construction, one top
+simplex per (spanning tree, black root, white root) triple.
 
 Homology is computed over the integers by discrete Morse theory on the
-complex itself, with cells as int masks.  The matching complex is the
-independence complex of a conflict graph on the corner edges (two conflict
-when they share a crossing or a region), so a matching tree on that graph
-(Bousquet-Melou, Linusson & Nevo) pairs all its cells and the empty face but
-a few critical cells without listing any face, and its face counts come from
-a count of matchings by size.  Any other complex builds its face closure,
-and an iterated element matching (Jonsson) pairs those faces instead.  The
-boundary between the critical cells follows the gradient paths (Forman),
-and the boundaries between critical cells of adjacent sizes go through a
-dense Smith normal form, so torsion is exact.  The face closure and the
-matching tree respect the KNOTMORSE_MAX_FACES cap and raise ResourceLimit
-before allocating past it.
+complex itself, with cells as int masks.  On the matching complex a
+matching tree on the conflict graph (Bousquet-Melou, Linusson & Nevo) pairs
+all cells and the empty face but a few critical cells without listing any
+face.  Any other complex builds its face closure, and an iterated element
+matching (Jonsson) pairs those faces instead.  The boundary between the
+critical cells follows the gradient paths (Forman), and the boundaries
+between critical cells of adjacent sizes go through a dense Smith normal
+form, so torsion is exact.  The face closure and the matching tree respect
+the KNOTMORSE_MAX_FACES cap and raise ResourceLimit before allocating past it.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ __all__ = [
     "IndependenceComplex",
     "HomologyResult",
     "matching_complex",
+    "pure_matching_complex",
     "morse_complex",
     "pure_part",
     "pure_morse_from_trees",
@@ -131,24 +131,26 @@ class SimplicialComplex:
         return sum((-1) ** k * n for k, n in enumerate(self.face_counts()))
 
 
-class IndependenceComplex(SimplicialComplex):
-    """The independence complex of a graph on the vertices of its facets.
-
-    conflicts[i] is the neighbour mask of the i-th smallest vertex, in the
-    bits of faces(), and the facets are the maximal independent sets.
-    homology takes the matching tree of this graph and lists no face; the
-    face counts, by size from one vertex up, are found another way and given.
+class IndependenceComplex:
+    """The independence complex of a graph, held as the graph and its face
+    counts: conflicts[i] is the neighbour mask of vertex i, and counts[k]
+    the number of independent sets of k + 1 vertices, found another way.
+    homology takes the matching tree of this graph and lists no face.
     """
 
     __slots__ = ("conflicts", "_counts")
 
-    def __init__(self, facets: Iterable[Iterable[int]], conflicts: Iterable[int],
-                 counts: tuple[int, ...]):
-        super().__init__(facets)
+    def __init__(self, conflicts: Iterable[int], counts: tuple[int, ...]):
         self.conflicts, self._counts = tuple(conflicts), counts
+
+    @property
+    def dimension(self) -> int:
+        return len(self._counts) - 1
 
     def face_counts(self) -> tuple[int, ...]:
         return self._counts
+
+    euler_characteristic = SimplicialComplex.euler_characteristic
 
 
 def _matching_counts(t: TaitGraph) -> tuple[int, ...]:
@@ -180,20 +182,24 @@ def _matching_counts(t: TaitGraph) -> tuple[int, ...]:
 
 
 def matching_complex(t: TaitGraph) -> IndependenceComplex:
-    """Faces are the matchings; facets the maximal ones, perfect or not,
-    taken from one pass of the maximal-matching search.
+    """Faces are the matchings: the independence complex of the corner
+    edges, two of which conflict when they share a crossing or a region.
 
-    It is the independence complex of the corner edges, two of which
-    conflict when they share a crossing or a region; every edge lies in a
-    facet, so edge e is bit e.
+    Edge e is vertex e, and the face counts come from _matching_counts; no
+    matching is listed.
     """
     region = t.edge_region
     conflicts = [
         sum(1 << f for f in range(t.n_edges) if f != e and (f // 4 == e // 4 or region[f] == region[e]))
         for e in range(t.n_edges)
     ]
-    return IndependenceComplex([x.edges for x in _maximal_stream(t, skip=True)], conflicts,
-                               _matching_counts(t))
+    return IndependenceComplex(conflicts, _matching_counts(t))
+
+
+def pure_matching_complex(t: TaitGraph) -> SimplicialComplex:
+    """The pure part of the matching complex: its top facets are the
+    perfect matchings, which every knot diagram has."""
+    return SimplicialComplex(x.edges for x in _maximal_stream(t))
 
 
 def morse_complex(t: TaitGraph) -> SimplicialComplex:
@@ -329,30 +335,16 @@ def _element_matching(n_vertices: int, levels: list[set[int]]) -> tuple[set[int]
     matching: for each vertex v in turn, every unpaired cell without v goes
     with the cell that adds v, when that one is unpaired too.  It is acyclic
     by the element-matching lemma (Jonsson, Simplicial Complexes of Graphs).
-
-    At step v only cells holding v can be upper cells, so each unpaired cell
-    waits in the bucket of its lowest vertex not yet stepped past, and moves
-    on to its next vertex when its partner below is gone.
+    The pairs of one step are disjoint, so each leaves the free cells as it
+    is found.
     """
     free = set().union(*levels)
     up: dict[int, int] = {}
-    buckets: list[list[int]] = [[] for _ in range(n_vertices)]
-    for t in free:
-        if t:
-            buckets[(t & -t).bit_length() - 1].append(t)
-    for i, bucket in enumerate(buckets):
-        v = 1 << i
-        for t in bucket:
-            if t not in free:  # taken as a lower cell meanwhile
-                continue
-            low = t ^ v
-            if low in free:
-                up[low] = t
-                free.remove(t)
-                free.remove(low)
-            elif t >> i + 1:
-                rest = t >> i + 1
-                buckets[i + (rest & -rest).bit_length()].append(t)
+    for v in (1 << i for i in range(n_vertices)):
+        for t in [t for t in free if t & v and t ^ v in free]:
+            up[t ^ v] = t
+            free.remove(t)
+            free.remove(t ^ v)
     return free, up
 
 
@@ -489,7 +481,7 @@ def _morse_boundary(critical: set[int], partner: Callable[[int], int]) -> dict[i
     return {c: flow[c] for c in critical}
 
 
-def homology(c: SimplicialComplex) -> HomologyResult:
+def homology(c: SimplicialComplex | IndependenceComplex) -> HomologyResult:
     """Exact reduced integer homology through an acyclic matching on the cells.
 
     The cells are the faces and the empty face, so the chain complex is

@@ -21,10 +21,12 @@ from __future__ import annotations
 
 from .complexes import (
     HomologyResult,
+    IndependenceComplex,
     SimplicialComplex,
     homology,
     matching_complex,
     morse_complex,
+    pure_matching_complex,
     pure_part,
 )
 from .diagram import Diagram, build_tait
@@ -127,16 +129,15 @@ REFERENCE_HOMOLOGY: dict[str, dict[str, dict[int, int]]] = {
 }
 
 
-def reference_complexes(d: Diagram) -> dict[str, SimplicialComplex]:
+def reference_complexes(d: Diagram) -> dict[str, SimplicialComplex | IndependenceComplex]:
     """The four complexes of a diagram keyed like the reference table."""
     t = build_tait(d)
     morse = morse_complex(t)
-    matching = matching_complex(t)
     return {
         "morse": morse,
-        "matching": matching,
+        "matching": matching_complex(t),
         "pure_morse": pure_part(morse),
-        "pure_matching": pure_part(matching),
+        "pure_matching": pure_matching_complex(t),
     }
 
 

@@ -89,13 +89,6 @@ class Matching:
 
     edges: tuple[int, ...]
 
-    @classmethod
-    def from_edges(cls, edges: Iterable[int]) -> "Matching":
-        es = tuple(sorted(edges))
-        if any(es[i] == es[i + 1] for i in range(len(es) - 1)):
-            raise ValueError("duplicate edge ids in matching")
-        return cls(edges=es)
-
     def __len__(self) -> int:
         return len(self.edges)
 

@@ -18,7 +18,8 @@ reads its own closure as int masks, so a comparison checks that closure
 too.  For the matching complex, an ``IndependenceComplex``, the engine lists
 no face: a matching tree on the conflict graph gives its critical cells and
 a count of matchings by size its face counts, so there a comparison checks
-both against the oracle's closure.
+both against the oracle's closure of ``maximal_matchings``, the maximal
+members of the stream of all matchings.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from itertools import combinations
 from typing import Iterable, Mapping
 
 from knotmorse.complexes import HomologyResult, SimplicialComplex, _dense_smith
+from knotmorse.diagram import TaitGraph
+from knotmorse.states import enumerate_matchings, is_maximal
 
 
 def pairwise_maximal_facets(facets: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
@@ -35,6 +38,13 @@ def pairwise_maximal_facets(facets: Iterable[Iterable[int]]) -> tuple[tuple[int,
     canonical = {tuple(sorted(f)) for f in facets}
     kept = [f for f in canonical if not any(set(f) < set(g) for g in canonical)]
     return tuple(sorted(kept, key=lambda f: (len(f), f)))
+
+
+def maximal_matchings(t: TaitGraph) -> SimplicialComplex:
+    """The matching complex by its facets: the maximal members of the stream
+    of all matchings, which shares no code with the maximal-matching search
+    or the conflict graph."""
+    return SimplicialComplex(x.edges for x in enumerate_matchings(t, "all") if is_maximal(t, x))
 
 
 def oracle_faces(c: SimplicialComplex) -> tuple[tuple[tuple[int, ...], ...], ...]:

@@ -171,6 +171,8 @@ def oracle_forests_to_matching(t: TaitGraph, f: ForestPair) -> Matching:
                     seen.add(w)
                     edges.append(edge_to_region(t, c, w, colour))
                     stack.append(w)
-    x = Matching.from_edges(edges)
+    if len(set(edges)) != len(edges):
+        raise ValueError("duplicate edge ids in matching")
+    x = Matching(tuple(sorted(edges)))
     _validate(t, x)
     return x

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from knotmorse import cli
 from knotmorse.corpus import corpus_names, get_entry
-from knotmorse.complexes import SimplicialComplex, matching_complex
+from knotmorse.complexes import SimplicialComplex
 from knotmorse.diagram import build_tait, parse_pd
 from knotmorse.errors import InvariantViolation, ResourceLimit
 from knotmorse.moves import (
@@ -27,6 +27,8 @@ from knotmorse.moves import (
     move_graph_to_dot,
 )
 from knotmorse.states import FILTERS, enumerate_matchings
+
+from homology_oracle import maximal_matchings
 
 
 def run(capsys, *argv):
@@ -413,10 +415,20 @@ def test_complex_face_cap_exits_3(capsys, monkeypatch):
     assert "resource limit" in capsys.readouterr().err
 
 
+def test_complex_matching_lists_the_maximal_matchings(capsys):
+    # 5_1 has maximal matchings that are not perfect
+    code, payload = run(capsys, "complex", "5_1", "--kind", "matching", "--facets")
+    assert code == 0
+    facets = maximal_matchings(build_tait(get_entry("5_1").diagram)).facets
+    assert any(len(f) < 5 for f in facets)
+    assert payload["facets"] == [list(f) for f in facets]
+    assert payload["n_facets"] == len(facets)
+
+
 def test_face_cap_reports_its_stage_and_size(capsys, monkeypatch):
     monkeypatch.setenv("KNOTMORSE_MAX_FACES", "10")
     with pytest.raises(ResourceLimit) as raised:
-        matching_complex(build_tait(get_entry("5_1").diagram)).faces()
+        maximal_matchings(build_tait(get_entry("5_1").diagram)).faces()
     assert (raised.value.stage, raised.value.size) == ("face closure", 11)
     # the Morse complex builds its face closure; the matching complex does not
     code = cli.main(["complex", "5_1", "--kind", "morse", "--homology"])

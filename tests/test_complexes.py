@@ -30,6 +30,7 @@ from knotmorse import (
     marked_arc_roots,
     matching_complex,
     morse_complex,
+    pure_matching_complex,
     pure_morse_from_trees,
     pure_part,
     reference_complexes,
@@ -44,6 +45,7 @@ from knotmorse.errors import InvariantViolation, ResourceLimit
 from knotmorse.moves import click_path_moves, clock_moves
 from knotmorse.states import (
     Matching,
+    _maximal_stream,
     critical_cells,
     enumerate_matchings,
     induced_forests,
@@ -51,7 +53,7 @@ from knotmorse.states import (
     monochromatic_loops,
 )
 
-from homology_oracle import oracle_faces, oracle_homology, pairwise_maximal_facets
+from homology_oracle import maximal_matchings, oracle_faces, oracle_homology, pairwise_maximal_facets
 
 SMALL = ("3_1", "4_1", "kink", "5_1", "5_2")
 SIX_OR_LESS = ("3_1", "4_1", "kink", "5_1", "5_2", "6_1", "6_2", "6_3")
@@ -107,6 +109,15 @@ TORSION_FIXTURES = (
     (disks_on_a_triangle(4, 6), {2: 1}, {1: (2,)}),
     (disks_on_a_triangle(3), {}, {1: (3,)}),  # the mod-3 Moore space
 )
+
+
+def closure_columns(d):
+    """(column, complex, the same complex by its facets) for each column of
+    the reference table: the matching column lists no facet, so there the
+    second is maximal_matchings; every other column is its own."""
+    t = build_tait(d)
+    for column, c in reference_complexes(d).items():
+        yield column, c, maximal_matchings(t) if column == "matching" else c
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +223,8 @@ def test_homology_result_to_dict():
 @pytest.mark.parametrize("name", ("3_1", "4_1"))
 def test_sparse_engine_agrees_with_dense_rational_ranks(name):
     t = build_tait(get_entry(name).diagram)
-    for c in (morse_complex(t), matching_complex(t)):
-        faces = oracle_faces(c)
+    for c, plain in ((morse_complex(t),) * 2, (matching_complex(t), maximal_matchings(t))):
+        faces = oracle_faces(plain)
         counts = [len(fs) for fs in faces]
         ranks = [0] * (len(faces) + 1)
         for k in range(1, len(faces)):
@@ -306,9 +317,9 @@ def relabelled(facets, rng):
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_HOMOLOGY))
 def test_reference_rows_agree_with_the_oracle_engine(name):
-    for column, c in reference_complexes(get_entry(name).diagram).items():
+    for column, c, plain in closure_columns(get_entry(name).diagram):
         got = homology(c)
-        assert got == oracle_homology(c), column
+        assert got == oracle_homology(plain), column
         assert got.ranks() == REFERENCE_HOMOLOGY[name][column], column
 
 
@@ -344,15 +355,18 @@ def decoded_faces(c):
 
 @pytest.mark.parametrize("name", corpus_names())
 def test_face_closure_equals_the_oracle_closure(name):
-    for column, c in reference_complexes(get_entry(name).diagram).items():
-        assert decoded_faces(c) == [set(level) for level in oracle_faces(c)], column
+    for column, _, plain in closure_columns(get_entry(name).diagram):
+        assert decoded_faces(plain) == [set(level) for level in oracle_faces(plain)], column
 
 
 @pytest.mark.parametrize("name", corpus_names())
 def test_facet_lists_are_antichains(name):
     # SimplicialComplex takes its facets as given, pairwise non-contained
     d = get_entry(name).diagram
-    built = {**reference_complexes(d), "from_trees": pure_morse_from_trees(d)}
+    built = {column: c for column, c in reference_complexes(d).items() if column != "matching"}
+    built["from_trees"] = pure_morse_from_trees(d)
+    # the maximal matchings that `complex --kind matching` lists
+    built["maximal"] = SimplicialComplex(x.edges for x in _maximal_stream(build_tait(d), skip=True))
     for column, c in built.items():
         assert c.facets == pairwise_maximal_facets(c.facets), column
 
@@ -409,51 +423,23 @@ def assert_acyclic_morse_matching(cells, critical, up, betti, column):
 
 @pytest.mark.parametrize("name", corpus_names())
 def test_element_matching_is_acyclic_and_meets_the_morse_inequalities(name):
-    for column, c in reference_complexes(get_entry(name).diagram).items():
-        levels = [{0}, *c.faces()]
+    for column, c, plain in closure_columns(get_entry(name).diagram):
+        levels = [{0}, *plain.faces()]
         critical, up = complexes._element_matching(len(levels[1]), levels)
         assert_acyclic_morse_matching(set().union(*levels), critical, up, homology(c).betti, column)
-
-
-def element_matching_by_rescan(n_vertices, levels):
-    """The element matching as first written: each vertex scans every
-    unpaired cell."""
-    free = set().union(*levels)
-    up = {}
-    for v in (1 << i for i in range(n_vertices)):
-        highs = [t for t in free if t & v and t ^ v in free]
-        up.update((t ^ v, t) for t in highs)
-        free.difference_update(highs, [t ^ v for t in highs])
-    return free, up
-
-
-@pytest.mark.parametrize("name", corpus_names())
-def test_bucketed_element_matching_equals_the_rescan(name):
-    for column, c in reference_complexes(get_entry(name).diagram).items():
-        levels = [{0}, *c.faces()]
-        n = len(levels[1])
-        assert complexes._element_matching(n, levels) == element_matching_by_rescan(n, levels), column
 
 
 # ---------------------------------------------------------------------------
 # The matching tree behind the matching column
 # ---------------------------------------------------------------------------
 
-def closure_of(c):
-    """The same complex as a plain SimplicialComplex: its face closure goes
-    through the element matching."""
-    plain = SimplicialComplex(c.facets)
-    assert type(plain) is SimplicialComplex and plain == c
-    return plain
-
-
 @pytest.mark.parametrize("name", corpus_names())
 def test_matching_tree_agrees_with_the_closure_on_the_corpus(name):
-    c = matching_complex(build_tait(get_entry(name).diagram))
+    t = build_tait(get_entry(name).diagram)
+    c, plain = matching_complex(t), maximal_matchings(t)
     assert isinstance(c, IndependenceComplex)
-    plain = closure_of(c)
     # the counts of matchings by size against the face closure
-    assert c.face_counts() == plain.face_counts()
+    assert (c.dimension, c.face_counts()) == (plain.dimension, plain.face_counts())
     assert homology(c) == homology(plain) == oracle_homology(plain)
 
 
@@ -484,11 +470,21 @@ def test_matching_counts_survive_a_scrambled_crossing_order(seed):
 
 @pytest.mark.parametrize("name", corpus_names())
 def test_matching_tree_is_acyclic_and_meets_the_morse_inequalities(name):
-    c = matching_complex(build_tait(get_entry(name).diagram))
-    cells = {0}.union(*c.faces())
+    t = build_tait(get_entry(name).diagram)
+    c = matching_complex(t)
+    cells = {x.mask for x in enumerate_matchings(t, "all")}
     critical, partners = complexes._matching_tree(c.conflicts)
     up = {x: partners[x] for x in cells if partners[x]}
     assert_acyclic_morse_matching(cells, critical, up, homology(c).betti, "matching")
+
+
+def test_independence_complex_takes_its_dimension_from_its_counts():
+    # the path 0 - 1 - 2: its faces are the vertices and the two ends
+    c = IndependenceComplex([0b010, 0b101, 0b010], (3, 1))
+    assert (c.dimension, c.face_counts(), c.euler_characteristic()) == (1, (3, 1), 2)
+    assert homology(c).ranks() == {0: 1}
+    empty = IndependenceComplex([], ())
+    assert empty.dimension == -1 and homology(empty).betti == ()
 
 
 def independent_sets(conflicts):
@@ -526,15 +522,15 @@ def test_matching_tree_agrees_with_the_closure_on_random_graphs(conflicts, gap):
               for m in maximal_independent_sets(conflicts)]
     sizes = [m.bit_count() for m in independent_sets(conflicts)]
     counts = tuple(sizes.count(k) for k in range(1, max(sizes) + 1))
-    c = IndependenceComplex(facets, conflicts, counts)
-    plain = closure_of(c)
-    assert c.face_counts() == plain.face_counts()
+    c, plain = IndependenceComplex(conflicts, counts), SimplicialComplex(facets)
+    assert (c.dimension, c.face_counts()) == (plain.dimension, plain.face_counts())
     assert homology(c) == homology(plain) == oracle_homology(plain)
 
 
 def subdivided_projective_plane():
     """The barycentric subdivision of RP2, a flag complex: the independence
-    complex of the graph joining two faces when neither holds the other."""
+    complex of the graph joining two faces when neither holds the other, and
+    the same complex by its facets."""
     faces = sorted({g for f in RP2 for k in (1, 2, 3) for g in combinations(f, k)})
     index = {g: i for i, g in enumerate(faces)}
     conflicts = [sum(1 << j for j, h in enumerate(faces)
@@ -546,12 +542,12 @@ def subdivided_projective_plane():
     chains = [[(g,) for g in faces]]
     for _ in range(2):
         chains.append([ch + (h,) for ch in chains[-1] for h in faces if set(ch[-1]) < set(h)])
-    return IndependenceComplex(facets, conflicts, tuple(map(len, chains)))
+    return IndependenceComplex(conflicts, tuple(map(len, chains))), SimplicialComplex(facets)
 
 
 def test_matching_tree_finds_the_two_torsion_of_a_subdivided_projective_plane():
-    c = subdivided_projective_plane()
-    plain = closure_of(c)
+    c, plain = subdivided_projective_plane()
+    assert c.dimension == plain.dimension == 2
     assert c.face_counts() == plain.face_counts() == (31, 90, 60)
     got = homology(c)
     assert got == homology(plain) == oracle_homology(plain)
@@ -647,6 +643,7 @@ INVARIANT_TESTS = (
     "test_moves.py::test_clock_move_strand_count_fault_raises",
     "test_moves.py::test_click_path_needs_one_unmatched_region_per_colour",
     "test_moves.py::test_two_click_connect_faults_raise",
+    "test_moves.py::test_two_moves_with_the_same_ends_raise",
 )
 
 
@@ -662,7 +659,7 @@ def test_invariant_checks_survive_python_O():
         capture_output=True, text=True, env=env, cwd=tests.parent,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "20 passed" in proc.stdout, proc.stdout
+    assert "23 passed" in proc.stdout, proc.stdout
 
 
 # ---------------------------------------------------------------------------
@@ -674,8 +671,16 @@ def test_matching_complex_faces_are_exactly_the_nonempty_matchings(name):
     t = build_tait(get_entry(name).diagram)
     c = matching_complex(t)
     everything = {x.edges for x in enumerate_matchings(t, "all")} - {()}
-    got = {f for bucket in oracle_faces(c) for f in bucket}
+    got = {f for bucket in oracle_faces(maximal_matchings(t)) for f in bucket}
     assert got == everything
+    # a set of edges is a matching iff each pair of it is one, so the
+    # conflict graph's independent sets are the matchings iff two edges
+    # conflict exactly when they form no matching
+    pairs = {f for f in everything if len(f) == 2}
+    assert all(bool(c.conflicts[e] >> f & 1) == (e != f and tuple(sorted((e, f))) not in pairs)
+               for e in range(t.n_edges) for f in range(t.n_edges))
+    sizes = [len(f) for f in everything]
+    assert c.face_counts() == tuple(sizes.count(k) for k in range(1, max(sizes) + 1))
 
 
 def test_trefoil_matching_complex_dimension_is_two():
@@ -686,7 +691,7 @@ def test_trefoil_matching_complex_dimension_is_two():
 @pytest.mark.parametrize("name", SMALL)
 def test_morse_facets_are_loop_free_maximal_matchings(name):
     t = build_tait(get_entry(name).diagram)
-    matching_facets = set(matching_complex(t).facets)
+    matching_facets = set(maximal_matchings(t).facets)
     for f in morse_complex(t).facets:
         assert f in matching_facets
         assert not monochromatic_loops(t, Matching(f))
@@ -723,12 +728,18 @@ def test_five_one_excludes_loop_free_matchings_with_no_loop_free_completion():
 def test_pure_parts_are_generated_by_perfect_matchings(name):
     t = build_tait(get_entry(name).diagram)
     n = t.n_crossings
-    for c in (matching_complex(t), morse_complex(t)):
+    for c in (maximal_matchings(t), morse_complex(t)):
         p = pure_part(c)
         assert all(len(f) == n for f in p.facets)
     assert set(pure_part(morse_complex(t)).facets) == {
         x.edges for x in enumerate_matchings(t, "perfect_dmf")
     }
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_pure_matching_complex_is_the_pure_part_of_the_maximal_matchings(name):
+    t = build_tait(get_entry(name).diagram)
+    assert pure_matching_complex(t) == pure_part(maximal_matchings(t))
 
 
 def test_trefoil_pure_morse_has_eighteen_triangles():
@@ -831,6 +842,16 @@ def test_reference_homology_seven_crossings(name):
     for column, result in row.items():
         assert result.ranks() == REFERENCE_HOMOLOGY[name][column], column
         assert result.is_torsion_free(), column
+
+
+def test_computed_row_runs_the_skip_search_only_for_the_morse_column(monkeypatch):
+    real = complexes._maximal_stream
+    calls = []
+    monkeypatch.setattr(complexes, "_maximal_stream", lambda t, **kw: calls.append(kw) or real(t, **kw))
+    row = computed_row(get_entry("5_2").diagram)
+    assert {column: h.ranks() for column, h in row.items()} == REFERENCE_HOMOLOGY["5_2"]
+    # the pure matching column reads the perfect stream, the matching column none
+    assert sorted(calls, key=len) == [{}, {"skip": True, "acyclic": True}]
 
 
 def test_five_two_pure_morse_euler_count_forces_the_degree_two_class():

@@ -108,11 +108,6 @@ def test_streams_are_lexicographic():
     assert seen == sorted(seen)
 
 
-def test_matching_from_edges_rejects_duplicates():
-    with pytest.raises(ValueError):
-        Matching.from_edges([3, 3])
-
-
 def test_validation_rejects_double_booking():
     _, t = setup(TREFOIL)
     with pytest.raises(ValueError, match="matched twice"):
@@ -261,7 +256,8 @@ def test_empty_matching_keeps_all_double_points():
 
 def nonextendable(t):
     """The maximal matchings that are not perfect: the skip branch of the
-    maximal stream that the matching complex reads its facets from."""
+    maximal stream that the Morse complex and `complex --kind matching`
+    read their facets from."""
     return (x for x in _maximal_stream(t, skip=True) if len(x) < t.n_crossings)
 
 
