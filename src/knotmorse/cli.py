@@ -78,21 +78,17 @@ def _load(spec: str, swap: bool = False) -> tuple[str, Diagram]:
     else:
         path = Path(spec)
         if not path.is_file():
-            raise SystemExit2(
+            raise KnotmorseError(
                 "unknown diagram %r (not a corpus name or file)" % spec
             )
         try:
             spec, text = path.stem, path.read_text()
         except UnicodeDecodeError as exc:
-            raise SystemExit2("cannot read %s: %s" % (spec, exc))
+            raise KnotmorseError("cannot read %s: %s" % (spec, exc))
     try:
         return spec, build_diagram(parse_pd(text), swap_colours=swap)
     except KnotmorseError as exc:
-        raise SystemExit2("cannot build diagram from %s: %s" % (spec, exc))
-
-
-class SystemExit2(Exception):
-    """Usage-level failure, reported on stderr with exit code 2."""
+        raise KnotmorseError("cannot build diagram from %s: %s" % (spec, exc))
 
 
 def _emit(payload: dict, pretty: bool, lines=None) -> None:
@@ -194,7 +190,7 @@ def cmd_info(args) -> int:
 
 def cmd_states(args) -> int:
     if args.limit is not None and args.limit < 0:
-        raise SystemExit2("--limit must be at least 0, got %d" % args.limit)
+        raise KnotmorseError("--limit must be at least 0, got %d" % args.limit)
     name, d = _load(args.diagram, args.swap_colours)
     t = build_tait(d)
     stream = enumerate_matchings(t, args.filter)
@@ -229,22 +225,22 @@ def _is_path_graph(nodes, edges) -> bool:
 
 def cmd_moves(args) -> int:
     if args.mark is not None and args.population != "kauffman":
-        raise SystemExit2("--mark needs --population kauffman")
+        raise KnotmorseError("--mark needs --population kauffman")
     name, d = _load(args.diagram, args.swap_colours)
     t = build_tait(d)
     v_b = v_w = None
     if args.population == "kauffman":
         if args.mark is None:
-            raise SystemExit2("--population kauffman needs --mark <arc id>")
+            raise KnotmorseError("--population kauffman needs --mark <arc id>")
         if not 0 <= args.mark < 2 * d.n_crossings:
-            raise SystemExit2("arc id %d out of range" % args.mark)
+            raise KnotmorseError("arc id %d out of range" % args.mark)
         v_b, v_w = marked_arc_roots(t, args.mark)
     kinds = MOVE_KINDS if args.kinds is None else tuple(args.kinds.split(","))
     unknown = [k for k in kinds if k not in MOVE_KINDS]
     if unknown:
-        raise SystemExit2("unknown move kind %r, not in %s" % (unknown[0], ",".join(MOVE_KINDS)))
+        raise KnotmorseError("unknown move kind %r, not in %s" % (unknown[0], ",".join(MOVE_KINDS)))
     if len(set(kinds)) < len(kinds):
-        raise SystemExit2("repeated move kind in --kinds %s" % args.kinds)
+        raise KnotmorseError("repeated move kind in --kinds %s" % args.kinds)
     # The avoidance report reads the same graph; filtering keeps the edge order.
     avoid = args.population == "perfect_admissible"
     mg = build_move_graph(t, args.population, MOVE_KINDS if avoid else kinds, v_b=v_b, v_w=v_w)
@@ -333,7 +329,7 @@ def cmd_table1(args) -> int:
     ]
     unknown = [n for n in names if n not in REFERENCE_HOMOLOGY]
     if unknown:
-        raise SystemExit2("no reference values for: %s" % ", ".join(unknown))
+        raise KnotmorseError("no reference values for: %s" % ", ".join(unknown))
     rows = []
     mismatches = []
     for name in names:
@@ -395,7 +391,7 @@ def _selftest_checks(cap: int):
     diagrams = ((n, get_entry(n).diagram) for n in corpus_names())
     smalls = [(n, d, build_tait(d)) for n, d in diagrams if d.n_crossings <= cap]
     if not smalls:
-        raise SystemExit2("--max-crossings %d selects no corpus entry" % cap)
+        raise KnotmorseError("--max-crossings %d selects no corpus entry" % cap)
 
     def check_counting(report):
         for name, d, _ in smalls:
@@ -601,9 +597,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit2 as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
     except ResourceLimit as exc:
         print("resource limit: %s; stage %s, size %s" % (exc, exc.stage, exc.size), file=sys.stderr)
         return EXIT_RESOURCE

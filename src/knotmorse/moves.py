@@ -21,13 +21,14 @@ a step toggles bits e and e ^ 2.  Neither move changes the Jordan resolution.
 
 Move graphs collect a population of matchings as nodes and the moves staying
 inside the population as undirected edges; connectivity of these graphs is
-what the acceptance checks interrogate.  Each move kind is split in two: a
-generator of target edge masks (Matching.mask with the flipped edges
-toggled) and a classifier that makes the Move.  The graph looks each target
-mask up in the population before building anything and records an edge from
-its lower end only: every move kind is involutive, so the higher end finds
-the same edge back.  The public move functions build and validate every
-target instead.
+what the acceptance checks interrogate.  Each move kind is a generator of
+(target edge mask, site) pairs, the mask being Matching.mask with the
+flipped edges toggled, and _move makes the Move of any kind from its site
+and ends.  The graph looks each target mask up in the population before
+building anything and records an edge from its lower end only: every move
+kind is involutive, so the higher end finds the same edge back.  The public
+move functions build and validate every target instead, and
+two_click_connect applies the click path targets that end at its regions.
 """
 
 from __future__ import annotations
@@ -154,36 +155,6 @@ def _clock_targets(t: TaitGraph, x: Matching) -> Iterator[tuple[int, tuple]]:
             yield mask ^ a ^ b, (sq, (e1, e3), "ccw")
 
 
-def _clock_classifier(
-    t: TaitGraph, x: Matching, strands: Callable[[Matching], tuple]
-) -> Callable[[tuple, Matching], Move]:
-    """The clock move from x to y at a site; strands(y) is _strand_roots(d, y).
-
-    A move flips the smoothings of the square's two crossings.  Each flip
-    changes |J| by at most one, and by exactly one when x is perfect.  So a
-    move changes |J| by at most 2, and by 0 or +-2 when x is perfect; both
-    are checked.
-    """
-    d = t.diagram
-    root, before = strands(x)
-
-    def classify(site: tuple, y: Matching) -> Move:
-        sq, pattern, orientation = site
-        delta = strands(y)[1] - before
-        if delta != 0:
-            if abs(delta) > 2 or (delta not in (-2, 2) and is_perfect(t, x)):
-                raise InvariantViolation(
-                    "clock move at arc %d changed |J| by %d" % (sq.arc, delta)
-                )
-            ctype = "III"
-        else:
-            a, b = (root(_rerouted_strand(d, sq.arc, e)) for e in pattern)
-            ctype = "I" if a == b else "II"
-        return Move("clock", (sq.arc,), clock_type=ctype, delta_j=delta, orientation=orientation)
-
-    return classify
-
-
 def clock_moves(t: TaitGraph, x: Matching) -> list[tuple[Move, Matching]]:
     """All clock moves available on x, each with the resulting matching."""
     return _built_moves(t, x, "clock")
@@ -270,12 +241,13 @@ def two_click_connect(
 ) -> tuple[tuple[Move, Matching], ...]:
     """Carry a perfect dMf to the one with critical regions (v_b, v_w).
 
-    At most one black and one white click path move, black first.  The black
-    move re-matches crossings between black regions only, so x's white tree
-    is the one after it: both paths are read off x's click forest.  Each move
-    is the click_path_moves move to its target, built alone by walking the
-    target's tree path up to the root.  Returns the (move, matching) steps;
-    empty when the targets are already critical.
+    At most one black and one white click path move, black first: the
+    click_path_moves moves on x whose paths end at v_b and at v_w.  The black
+    move re-matches crossings between black regions only, so the white move's
+    toggles apply on top of it unchanged.  Only the returned matchings are
+    built.  Returns the (move, matching) steps; empty when the targets are
+    already critical.  A region that no path reaches leaves the wrong
+    critical cells, which the final check reports.
     """
     if t.face_colour[v_b] != BLACK:
         raise ValueError("target %d is not a black region" % v_b)
@@ -287,22 +259,14 @@ def two_click_connect(
     if not is_dmf(t, x):
         raise NotAcyclic("need an acyclic matching: every region must be reachable")
     steps: list[tuple[Move, Matching]] = []
-    cur = x
-    mr, orders = _click_forest(t, x)
-    for colour, target in ((BLACK, v_b), (WHITE, v_w)):
-        order = orders[colour]
-        if order[0] == target:
-            continue
-        if target not in order:
-            raise InvariantViolation("no click path reaches region %d" % target)
-        mask, u, path = cur.mask, target, [target]
-        while u != order[0]:
-            mask = _click_step(mask, mr[u])
-            u = t.edge_region[mr[u] ^ 2]
-            path.append(u)
-        cur = _matching_of(mask)
-        _validate(t, cur)
-        steps.append((Move(kind="click_path", site=(_COLOUR_NAME[colour], tuple(reversed(path)))), cur))
+    cur, mask = x, x.mask
+    for target, site in _click_path_targets(t, x):
+        if site[1][-1] in (v_b, v_w):
+            mask ^= x.mask ^ target
+            y = _matching_of(mask)
+            _validate(t, y)
+            steps.append((_move(t, "click_path", site, cur, y, None), y))
+            cur = y
     cells = critical_cells(t, cur)
     if cells != ((v_b,), (), (v_w,)):
         raise InvariantViolation(
@@ -311,17 +275,39 @@ def two_click_connect(
     return tuple(steps)
 
 
-def _site_classifier(kind: str) -> Callable:
-    """A click kind's classifier: its target sites are its moves' sites."""
-    return lambda t, x, strands: lambda site, y: Move(kind=kind, site=site)
-
-
-# kind -> (targets(t, x) yielding (target mask, site), classifier(t, x, strands))
+# kind -> targets(t, x), yielding (target mask, site)
 _KINDS = {
-    "clock": (_clock_targets, _clock_classifier),
-    "click_loop": (_click_loop_targets, _site_classifier("click_loop")),
-    "click_path": (_click_path_targets, _site_classifier("click_path")),
+    "clock": _clock_targets,
+    "click_loop": _click_loop_targets,
+    "click_path": _click_path_targets,
 }
+
+
+def _move(
+    t: TaitGraph, kind: str, site: tuple, x: Matching, y: Matching,
+    strands: Callable[[Matching], tuple] | None,
+) -> Move:
+    """The move of one kind from x to y at a site of its targets.
+
+    A click move is its site.  A clock move reads strands(m), which is
+    _strand_roots(t.diagram, m), for x and y only.  It flips the smoothings
+    of the square's two crossings.  Each flip changes |J| by at most one, and
+    by exactly one when x is perfect.  So a move changes |J| by at most 2,
+    and by 0 or +-2 when x is perfect; both are checked.
+    """
+    if kind != "clock":
+        return Move(kind, site)
+    sq, pattern, orientation = site
+    root, before = strands(x)
+    delta = strands(y)[1] - before
+    if delta != 0:
+        if abs(delta) > 2 or (delta not in (-2, 2) and is_perfect(t, x)):
+            raise InvariantViolation("clock move at arc %d changed |J| by %d" % (sq.arc, delta))
+        ctype = "III"
+    else:
+        a, b = (root(_rerouted_strand(t.diagram, sq.arc, e)) for e in pattern)
+        ctype = "I" if a == b else "II"
+    return Move("clock", (sq.arc,), clock_type=ctype, delta_j=delta, orientation=orientation)
 
 
 def _matching_of(mask: int) -> Matching:
@@ -337,13 +323,14 @@ def _matching_of(mask: int) -> Matching:
 def _built_moves(t: TaitGraph, x: Matching, kind: str) -> list[tuple[Move, Matching]]:
     """Every move of one kind on x, each target built and validated."""
     _validate(t, x)
-    targets, classifier = _KINDS[kind]
-    classify = classifier(t, x, lambda y: _strand_roots(t.diagram, y))
+    d = t.diagram
+    at_x = _strand_roots(d, x) if kind == "clock" else None  # clock moves alone read it
+    strands = lambda y: at_x if y is x else _strand_roots(d, y)
     out = []
-    for mask, site in targets(t, x):
+    for mask, site in _KINDS[kind](t, x):
         y = _matching_of(mask)
         _validate(t, y)
-        out.append((classify(site, y), y))
+        out.append((_move(t, kind, site, x, y, strands), y))
     return out
 
 
@@ -414,9 +401,7 @@ def build_move_graph(
     for i, x in enumerate(nodes):
         found: dict[int, Move] = {}  # higher end -> the move to it
         for kind in (k for k in MOVE_KINDS if k in kinds):
-            targets, classifier = _KINDS[kind]
-            classify = classifier(t, x, strands)
-            for mask, site in targets(t, x):
+            for mask, site in _KINDS[kind](t, x):
                 # Every move kind is involutive, so a target below i has
                 # recorded this edge already.
                 j = index.get(mask, -1)
@@ -425,7 +410,7 @@ def build_move_graph(
                         raise InvariantViolation(
                             "two moves join nodes %d and %d of the %s graph" % (i, j, population)
                         )
-                    found[j] = classify(site, nodes[j])
+                    found[j] = _move(t, kind, site, x, nodes[j], strands)
         counted.pop(x.mask, None)
         edges += ((i, j, found[j]) for j in sorted(found))
     return MoveGraph(t.diagram.pd.to_text(), population, kinds, nodes, tuple(edges))

@@ -277,24 +277,22 @@ def _closes_loop(arrow: dict[int, int], r: int, r2: int) -> bool:
 def _subset_stream(t: TaitGraph, acyclic: bool) -> Iterator[Matching]:
     region_of = t.edge_region
     acc: list[int] = []
-    used_c: set[int] = set()
     arrow: dict[int, int] = {}  # matched region -> its next region
 
     def rec(start: int) -> Iterator[Matching]:
         yield Matching(tuple(acc))
         for e in range(start, t.n_edges):
-            c, r = e // 4, region_of[e]
-            if c in used_c or r in arrow:
+            r = region_of[e]
+            if r in arrow:
                 continue
             if acyclic and _closes_loop(arrow, r, region_of[e ^ 2]):
                 # Supersets keep every supported loop; prune the subtree.
                 continue
             acc.append(e)
-            used_c.add(c)
             arrow[r] = region_of[e ^ 2]
-            yield from rec(e + 1)
+            # No other edge of e's crossing can join: go on from the next one.
+            yield from rec((e | 3) + 1)
             acc.pop()
-            used_c.discard(c)
             del arrow[r]
 
     yield from rec(0)

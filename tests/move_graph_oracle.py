@@ -5,7 +5,7 @@ functions, which build and validate each target matching, looks the targets
 up in an index keyed by Matching, and keeps the first move met for each
 (pair of nodes, site) key.  Every edge is therefore found from both ends and
 nothing relies on the moves being involutive.  The public move functions
-share their target generators and classifiers with the builder under test;
+share their target generators and _move with the builder under test;
 the oracle shares neither the mask index, nor the rule that records an edge
 from its lower end only, nor the edge sort.
 

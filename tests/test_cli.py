@@ -122,6 +122,27 @@ def test_missing_subcommand_raises_system_exit_2():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["parse", "no/such/file.pd"], "unknown diagram 'no/such/file.pd' (not a corpus name or file)"),
+    (["parse", "{tmp}/bad.pd"], "cannot read {tmp}/bad.pd: 'utf-8' codec can't decode"),
+    (["parse", "{tmp}/garbage.pd"], "cannot build diagram from garbage: "),
+    (["states", "3_1", "--limit", "-1"], "--limit must be at least 0, got -1"),
+    (["moves", "3_1", "--mark", "2"], "--mark needs --population kauffman"),
+    (["moves", "4_1", "--population", "kauffman"], "--population kauffman needs --mark <arc id>"),
+    (["moves", "4_1", "--population", "kauffman", "--mark", "99"], "arc id 99 out of range"),
+    (["moves", "3_1", "--kinds", "foo"], "unknown move kind 'foo', not in clock,click_loop,click_path"),
+    (["moves", "3_1", "--kinds", "clock,clock"], "repeated move kind in --kinds clock,clock"),
+    (["table1", "--names", "8_19"], "no reference values for: 8_19"),
+    (["selftest", "--max-crossings", "0"], "--max-crossings 0 selects no corpus entry"),
+])
+def test_every_usage_error_exits_2_with_one_error_line(capsys, tmp_path, argv, message):
+    (tmp_path / "bad.pd").write_bytes(b"X(1,4,2,5) \xff\xfe")
+    (tmp_path / "garbage.pd").write_text("not a pd code at all")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    err = usage_error(capsys, *argv)
+    assert err.startswith("error: " + message.replace("{tmp}", str(tmp_path))), err
+
+
 def test_swap_colours_flips_the_classes_not_the_invariants(capsys):
     _, normal = run(capsys, "info", "3_1")
     _, swapped = run(capsys, "info", "3_1", "--swap-colours")
