@@ -191,6 +191,12 @@ class Diagram:
         return tuple((4 * c1 + s1, 4 * c2 + s2) for (c1, s1), (c2, s2) in self.arc_ends)
 
     @cached_property
+    def next_dart(self) -> tuple[int, ...]:
+        """Dart 4 * c + (s + 1) % 4, indexed by dart 4 * c + s: the dart each
+        leads to when every crossing is a double point."""
+        return tuple(i + 1 if i & 3 != 3 else i - 3 for i in range(4 * self.n_crossings))
+
+    @cached_property
     def corner_face(self) -> tuple[int, ...]:
         """Face at corner k of crossing c, indexed by 4 * c + k."""
         out = [0] * (4 * self.n_crossings)
@@ -390,11 +396,19 @@ class UnionFind:
         return i
 
     def union(self, a, b) -> bool:
-        """Join the sets of a and b; False when they were already one set."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
+        """Join the sets of a and b; False when they were already one set.
+
+        Walks to both roots inline, halving the paths as find does, a's
+        first; the root of a then hangs below the root of b.
+        """
+        parent = self.parent
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a == b:
             return False
-        self.parent[ra] = rb
+        parent[a] = b
         return True
 
 
@@ -451,6 +465,19 @@ class TaitGraph:
     def face_masks(self) -> tuple[int, int]:
         """(white, black): the regions of each colour as a bit mask."""
         return sum(1 << f for f in self.white_faces), sum(1 << f for f in self.black_faces)
+
+    @cached_property
+    def colour_ends(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """Indexed by colour, then crossing c: (e, edge_region[e],
+        edge_region[e ^ 2]) for c's corner edge e of that colour (see
+        _colour_corner), the colour graph's edge c with its two ends."""
+        region = self.edge_region
+        return tuple(
+            tuple((e, region[e], region[e ^ 2])
+                  for e in (_colour_corner(self.face_colour, region, c, colour)
+                            for c in range(self.n_crossings)))
+            for colour in (WHITE, BLACK)
+        )
 
     @cached_property
     def poset_tables(self) -> tuple[tuple[tuple[int, int, bool], ...], tuple[int, ...], tuple[int, ...]]:

@@ -245,8 +245,9 @@ def two_click_connect(
     click_path_moves moves on x whose paths end at v_b and at v_w.  The black
     move re-matches crossings between black regions only, so the white move's
     toggles apply on top of it unchanged.  Only the returned matchings are
-    built.  Returns the (move, matching) steps; empty when the targets are
-    already critical.  A region that no path reaches leaves the wrong
+    built, and the targets are read no further than the one ending at v_w.
+    Returns the (move, matching) steps; empty when the targets are already
+    critical.  A region that no path reaches leaves the wrong
     critical cells, which the final check reports.
     """
     if t.face_colour[v_b] != BLACK:
@@ -267,6 +268,8 @@ def two_click_connect(
             _validate(t, y)
             steps.append((_move(t, "click_path", site, cur, y, None), y))
             cur = y
+            if site[1][-1] == v_w:  # white targets come last
+                break
     cells = critical_cells(t, cur)
     if cells != ((v_b,), (), (v_w,)):
         raise InvariantViolation(

@@ -15,10 +15,12 @@ only, alternating matched and unmatched edges with the matched ones in x.
 Corners k and k + 2 of a crossing share a colour, so the loop leaves crossing
 e // 4 along edge e ^ 2, and the loops are the cycles of one map over both
 colours: each matched region r, matched by edge e, steps to region
-edge_region[e ^ 2].  monochromatic_loops walks that map from every matched
-region; a walk ends when it leaves the matched regions, reaches a region an
-earlier walk finished, or meets its own path, which closes a loop.  The
-acyclic streams keep the same map incrementally: a loop-free matching has no
+edge_region[e ^ 2].  One walker, _loop_closings, walks that map from every
+matched region; a walk ends when it leaves the matched regions, reaches a
+region an earlier walk finished, or meets its own path, which closes a loop.
+monochromatic_loops reads each loop off the region where it closes, and
+is_dmf stops at the first such region and builds no loop.  The acyclic
+streams keep the same map incrementally: a loop-free matching has no
 cycle in it, so a loop in matching + e must pass through e's region r, and
 the search prunes e iff the walk from edge_region[e ^ 2] comes back to r (at
 once when the two coincide, the kink's loop of length one).  The count
@@ -52,7 +54,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .diagram import BLACK, WHITE, Diagram, TaitGraph, UnionFind, _colour_corner
+from .diagram import BLACK, WHITE, Diagram, TaitGraph, UnionFind
 from .errors import InvalidForest, InvariantViolation, NotAcyclic, NotAdmissible, NotSpanning
 
 __all__ = [
@@ -176,29 +178,46 @@ def matching_to_dict(t: TaitGraph, x: Matching) -> dict:
 # Monochromatic loops and the dMf condition
 # ---------------------------------------------------------------------------
 
-def monochromatic_loops(t: TaitGraph, x: Matching) -> tuple[tuple[int, ...], ...]:
-    """All supported loops, each a cyclic edge sequence, canonicalized."""
+def _loop_closings(step: dict[int, int]) -> Iterator[int]:
+    """The region at which each loop of the region map step closes.
+
+    step maps each matched region to its next region.  A walk from each
+    region in turn ends when it leaves step, reaches a region an earlier walk
+    finished, or meets its own path at the region yielded, one per loop.
+    """
+    walk_of: dict[int, int] = {}  # region -> the start of the walk that met it
+    for start in step:
+        r = start
+        while r in step and r not in walk_of:
+            walk_of[r] = start
+            r = step[r]
+        if walk_of.get(r) == start:
+            yield r
+
+
+def _region_map(t: TaitGraph, x: Matching) -> dict[int, int]:
+    """Matched region -> its next region, after validating x."""
     _validate(t, x)
     region_of = t.edge_region
-    out = {region_of[e]: e for e in x.edges}
-    walk_of: dict[int, int] = {}  # region -> the start of the walk that met it
+    return {region_of[e]: region_of[e ^ 2] for e in x.edges}
+
+
+def monochromatic_loops(t: TaitGraph, x: Matching) -> tuple[tuple[int, ...], ...]:
+    """All supported loops, each a cyclic edge sequence, canonicalized."""
+    step = _region_map(t, x)
+    out = matched_regions(t, x)
     loops: list[tuple[int, ...]] = []
-    for start in out:
-        r = start
-        while r in out and r not in walk_of:
-            walk_of[r] = start
-            r = region_of[out[r] ^ 2]
-        if walk_of.get(r) == start:
-            # The walk met its own path: the loop runs from r back to r.
-            seq: list[int] = []
-            q = r
-            while not seq or q != r:
-                seq += (out[q], out[q] ^ 2)
-                q = region_of[out[q] ^ 2]
-            # Rotate so the smallest edge id comes first; the region map
-            # already fixes the direction.
-            i = seq.index(min(seq))
-            loops.append(tuple(seq[i:] + seq[:i]))
+    for r in _loop_closings(step):
+        # The loop runs from r back to r.
+        seq: list[int] = []
+        q = r
+        while not seq or q != r:
+            seq += (out[q], out[q] ^ 2)
+            q = step[q]
+        # Rotate so the smallest edge id comes first; the region map
+        # already fixes the direction.
+        i = seq.index(min(seq))
+        loops.append(tuple(seq[i:] + seq[:i]))
     return tuple(sorted(loops))
 
 
@@ -234,8 +253,9 @@ def amended_poset_acyclic(t: TaitGraph, x: Matching) -> bool:
 
 
 def is_dmf(t: TaitGraph, x: Matching) -> bool:
-    """True iff x supports no monochromatic loop (the dMf condition)."""
-    return not monochromatic_loops(t, x)
+    """True iff x supports no monochromatic loop (the dMf condition); the
+    walk stops at the first loop and builds none."""
+    return next(_loop_closings(_region_map(t, x)), None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -444,24 +464,28 @@ class JordanResolution:
 def jordan_resolution(d: Diagram, x: Matching) -> JordanResolution:
     """Resolve the matched crossings and search the arcs for strands.
 
-    join[i] is the dart that dart i = 4c + s leads to: at a smoothing the
-    dart it is joined with, slot s ^ 3 when p = 1 ({1, 2} and {3, 0}) and
-    s ^ 1 when p = 0; at a double point slot s + 1 mod 4, so that its four
-    darts form one cycle.  A search over arcs, following both darts of each
-    arc it reaches, from each unlabelled arc in ascending order finds the
-    strands in order of their least arc.  Raises ValueError on an invalid
+    join[i] is the dart that dart i = 4c + s leads to: at a double point
+    slot s + 1 mod 4, so that its four darts form one cycle, as in the
+    template d.next_dart that join copies; at a smoothing the dart it is
+    joined with, slot s ^ 1 when e is odd (p = 0) and s ^ 3 when e is even
+    (p = 1, {1, 2} and {3, 0}).  A search over arcs, following the two darts
+    of each arc it reaches, from each unlabelled arc in ascending order finds
+    the strands in order of their least arc.  Raises ValueError on an invalid
     matching, as _validate does.
     """
     _checked(d.corner_face, x.edges)
     dart_arc, arc_darts = d.dart_arc, d.arc_darts
-    join = list(range(1, 4 * d.n_crossings + 1))
-    join[3::4] = range(0, 4 * d.n_crossings, 4)
+    join = list(d.next_dart)
     resolved: list[tuple[int, int]] = []
     for e in x.edges:
-        i, p = e & ~3, (e + 1) % 2
-        join[i : i + 4] = (i + 3, i + 2, i + 1, i) if p else (i + 1, i, i + 3, i + 2)
-        resolved.append((e >> 2, p))
-    resolved.sort()
+        i = e & ~3
+        if e & 1:
+            join[i : i + 4] = (i + 1, i, i + 3, i + 2)
+            resolved.append((e >> 2, 0))
+        else:
+            join[i : i + 4] = (i + 3, i + 2, i + 1, i)
+            resolved.append((e >> 2, 1))
+    resolved.sort()  # Matching does not enforce ascending edges
 
     seen = [False] * d.n_arcs
     components: list[tuple[int, ...]] = []
@@ -471,11 +495,15 @@ def jordan_resolution(d: Diagram, x: Matching) -> JordanResolution:
         seen[a0] = True
         arcs = [a0]
         for a in arcs:  # grows as the search goes
-            for i in arc_darts[a]:
-                b = dart_arc[join[i]]
-                if not seen[b]:
-                    seen[b] = True
-                    arcs.append(b)
+            i, j = arc_darts[a]
+            b = dart_arc[join[i]]
+            if not seen[b]:
+                seen[b] = True
+                arcs.append(b)
+            b = dart_arc[join[j]]
+            if not seen[b]:
+                seen[b] = True
+                arcs.append(b)
         arcs.sort()
         components.append(tuple(arcs))
     return JordanResolution(resolved=tuple(resolved), components=tuple(components))
@@ -506,9 +534,9 @@ def induced_forests(t: TaitGraph, x: Matching) -> ForestPair:
     region; a walk up the map that never reaches an unmatched region breaks
     the loop criterion and raises InvariantViolation.
     """
-    loops = monochromatic_loops(t, x)  # validates x
-    if loops:
-        raise NotAcyclic("matching supports %d monochromatic loop(s)" % len(loops))
+    if not is_dmf(t, x):  # validates x
+        raise NotAcyclic("matching supports %d monochromatic loop(s)"
+                         % len(monochromatic_loops(t, x)))
     region_of, colour_of = t.edge_region, t.face_colour
     parent: dict[int, int] = {}
     edges: tuple[list[int], list[int]] = ([], [])  # crossings by colour, WHITE = 0
@@ -542,13 +570,14 @@ def induced_forests(t: TaitGraph, x: Matching) -> ForestPair:
 def forests_to_matching(t: TaitGraph, f: ForestPair) -> Matching:
     """Invert induced_forests: orient away from roots, match edges to targets.
 
-    The adjacency carries each forest edge's corner edge at the far end, so
-    the crossing is matched to the child region without a second lookup.
+    Each forest edge's corner edge and ends come from t.colour_ends, and the
+    adjacency carries the corner edge at the far end, so the crossing is
+    matched to the child region without a second lookup.
     """
     shared = set(f.black_edges) & set(f.white_edges)
     if shared:
         raise InvalidForest("crossings %s appear in both colours" % sorted(shared))
-    region_of, colour_of = t.edge_region, t.face_colour
+    n = t.n_crossings
     edges: list[int] = []
     for colour, forest, roots, faces in (
         (BLACK, f.black_edges, f.black_roots, t.black_faces),
@@ -556,13 +585,13 @@ def forests_to_matching(t: TaitGraph, f: ForestPair) -> Matching:
     ):
         if len(set(forest)) != len(forest):
             raise InvalidForest("repeated edge in forest")
+        ends = t.colour_ends[colour]
         adj: dict[int, list[tuple[int, int]]] = {v: [] for v in faces}
         uf = UnionFind(faces)
         for c in forest:
-            if not 0 <= c < t.n_crossings:
+            if not 0 <= c < n:
                 raise InvalidForest("edge id %d out of range" % c)
-            e = _colour_corner(colour_of, region_of, c, colour)
-            u, v = region_of[e], region_of[e ^ 2]
+            e, u, v = ends[c]
             if not uf.union(u, v):
                 raise InvalidForest("edge %d closes a cycle" % c)
             adj[u].append((v, e ^ 2))
@@ -609,9 +638,10 @@ def kpw(t: TaitGraph, T: Iterable[int], v_b: int, v_w: int) -> Matching:
             "spanning tree of the black graph needs %d edges, got %d" % (n_black - 1, len(tree))
         )
     uf = UnionFind(t.black_faces)
+    ends = t.colour_ends[BLACK]
     for c in tree:
-        e = _colour_corner(t.face_colour, t.edge_region, c, BLACK)
-        if not uf.union(t.edge_region[e], t.edge_region[e ^ 2]):
+        _, u, v = ends[c]
+        if not uf.union(u, v):
             raise NotSpanning("edge %d closes a cycle in the black graph" % c)
     if t.face_colour[v_b] != BLACK:
         raise ValueError("root %d is not a black region" % v_b)

@@ -205,6 +205,22 @@ def test_union_find_union_is_false_exactly_on_a_cycle(seed):
         assert all(len({uf.find(v) for v in comp}) == 1 for comp in components)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_union_find_union_halves_paths_like_two_finds(seed):
+    # union walks both roots inline; it must leave the parent table that
+    # find(a), find(b) and a link of the two roots would leave
+    rng = random.Random(seed)
+    vertices = range(rng.randrange(2, 30))
+    uf, ref = UnionFind(vertices), UnionFind(vertices)
+    for _ in range(3 * len(vertices)):
+        a, b = rng.choice(vertices), rng.choice(vertices)
+        ra, rb = ref.find(a), ref.find(b)
+        if ra != rb:
+            ref.parent[ra] = rb
+        assert uf.union(a, b) is (ra != rb)
+        assert uf.parent == ref.parent
+
+
 # -- the overlay -----------------------------------------------------------
 
 def test_trefoil_tait_counts():

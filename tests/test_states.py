@@ -194,7 +194,9 @@ def test_monochromatic_loops_are_frozen():
     for name in corpus_names():
         t = build_tait(get_entry(name).diagram)
         for m in enumerate_matchings(t, "all"):
-            digest.update(json.dumps([name, m.edges, monochromatic_loops(t, m)]).encode())
+            loops = monochromatic_loops(t, m)
+            assert is_dmf(t, m) == (not loops)
+            digest.update(json.dumps([name, m.edges, loops]).encode())
     assert digest.hexdigest() == FROZEN_LOOPS
 
 
@@ -340,7 +342,7 @@ def test_induced_forests_requires_acyclic():
 def test_induced_forests_component_without_a_root_raises(monkeypatch):
     # With the loop check bypassed, the loop's component has no free region.
     d, t = setup(FIG8)
-    monkeypatch.setattr(states, "monochromatic_loops", lambda t, x: ())
+    monkeypatch.setattr(states, "is_dmf", lambda t, x: True)
     with pytest.raises(InvariantViolation, match="one unmatched region"):
         induced_forests(t, Matching((1, 5, 8, 12)))
 
@@ -359,15 +361,29 @@ def test_forests_reject_shared_crossing():
         forests_to_matching(t, bad)
 
 
-def test_forests_reject_cycles_and_bad_roots():
+# On 3_1 the black graph is the triangle 1, 3, 4 with edges 0 = {1, 3},
+# 1 = {4, 1} and 2 = {3, 4}; the white graph joins 0 and 2 three times.
+BAD_FORESTS = {
+    "both-colours": (((0,), (0,), (1,), (0,)), "crossings [0] appear in both colours"),
+    "repeated": (((0, 0), (), (1, 4), (0, 2)), "repeated edge in forest"),
+    "range": (((5,), (), (1, 4), (0, 2)), "edge id 5 out of range"),
+    "cycle": (((0, 1, 2), (), (1,), (0, 2)), "edge 2 closes a cycle"),
+    "root-count": (((0, 1), (), (1, 3), (0, 2)), "2 roots for 1 components"),
+    "black-root": (((0, 1), (), (0,), (0, 2)), "root 0 is not a black region"),
+    "white-root": (((0, 1), (2,), (1,), (1,)), "root 1 is not a white region"),
+    "component": (((0,), (), (1, 3), (0, 2)), "roots must pick one vertex per component"),
+}
+
+
+@pytest.mark.parametrize("fault", BAD_FORESTS)
+def test_forests_reject_cycles_and_bad_roots(fault):
     d, t = setup(TREFOIL)
-    # all three crossings in the black triangle close a cycle
-    bad = ForestPair(black_edges=(0, 1, 2), white_edges=(), black_roots=(1,), white_roots=(0, 2))
-    with pytest.raises(InvalidForest, match="cycle"):
+    (black, white, black_roots, white_roots), message = BAD_FORESTS[fault]
+    bad = ForestPair(black_edges=black, white_edges=white, black_roots=black_roots,
+                     white_roots=white_roots)
+    with pytest.raises(InvalidForest) as got:
         forests_to_matching(t, bad)
-    bad = ForestPair(black_edges=(0, 1), white_edges=(), black_roots=(1, 3), white_roots=(0, 2))
-    with pytest.raises(InvalidForest):
-        forests_to_matching(t, bad)
+    assert str(got.value) == message
 
 
 def test_kpw_image_is_every_perfect_dmf():
@@ -511,7 +527,7 @@ def test_jordan_resolutions_are_frozen():
 
 
 @pytest.mark.parametrize("edges", [(0, 1), (0, 99), (0, 6)], ids=["crossing", "range", "region"])
-@pytest.mark.parametrize("kernel", ["jordan_resolution", "amended_poset_acyclic"])
+@pytest.mark.parametrize("kernel", ["jordan_resolution", "amended_poset_acyclic", "is_dmf"])
 def test_kernels_reject_invalid_matchings_like_validate(kernel, edges):
     # on 3_1: crossing 0 twice, an edge id past 11, region 1 twice (edges 0, 6)
     t = build_tait(get_entry("3_1").diagram)
