@@ -40,9 +40,19 @@ __all__ = [
 
 
 def torus_pd(m: int) -> str:
-    """PD code of the closed 2-strand braid with m crossings (m >= 2)."""
+    """PD code of the closed 2-strand braid with m crossings (m >= 2).
+
+    For odd m one curve runs through labels 1..2m.  For even m the braid
+    closes to two curves, labelled a_i = i and b_i = m + i (a_0 = a_m), and
+    crossing i is X(a_{i-1}, b_{i-1}, b_i, a_i).
+    """
     if m < 2:
         raise ValueError("need at least two crossings")
+    if m % 2 == 0:
+        a = lambda i: (i - 1) % m + 1
+        return " ".join(
+            "X(%d,%d,%d,%d)" % (a(i - 1), m + a(i - 1), m + a(i), a(i)) for i in range(1, m + 1)
+        )
     w = lambda x: ((x - 1) % (2 * m)) + 1
     return " ".join(
         "X(%d,%d,%d,%d)" % (w(2 * i + 1), w(2 * i + m + 1), w(2 * i + 2), w(2 * i + m + 2))

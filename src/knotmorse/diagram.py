@@ -10,18 +10,18 @@ Conventions, fixed once and used everywhere
 -------------------------------------------
 
 Slots and darts.  The four positions of a crossing c are slots 0..3 in the
-order written.  A dart is a pair (c, s): the departure of the arc occupying
-slot s of crossing c.  Each arc has two darts, one per end.
+order written.  Dart 4c+s, an int like every dart and corner id, is the
+departure of the arc in slot s of c.  Each arc has two darts, one per end.
 
-Corners.  Corner k of a crossing is the wedge between slots k and k+1 (mod 4).
-Adjacent corners flank a common arc, so the chequerboard colouring alternates
-around each crossing; corners k and k+2 are diagonally opposite.
+Corners.  Corner 4c+k is the wedge of crossing c between slots k and k+1
+(mod 4).  Adjacent corners flank a common arc, so the chequerboard colouring
+alternates around each crossing; corners i and i ^ 2 are diagonally opposite.
 
-Face walk.  From departure (c, s), cross the arc to its other end (c', s'),
-sweep corner (c', s'), and depart along slot (s'+1) mod 4 of c'.  Iterating
-closes up into a face.  Faces are discovered in a fixed order: arcs ascending
-by id, each arc's two darts in (crossing, slot) order, first untraced dart
-starts the next face.  Face indices count up from 0 in discovery order.
+Face walk.  From dart i, cross the arc to its other end j, sweep corner j, and
+depart along dart j & ~3 | (j+1) & 3, the next slot of that crossing.
+Iterating closes up into a face.  Faces are discovered in a fixed order: arcs
+ascending by id, each arc's two darts lower first, first untraced dart starts
+the next face.  Face indices count up from 0 in discovery order.
 
 Arc ids.  Labels may be any positive integers; internally arcs are renumbered
 0..2n-1 in increasing label order.  All public structures use arc ids; the
@@ -37,11 +37,12 @@ an edge and its dual (the white edge at the same crossing) share an id.
 
 Tait overlay.  The overlay graph has a vertex for every face (region vertices,
 ids 0..F-1) and every crossing (ids F..F+n-1), and one edge per corner: edge
-4c+k joins crossing c to the face at corner k.  Each arc spans a square face
-of the overlay: for an arc with darts (c1,s1), (c2,s2) the square is the
-4-cycle  f_left -[4c1+(s1-1)%4]- c1 -[4c1+s1]- f_right -[4c2+(s2-1)%4]- c2
--[4c2+s2]- f_left, where f_left is the face at corner (c1, s1-1) and f_right
-the face at corner (c1, s1).  The poset orientation points white -> crossing
+4c+k joins crossing c to the face at corner 4c+k, so a face's corners are its
+overlay edges.  Each arc spans a square face of the overlay: for an arc with
+darts i at crossing c1 and j at c2, and i' = i & ~3 | (i-1) & 3 the corner
+before i (likewise j'), the square is the 4-cycle  f_left -[i']- c1 -[i]-
+f_right -[j']- c2 -[j]- f_left, where f_left is the face at corner i' and
+f_right the face at corner i.  The poset orientation points white -> crossing
 -> black.
 """
 
@@ -141,13 +142,14 @@ def parse_pd(text: str) -> PDCode:
 class Face:
     """One face of the projection, as swept by the face walk.
 
-    corners[i] is swept immediately after crossing arcs[i]; both tuples are
-    cyclic and aligned.  The degree counts arc incidences with multiplicity.
+    corners[i], a corner id 4c+k and so an overlay edge of the face, is swept
+    immediately after crossing arcs[i]; both tuples are cyclic and aligned.
+    The degree counts arc incidences with multiplicity.
     """
 
     index: int
     colour: int
-    corners: tuple[tuple[int, int], ...]
+    corners: tuple[int, ...]
     arcs: tuple[int, ...]
 
     @property
@@ -157,11 +159,12 @@ class Face:
 
 @dataclass(frozen=True)
 class Diagram:
-    """A parsed projection: arcs, faces, and colours, cross-linked by ids."""
+    """A parsed projection: arcs (arc_darts[a] is arc a's two darts, the lower
+    first), faces, and colours, cross-linked by ids."""
 
     pd: PDCode
     arc_labels: tuple[int, ...]
-    arc_ends: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
+    arc_darts: tuple[tuple[int, int], ...]
     faces: tuple[Face, ...]
 
     @property
@@ -178,17 +181,11 @@ class Diagram:
 
     @cached_property
     def dart_arc(self) -> tuple[int, ...]:
-        """Arc id occupying dart (crossing c, slot s), indexed by 4 * c + s."""
+        """Arc id occupying slot s of crossing c, indexed by dart 4 * c + s."""
         out = [0] * (4 * self.n_crossings)
-        for a, ends in enumerate(self.arc_ends):
-            for c, s in ends:
-                out[4 * c + s] = a
+        for a, (i, j) in enumerate(self.arc_darts):
+            out[i] = out[j] = a
         return tuple(out)
-
-    @cached_property
-    def arc_darts(self) -> tuple[tuple[int, int], ...]:
-        """arc_ends as darts 4 * c + s, the lower end first."""
-        return tuple((4 * c1 + s1, 4 * c2 + s2) for (c1, s1), (c2, s2) in self.arc_ends)
 
     @cached_property
     def next_dart(self) -> tuple[int, ...]:
@@ -201,8 +198,8 @@ class Diagram:
         """Face at corner k of crossing c, indexed by 4 * c + k."""
         out = [0] * (4 * self.n_crossings)
         for f in self.faces:
-            for c, k in f.corners:
-                out[4 * c + k] = f.index
+            for k in f.corners:
+                out[k] = f.index
         return tuple(out)
 
     @cached_property
@@ -217,6 +214,12 @@ class Diagram:
     def black_faces(self) -> tuple[int, ...]:
         return tuple(f.index for f in self.faces if f.colour == BLACK)
 
+    @cached_property
+    def plane_graphs(self) -> tuple[PlaneGraph, PlaneGraph]:
+        """The colour graphs, indexed by colour: (white, black)."""
+        black = _one_colour_graph(self, BLACK)
+        return _one_colour_graph(self, WHITE), black
+
 
 def build_diagram(pd: PDCode, swap_colours: bool = False) -> Diagram:
     """Trace faces, check planarity, and 2-colour the result.
@@ -227,26 +230,23 @@ def build_diagram(pd: PDCode, swap_colours: bool = False) -> Diagram:
     kept as a guard).
     """
     n = pd.n_crossings
-    labels = sorted({label for c in pd.crossings for label in c})
-    label_to_arc = {label: a for a, label in enumerate(labels)}
-    ends_by_arc: dict[int, list[tuple[int, int]]] = {a: [] for a in range(len(labels))}
-    for c, crossing in enumerate(pd.crossings):
-        for s, label in enumerate(crossing):
-            ends_by_arc[label_to_arc[label]].append((c, s))
-    arc_ends = tuple(tuple(sorted(ends_by_arc[a])) for a in range(len(labels)))
-
-    arc_at = {d: a for a, ends in enumerate(arc_ends) for d in ends}
-    mate: dict[tuple[int, int], tuple[int, int]] = {}
-    for d1, d2 in arc_ends:
-        mate[d1], mate[d2] = d2, d1
+    dart_label = [label for crossing in pd.crossings for label in crossing]
+    darts: dict[int, list[int]] = {}  # label -> its darts, ascending
+    for i, label in enumerate(dart_label):
+        darts.setdefault(label, []).append(i)
+    labels = sorted(darts)
+    arc_of = {label: a for a, label in enumerate(labels)}
+    arc_darts = tuple(tuple(darts[label]) for label in labels)
+    mate = [0] * (4 * n)  # dart -> the dart at the other end of its arc
+    for i, j in arc_darts:  # a label not used twice fails to unpack
+        mate[i], mate[j] = j, i
 
     # Connectivity of the projection, crossing to crossing through arcs.
-    seen = {0}
-    stack = [0]
+    seen, stack = {0}, [0]
     while stack:
         c = stack.pop()
-        for s in range(4):
-            c2 = mate[(c, s)][0]
+        for i in range(4 * c, 4 * c + 4):
+            c2 = mate[i] >> 2
             if c2 not in seen:
                 seen.add(c2)
                 stack.append(c2)
@@ -256,23 +256,21 @@ def build_diagram(pd: PDCode, swap_colours: bool = False) -> Diagram:
         )
 
     # Face walk over all darts in the fixed discovery order.
-    dart_order = [d for ends in arc_ends for d in ends]
-    face_of_dart: dict[tuple[int, int], int] = {}
-    traced: list[tuple[tuple[tuple[int, int], ...], tuple[int, ...]]] = []
-    for d0 in dart_order:
-        if d0 in face_of_dart:
+    face_of_dart = [-1] * (4 * n)
+    traced: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    for d0 in (i for ends in arc_darts for i in ends):
+        if face_of_dart[d0] >= 0:
             continue
-        corners: list[tuple[int, int]] = []
+        corners: list[int] = []
         arcs: list[int] = []
-        d = d0
+        i = d0
         while True:
-            face_of_dart[d] = len(traced)
-            c, s = d
-            arcs.append(arc_at[(c, s)])
-            c2, s2 = mate[(c, s)]
-            corners.append((c2, s2))
-            d = (c2, (s2 + 1) % 4)
-            if d == d0:
+            face_of_dart[i] = len(traced)
+            arcs.append(arc_of[dart_label[i]])
+            j = mate[i]
+            corners.append(j)
+            i = j & ~3 | (j + 1) & 3
+            if i == d0:
                 break
         traced.append((tuple(corners), tuple(arcs)))
 
@@ -281,39 +279,35 @@ def build_diagram(pd: PDCode, swap_colours: bool = False) -> Diagram:
             "face count %d fails Euler check for %d crossings" % (len(traced), n)
         )
 
-    # Chequerboard colouring across arcs, face 0 white.
-    colour = {0: WHITE}
-    stack = [0]
-    arc_faces = {a: (face_of_dart[d1], face_of_dart[d2]) for a, (d1, d2) in enumerate(arc_ends)}
+    # Chequerboard colouring across arcs, face 0 white.  across[f] lists
+    # (arc, face on its other side) for the arcs of f, ascending by arc.
+    across: list[list[tuple[int, int]]] = [[] for _ in traced]
+    for a, (i, j) in enumerate(arc_darts):
+        fa, fb = face_of_dart[i], face_of_dart[j]
+        across[fa].append((a, fb))
+        if fb != fa:
+            across[fb].append((a, fa))
+    colour, stack = {0: WHITE}, [0]
     while stack:
         f = stack.pop()
-        for a, (fa, fb) in arc_faces.items():
-            if fa == f or fb == f:
-                g = fb if fa == f else fa
-                want = 1 - colour[f]
-                if g in colour:
-                    if colour[g] != want:
-                        raise ColouringConflict(
-                            "faces %d and %d share arc %d but need equal colours" % (f, g, a)
-                        )
-                else:
-                    colour[g] = want
-                    stack.append(g)
+        want = 1 - colour[f]
+        for a, g in across[f]:
+            if g in colour:
+                if colour[g] != want:
+                    raise ColouringConflict(
+                        "faces %d and %d share arc %d but need equal colours" % (f, g, a)
+                    )
+            else:
+                colour[g] = want
+                stack.append(g)
     if len(colour) != len(traced):
         raise ColouringConflict("face adjacency is disconnected")
     if swap_colours:
         colour = {f: 1 - col for f, col in colour.items()}
 
-    faces = tuple(
-        Face(index=i, colour=colour[i], corners=corners, arcs=arcs)
-        for i, (corners, arcs) in enumerate(traced)
-    )
-    return Diagram(
-        pd=pd,
-        arc_labels=tuple(labels),
-        arc_ends=arc_ends,
-        faces=faces,
-    )
+    faces = tuple(Face(index=i, colour=colour[i], corners=corners, arcs=arcs)
+                  for i, (corners, arcs) in enumerate(traced))
+    return Diagram(pd=pd, arc_labels=tuple(labels), arc_darts=arc_darts, faces=faces)
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +318,13 @@ def build_diagram(pd: PDCode, swap_colours: bool = False) -> Diagram:
 class PlaneGraph:
     """One colour class of faces with an edge per crossing.
 
-    Edge i joins the two faces at crossing i's corners of this colour.
+    Edge c is crossing c's corner corners[c] = 4c+k of this colour, k 0 or 1,
+    and joins the faces edge_ends[c] at corners 4c+k and 4c+k+2.
     """
 
     colour: int
     vertices: tuple[int, ...]
+    corners: tuple[int, ...]
     edge_ends: tuple[tuple[int, int], ...]
 
     @property
@@ -344,37 +340,26 @@ class PlaneGraph:
         return {v: i for i, v in enumerate(self.vertices)}
 
 
-def _colour_corner(face_colour: tuple[int, ...], corner_face: tuple[int, ...], c: int,
-                   colour: int) -> int:
-    """Corner 4 * c + k, k 0 or 1, of crossing c whose face has the colour.
-
-    Corners alternate colours around a crossing, so the colour sits at
-    corners k and k + 2 (the corner edge e and e ^ 2 of the overlay).
-    """
-    return 4 * c + (face_colour[corner_face[4 * c]] != colour)
-
-
 def _one_colour_graph(d: Diagram, colour: int) -> PlaneGraph:
+    # Corners alternate colours around a crossing, so the colour sits at
+    # corners k and k + 2 of each, k the one of 0 and 1 that has it.
+    face, face_colour = d.corner_face, d.face_colour
+    corners = tuple(e + (face_colour[face[e]] != colour) for e in range(0, len(face), 4))
+    edge_ends = tuple((face[e], face[e ^ 2]) for e in corners)
     vertices = d.white_faces if colour == WHITE else d.black_faces
     vset = set(vertices)
-    edge_ends: list[tuple[int, int]] = []
-    for c in range(d.n_crossings):
-        corner = _colour_corner(d.face_colour, d.corner_face, c, colour)
-        edge_ends.append((d.corner_face[corner], d.corner_face[corner + 2]))
     if not all(f in vset for ends in edge_ends for f in ends):
         raise InvariantViolation(
             "a %s graph edge ends off its colour" % ("white" if colour == WHITE else "black")
         )
-    return PlaneGraph(
-        colour=colour,
-        vertices=tuple(vertices),
-        edge_ends=tuple(edge_ends),
-    )
+    return PlaneGraph(colour=colour, vertices=vertices, corners=corners, edge_ends=edge_ends)
 
 
 def colour_graphs(d: Diagram) -> tuple[PlaneGraph, PlaneGraph]:
-    """The (black, white) face graphs, edge i at crossing i in both."""
-    return _one_colour_graph(d, BLACK), _one_colour_graph(d, WHITE)
+    """The (black, white) face graphs, edge i at crossing i in both: the
+    cached d.plane_graphs in the other order."""
+    white, black = d.plane_graphs
+    return black, white
 
 
 class UnionFind:
@@ -455,29 +440,16 @@ class TaitGraph:
 
     @cached_property
     def white_faces(self) -> tuple[int, ...]:
-        return tuple(f for f in range(self.n_faces) if self.face_colour[f] == WHITE)
+        return self.diagram.white_faces
 
     @cached_property
     def black_faces(self) -> tuple[int, ...]:
-        return tuple(f for f in range(self.n_faces) if self.face_colour[f] == BLACK)
+        return self.diagram.black_faces
 
     @cached_property
     def face_masks(self) -> tuple[int, int]:
         """(white, black): the regions of each colour as a bit mask."""
         return sum(1 << f for f in self.white_faces), sum(1 << f for f in self.black_faces)
-
-    @cached_property
-    def colour_ends(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-        """Indexed by colour, then crossing c: (e, edge_region[e],
-        edge_region[e ^ 2]) for c's corner edge e of that colour (see
-        _colour_corner), the colour graph's edge c with its two ends."""
-        region = self.edge_region
-        return tuple(
-            tuple((e, region[e], region[e ^ 2])
-                  for e in (_colour_corner(self.face_colour, region, c, colour)
-                            for c in range(self.n_crossings)))
-            for colour in (WHITE, BLACK)
-        )
 
     @cached_property
     def poset_tables(self) -> tuple[tuple[tuple[int, int, bool], ...], tuple[int, ...], tuple[int, ...]]:
@@ -499,9 +471,8 @@ def build_tait(d: Diagram) -> TaitGraph:
     """Overlay both colour graphs: one edge per corner, one square per arc."""
     corner_face = d.corner_face
     squares = []
-    for a in range(d.n_arcs):
-        (c1, s1), (c2, s2) = d.arc_ends[a]
-        edges = (4 * c1 + (s1 + 3) % 4, 4 * c1 + s1, 4 * c2 + (s2 + 3) % 4, 4 * c2 + s2)
+    for a, (i, j) in enumerate(d.arc_darts):
+        edges = (i & ~3 | (i - 1) & 3, i, j & ~3 | (j - 1) & 3, j)
         f_left, f_right, g_right, g_left = (corner_face[e] for e in edges)
         # The other end sees the same two regions from the far side.
         if (f_left, f_right) != (g_left, g_right):
@@ -532,7 +503,7 @@ def is_reduced(d: Diagram) -> bool:
     by_corners = all(
         f[4 * c] != f[4 * c + 2] and f[4 * c + 1] != f[4 * c + 3] for c in range(d.n_crossings)
     )
-    by_graphs = not any(u == v for g in colour_graphs(d) for u, v in g.edge_ends)
+    by_graphs = not any(u == v for g in d.plane_graphs for u, v in g.edge_ends)
     if by_corners != by_graphs:
         raise InvariantViolation(
             "reducedness characterizations disagree: corners=%s graphs=%s"

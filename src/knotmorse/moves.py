@@ -40,6 +40,7 @@ from .diagram import BLACK, WHITE, Diagram, TaitGraph, UnionFind
 from .errors import InvariantViolation, NotAcyclic, NotPerfectAdmissible
 from .states import (
     Matching,
+    _is_region,
     _validate,
     critical_cells,
     enumerate_matchings,
@@ -136,8 +137,8 @@ def _rerouted_strand(d: Diagram, arc: int, e: int) -> int:
     containing the square arc's end.
     """
     c, k = e // 4, e % 4
-    (c1, s1), (_, s2) = d.arc_ends[arc]
-    arc_slot = s1 if c1 == c else s2
+    i, j = d.arc_darts[arc]
+    arc_slot = (i if i >> 2 == c else j) & 3
     slot = k if arc_slot in ((k + 1) % 4, (k + 2) % 4) else (k + 1) % 4
     return d.dart_arc[4 * c + slot]
 
@@ -250,9 +251,9 @@ def two_click_connect(
     critical.  A region that no path reaches leaves the wrong
     critical cells, which the final check reports.
     """
-    if t.face_colour[v_b] != BLACK:
+    if not _is_region(t, v_b, BLACK):
         raise ValueError("target %d is not a black region" % v_b)
-    if t.face_colour[v_w] != WHITE:
+    if not _is_region(t, v_w, WHITE):
         raise ValueError("target %d is not a white region" % v_w)
     _validate(t, x)
     if not (is_perfect(t, x) and is_admissible(t, x)):
@@ -355,9 +356,11 @@ class MoveGraph:
 def marked_arc_roots(t: TaitGraph, arc: int) -> tuple[int, int]:
     """The (black, white) regions flanking an arc, the roots its mark fixes."""
     d = t.diagram
-    (c1, s1), _ = d.arc_ends[arc]
-    left = d.corner_face[4 * c1 + (s1 - 1) % 4]
-    right = d.corner_face[4 * c1 + s1]
+    if not 0 <= arc < d.n_arcs:
+        raise ValueError("arc id %d out of range" % arc)
+    i = d.arc_darts[arc][0]
+    left = d.corner_face[i & ~3 | (i - 1) & 3]
+    right = d.corner_face[i]
     if t.face_colour[left] == BLACK:
         return left, right
     return right, left

@@ -123,6 +123,11 @@ def _checked(region_of: tuple[int, ...], edges: tuple[int, ...]) -> None:
         regions |= 1 << r
 
 
+def _is_region(t: TaitGraph, v: int, colour: int) -> bool:
+    """Whether v is the id of a region of the colour."""
+    return 0 <= v < t.n_faces and t.face_colour[v] == colour
+
+
 def _validate(t: TaitGraph, x: Matching) -> None:
     _checked(t.edge_region, x.edges)
 
@@ -428,9 +433,9 @@ def kauffman_states(t: TaitGraph, v_b: int, v_w: int) -> tuple[Matching, ...]:
     The pair need not be adjacent; for adjacent pairs these are the Kauffman
     states of the marked diagram, and every one of them is a dMf.
     """
-    if t.face_colour[v_b] != BLACK:
+    if not _is_region(t, v_b, BLACK):
         raise ValueError("vertex %d is not a black region" % v_b)
-    if t.face_colour[v_w] != WHITE:
+    if not _is_region(t, v_w, WHITE):
         raise ValueError("vertex %d is not a white region" % v_w)
     pair = {v_b, v_w}
     return tuple(x for x in _maximal_stream(t, admissible=True)
@@ -570,8 +575,8 @@ def induced_forests(t: TaitGraph, x: Matching) -> ForestPair:
 def forests_to_matching(t: TaitGraph, f: ForestPair) -> Matching:
     """Invert induced_forests: orient away from roots, match edges to targets.
 
-    Each forest edge's corner edge and ends come from t.colour_ends, and the
-    adjacency carries the corner edge at the far end, so the crossing is
+    Each forest edge's corner edge and ends come from its colour graph, and
+    the adjacency carries the corner edge at the far end, so the crossing is
     matched to the child region without a second lookup.
     """
     shared = set(f.black_edges) & set(f.white_edges)
@@ -579,21 +584,21 @@ def forests_to_matching(t: TaitGraph, f: ForestPair) -> Matching:
         raise InvalidForest("crossings %s appear in both colours" % sorted(shared))
     n = t.n_crossings
     edges: list[int] = []
-    for colour, forest, roots, faces in (
-        (BLACK, f.black_edges, f.black_roots, t.black_faces),
-        (WHITE, f.white_edges, f.white_roots, t.white_faces),
-    ):
+    white, black = t.diagram.plane_graphs
+    for g, forest, roots in ((black, f.black_edges, f.black_roots),
+                             (white, f.white_edges, f.white_roots)):
         if len(set(forest)) != len(forest):
             raise InvalidForest("repeated edge in forest")
-        ends = t.colour_ends[colour]
+        faces, corners, ends = g.vertices, g.corners, g.edge_ends
         adj: dict[int, list[tuple[int, int]]] = {v: [] for v in faces}
         uf = UnionFind(faces)
         for c in forest:
             if not 0 <= c < n:
                 raise InvalidForest("edge id %d out of range" % c)
-            e, u, v = ends[c]
+            u, v = ends[c]
             if not uf.union(u, v):
                 raise InvalidForest("edge %d closes a cycle" % c)
+            e = corners[c]
             adj[u].append((v, e ^ 2))
             adj[v].append((u, e))
         n_comps = len(faces) - len(forest)
@@ -601,7 +606,7 @@ def forests_to_matching(t: TaitGraph, f: ForestPair) -> Matching:
             raise InvalidForest("%d roots for %d components" % (len(roots), n_comps))
         for r in roots:
             if r not in adj:
-                raise InvalidForest("root %d is not a %s region" % (r, "black" if colour == BLACK else "white"))
+                raise InvalidForest("root %d is not a %s region" % (r, "black" if g.colour == BLACK else "white"))
         # Orient away from each root; a forest edge's crossing is matched to
         # the child endpoint through its corner edge there.
         seen = set(roots)
@@ -638,14 +643,13 @@ def kpw(t: TaitGraph, T: Iterable[int], v_b: int, v_w: int) -> Matching:
             "spanning tree of the black graph needs %d edges, got %d" % (n_black - 1, len(tree))
         )
     uf = UnionFind(t.black_faces)
-    ends = t.colour_ends[BLACK]
+    ends = t.diagram.plane_graphs[BLACK].edge_ends
     for c in tree:
-        _, u, v = ends[c]
-        if not uf.union(u, v):
+        if not uf.union(*ends[c]):
             raise NotSpanning("edge %d closes a cycle in the black graph" % c)
-    if t.face_colour[v_b] != BLACK:
+    if not _is_region(t, v_b, BLACK):
         raise ValueError("root %d is not a black region" % v_b)
-    if t.face_colour[v_w] != WHITE:
+    if not _is_region(t, v_w, WHITE):
         raise ValueError("root %d is not a white region" % v_w)
     cotree = tuple(c for c in range(t.n_crossings) if c not in in_tree)
     pair = ForestPair(

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Sequence
 
-from knotmorse.diagram import BLACK, WHITE, TaitGraph, _colour_corner
+from knotmorse.diagram import BLACK, WHITE, TaitGraph
 from knotmorse.errors import InvariantViolation
 from knotmorse.moves import (
     MOVE_KINDS,
@@ -81,7 +81,8 @@ def oracle_click_tree(
     for e in x.edges:
         if t.face_colour[t.edge_region[e]] == colour:
             c = e // 4
-            corner = _colour_corner(t.face_colour, t.edge_region, c, colour)
+            # the corner of c of this colour among its first two
+            corner = 4 * c + (t.face_colour[t.edge_region[4 * c]] != colour)
             u, v = t.edge_region[corner], t.edge_region[corner ^ 2]
             adj[u].append((c, v))
             adj[v].append((c, u))

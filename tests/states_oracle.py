@@ -59,8 +59,9 @@ def oracle_amended_poset_acyclic(t: TaitGraph, x: Matching) -> bool:
 def oracle_jordan_resolution(d: Diagram, x: Matching) -> JordanResolution:
     n = d.n_crossings
     darts = [(c, s) for c in range(n) for s in range(4)]
+    arc_ends = [tuple(divmod(i, 4) for i in darts) for darts in d.arc_darts]
     uf = UnionFind(darts)
-    for d1, d2 in d.arc_ends:
+    for d1, d2 in arc_ends:
         uf.union(d1, d2)
 
     resolved: list[tuple[int, int]] = []
@@ -79,7 +80,7 @@ def oracle_jordan_resolution(d: Diagram, x: Matching) -> JordanResolution:
 
     comp_arcs: dict[tuple[int, int], list[int]] = {}
     for a in range(d.n_arcs):
-        comp_arcs.setdefault(uf.find(d.arc_ends[a][0]), []).append(a)
+        comp_arcs.setdefault(uf.find(arc_ends[a][0]), []).append(a)
     keys = sorted(comp_arcs, key=lambda k: comp_arcs[k][0])
     return JordanResolution(
         resolved=tuple(resolved),

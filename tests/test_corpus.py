@@ -14,7 +14,7 @@ from knotmorse.corpus import (
     torus_pd,
 )
 from knotmorse.counting import count_spanning_trees
-from knotmorse.diagram import colour_graphs
+from knotmorse.diagram import UnionFind, colour_graphs
 from knotmorse.errors import InvariantViolation
 
 EXPECTED = {
@@ -125,6 +125,26 @@ def test_entry_checks_raise(monkeypatch, pd_text, expected, match):
 
 def test_torus_pd_reproduces_the_trefoil():
     assert torus_pd(3) == get_entry("3_1").pd_text
+
+
+def closed_curves(d):
+    """Curves of the projection: a strand runs from slot s to slot s + 2."""
+    uf = UnionFind(range(d.n_arcs))
+    for c in range(d.n_crossings):
+        for s in (0, 1):
+            uf.union(d.dart_arc[4 * c + s], d.dart_arc[4 * c + s + 2])
+    return len({uf.find(a) for a in range(d.n_arcs)})
+
+
+@pytest.mark.parametrize("m", range(2, 17))
+def test_torus_pd_builds_the_closed_two_braid(m):
+    # odd m closes to a knot, even m to a two-component link
+    d = build_diagram(parse_pd(torus_pd(m)))
+    assert d.n_crossings == m
+    assert d.n_faces == m + 2
+    assert count_spanning_trees(colour_graphs(d)[0]) == m
+    assert is_reduced(d)
+    assert closed_curves(d) == 2 - m % 2
 
 
 def test_torus_pd_rejects_tiny():

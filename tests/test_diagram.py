@@ -1,6 +1,8 @@
 """Faces, colouring, colour graphs, and the Tait overlay on small diagrams."""
 
 import dataclasses
+import hashlib
+import json
 import random
 
 import pytest
@@ -13,14 +15,16 @@ from knotmorse import (
     EmptyDiagram,
     MalformedSyntax,
     NonPlanarCode,
+    PDCode,
     build_diagram,
     build_tait,
     colour_graphs,
     is_reduced,
     parse_pd,
 )
+from knotmorse.corpus import corpus_names, get_entry, torus_pd
 from knotmorse.diagram import UnionFind
-from knotmorse.errors import InvariantViolation
+from knotmorse.errors import InvariantViolation, KnotmorseError
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 FIG8 = "X(4,2,5,1) X(8,6,1,5) X(6,3,7,4) X(2,7,3,8)"
@@ -62,11 +66,18 @@ def test_parse_rejects_bad_multiplicity():
         parse_pd("X(1,2,3,4)")
 
 
+@pytest.mark.parametrize("crossings", [((1, 1, 1, 2),), ((1, 2, 3, 4), (1, 2, 3, 5))])
+def test_build_diagram_raises_on_a_label_not_used_twice(crossings):
+    # parse_pd rejects these codes; built directly, they must raise, not trace
+    with pytest.raises(ValueError):
+        build_diagram(PDCode(crossings))
+
+
 def test_arc_labels_need_not_be_contiguous():
     # Arc ids are assigned by sorted label order, whatever the labels are.
     d1 = diagram(KINK)
     d2 = diagram("X(10,70,70,10)")
-    assert d1.arc_ends == d2.arc_ends
+    assert d1.arc_darts == d2.arc_darts
     assert [f.degree for f in d1.faces] == [f.degree for f in d2.faces]
 
 
@@ -112,7 +123,7 @@ def test_adjacent_faces_get_opposite_colours():
     for text in (TREFOIL, FIG8, KINK):
         d = diagram(text)
         for a in range(d.n_arcs):
-            (c1, s1), (c2, s2) = d.arc_ends[a]
+            (c1, s1), (c2, s2) = (divmod(i, 4) for i in d.arc_darts[a])
             left = d.corner_face[4 * c1 + (s1 - 1) % 4]
             right = d.corner_face[4 * c1 + s1]
             assert d.face_colour[left] != d.face_colour[right]
@@ -122,22 +133,83 @@ def test_flanking_faces_agree_from_both_ends():
     for text in (TREFOIL, FIG8, KINK):
         d = diagram(text)
         for a in range(d.n_arcs):
-            (c1, s1), (c2, s2) = d.arc_ends[a]
+            (c1, s1), (c2, s2) = (divmod(i, 4) for i in d.arc_darts[a])
             assert d.corner_face[4 * c1 + (s1 - 1) % 4] == d.corner_face[4 * c2 + s2]
             assert d.corner_face[4 * c1 + s1] == d.corner_face[4 * c2 + (s2 - 1) % 4]
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "X(1,4,2,5) X(3,6,4,1) X(5,2,3,6)",  # fails the Euler count
-        "X(1,2,3,4) X(3,4,1,2)",
-        "X(1,2,2,1) X(3,4,4,3)",  # disconnected
-    ],
-)
-def test_nonplanar_codes_rejected(text):
-    with pytest.raises(NonPlanarCode):
+NONPLANAR = [
+    ("X(1,4,2,5) X(3,6,4,1) X(5,2,3,6)", "face count 3 fails Euler check for 3 crossings"),
+    ("X(1,2,3,4) X(3,4,1,2)", "face count 2 fails Euler check for 2 crossings"),
+    ("X(1,2,2,1) X(3,4,4,3)", "projection is disconnected (1 of 2 crossings reachable)"),
+]
+
+
+@pytest.mark.parametrize("text, message", NONPLANAR, ids=[text for text, _ in NONPLANAR])
+def test_nonplanar_codes_rejected(text, message):
+    with pytest.raises(NonPlanarCode) as info:
         build_diagram(parse_pd(text))
+    assert str(info.value) == message
+
+
+# -- the face trace, frozen ------------------------------------------------
+
+def _scrambled(crossings, rng):
+    """The same projection with crossings, rotations and labels redrawn."""
+    labels = sorted({label for c in crossings for label in c})
+    rename = dict(zip(labels, rng.sample(labels, len(labels))))
+    out = []
+    for c in rng.sample(crossings, len(crossings)):
+        k = rng.randrange(4)
+        out.append(tuple(rename[label] for label in c[k:] + c[:k]))
+    return out
+
+
+def _label_swapped(crossings, rng):
+    """Two label occurrences exchanged, so every label still occurs twice;
+    most such codes are not planar."""
+    flat = [label for c in crossings for label in c]
+    i, j = rng.sample(range(len(flat)), 2)
+    flat[i], flat[j] = flat[j], flat[i]
+    return [tuple(flat[k:k + 4]) for k in range(0, len(flat), 4)]
+
+
+def trace_inputs():
+    """The corpus, odd T(2, m), a kink, the Hopf link and the non-planar
+    codes, then 300 seeded scrambles and 600 label swaps of scrambles of
+    these."""
+    bases = [get_entry(name).pd_text for name in corpus_names()]
+    bases += [torus_pd(m) for m in range(3, 14, 2)]
+    bases += [KINK, "X(1,2,3,4) X(2,1,4,3)"] + [text for text, _ in NONPLANAR]
+    codes = [parse_pd(text).crossings for text in bases]
+    rng = random.Random(2025)
+    scrambles = [_scrambled(rng.choice(codes), rng) for _ in range(300)]
+    swaps = [_label_swapped(_scrambled(rng.choice(codes), rng), rng) for _ in range(600)]
+    return bases + [" ".join("X(%d,%d,%d,%d)" % c for c in code) for code in scrambles + swaps]
+
+
+# sha256 of [text, swap_colours, arc_labels, dart_arc, corner_face,
+# face_colour, face arcs] per build, or [text, swap_colours, error type,
+# message] when the build raises, over trace_inputs() in both colourings
+# (926 codes, 1,852 builds: 994 built, 858 raised NonPlanarCode), as the
+# face walk over (crossing, slot) pairs traced them.
+FROZEN_TRACE = "5e0937e46237461e8eaae1985a6d86ffbbdea3894078c23192495237829d48e8"
+
+
+def test_face_trace_is_frozen():
+    digest = hashlib.sha256()
+    for text in trace_inputs():
+        pd = parse_pd(text)
+        for swap in (False, True):
+            try:
+                d = build_diagram(pd, swap_colours=swap)
+            except KnotmorseError as e:
+                row = [text, swap, type(e).__name__, str(e)]
+            else:
+                row = [text, swap, d.arc_labels, d.dart_arc, d.corner_face, d.face_colour,
+                       [f.arcs for f in d.faces]]
+            digest.update(json.dumps(row).encode())
+    assert digest.hexdigest() == FROZEN_TRACE
 
 
 # -- colour graphs ---------------------------------------------------------

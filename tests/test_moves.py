@@ -36,6 +36,7 @@ from knotmorse.states import (
     is_dmf,
     jordan_resolution,
     kauffman_states,
+    kpw,
 )
 from move_graph_oracle import oracle_click_path_moves, oracle_move_graph
 
@@ -503,6 +504,43 @@ def test_marked_arc_roots_are_the_flanking_regions():
         assert t.face_colour[v_b] == BLACK
         assert t.face_colour[v_w] == WHITE
     assert marked_arc_roots(t, 0) == (1, 0)
+
+
+@pytest.mark.parametrize("arc", [-1, 6])
+def test_marked_arc_roots_rejects_an_arc_out_of_range(arc):
+    with pytest.raises(ValueError) as info:
+        marked_arc_roots(tait("3_1"), arc)  # 3_1 has arcs 0..5
+    assert str(info.value) == "arc id %d out of range" % arc
+
+
+# caller -> (the word its message names a region by, a call taking (v_b, v_w))
+def region_callers(t):
+    tree = (0, 1)  # a spanning tree of the black triangle of 3_1
+    x = kpw(t, tree, t.black_faces[0], t.white_faces[0])
+    return {
+        "kauffman_states": ("vertex", lambda v_b, v_w: kauffman_states(t, v_b, v_w)),
+        "two_click_connect": ("target", lambda v_b, v_w: two_click_connect(t, x, v_b, v_w)),
+        "kpw": ("root", lambda v_b, v_w: kpw(t, tree, v_b, v_w)),
+    }
+
+
+# a region id below 0, at n_faces, or of the other colour, as either root
+@pytest.mark.parametrize("caller", ["kauffman_states", "two_click_connect", "kpw"])
+@pytest.mark.parametrize("role", ["black", "white"])
+@pytest.mark.parametrize("bad", ["-1", "n_faces", "other colour"])
+def test_region_ids_outside_their_colour_raise(caller, role, bad):
+    t = tait("3_1")
+    v_b, v_w = t.black_faces[0], t.white_faces[0]
+    other = v_w if role == "black" else v_b
+    v = {"-1": -1, "n_faces": t.n_faces, "other colour": other}[bad]
+    if role == "black":
+        v_b = v
+    else:
+        v_w = v
+    word, call = region_callers(t)[caller]
+    with pytest.raises(ValueError) as info:
+        call(v_b, v_w)
+    assert str(info.value) == "%s %d is not a %s region" % (word, v, role)
 
 
 def test_move_graph_exports():
