@@ -17,8 +17,9 @@ face.  Any other complex builds its face closure, and an iterated element
 matching (Jonsson) pairs those faces instead.  The boundary between the
 critical cells follows the gradient paths (Forman), and the boundaries
 between critical cells of adjacent sizes go through a dense Smith normal
-form, so torsion is exact.  The face closure and the matching tree respect
-the KNOTMORSE_MAX_FACES cap and raise ResourceLimit before allocating past it.
+form, so torsion is exact.  The KNOTMORSE_MAX_FACES cap bounds the faces of
+the closure, or the matching tree's nodes plus the flows live for one size
+of critical cell; ResourceLimit is raised before allocating past it.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import os
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from functools import partial
 
 from .counting import spanning_trees
 from .diagram import Diagram, TaitGraph, build_tait, colour_graphs
@@ -348,39 +350,25 @@ def _element_matching(n_vertices: int, levels: list[set[int]]) -> tuple[set[int]
     return free, up
 
 
-class _TreePartners(dict):
-    """The partner lookup of a matching tree, for _morse_boundary: self[x]
-    is the upper cell paired with a lower cell x, or 0 for any other cell.
+def _tree_partner(tree: list, x: int) -> int:
+    """The upper cell that a matching tree pairs with a lower cell x, or 0
+    for any other cell.
 
-    A cell walks the tree by whether it holds each pivot.  The leaf it
+    The cell walks the tree by whether it holds each pivot.  The leaf it
     reaches is a cone vertex v, and the cell is the lower one of its pair
-    when it lacks v, or 0, the critical cell.  Answers are memoised.  Each
-    memoised cell, and the flow that _morse_boundary keeps for each lower
-    one, counts against what the tree's nodes left of the cap.
+    when it lacks v, or 0, the critical cell.
     """
-
-    def __init__(self, tree: list, cap: int):
-        super().__init__()
-        self.tree, self.cap, self.budget = tree, cap, cap - len(tree)
-
-    def __missing__(self, x: int) -> int:
-        tree = self.tree
-        node = tree[0]
-        while node.__class__ is tuple:
-            p, with_p, without_p = node
-            node = tree[with_p if x & p else without_p]
-        partner = x | node if node and not x & node else 0
-        self.budget -= 2 if partner else 1
-        if self.budget < 0:
-            raise _over_cap(self.cap, "matching tree")
-        self[x] = partner
-        return partner
+    node = tree[0]
+    while node.__class__ is tuple:
+        p, with_p, without_p = node
+        node = tree[with_p if x & p else without_p]
+    return x | node if node and not x & node else 0
 
 
-def _matching_tree(conflicts: Sequence[int]) -> tuple[set[int], _TreePartners]:
-    """Critical cells and pairs of a matching tree on the independence
+def _matching_tree(conflicts: Sequence[int]) -> tuple[set[int], list]:
+    """Critical cells and the tree of a matching tree on the independence
     complex of a graph (Bousquet-Melou, Linusson & Nevo, J. Algebraic
-    Combin. 2008), without listing its faces.
+    Combin. 2008), without listing its faces; _tree_partner reads its pairs.
 
     A node (A, B) holds the independent sets that contain A and avoid B,
     where B holds every neighbour of A; its free vertices are the rest.  A
@@ -389,8 +377,7 @@ def _matching_tree(conflicts: Sequence[int]) -> tuple[set[int], _TreePartners]:
     a free neighbour of the free vertex with the fewest, into (A + p, B and
     the neighbours of p) and (A, B + p).  A node with no free vertex is the
     critical cell A.  The matching is acyclic by Jonsson's cluster lemma.
-    Tree nodes count against the KNOTMORSE_MAX_FACES cap, as do the cells
-    that the partner lookup memoises.
+    Tree nodes count against the KNOTMORSE_MAX_FACES cap.
     """
     cap = _max_faces()
     everything = (1 << len(conflicts)) - 1
@@ -422,7 +409,7 @@ def _matching_tree(conflicts: Sequence[int]) -> tuple[set[int], _TreePartners]:
         if len(tree) > cap:
             raise _over_cap(cap, "matching tree")
         stack += [(j, a | p, b | conflicts[p.bit_length() - 1]), (j + 1, a, b | p)]
-    return critical, _TreePartners(tree, cap)
+    return critical, tree
 
 
 def _signed_faces(t: int) -> list[tuple[int, int]]:
@@ -437,21 +424,26 @@ def _signed_faces(t: int) -> list[tuple[int, int]]:
     return out
 
 
-def _morse_boundary(critical: set[int], partner: Callable[[int], int]) -> dict[int, dict[int, int]]:
-    """Boundary of each critical cell in the Morse complex of the matching,
-    whose pairs partner gives: the upper cell of a lower cell x, or 0 for
-    any other cell.
+def _morse_boundary(cells: list[int], critical: set[int], partner: Callable[[int], int],
+                    budget: int | None) -> list[dict[int, int]]:
+    """Boundary of each of the critical cells of one size in the Morse
+    complex of the matching, whose pairs partner gives: the upper cell of a
+    lower cell x, or 0 for any other cell.
 
     By gradient paths (Forman, Morse theory for cell complexes, 1998): a face
     g flows to itself when it is critical, to 0 when it is the upper cell of
     a pair, and to -<d t, g> sum <d t, h> flow(h) over the other faces h of t
     when it is the lower cell of a pair (g, t).  Each flow is computed once,
     depth first on an explicit stack; a cell reached again while its flow is
-    still open means that the gradient paths close a cycle.
+    still open means that the gradient paths close a cycle.  The paths from
+    cells with s vertices only visit cells with s - 1 vertices, so the flows
+    live for one call.  The budget is what the matching tree's nodes left of
+    the KNOTMORSE_MAX_FACES cap: a flow past it raises ResourceLimit at
+    stage matching tree.  None, for the face closure, sets no bound.
     """
     flow: dict[int, dict[int, int]] = {}  # also the boundary of each critical cell
     opened: dict[int, list[tuple[int, int]]] = {}
-    for c in critical:
+    for c in cells:
         stack = [c]
         while stack:
             x = stack[-1]
@@ -476,9 +468,11 @@ def _morse_boundary(critical: set[int], partner: Callable[[int], int]) -> dict[i
             for k, g in terms:
                 for h, w in [(g, 1)] if g in critical else flow[g].items():
                     acc[h] = acc.get(h, 0) + k * w
+            if len(flow) == budget:
+                raise _over_cap(_max_faces(), "matching tree")
             flow[x] = {h: w for h, w in acc.items() if w}
             stack.pop()
-    return {c: flow[c] for c in critical}
+    return [flow[c] for c in cells]
 
 
 def homology(c: SimplicialComplex | IndependenceComplex) -> HomologyResult:
@@ -486,29 +480,30 @@ def homology(c: SimplicialComplex | IndependenceComplex) -> HomologyResult:
 
     The cells are the faces and the empty face, so the chain complex is
     augmented and its homology is reduced.  An independence complex is
-    matched by its matching tree, any other by an element matching on its
-    face closure.  Only the critical cells go on: their Morse boundary
-    between adjacent sizes goes through a dense Smith normal form, whose
-    number of factors is the rank and whose factors above 1 are the torsion.
+    matched by its matching tree, whose nodes and the live flows of one size
+    count against the KNOTMORSE_MAX_FACES cap; any other by an element
+    matching on its face closure.  Only the critical cells go on: their
+    Morse boundary, one size at a time, goes through a dense Smith normal
+    form, whose number of factors is the rank and whose factors above 1 are
+    the torsion.
     """
     if c.dimension < 0:
         return HomologyResult(betti=(), torsion=(), face_counts=())
     if isinstance(c, IndependenceComplex):
-        critical, partners = _matching_tree(c.conflicts)
-        bd = _morse_boundary(critical, partners.__getitem__)
+        critical, tree = _matching_tree(c.conflicts)
+        partner, budget = partial(_tree_partner, tree), _max_faces() - len(tree)
     else:
         levels = [{0}, *c.faces()]
         critical, up = _element_matching(len(levels[1]), levels)
-        bd = _morse_boundary(critical, lambda x: up.get(x, 0))
+        partner, budget = (lambda x: up.get(x, 0)), None
     dim = c.dimension
     # cells[s], invs[s]: critical cells with s vertices, their boundary's factors
-    cells: list[list[int]] = [[] for _ in range(dim + 2)]
-    for x in sorted(critical):
-        cells[x.bit_count()].append(x)
+    cells = [sorted(x for x in critical if x.bit_count() == s) for s in range(dim + 2)]
     invs: list[list[int]] = [[] for _ in range(dim + 3)]
     for s in range(1, dim + 2):
-        if any(bd[b] for b in cells[s]):
-            invs[s] = _dense_smith([[bd[b].get(a, 0) for b in cells[s]] for a in cells[s - 1]])
+        bd = _morse_boundary(cells[s], critical, partner, budget)
+        if any(bd):
+            invs[s] = _dense_smith([[col.get(a, 0) for col in bd] for a in cells[s - 1]])
     betti = [len(cells[k + 1]) - len(invs[k + 1]) - len(invs[k + 2]) for k in range(dim + 1)]
     if min(betti) < 0:
         raise InvariantViolation("negative betti number in %s" % betti)

@@ -49,6 +49,7 @@ f_right the face at corner i.  The poset orientation points white -> crossing
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -88,9 +89,16 @@ _CROSSING_RE = re.compile(r"X\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)
 
 @dataclass(frozen=True)
 class PDCode:
-    """An ordered list of crossings, each a counterclockwise 4-tuple of labels."""
+    """An ordered list of crossings, each a counterclockwise 4-tuple of labels;
+    raises ArcMultiplicityError when some label does not occur exactly twice."""
 
     crossings: tuple[tuple[int, int, int, int], ...]
+
+    def __post_init__(self) -> None:
+        counts = Counter(label for c in self.crossings for label in c)
+        bad = ["arc %d occurs %d times" % (lb, k) for lb, k in sorted(counts.items()) if k != 2]
+        if bad:
+            raise ArcMultiplicityError(", ".join(bad) + " (expected 2)")
 
     @property
     def n_crossings(self) -> int:
@@ -121,16 +129,10 @@ def parse_pd(text: str) -> PDCode:
         raise MalformedSyntax("unexpected text %r in PD code" % tail.strip())
     if not crossings:
         raise EmptyDiagram("PD code contains no crossings")
-    counts: dict[int, int] = {}
     for c in crossings:
         for label in c:
             if label <= 0:
                 raise MalformedSyntax("arc labels must be positive, got %d" % label)
-            counts[label] = counts.get(label, 0) + 1
-    bad = {label: k for label, k in sorted(counts.items()) if k != 2}
-    if bad:
-        detail = ", ".join("arc %d occurs %d times" % (lb, k) for lb, k in bad.items())
-        raise ArcMultiplicityError(detail + " (expected 2)")
     return PDCode(crossings=tuple(crossings))
 
 
@@ -238,7 +240,7 @@ def build_diagram(pd: PDCode, swap_colours: bool = False) -> Diagram:
     arc_of = {label: a for a, label in enumerate(labels)}
     arc_darts = tuple(tuple(darts[label]) for label in labels)
     mate = [0] * (4 * n)  # dart -> the dart at the other end of its arc
-    for i, j in arc_darts:  # a label not used twice fails to unpack
+    for i, j in arc_darts:
         mate[i], mate[j] = j, i
 
     # Connectivity of the projection, crossing to crossing through arcs.

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from math import gcd
 from pathlib import Path
@@ -473,9 +474,59 @@ def test_matching_tree_is_acyclic_and_meets_the_morse_inequalities(name):
     t = build_tait(get_entry(name).diagram)
     c = matching_complex(t)
     cells = {x.mask for x in enumerate_matchings(t, "all")}
-    critical, partners = complexes._matching_tree(c.conflicts)
-    up = {x: partners[x] for x in cells if partners[x]}
+    critical, tree = complexes._matching_tree(c.conflicts)
+    up = tree_pairs(tree, cells)
     assert_acyclic_morse_matching(cells, critical, up, homology(c).betti, "matching")
+
+
+def tree_pairs(tree, cells):
+    """The pairs (lower -> upper) of a matching tree among the cells."""
+    return {x: t for x in cells if (t := complexes._tree_partner(tree, x))}
+
+
+@pytest.mark.parametrize("name", SIX_OR_LESS)
+def test_matching_tree_lookup_gives_the_boundary_of_an_explicit_pair_table(name):
+    # the walk down the tree, cell by cell, against a table of every pair
+    t = build_tait(get_entry(name).diagram)
+    critical, tree = complexes._matching_tree(matching_complex(t).conflicts)
+    up = tree_pairs(tree, {x.mask for x in enumerate_matchings(t, "all")})
+    walk, budget = partial(complexes._tree_partner, tree), complexes.DEFAULT_MAX_FACES - len(tree)
+    for s in range(max(x.bit_count() for x in critical) + 1):
+        cells = sorted(x for x in critical if x.bit_count() == s)
+        walked = complexes._morse_boundary(cells, critical, walk, budget)
+        listed = complexes._morse_boundary(cells, critical, lambda x: up.get(x, 0), None)
+        assert dict(zip(cells, walked)) == dict(zip(cells, listed)), s
+
+
+def tree_leaf(tree, x):
+    """Index of the leaf of a matching tree that the cell x walks to."""
+    i = 0
+    while tree[i].__class__ is tuple:
+        p, with_p, without_p = tree[i]
+        i = with_p if x & p else without_p
+    return i
+
+
+def test_matching_tree_checks_see_a_leaf_with_a_wrong_cone_point():
+    # each cone leaf of 4_1's tree in turn, re-pointed at each vertex that
+    # does not pair the cells reaching it
+    t = build_tait(get_entry("4_1").diagram)
+    cells = {x.mask for x in enumerate_matchings(t, "all")}
+    betti = homology(maximal_matchings(t)).betti
+    critical, tree = complexes._matching_tree(matching_complex(t).conflicts)
+    mutants = 0
+    for leaf, v in enumerate(tree):
+        if v.__class__ is not int or not v:
+            continue
+        held = {x for x in cells if tree_leaf(tree, x) == leaf}
+        assert held and all(x ^ v in held for x in held)
+        for w in (1 << i for i in range(t.n_edges)):
+            if any(x ^ w not in held for x in held):
+                up = tree_pairs(tree[:leaf] + [w] + tree[leaf + 1:], cells)
+                with pytest.raises(AssertionError):
+                    assert_acyclic_morse_matching(cells, critical, up, betti, "matching")
+                mutants += 1
+    assert mutants > 100
 
 
 def test_independence_complex_takes_its_dimension_from_its_counts():
@@ -935,13 +986,26 @@ def test_homology_reports_the_cap_through_resource_limit(monkeypatch):
 def test_matching_tree_lists_no_face_of_the_torus_knot_t_2_11(monkeypatch):
     # the matching complex of T(2,11) has 1,270,744 faces, past this cap;
     # the tree and the count of matchings by size never list them
-    monkeypatch.setenv("KNOTMORSE_MAX_FACES", "1000000")
+    # and at 50,000 the tree's 839 nodes and at most 14,134 flows live at once
     c = matching_complex(build_tait(build_diagram(parse_pd(torus_pd(11)))))
-    h = homology(c)
-    assert h.ranks() == {7: 65} and h.is_torsion_free()
-    assert h.face_counts == (44, 759, 6864, 36740, 123200, 264187, 359788, 300443,
-                             142780, 33275, 2664)
-    assert sum(h.face_counts) == 1_270_744
+    for cap in ("1000000", "50000"):
+        monkeypatch.setenv("KNOTMORSE_MAX_FACES", cap)
+        h = homology(c)
+        assert h.ranks() == {7: 65} and h.is_torsion_free()
+        assert h.face_counts == (44, 759, 6864, 36740, 123200, 264187, 359788, 300443,
+                                 142780, 33275, 2664)
+        assert sum(h.face_counts) == 1_270_744
+
+
+def test_matching_tree_counts_its_live_flows_against_the_cap(monkeypatch):
+    # 5,000 holds the 839 nodes of the tree of T(2,11), but not its flows
+    monkeypatch.setenv("KNOTMORSE_MAX_FACES", "5000")
+    c = matching_complex(build_tait(build_diagram(parse_pd(torus_pd(11)))))
+    assert len(complexes._matching_tree(c.conflicts)[1]) == 839
+    with pytest.raises(ResourceLimit) as raised:
+        homology(c)
+    assert (raised.value.stage, raised.value.size) == ("matching tree", 5001)
+    assert str(raised.value) == "complex exceeds the face cap of 5000 (set KNOTMORSE_MAX_FACES)"
 
 
 # ---------------------------------------------------------------------------

@@ -66,11 +66,21 @@ def test_parse_rejects_bad_multiplicity():
         parse_pd("X(1,2,3,4)")
 
 
-@pytest.mark.parametrize("crossings", [((1, 1, 1, 2),), ((1, 2, 3, 4), (1, 2, 3, 5))])
+# codes that parse_pd rejects, with its message
+NOT_USED_TWICE = {
+    ((1, 1, 1, 2),): "arc 1 occurs 3 times, arc 2 occurs 1 times (expected 2)",
+    ((1, 2, 3, 4), (1, 2, 3, 5)): "arc 4 occurs 1 times, arc 5 occurs 1 times (expected 2)",
+}
+
+
+@pytest.mark.parametrize("crossings", list(NOT_USED_TWICE))
 def test_build_diagram_raises_on_a_label_not_used_twice(crossings):
-    # parse_pd rejects these codes; built directly, they must raise, not trace
-    with pytest.raises(ValueError):
+    # built directly, not through parse_pd, they raise parse_pd's error
+    with pytest.raises(ArcMultiplicityError) as built:
         build_diagram(PDCode(crossings))
+    with pytest.raises(ArcMultiplicityError) as parsed:
+        parse_pd(" ".join("X(%d,%d,%d,%d)" % c for c in crossings))
+    assert str(built.value) == str(parsed.value) == NOT_USED_TWICE[crossings]
 
 
 def test_arc_labels_need_not_be_contiguous():
