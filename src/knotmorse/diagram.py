@@ -196,6 +196,17 @@ class Diagram:
         return tuple(i + 1 if i & 3 != 3 else i - 3 for i in range(4 * self.n_crossings))
 
     @cached_property
+    def arc_pairs(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+        """Arc pairs for the strand count of moves: by edge e = 4c + k, the two its
+        smoothing joins, slots {p, p+1} and {p+2, p+3} with p = (k + 1) % 2; by
+        crossing c, the three that join c's four arcs as a double point."""
+        a = self.dart_arc
+        pairs = lambda i, slots: tuple((a[i + s], a[i + r]) for s, r in slots)
+        joins = (((1, 2), (3, 0)), ((0, 1), (2, 3)))  # by k % 2
+        return (tuple(pairs(e & ~3, joins[e & 1]) for e in range(4 * self.n_crossings)),
+                tuple(pairs(4 * c, ((0, 1), (0, 2), (0, 3))) for c in range(self.n_crossings)))
+
+    @cached_property
     def corner_face(self) -> tuple[int, ...]:
         """Face at corner k of crossing c, indexed by 4 * c + k."""
         out = [0] * (4 * self.n_crossings)
@@ -368,13 +379,14 @@ class UnionFind:
     """Disjoint sets over hashable items, with path halving.
 
     Which member becomes a root is unspecified; callers order components by
-    their members, never by their roots.
+    their members, never by their roots.  UnionFind(n) keeps the items
+    0..n-1 in a list.
     """
 
     __slots__ = ("parent",)
 
     def __init__(self, items) -> None:
-        self.parent = {i: i for i in items}
+        self.parent = list(range(items)) if isinstance(items, int) else {i: i for i in items}
 
     def find(self, i):
         parent = self.parent
@@ -452,6 +464,11 @@ class TaitGraph:
     def face_masks(self) -> tuple[int, int]:
         """(white, black): the regions of each colour as a bit mask."""
         return sum(1 << f for f in self.white_faces), sum(1 << f for f in self.black_faces)
+
+    @cached_property
+    def square_masks(self) -> tuple[tuple[int, int], ...]:
+        """Each square's pairs (edges[0], edges[2]) and (edges[1], edges[3]) as bit masks."""
+        return tuple((1 << a | 1 << c, 1 << b | 1 << d) for a, b, c, d in (q.edges for q in self.squares))
 
     @cached_property
     def poset_tables(self) -> tuple[tuple[tuple[int, int, bool], ...], tuple[int, ...], tuple[int, ...]]:

@@ -7,10 +7,11 @@ Type III changes the strand count (by +-2 on a perfect matching); when the
 count is unchanged, the two local strands rerouted at the square's crossings
 either lie on one strand before the move (Type I) or on two distinct strands
 (Type II).  The strand counts behind delta_j and the strands behind the Type
-I/II test come from ``_strand_roots``, a union-find over arc ids that never
-builds the resolution itself.  ``states.jordan_resolution``, which smooths
-darts and searches them for strands, is kept as its independent oracle: the
-tests and the selftest clock check recount delta_j with it.
+I/II test come from ``_strand_roots``, a list union-find over the arc pairs
+cached in ``Diagram.arc_pairs`` that never builds the resolution.
+``states.jordan_resolution``, which smooths darts, searches them for strands
+and reads no such table, is kept as its independent oracle: the tests and
+the selftest clock check recount delta_j with it.
 
 A click loop move toggles matched and unmatched edges along one supported
 monochromatic loop; a click path move slides the unmatched region of one
@@ -24,16 +25,20 @@ inside the population as undirected edges; connectivity of these graphs is
 what the acceptance checks interrogate.  Each move kind is a generator of
 (target edge mask, site) pairs, the mask being Matching.mask with the
 flipped edges toggled, and _move makes the Move of any kind from its site
-and ends.  The graph looks each target mask up in the population before
-building anything and records an edge from its lower end only: every move
-kind is involutive, so the higher end finds the same edge back.  The public
-move functions build and validate every target instead, and
-two_click_connect applies the click path targets that end at its regions.
+and ends.  The generators read one node map per matching, which _node_map
+builds after validating it once: the mask, region -> matched edge and
+region -> next region.  The clock generator also reads the squares' pattern
+masks, cached on the TaitGraph.  The graph looks each target mask up in the
+population before building anything and records an edge from its lower end
+only: every move kind is involutive, so the higher end finds the same edge
+back.  The public move functions build and validate every target instead,
+and two_click_connect applies the click path targets that end at its regions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import starmap
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .diagram import BLACK, WHITE, Diagram, TaitGraph, UnionFind
@@ -41,15 +46,14 @@ from .errors import InvariantViolation, NotAcyclic, NotPerfectAdmissible
 from .states import (
     Matching,
     _is_region,
+    _loop_closings,
+    _loops_of,
     _validate,
     critical_cells,
     enumerate_matchings,
     is_admissible,
-    is_dmf,
     is_perfect,
     kauffman_states,
-    matched_regions,
-    monochromatic_loops,
 )
 
 __all__ = [
@@ -106,27 +110,21 @@ class Move:
 def _strand_roots(d: Diagram, x: Matching) -> tuple[Callable[[int], int], int]:
     """(root of an arc, strand count) of the Jordan resolution of x.
 
-    The arc-level twin of jordan_resolution, exact for any matching: a
-    matched crossing with corner k joins the arcs at slots {p, p+1} and
-    {p+2, p+3}, p = (k + 1) % 2, and a double point joins all four.  Roots
-    are looked up on demand, so a caller after the count alone pays nothing
-    for them.
+    The arc-level twin of jordan_resolution, exact for any matching: it
+    joins the arc pairs of d.arc_pairs, the two that each matched edge's
+    smoothing joins and the three of each double point.  Roots are looked up
+    on demand, so a caller after the count alone pays nothing for them.
     """
-    dart_arc = d.dart_arc
-    uf = UnionFind(range(d.n_arcs))
-    count = d.n_arcs
-    double_points = set(range(d.n_crossings))
+    smoothing, double_point = d.arc_pairs
+    uf = UnionFind(d.n_arcs)
+    smoothed, pairs = 0, []
     for e in x.edges:
-        c, p = e // 4, (e % 4 + 1) % 2
-        double_points.discard(c)
-        for s1, s2 in ((p, p + 1), (p + 2, (p + 3) % 4)):
-            if uf.union(dart_arc[4 * c + s1], dart_arc[4 * c + s2]):
-                count -= 1
-    for c in double_points:
-        for s in range(1, 4):
-            if uf.union(dart_arc[4 * c], dart_arc[4 * c + s]):
-                count -= 1
-    return uf.find, count
+        smoothed |= 1 << (e >> 2)
+        pairs += smoothing[e]
+    for c, point in enumerate(double_point):
+        if not smoothed >> c & 1:
+            pairs += point
+    return uf.find, d.n_arcs - sum(starmap(uf.union, pairs))
 
 
 def _rerouted_strand(d: Diagram, arc: int, e: int) -> int:
@@ -143,17 +141,15 @@ def _rerouted_strand(d: Diagram, arc: int, e: int) -> int:
     return d.dart_arc[4 * c + slot]
 
 
-def _clock_targets(t: TaitGraph, x: Matching) -> Iterator[tuple[int, tuple]]:
-    """(target mask, (square, pattern, orientation)) of each clock move on x."""
-    mask = x.mask
-    for sq in t.squares:
-        # The opposite pairs (e0, e2) and (e1, e3) share both crossings.
-        e0, e1, e2, e3 = sq.edges
-        a, b = 1 << e0 | 1 << e2, 1 << e1 | 1 << e3
+def _clock_targets(t: TaitGraph, node: tuple) -> Iterator[tuple[int, tuple]]:
+    """(target mask, (square, pattern, orientation)) of each clock move."""
+    mask = node[0]
+    for sq, (a, b) in zip(t.squares, t.square_masks):
+        # Each opposite pair of a square meets both of its crossings.
         if (mask & a) == a:
-            yield mask ^ a ^ b, (sq, (e0, e2), "cw")
+            yield mask ^ a ^ b, (sq, sq.edges[0::2], "cw")
         elif (mask & b) == b:
-            yield mask ^ a ^ b, (sq, (e1, e3), "ccw")
+            yield mask ^ a ^ b, (sq, sq.edges[1::2], "ccw")
 
 
 def clock_moves(t: TaitGraph, x: Matching) -> list[tuple[Move, Matching]]:
@@ -165,10 +161,12 @@ def clock_moves(t: TaitGraph, x: Matching) -> list[tuple[Move, Matching]]:
 # Click moves
 # ---------------------------------------------------------------------------
 
-def _click_loop_targets(t: TaitGraph, x: Matching) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(target mask, loop) of each supported monochromatic loop of x."""
-    for loop in monochromatic_loops(t, x):
-        yield x.mask ^ sum(1 << e for e in loop), loop
+def _click_loop_targets(t: TaitGraph, node: tuple) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(target mask, loop) of each supported monochromatic loop, in the
+    order of monochromatic_loops."""
+    mask, out, step = node
+    for loop in _loops_of(out, step):
+        yield mask ^ sum(1 << e for e in loop), loop
 
 
 def click_loop_moves(t: TaitGraph, x: Matching) -> list[tuple[Move, Matching]]:
@@ -176,47 +174,40 @@ def click_loop_moves(t: TaitGraph, x: Matching) -> list[tuple[Move, Matching]]:
     return _built_moves(t, x, "click_loop")
 
 
-def _click_forest(t: TaitGraph, x: Matching) -> tuple[dict[int, int], list[list[int]]]:
-    """(matched_regions(t, x), and indexed by colour the breadth-first order
-    of the tree of x's one unmatched region of that colour, root first).
-    Region u hangs below t.edge_region[mr[u] ^ 2]; a root has no parent, so
-    the regions whose parents lead to it form a tree, and a region on or
-    below a loop never does.  Children come in ascending order of their
-    matched edges.  Raises InvariantViolation unless exactly one region of
-    each colour is unmatched.
-    """
-    mr = matched_regions(t, x)
+def _click_forest(t: TaitGraph, node: tuple) -> list[list[int]]:
+    """Indexed by colour, the breadth-first order of the tree of the node
+    map's one unmatched region of that colour, root first.  Region u hangs
+    below step[u]; a root has no parent, so the regions whose parents lead
+    to it form a tree, and a region on or below a loop never does.  Children
+    come in ascending order of their matched edges.  Raises
+    InvariantViolation unless exactly one region of each colour is unmatched."""
+    _, out, step = node
     children: dict[int, list[int]] = {}
-    for u, e in mr.items():
-        children.setdefault(t.edge_region[e ^ 2], []).append(u)
+    for u, p in step.items():
+        children.setdefault(p, []).append(u)
     orders: list[list[int]] = [[], []]
     for colour, faces in ((BLACK, t.black_faces), (WHITE, t.white_faces)):
-        order = orders[colour] = [f for f in faces if f not in mr]
+        order = orders[colour] = [f for f in faces if f not in out]
         if len(order) != 1:
             raise InvariantViolation("a perfect admissible matching left %d unmatched %s regions"
                                      % (len(order), _COLOUR_NAME[colour]))
         for v in order:  # the list grows as it is read: a breadth-first search
             order.extend(children.get(v, ()))
-    return mr, orders
+    return orders
 
 
-def _click_step(mask: int, e: int) -> int:
-    """mask with edge e's crossing re-matched from e's region to its parent."""
-    return mask ^ 1 << e ^ 1 << (e ^ 2)
-
-
-def _click_path_targets(t: TaitGraph, x: Matching) -> Iterator[tuple[int, tuple]]:
-    """(target mask, (colour name, path)) of each click path move on x.  A
+def _click_path_targets(t: TaitGraph, node: tuple) -> Iterator[tuple[int, tuple]]:
+    """(target mask, (colour name, path)) of each click path move.  A
     target's edge set and path are its tree parent's, with the target's
     matched crossing re-matched toward the parent and the target appended."""
-    mr, orders = _click_forest(t, x)
+    mask, out, step = node
+    orders = _click_forest(t, node)
     for colour in (BLACK, WHITE):
         order = orders[colour]
-        masks, paths = {order[0]: x.mask}, {order[0]: (order[0],)}
-        for u in order[1:]:
-            e = mr[u]
-            p = t.edge_region[e ^ 2]
-            masks[u] = _click_step(masks[p], e)
+        masks, paths = {order[0]: mask}, {order[0]: (order[0],)}
+        for u in order[1:]:  # re-match u's crossing from u to its parent p
+            p, e = step[u], out[u]
+            masks[u] = masks[p] ^ 1 << e ^ 1 << (e ^ 2)
             paths[u] = paths[p] + (u,)
             yield masks[u], (_COLOUR_NAME[colour], paths[u])
 
@@ -255,14 +246,14 @@ def two_click_connect(
         raise ValueError("target %d is not a black region" % v_b)
     if not _is_region(t, v_w, WHITE):
         raise ValueError("target %d is not a white region" % v_w)
-    _validate(t, x)
+    node = _node_map(t, x)
     if not (is_perfect(t, x) and is_admissible(t, x)):
         raise NotPerfectAdmissible("need a perfect admissible matching")
-    if not is_dmf(t, x):
+    if next(_loop_closings(node[2]), None) is not None:
         raise NotAcyclic("need an acyclic matching: every region must be reachable")
     steps: list[tuple[Move, Matching]] = []
     cur, mask = x, x.mask
-    for target, site in _click_path_targets(t, x):
+    for target, site in _click_path_targets(t, node):
         if site[1][-1] in (v_b, v_w):
             mask ^= x.mask ^ target
             y = _matching_of(mask)
@@ -279,7 +270,16 @@ def two_click_connect(
     return tuple(steps)
 
 
-# kind -> targets(t, x), yielding (target mask, site)
+def _node_map(t: TaitGraph, x: Matching) -> tuple[int, dict[int, int], dict[int, int]]:
+    """(x.mask, matched region -> its edge, matched region -> its next region),
+    the one map of x that every target generator reads, after validating x."""
+    _validate(t, x)
+    region_of = t.edge_region
+    out = {region_of[e]: e for e in x.edges}
+    return x.mask, out, {r: region_of[e ^ 2] for r, e in out.items()}
+
+
+# kind -> targets(t, node map), yielding (target mask, site)
 _KINDS = {
     "clock": _clock_targets,
     "click_loop": _click_loop_targets,
@@ -326,12 +326,12 @@ def _matching_of(mask: int) -> Matching:
 
 def _built_moves(t: TaitGraph, x: Matching, kind: str) -> list[tuple[Move, Matching]]:
     """Every move of one kind on x, each target built and validated."""
-    _validate(t, x)
+    node = _node_map(t, x)
     d = t.diagram
     at_x = _strand_roots(d, x) if kind == "clock" else None  # clock moves alone read it
     strands = lambda y: at_x if y is x else _strand_roots(d, y)
     out = []
-    for mask, site in _KINDS[kind](t, x):
+    for mask, site in _KINDS[kind](t, node):
         y = _matching_of(mask)
         _validate(t, y)
         out.append((_move(t, kind, site, x, y, strands), y))
@@ -377,12 +377,15 @@ def build_move_graph(
     v_w), perfect_dmfs, or perfect_admissible.  Edges are kept only when both
     endpoints belong to the population, each once, as (lower node, higher
     node, move); the move is built only once its target is found, and each
-    node's strands are counted once.  A move's ends fix the edges it
-    toggles, so two moves with the same ends raise InvariantViolation."""
+    node is validated, mapped and has its strands counted once.  A move's
+    ends fix the edges it toggles, so two moves with the same ends raise
+    InvariantViolation.  An unknown or repeated kind raises ValueError."""
     kinds = tuple(kinds)
     for k in kinds:
         if k not in MOVE_KINDS:
             raise ValueError("unknown move kind %r" % k)
+    if len(set(kinds)) < len(kinds):
+        raise ValueError("repeated move kind in %s" % ",".join(kinds))
     if population == "kauffman":
         if v_b is None or v_w is None:
             raise ValueError("the kauffman population needs v_b and v_w")
@@ -405,9 +408,10 @@ def build_move_graph(
 
     edges: list[tuple[int, int, Move]] = []
     for i, x in enumerate(nodes):
+        node = _node_map(t, x)
         found: dict[int, Move] = {}  # higher end -> the move to it
         for kind in (k for k in MOVE_KINDS if k in kinds):
-            for mask, site in _KINDS[kind](t, x):
+            for mask, site in _KINDS[kind](t, node):
                 # Every move kind is involutive, so a target below i has
                 # recorded this edge already.
                 j = index.get(mask, -1)
@@ -424,7 +428,7 @@ def build_move_graph(
 
 def _component_roots(n: int, edges: Iterable[tuple[int, int, Move]]) -> list[int]:
     """One root per node; two nodes share a root iff the edges connect them."""
-    uf = UnionFind(range(n))
+    uf = UnionFind(n)
     for i, j, _ in edges:
         uf.union(i, j)
     return [uf.find(i) for i in range(n)]

@@ -210,7 +210,11 @@ def _region_map(t: TaitGraph, x: Matching) -> dict[int, int]:
 def monochromatic_loops(t: TaitGraph, x: Matching) -> tuple[tuple[int, ...], ...]:
     """All supported loops, each a cyclic edge sequence, canonicalized."""
     step = _region_map(t, x)
-    out = matched_regions(t, x)
+    return _loops_of(matched_regions(t, x), step)
+
+
+def _loops_of(out: dict[int, int], step: dict[int, int]) -> tuple[tuple[int, ...], ...]:
+    """The sorted loops of the region map step; out[r] is r's matched edge."""
     loops: list[tuple[int, ...]] = []
     for r in _loop_closings(step):
         # The loop runs from r back to r.

@@ -8,11 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from knotmorse import build_tait, get_entry, moves
+from knotmorse import build_tait, get_entry, moves, states
 from knotmorse.corpus import load_corpus, rational_pd, torus_pd
 from knotmorse.diagram import BLACK, WHITE, build_diagram, parse_pd
 from knotmorse.errors import InvariantViolation, NotAcyclic, NotPerfectAdmissible
 from knotmorse.corpus import corpus_names
+from knotmorse.counting import count_perfect_dmfs, count_spanning_trees
 from knotmorse.moves import (
     MOVE_KINDS,
     Move,
@@ -110,12 +111,16 @@ def test_trefoil_perfect_admissible_all_kinds_is_connected():
     assert verify_connectivity(mg) == (True, 1)
 
 
-@pytest.mark.parametrize("name", SMALL)
+@pytest.mark.parametrize("name", corpus_names())
 def test_marked_arc_clock_graphs_are_connected(name):
+    # Kauffman's clock theorem: for every marked arc the states number the
+    # spanning trees of the black graph, and clock moves alone join them
     t = tait(name)
+    trees = count_spanning_trees(t.diagram.plane_graphs[BLACK])
     for arc in range(t.diagram.n_arcs):
         v_b, v_w = marked_arc_roots(t, arc)
         mg = build_move_graph(t, "kauffman", kinds=("clock",), v_b=v_b, v_w=v_w)
+        assert len(mg.nodes) == trees
         assert verify_connectivity(mg)[0]
 
 
@@ -210,14 +215,24 @@ def arc_partition(root, n_arcs):
     return sorted(tuple(b) for b in blocks.values())
 
 
-@pytest.mark.parametrize("name", STRAND_CORPUS)
-def test_strand_kernel_agrees_with_jordan_resolution_on_every_matching(name):
-    d = get_entry(name).diagram
-    for x in enumerate_matchings(build_tait(d), "all"):
+def assert_strand_kernel_agrees(d, population):
+    for x in population:
         root, count = moves._strand_roots(d, x)
         j = jordan_resolution(d, x)
         assert count == j.count
         assert arc_partition(root, d.n_arcs) == sorted(j.components)
+
+
+@pytest.mark.parametrize("name", STRAND_CORPUS)
+def test_strand_kernel_agrees_with_jordan_resolution_on_every_matching(name):
+    d = get_entry(name).diagram
+    assert_strand_kernel_agrees(d, enumerate_matchings(build_tait(d), "all"))
+
+
+@pytest.mark.parametrize("pd", [torus_pd(9), rational_pd([2, 2, 2, 2])], ids=["T(2,9)", "R(2,2,2,2)"])
+def test_strand_kernel_agrees_with_jordan_resolution_on_census_graphs(pd):
+    d = build_diagram(parse_pd(pd))
+    assert_strand_kernel_agrees(d, enumerate_matchings(build_tait(d), "perfect_admissible"))
 
 
 @pytest.mark.parametrize("name", ("4_1", "5_2"))
@@ -473,6 +488,12 @@ def test_build_move_graph_validates_population_and_kinds():
         build_move_graph(t, "kauffman")
 
 
+def test_build_move_graph_rejects_a_repeated_kind():
+    # as the CLI's --kinds does; the graph would record the kind twice
+    with pytest.raises(ValueError, match="repeated move kind"):
+        build_move_graph(tait("3_1"), "perfect_dmfs", kinds=("clock", "clock"))
+
+
 def test_move_graph_records_diagram_and_population():
     t = tait("3_1")
     mg = build_move_graph(t, "perfect_dmfs", kinds=("clock",))
@@ -673,6 +694,24 @@ def test_move_graph_counts_each_nodes_strands_once(monkeypatch):
     assert sorted(calls) == sorted(mg.nodes)
 
 
+def test_move_graph_validates_and_maps_each_node_once(monkeypatch):
+    t = oracle_tait("R[3, 2, 3]")
+    validated, mapped = [], []
+    real_checked, real_map = states._checked, moves._node_map
+    monkeypatch.setattr(states, "_checked", lambda r, edges: validated.append(edges) or real_checked(r, edges))
+    monkeypatch.setattr(moves, "_node_map", lambda t, x: mapped.append(x) or real_map(t, x))
+    mg = build_move_graph(t, "perfect_admissible")
+    assert len(mg.nodes) == 768
+    assert sorted(validated) == sorted(x.edges for x in mg.nodes)
+    assert sorted(mapped) == sorted(mg.nodes)
+
+
+@pytest.mark.parametrize("name", [*corpus_names(), "T(2,9)"] + ["R%s" % list(v) for v in CENSUS_POOL])
+def test_perfect_dmf_graph_has_the_matrix_tree_count_of_nodes(name):
+    t = build_tait(build_diagram(parse_pd(torus_pd(9)))) if name == "T(2,9)" else oracle_tait(name)
+    assert len(build_move_graph(t, "perfect_dmfs").nodes) == count_perfect_dmfs(t.diagram)
+
+
 def test_move_graph_builds_no_matching_beyond_the_population(monkeypatch):
     t = tait("6_3")
     v_b, v_w = marked_arc_roots(t, 0)
@@ -745,9 +784,16 @@ def test_two_moves_with_the_same_ends_raise(monkeypatch, kind):
 
 
 def test_click_path_needs_one_unmatched_region_per_colour(monkeypatch):
+    # the node map loses its first matched region, which then looks unmatched
     t, x = perfect_dmf()
-    real = moves.matched_regions
-    monkeypatch.setattr(moves, "matched_regions", lambda t, x: dict(list(real(t, x).items())[1:]))
+    real = moves._node_map
+
+    def first_region_lost(t, x):
+        mask, out, step = real(t, x)
+        kept = list(out)[1:]
+        return mask, {r: out[r] for r in kept}, {r: step[r] for r in kept}
+
+    monkeypatch.setattr(moves, "_node_map", first_region_lost)
     with pytest.raises(InvariantViolation, match="unmatched"):
         click_path_moves(t, x)
 
@@ -760,12 +806,13 @@ def test_two_click_connect_faults_raise(monkeypatch, fault):
     if fault == "no_path":  # each tree holds its root alone
         real = moves._click_forest
 
-        def roots_only(t, cur):
-            mr, orders = real(t, cur)
-            return mr, tuple(order[:1] for order in orders)
+        def roots_only(t, node):
+            return [order[:1] for order in real(t, node)]
 
         monkeypatch.setattr(moves, "_click_forest", roots_only)
     else:  # every step leaves the matching as it was
-        monkeypatch.setattr(moves, "_click_step", lambda mask, e: mask)
+        real = moves._click_path_targets
+        monkeypatch.setattr(moves, "_click_path_targets",
+                            lambda t, node: ((node[0], site) for _, site in real(t, node)))
     with pytest.raises(InvariantViolation, match="ended at"):
         two_click_connect(t, x, v_b, white[0])

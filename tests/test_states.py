@@ -585,16 +585,18 @@ def test_forests_reject_two_roots_in_one_component_and_none_in_another():
 
 def test_jordan_resolution_never_calls_the_strand_kernel(monkeypatch):
     # clock_shift recounts delta_j with jordan_resolution to check the
-    # arc-level kernel of moves, so it must not lean on that kernel
+    # arc-level kernel of moves, so it must lean neither on that kernel nor
+    # on the arc pair table the kernel reads
     def refuse(d, x):
         raise AssertionError("jordan_resolution called moves._strand_roots")
 
     monkeypatch.setattr(moves, "_strand_roots", refuse)
     for name in corpus_names():
-        d = get_entry(name).diagram
+        d = build_diagram(get_entry(name).diagram.pd)  # nothing cached yet
         if d.n_crossings <= 6:
             for m in enumerate_matchings(build_tait(d), "all"):
                 assert jordan_resolution(d, m).count >= 1
+            assert "arc_pairs" not in vars(d)
 
 
 def test_selftest_catches_an_even_strand_count_fault(monkeypatch, capsys):
