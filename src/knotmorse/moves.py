@@ -162,8 +162,7 @@ def clock_moves(t: TaitGraph, x: Matching) -> list[tuple[Move, Matching]]:
 # ---------------------------------------------------------------------------
 
 def _click_loop_targets(t: TaitGraph, node: tuple) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(target mask, loop) of each supported monochromatic loop, in the
-    order of monochromatic_loops."""
+    """(target mask, loop) of each supported loop, as monochromatic_loops orders them."""
     mask, out, step = node
     for loop in _loops_of(out, step):
         yield mask ^ sum(1 << e for e in loop), loop
@@ -407,10 +406,11 @@ def build_move_graph(
         return counted[y.mask]
 
     edges: list[tuple[int, int, Move]] = []
+    chosen = [k for k in MOVE_KINDS if k in kinds]
     for i, x in enumerate(nodes):
         node = _node_map(t, x)
         found: dict[int, Move] = {}  # higher end -> the move to it
-        for kind in (k for k in MOVE_KINDS if k in kinds):
+        for kind in chosen:
             for mask, site in _KINDS[kind](t, node):
                 # Every move kind is involutive, so a target below i has
                 # recorded this edge already.
