@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from itertools import combinations
@@ -210,17 +211,10 @@ def cmd_states(args) -> int:
     return EXIT_OK
 
 
-def _is_path_graph(nodes, edges) -> bool:
-    if len(nodes) <= 1:
-        return True
-    if len(edges) != len(nodes) - 1:
-        return False
-    degree = {n: 0 for n in nodes}
-    for a, b in edges:
-        degree[a] += 1
-        degree[b] += 1
-    ends = sorted(degree.values())
-    return ends[:2] == [1, 1] and all(v == 2 for v in ends[2:])
+def _is_path_graph(n_nodes: int, edges, connected: bool) -> bool:
+    """A path: connected, one edge fewer than nodes and no degree above 2."""
+    degree = Counter(v for edge in edges for v in edge)
+    return n_nodes <= 1 or connected and len(edges) == n_nodes - 1 and max(degree.values()) <= 2
 
 
 def cmd_moves(args) -> int:
@@ -253,7 +247,7 @@ def cmd_moves(args) -> int:
         payload["connected"] = connected
         payload["components"] = components
         payload["path_graph"] = _is_path_graph(
-            range(len(mg.nodes)), [(a, b) for a, b, _ in mg.edges]
+            len(mg.nodes), [(a, b) for a, b, _ in mg.edges], connected
         )
     if avoid:
         payload["click_path_avoidance"] = avoidance

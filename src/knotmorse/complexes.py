@@ -529,12 +529,11 @@ def connectivity_bound(d: Diagram) -> int:
 
 
 def connectivity_report(d: Diagram) -> dict:
-    f = max(face.degree for face in d.faces)
-    n = d.n_crossings
+    bound = connectivity_bound(d)
     return {
-        "crossings": n,
-        "max_face_degree": f,
-        "bound": connectivity_bound(d),
-        "connected_guaranteed": 4 * n >= 2 * f + 1,
-        "simply_connected_guaranteed": 4 * n >= 4 * f + 1,
+        "crossings": d.n_crossings,
+        "max_face_degree": max(face.degree for face in d.faces),
+        "bound": bound,
+        "connected_guaranteed": bound >= 0,
+        "simply_connected_guaranteed": bound >= 1,
     }

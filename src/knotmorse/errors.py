@@ -1,7 +1,12 @@
 """Exception types raised by the package.
 
-Every error raised on bad input or a violated precondition derives from
-KnotmorseError, so callers can catch the whole family at once.  A failed
+Bad input data (a PD code, a forest pair, a spanning tree), a matching that
+fails an operation's precondition and an exceeded size cap raise subclasses
+of KnotmorseError, so callers can catch that family at once.  Checks on
+plain arguments raise ValueError instead: an edge tuple that is not a
+matching (states._checked), an unknown filter, population or move kind, an
+id that is no region, root or arc, a matrix that is not square, or a size
+out of range (the corpus generators, fibonacci_family_count).  A failed
 internal cross-check, which valid input should never reach, raises
 InvariantViolation; the CLI maps it to the invariant-violation exit code 4.
 """

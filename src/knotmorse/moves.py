@@ -25,9 +25,10 @@ inside the population as undirected edges; connectivity of these graphs is
 what the acceptance checks interrogate.  Each move kind is a generator of
 (target edge mask, site) pairs, the mask being Matching.mask with the
 flipped edges toggled, and _move makes the Move of any kind from its site
-and ends.  The generators read one node map per matching, which _node_map
-builds after validating it once: the mask, region -> matched edge and
-region -> next region.  The clock generator also reads the squares' pattern
+and ends.  The generators read one node map per matching: its mask, and
+the region map of states._node_map, which validates the matching once and
+gives region -> matched edge and region -> next region; moves builds no
+region map of its own.  The clock generator also reads the squares' pattern
 masks, cached on the TaitGraph.  The graph looks each target mask up in the
 population before building anything and records an edge from its lower end
 only: every move kind is involutive, so the higher end finds the same edge
@@ -45,14 +46,13 @@ from .diagram import BLACK, WHITE, Diagram, TaitGraph, UnionFind
 from .errors import InvariantViolation, NotAcyclic, NotPerfectAdmissible
 from .states import (
     Matching,
+    _checked,
     _is_region,
     _loop_closings,
     _loops_of,
-    _validate,
+    _node_map,
     critical_cells,
     enumerate_matchings,
-    is_admissible,
-    is_perfect,
     kauffman_states,
 )
 
@@ -154,7 +154,7 @@ def _clock_targets(t: TaitGraph, node: tuple) -> Iterator[tuple[int, tuple]]:
 
 def clock_moves(t: TaitGraph, x: Matching) -> list[tuple[Move, Matching]]:
     """All clock moves available on x, each with the resulting matching."""
-    return _built_moves(t, x, "clock")
+    return _built_moves(t, x, "clock", (x.mask,) + _node_map(t, x))
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +170,18 @@ def _click_loop_targets(t: TaitGraph, node: tuple) -> Iterator[tuple[int, tuple[
 
 def click_loop_moves(t: TaitGraph, x: Matching) -> list[tuple[Move, Matching]]:
     """Toggle the matching along each supported monochromatic loop."""
-    return _built_moves(t, x, "click_loop")
+    return _built_moves(t, x, "click_loop", (x.mask,) + _node_map(t, x))
+
+
+def _perfect_admissible(t: TaitGraph, x: Matching, need: str) -> tuple:
+    """(node map, unmatched black regions, unmatched white regions) of x, after
+    validating it; NotPerfectAdmissible(need) unless x is perfect admissible."""
+    out, step = _node_map(t, x)
+    black, white = (tuple(f for f in faces if f not in out)
+                    for faces in (t.black_faces, t.white_faces))
+    if len(x.edges) != t.n_crossings or not (black and white):
+        raise NotPerfectAdmissible(need)
+    return (x.mask, out, step), black, white
 
 
 def _click_forest(t: TaitGraph, node: tuple) -> list[list[int]]:
@@ -221,10 +232,8 @@ def click_path_moves(t: TaitGraph, x: Matching) -> list[tuple[Move, Matching]]:
     its path toward the root; black first, in breadth-first order.  Raises
     NotPerfectAdmissible otherwise.
     """
-    _validate(t, x)
-    if not (is_perfect(t, x) and is_admissible(t, x)):
-        raise NotPerfectAdmissible("click path moves need a perfect admissible matching")
-    return _built_moves(t, x, "click_path")
+    node, _, _ = _perfect_admissible(t, x, "click path moves need a perfect admissible matching")
+    return _built_moves(t, x, "click_path", node)
 
 
 def two_click_connect(
@@ -245,23 +254,19 @@ def two_click_connect(
         raise ValueError("target %d is not a black region" % v_b)
     if not _is_region(t, v_w, WHITE):
         raise ValueError("target %d is not a white region" % v_w)
-    node = _node_map(t, x)
-    if not (is_perfect(t, x) and is_admissible(t, x)):
-        raise NotPerfectAdmissible("need a perfect admissible matching")
+    node, black, white = _perfect_admissible(t, x, "need a perfect admissible matching")
     if next(_loop_closings(node[2]), None) is not None:
         raise NotAcyclic("need an acyclic matching: every region must be reachable")
     steps: list[tuple[Move, Matching]] = []
-    cur, mask = x, x.mask
+    cells, mask = (black, (), white), x.mask
     for target, site in _click_path_targets(t, node):
         if site[1][-1] in (v_b, v_w):
             mask ^= x.mask ^ target
             y = _matching_of(mask)
-            _validate(t, y)
-            steps.append((_move(t, "click_path", site, cur, y, None), y))
-            cur = y
+            cells = critical_cells(t, y)  # validates y
+            steps.append((Move("click_path", site), y))
             if site[1][-1] == v_w:  # white targets come last
                 break
-    cells = critical_cells(t, cur)
     if cells != ((v_b,), (), (v_w,)):
         raise InvariantViolation(
             "two clicks toward (%d, %d) ended at critical cells %s" % (v_b, v_w, cells)
@@ -269,16 +274,7 @@ def two_click_connect(
     return tuple(steps)
 
 
-def _node_map(t: TaitGraph, x: Matching) -> tuple[int, dict[int, int], dict[int, int]]:
-    """(x.mask, matched region -> its edge, matched region -> its next region),
-    the one map of x that every target generator reads, after validating x."""
-    _validate(t, x)
-    region_of = t.edge_region
-    out = {region_of[e]: e for e in x.edges}
-    return x.mask, out, {r: region_of[e ^ 2] for r, e in out.items()}
-
-
-# kind -> targets(t, node map), yielding (target mask, site)
+# kind -> targets(t, (mask, out, step)), yielding (target mask, site)
 _KINDS = {
     "clock": _clock_targets,
     "click_loop": _click_loop_targets,
@@ -288,7 +284,7 @@ _KINDS = {
 
 def _move(
     t: TaitGraph, kind: str, site: tuple, x: Matching, y: Matching,
-    strands: Callable[[Matching], tuple] | None,
+    strands: Callable[[Matching], tuple],
 ) -> Move:
     """The move of one kind from x to y at a site of its targets.
 
@@ -304,7 +300,7 @@ def _move(
     root, before = strands(x)
     delta = strands(y)[1] - before
     if delta != 0:
-        if abs(delta) > 2 or (delta not in (-2, 2) and is_perfect(t, x)):
+        if abs(delta) > 2 or (delta not in (-2, 2) and len(x.edges) == t.n_crossings):
             raise InvariantViolation("clock move at arc %d changed |J| by %d" % (sq.arc, delta))
         ctype = "III"
     else:
@@ -323,16 +319,16 @@ def _matching_of(mask: int) -> Matching:
     return Matching(tuple(edges))
 
 
-def _built_moves(t: TaitGraph, x: Matching, kind: str) -> list[tuple[Move, Matching]]:
-    """Every move of one kind on x, each target built and validated."""
-    node = _node_map(t, x)
+def _built_moves(t: TaitGraph, x: Matching, kind: str, node: tuple) -> list[tuple[Move, Matching]]:
+    """Every move of one kind on x, each target built and validated; node is
+    x's node map, which the caller has built."""
     d = t.diagram
     at_x = _strand_roots(d, x) if kind == "clock" else None  # clock moves alone read it
     strands = lambda y: at_x if y is x else _strand_roots(d, y)
     out = []
     for mask, site in _KINDS[kind](t, node):
         y = _matching_of(mask)
-        _validate(t, y)
+        _checked(t.edge_region, y.edges)
         out.append((_move(t, kind, site, x, y, strands), y))
     return out
 
@@ -408,7 +404,7 @@ def build_move_graph(
     edges: list[tuple[int, int, Move]] = []
     chosen = [k for k in MOVE_KINDS if k in kinds]
     for i, x in enumerate(nodes):
-        node = _node_map(t, x)
+        node = (x.mask,) + _node_map(t, x)
         found: dict[int, Move] = {}  # higher end -> the move to it
         for kind in chosen:
             for mask, site in _KINDS[kind](t, node):

@@ -10,17 +10,23 @@ admissible   at least one region of each colour is left unmatched.
 acyclic      the matching supports no monochromatic loop; acyclic matchings
              are the discrete Morse functions (dMfs) of the projection.
 
+_checked validates a matching in one pass and returns the masks of its
+matched crossings and regions, which is_perfect, is_maximal, is_admissible
+and critical_cells read.
+
 A monochromatic loop is a cycle in the overlay through regions of one colour
 only, alternating matched and unmatched edges with the matched ones in x.
 Corners k and k + 2 of a crossing share a colour, so the loop leaves crossing
 e // 4 along edge e ^ 2, and the loops are the cycles of one map over both
 colours: each matched region r, matched by edge e, steps to region
-edge_region[e ^ 2].  One walker, _loop_closings, walks that map from every
-matched region; a walk ends when it leaves the matched regions, reaches a
-region an earlier walk finished, or meets its own path, which closes a loop.
-monochromatic_loops reads each loop off the region where it closes, and
-is_dmf stops at the first such region and builds no loop.  The acyclic
-streams keep the same map incrementally: a loop-free matching has no
+edge_region[e ^ 2].  _node_map validates a matching and builds that map with
+each region's matched edge beside it; is_dmf, which reads the map alone,
+builds it through _region_map.  One walker, _loop_closings, walks the map
+from every matched region; a walk ends when it leaves the matched regions,
+reaches a region an earlier walk finished, or meets its own path, which
+closes a loop.  monochromatic_loops reads each loop off the region where it
+closes, and is_dmf stops at the first such region and builds no loop.  The
+acyclic streams keep the same map incrementally: a loop-free matching has no
 cycle in it, so a loop in matching + e must pass through e's region r, and
 the search prunes e iff the walk from edge_region[e ^ 2] comes back to r (at
 once when the two coincide, the kink's loop of length one).  The count
@@ -44,8 +50,7 @@ each component); that forest pair determines the matching, which is the
 bijection behind the KPW construction of perfect states from spanning
 trees.  The region map is the forests' parent pointers: a region matched by
 edge e hangs below edge_region[e ^ 2], and a root, unmatched, has no parent.
-induced_forests and the click trees of moves are read off the matching that
-way.
+induced_forests and the click trees of moves read it from _node_map.
 """
 
 from __future__ import annotations
@@ -71,7 +76,6 @@ __all__ = [
     "induced_forests",
     "forests_to_matching",
     "kpw",
-    "matched_regions",
     "is_perfect",
     "is_maximal",
     "is_admissible",
@@ -106,9 +110,10 @@ class Matching:
         return sum(1 << e for e in self.edges)
 
 
-def _checked(region_of: tuple[int, ...], edges: tuple[int, ...]) -> None:
-    """Raise ValueError at the first edge that stops edges being a matching:
-    an id out of range, or a crossing or region met twice (bits of two masks)."""
+def _checked(region_of: tuple[int, ...], edges: tuple[int, ...]) -> tuple[int, int]:
+    """The masks (crossings, regions) that edges match; ValueError at the first
+    edge that stops them being a matching: an id out of range, or a crossing
+    or region met twice (a bit set twice)."""
     n = len(region_of)
     crossings = regions = 0
     for e in edges:
@@ -121,6 +126,7 @@ def _checked(region_of: tuple[int, ...], edges: tuple[int, ...]) -> None:
             raise ValueError("region %d matched twice" % r)
         crossings |= 1 << c
         regions |= 1 << r
+    return crossings, regions
 
 
 def _is_region(t: TaitGraph, v: int, colour: int) -> bool:
@@ -128,52 +134,53 @@ def _is_region(t: TaitGraph, v: int, colour: int) -> bool:
     return 0 <= v < t.n_faces and t.face_colour[v] == colour
 
 
-def _validate(t: TaitGraph, x: Matching) -> None:
+def _node_map(t: TaitGraph, x: Matching) -> tuple[dict[int, int], dict[int, int]]:
+    """(matched region -> its edge, matched region -> its next region) after
+    validating x, the map the loops, forests and move targets read; one loop
+    fills both dicts faster than two comprehensions."""
     _checked(t.edge_region, x.edges)
-
-
-def matched_regions(t: TaitGraph, x: Matching) -> dict[int, int]:
-    """Region -> its matched edge."""
-    return {t.edge_region[e]: e for e in x.edges}
+    region_of = t.edge_region
+    out, step = {}, {}
+    for e in x.edges:
+        r = region_of[e]
+        out[r] = e
+        step[r] = region_of[e ^ 2]
+    return out, step
 
 
 def is_perfect(t: TaitGraph, x: Matching) -> bool:
-    return len(x.edges) == t.n_crossings
+    crossings, _ = _checked(t.edge_region, x.edges)
+    return crossings + 1 == 1 << t.n_crossings
 
 
 def is_maximal(t: TaitGraph, x: Matching) -> bool:
     """No overlay edge can be added (perfect states included)."""
-    used_r = {t.edge_region[e] for e in x.edges}
-    used_c = {e // 4 for e in x.edges}
-    return all(e // 4 in used_c or r in used_r for e, r in enumerate(t.edge_region))
+    crossings, regions = _checked(t.edge_region, x.edges)
+    return all(crossings >> (e >> 2) & 1 or regions >> r & 1 for e, r in enumerate(t.edge_region))
 
 
 def is_admissible(t: TaitGraph, x: Matching) -> bool:
-    used = 0
-    for e in x.edges:
-        used |= 1 << t.edge_region[e]
+    _, used = _checked(t.edge_region, x.edges)
     white, black = t.face_masks
     return bool(white & ~used and black & ~used)
 
 
 def critical_cells(t: TaitGraph, x: Matching) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Unmatched (black regions, crossings, white regions), each sorted."""
-    _validate(t, x)
-    mr = matched_regions(t, x)
-    mc = {e // 4 for e in x.edges}
-    black = tuple(f for f in t.black_faces if f not in mr)
-    white = tuple(f for f in t.white_faces if f not in mr)
-    crossings = tuple(c for c in range(t.n_crossings) if c not in mc)
-    return black, crossings, white
+    crossings, regions = _checked(t.edge_region, x.edges)
+    black = tuple(f for f in t.black_faces if not regions >> f & 1)
+    white = tuple(f for f in t.white_faces if not regions >> f & 1)
+    return black, tuple(c for c in range(t.n_crossings) if not crossings >> c & 1), white
 
 
 def matching_to_dict(t: TaitGraph, x: Matching) -> dict:
+    """x's properties; perfect and admissible are read off its critical cells."""
     black, crossings, white = critical_cells(t, x)
     return {
         "edges": list(x.edges),
-        "perfect": is_perfect(t, x),
+        "perfect": not crossings,
         "maximal": is_maximal(t, x),
-        "admissible": is_admissible(t, x),
+        "admissible": bool(black and white),
         "acyclic": is_dmf(t, x),
         "critical": {"black": list(black), "crossings": list(crossings), "white": list(white)},
     }
@@ -201,16 +208,15 @@ def _loop_closings(step: dict[int, int]) -> Iterator[int]:
 
 
 def _region_map(t: TaitGraph, x: Matching) -> dict[int, int]:
-    """Matched region -> its next region, after validating x."""
-    _validate(t, x)
+    """The step half of _node_map, after validating x: is_dmf needs no more."""
+    _checked(t.edge_region, x.edges)
     region_of = t.edge_region
     return {region_of[e]: region_of[e ^ 2] for e in x.edges}
 
 
 def monochromatic_loops(t: TaitGraph, x: Matching) -> tuple[tuple[int, ...], ...]:
     """All supported loops, each a cyclic edge sequence, canonicalized."""
-    step = _region_map(t, x)
-    return _loops_of(matched_regions(t, x), step)
+    return _loops_of(*_node_map(t, x))
 
 
 def _loops_of(out: dict[int, int], step: dict[int, int]) -> tuple[tuple[int, ...], ...]:
@@ -238,7 +244,7 @@ def amended_poset_acyclic(t: TaitGraph, x: Matching) -> bool:
     (a parallel twin, at a kink, keeps its bit), and sources are peeled bit
     by bit.  An independent cross-check of the loop criterion, it reads
     neither the region map nor the loops.  Raises ValueError on an invalid
-    matching, as _validate does."""
+    matching, through _checked."""
     _checked(t.edge_region, x.edges)
     arrows, succ, pred = t.poset_tables
     succ, pred = list(succ), list(pred)
@@ -480,7 +486,7 @@ def jordan_resolution(d: Diagram, x: Matching) -> JordanResolution:
     (p = 1, {1, 2} and {3, 0}).  A search over arcs, following the two darts
     of each arc it reaches, from each unlabelled arc in ascending order finds
     the strands in order of their least arc.  Raises ValueError on an invalid
-    matching, as _validate does.
+    matching, through _checked on the corner table.
     """
     _checked(d.corner_face, x.edges)
     dart_arc, arc_darts = d.dart_arc, d.arc_darts
@@ -543,16 +549,14 @@ def induced_forests(t: TaitGraph, x: Matching) -> ForestPair:
     region; a walk up the map that never reaches an unmatched region breaks
     the loop criterion and raises InvariantViolation.
     """
-    if not is_dmf(t, x):  # validates x
+    out, parent = _node_map(t, x)
+    if next(_loop_closings(parent), None) is not None:
         raise NotAcyclic("matching supports %d monochromatic loop(s)"
-                         % len(monochromatic_loops(t, x)))
-    region_of, colour_of = t.edge_region, t.face_colour
-    parent: dict[int, int] = {}
+                         % len(_loops_of(out, parent)))
+    colour_of = t.face_colour
     edges: tuple[list[int], list[int]] = ([], [])  # crossings by colour, WHITE = 0
-    for e in x.edges:
-        r = region_of[e]
-        parent[r] = region_of[e ^ 2]
-        edges[colour_of[r]].append(e // 4)
+    for r, e in out.items():
+        edges[colour_of[r]].append(e >> 2)
     black_roots = tuple(f for f in t.black_faces if f not in parent)
     white_roots = tuple(f for f in t.white_faces if f not in parent)
     if not black_roots or not white_roots:
@@ -625,7 +629,7 @@ def forests_to_matching(t: TaitGraph, f: ForestPair) -> Matching:
             raise InvalidForest("roots must pick one vertex per component")
     edges.sort()
     x = Matching(tuple(edges))
-    _validate(t, x)
+    _checked(t.edge_region, x.edges)
     return x
 
 

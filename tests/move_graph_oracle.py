@@ -37,7 +37,6 @@ from knotmorse.states import (
     Matching,
     enumerate_matchings,
     kauffman_states,
-    matched_regions,
 )
 
 _COLOUR_NAME = {BLACK: "black", WHITE: "white"}
@@ -68,7 +67,7 @@ def oracle_click_tree(
     InvariantViolation unless exactly one region of the colour is unmatched
     and its component of the induced colour subgraph is a tree.
     """
-    mr = matched_regions(t, x)
+    mr = {t.edge_region[e]: e for e in x.edges}
     faces = t.black_faces if colour == BLACK else t.white_faces
     unmatched = [f for f in faces if f not in mr]
     if len(unmatched) != 1:

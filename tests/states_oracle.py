@@ -17,9 +17,8 @@ from knotmorse.states import (
     ForestPair,
     JordanResolution,
     Matching,
-    _validate,
+    _checked,
     is_admissible,
-    matched_regions,
     monochromatic_loops,
 )
 from move_graph_oracle import edge_to_region
@@ -89,13 +88,13 @@ def oracle_jordan_resolution(d: Diagram, x: Matching) -> JordanResolution:
 
 
 def oracle_induced_forests(t: TaitGraph, x: Matching) -> ForestPair:
-    _validate(t, x)
+    _checked(t.edge_region, x.edges)
     loops = monochromatic_loops(t, x)
     if loops:
         raise NotAcyclic("matching supports %d monochromatic loop(s)" % len(loops))
     if not is_admissible(t, x):
         raise NotAdmissible("no unmatched region in some colour")
-    mr = matched_regions(t, x)
+    mr = {t.edge_region[e]: e for e in x.edges}
     out: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     for colour, faces in ((BLACK, t.black_faces), (WHITE, t.white_faces)):
         edges = tuple(
@@ -175,5 +174,5 @@ def oracle_forests_to_matching(t: TaitGraph, f: ForestPair) -> Matching:
     if len(set(edges)) != len(edges):
         raise ValueError("duplicate edge ids in matching")
     x = Matching(tuple(sorted(edges)))
-    _validate(t, x)
+    _checked(t.edge_region, x.edges)
     return x

@@ -84,15 +84,14 @@ def _component_shapes(vertices, edges):
 
 
 def _is_path_graph(n_nodes, edges):
+    # one component, a tree (one edge fewer than nodes), no degree above 2
     if n_nodes <= 1:
         return True
-    if len(edges) != n_nodes - 1:
-        return False
     degree = [0] * n_nodes
     for a, b in edges:
         degree[a] += 1
         degree[b] += 1
-    return sorted(degree)[:2] == [1, 1] and max(degree) == 2
+    return _component_shapes(range(n_nodes), edges) == [(n_nodes, n_nodes - 1)] and max(degree) <= 2
 
 
 def test_criterion_01_marked_state_counts():

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from itertools import permutations
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from knotmorse.diagram import build_tait, parse_pd
 from knotmorse.errors import InvariantViolation, ResourceLimit
 from knotmorse.moves import (
     MOVE_KINDS,
+    Move,
     build_move_graph,
     click_path_avoidance,
     move_graph_to_dict,
@@ -271,6 +273,32 @@ def test_moves_kauffman_marked_fig8_is_a_path_of_5(capsys):
     assert payload["connected"] is True
     assert payload["components"] == 1
     assert payload["path_graph"] is True
+
+
+def test_is_path_graph_needs_a_connected_graph():
+    path_and_cycle = [(0, 1), (2, 3), (3, 4), (2, 4)]  # 4 edges on 5 nodes, degrees <= 2
+    assert not cli._is_path_graph(5, path_and_cycle, connected=False)
+    assert cli._is_path_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)], connected=True)
+    assert not cli._is_path_graph(4, [(0, 1), (0, 2), (0, 3)], connected=True)  # a star
+    assert not cli._is_path_graph(3, [(0, 1), (1, 2), (0, 2)], connected=True)  # a cycle
+    assert cli._is_path_graph(0, [], connected=True)
+    assert cli._is_path_graph(1, [], connected=True)
+
+
+def test_moves_connectivity_says_a_path_plus_a_cycle_is_no_path_graph(capsys, monkeypatch):
+    real = cli.build_move_graph
+
+    def path_and_cycle(*args, **kwargs):
+        mg = real(*args, **kwargs)
+        move = Move("click_loop", (0,))
+        edges = tuple((i, j, move) for i, j in ((0, 1), (2, 3), (2, 4), (3, 4)))
+        return replace(mg, nodes=mg.nodes[:5], edges=edges)
+
+    monkeypatch.setattr(cli, "build_move_graph", path_and_cycle)
+    code, payload = run(capsys, "moves", "4_1", "--population", "perfect_dmfs", "--connectivity")
+    assert code == 0
+    assert (payload["connected"], payload["components"]) == (False, 2)
+    assert payload["path_graph"] is False
 
 
 def test_moves_kauffman_without_mark_exits_2(capsys):
@@ -561,6 +589,41 @@ def test_selftest_kpw_image_sees_a_missing_tree_simplex(capsys, monkeypatch):
     code, payload = run(capsys, "selftest", "--max-crossings", "3")
     assert code == 4
     assert payload == {"check": "kpw_image", "counterexample": {"diagram": "3_1"}}
+
+
+def test_selftest_hands_each_check_to_the_executor_map(capsys, monkeypatch):
+    # A benchmark swaps cli.ThreadPoolExecutor for a pool that times each
+    # check on its own: it reads the name from ((name, check), report) pairs
+    # handed to map, one pair per check, in check order.
+    handed = []
+
+    class Recording:
+        def __init__(self, max_workers=None):
+            assert max_workers == 1
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            outcomes = []
+            for args in zip(*iterables):
+                handed.append(args)
+                outcomes.append(fn(*args))
+            return iter(outcomes)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", Recording)
+    code, payload = run(capsys, "selftest", "--max-crossings", "3")
+    assert code == 0 and payload["all_passed"] is True
+    assert [len(args) for args in handed] == [1] * len(handed)
+    names = [name for name, _ in cli._selftest_checks(3)]
+    assert [args[0][0][0] for args in handed] == names
+    for ((name, check), report), in handed:
+        assert callable(check) and report["name"] == name
+    # the reports handed over are the ones printed, filled in by the checks
+    assert [args[0][1] for args in handed] == payload["checks"]
 
 
 # ---------------------------------------------------------------------------

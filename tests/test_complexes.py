@@ -942,6 +942,16 @@ def test_figure_eight_is_simply_connected_by_the_bound():
 
 
 @pytest.mark.parametrize("name", corpus_names())
+def test_connectivity_report_guarantees_are_the_face_degree_inequalities(name):
+    d = get_entry(name).diagram
+    n, f = d.n_crossings, max(face.degree for face in d.faces)
+    report = connectivity_report(d)
+    assert (report["crossings"], report["max_face_degree"]) == (n, f)
+    assert report["connected_guaranteed"] == (4 * n >= 2 * f + 1)
+    assert report["simply_connected_guaranteed"] == (4 * n >= 4 * f + 1)
+
+
+@pytest.mark.parametrize("name", corpus_names())
 def test_betti_numbers_vanish_through_the_guaranteed_range(name):
     d = get_entry(name).diagram
     bound = connectivity_bound(d)

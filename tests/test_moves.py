@@ -698,12 +698,36 @@ def test_move_graph_validates_and_maps_each_node_once(monkeypatch):
     t = oracle_tait("R[3, 2, 3]")
     validated, mapped = [], []
     real_checked, real_map = states._checked, moves._node_map
-    monkeypatch.setattr(states, "_checked", lambda r, edges: validated.append(edges) or real_checked(r, edges))
+
+    def checked(region_of, edges):
+        validated.append(edges)
+        return real_checked(region_of, edges)
+
+    # moves imports the validator by name, so both bindings count
+    monkeypatch.setattr(states, "_checked", checked)
+    monkeypatch.setattr(moves, "_checked", checked)
     monkeypatch.setattr(moves, "_node_map", lambda t, x: mapped.append(x) or real_map(t, x))
     mg = build_move_graph(t, "perfect_admissible")
     assert len(mg.nodes) == 768
     assert sorted(validated) == sorted(x.edges for x in mg.nodes)
     assert sorted(mapped) == sorted(mg.nodes)
+    # the public click path functions validate and map their input once and
+    # validate each matching they build once, with no step or up to two
+    step_counts = set()
+    for x in mg.nodes[:40]:
+        validated.clear(), mapped.clear()
+        built = [y for _, y in click_path_moves(t, x)]
+        assert sorted(validated) == sorted([x.edges] + [y.edges for y in built])
+        assert mapped == [x]
+        if not is_dmf(t, x):
+            continue
+        for v_b, v_w in product(t.black_faces, t.white_faces):
+            validated.clear(), mapped.clear()
+            steps = two_click_connect(t, x, v_b, v_w)
+            assert sorted(validated) == sorted([x.edges] + [y.edges for _, y in steps])
+            assert mapped == [x]
+            step_counts.add(len(steps))
+    assert step_counts == {0, 1, 2}
 
 
 @pytest.mark.parametrize("name", [*corpus_names(), "T(2,9)"] + ["R%s" % list(v) for v in CENSUS_POOL])
@@ -789,9 +813,9 @@ def test_click_path_needs_one_unmatched_region_per_colour(monkeypatch):
     real = moves._node_map
 
     def first_region_lost(t, x):
-        mask, out, step = real(t, x)
+        out, step = real(t, x)
         kept = list(out)[1:]
-        return mask, {r: out[r] for r in kept}, {r: step[r] for r in kept}
+        return {r: out[r] for r in kept}, {r: step[r] for r in kept}
 
     monkeypatch.setattr(moves, "_node_map", first_region_lost)
     with pytest.raises(InvariantViolation, match="unmatched"):

@@ -37,7 +37,7 @@ from knotmorse import cli, moves, states
 from knotmorse.corpus import corpus_names, get_entry, rational_pd, torus_pd
 from knotmorse.diagram import BLACK
 from knotmorse.errors import InvariantViolation
-from knotmorse.states import _maximal_stream, amended_poset_acyclic, matched_regions, matching_to_dict
+from knotmorse.states import _maximal_stream, amended_poset_acyclic, matching_to_dict
 from states_oracle import (
     oracle_amended_poset_acyclic,
     oracle_forests_to_matching,
@@ -342,7 +342,7 @@ def test_induced_forests_requires_acyclic():
 def test_induced_forests_component_without_a_root_raises(monkeypatch):
     # With the loop check bypassed, the loop's component has no free region.
     d, t = setup(FIG8)
-    monkeypatch.setattr(states, "is_dmf", lambda t, x: True)
+    monkeypatch.setattr(states, "_loop_closings", lambda step: iter(()))
     with pytest.raises(InvariantViolation, match="one unmatched region"):
         induced_forests(t, Matching((1, 5, 8, 12)))
 
@@ -446,6 +446,10 @@ def test_matching_to_dict():
     dd = matching_to_dict(t, Matching((2, 4, 9)))
     assert dd["perfect"] and dd["admissible"] and dd["acyclic"] and dd["maximal"]
     assert dd["critical"] == {"black": [1], "crossings": [], "white": [0]}
+    # the fields read off the critical cells agree with the predicates
+    for m in enumerate_matchings(t, "all"):
+        dd = matching_to_dict(t, m)
+        assert (dd["perfect"], dd["admissible"]) == (is_perfect(t, m), is_admissible(t, m))
 
 
 # -- the int-indexed kernels against the package's original ones -----------
@@ -526,10 +530,13 @@ def test_jordan_resolutions_are_frozen():
     assert digest.hexdigest() == FROZEN_RESOLUTIONS
 
 
-@pytest.mark.parametrize("edges", [(0, 1), (0, 99), (0, 6)], ids=["crossing", "range", "region"])
-@pytest.mark.parametrize("kernel", ["jordan_resolution", "amended_poset_acyclic", "is_dmf"])
+@pytest.mark.parametrize("edges", [(0, 1), (0, 99), (0, 6), (-1,)],
+                         ids=["crossing", "range", "region", "negative"])
+@pytest.mark.parametrize("kernel", ["jordan_resolution", "amended_poset_acyclic", "is_dmf",
+                                    "is_admissible", "is_maximal", "is_perfect"])
 def test_kernels_reject_invalid_matchings_like_validate(kernel, edges):
-    # on 3_1: crossing 0 twice, an edge id past 11, region 1 twice (edges 0, 6)
+    # on 3_1: crossing 0 twice, an edge id past 11, region 1 twice (edges 0, 6),
+    # and an id that would read the region table from its end
     t = build_tait(get_entry("3_1").diagram)
     x = Matching(edges)
     with pytest.raises(ValueError) as want:
@@ -547,10 +554,18 @@ def test_checked_rejects_a_negative_edge_id_and_accepts_the_empty_matching():
         states._checked(t.edge_region, (-1,))
     with pytest.raises(ValueError, match="edge id -4 out of range"):
         states._checked(t.edge_region, (0, -4))
-    assert states._checked(t.edge_region, ()) is None
+    assert states._checked(t.edge_region, ()) == (0, 0)
     empty = Matching(())
     assert amended_poset_acyclic(t, empty) and is_admissible(t, empty)
     assert jordan_resolution(d, empty).count == 1
+
+
+def test_checked_returns_the_masks_of_the_matched_crossings_and_regions():
+    _, t = setup(FIG8)
+    for m in enumerate_matchings(t, "all"):
+        crossings, regions = states._checked(t.edge_region, m.edges)
+        assert crossings == sum(1 << e // 4 for e in m.edges)
+        assert regions == sum(1 << t.edge_region[e] for e in m.edges)
 
 
 def test_kink_parallel_arrows_survive_a_flip():
