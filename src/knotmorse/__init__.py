@@ -47,11 +47,11 @@ from .corpus import (
     torus_pd,
 )
 from .counting import (
-    IntegerMatrix,
     count_all_dmfs,
     count_perfect_dmfs,
     count_spanning_trees,
     count_via_enumeration,
+    det,
     fibonacci_family_count,
     laplacian,
     spanning_trees,

@@ -128,7 +128,10 @@ def rational_pd(twists: Sequence[int]) -> str:
 
 
 def continued_fraction_determinant(twists: Sequence[int]) -> int:
-    """Numerator of a1 + 1/(a2 + 1/(...)), the determinant of the closure."""
+    """Numerator of a1 + 1/(a2 + 1/(...)), the determinant of the closure;
+    the vectors rational_pd accepts, else its ValueError."""
+    if not twists or any(a < 1 for a in twists):
+        raise ValueError("twist vector must be nonempty with positive entries")
     value = Fraction(twists[-1])
     for a in reversed(twists[:-1]):
         value = a + 1 / value

@@ -18,31 +18,29 @@ forest free on the other crossings, so
 
 where G_w - F keeps every white vertex and drops the edges of F's crossings.
 One colour's forests suffice because the determinant counts all the other
-colour's rooted forests at once; only one side is enumerated, over the 2^n
-crossing subsets.  The roles of the colours can be exchanged, and
-count_all_dmfs enumerates the colour graph with fewer vertices (black on a
-tie): its forests have fewer edges, so there are fewer of them, and T(2, m),
-a cycle against two vertices, then costs m + 1 determinants instead of
-2^m - 1.
+colour's rooted forests at once; only one side is enumerated, by the
+depth-first forest search that spanning_trees also reads.  The roles of the
+colours can be exchanged, and count_all_dmfs enumerates the colour graph
+with fewer vertices (black on a tie): its forests have fewer edges, so there
+are fewer of them, and T(2, m), a cycle against two vertices, then visits
+m + 1 forests instead of checking 2^m edge subsets.
 
-Everything is integer arithmetic: Bareiss elimination for determinants.  No
-floats anywhere.
+Everything is integer arithmetic: det is Bareiss elimination over plain
+integer rows.  No floats anywhere.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from itertools import combinations
 from math import prod
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .diagram import Diagram, PlaneGraph, UnionFind, build_tait, colour_graphs
 from .errors import InvariantViolation
 from .states import _dmf_sizes
 
 __all__ = [
-    "IntegerMatrix",
+    "det",
     "laplacian",
     "count_spanning_trees",
     "spanning_trees",
@@ -57,57 +55,35 @@ __all__ = [
 # Exact integer linear algebra
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IntegerMatrix:
-    """A dense square matrix of Python integers."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntegerMatrix":
-        rs = tuple(tuple(int(v) for v in row) for row in rows)
-        if any(len(r) != len(rs) for r in rs):
-            raise ValueError("matrix must be square")
-        return cls(rows=rs)
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def delete(self, i: int) -> "IntegerMatrix":
-        """Remove row i and column i."""
-        return IntegerMatrix(rows=tuple(row[:i] + row[i + 1:] for j, row in enumerate(self.rows) if j != i))
-
-    def det(self) -> int:
-        """Fraction-free Bareiss elimination; the empty matrix has det 1."""
-        n = self.n
-        if n == 0:
-            return 1
-        m = [list(r) for r in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
+def det(rows: Iterable[Iterable[int]]) -> int:
+    """Fraction-free Bareiss elimination on a copy of the rows; the empty
+    matrix has det 1.  ValueError unless the rows are square."""
+    m = [list(row) for row in rows]
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix must be square")
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
             for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
-def _nonloop_edges(g: PlaneGraph) -> list[int]:
-    return [e for e, (u, v) in enumerate(g.edge_ends) if u != v]
-
-
-def laplacian(g: PlaneGraph, edges: Iterable[int] | None = None) -> IntegerMatrix:
+def laplacian(g: PlaneGraph, edges: Iterable[int] | None = None) -> list[list[int]]:
     """L = D - A over the graph's vertex order, from the given edge ids (all
     of them by default); loop edges contribute nothing."""
     idx = g.vertex_index
@@ -123,30 +99,48 @@ def laplacian(g: PlaneGraph, edges: Iterable[int] | None = None) -> IntegerMatri
         m[v][v] += 1
         m[u][v] -= 1
         m[v][u] -= 1
-    return IntegerMatrix(rows=tuple(tuple(r) for r in m))
+    return m
 
 
 def count_spanning_trees(g: PlaneGraph) -> int:
     """Matrix-tree count: any principal minor of the Laplacian (1 when g
     has at most one vertex, the determinant of the empty matrix)."""
-    return laplacian(g).delete(0).det()
+    return det([row[1:] for row in laplacian(g)[1:]])
+
+
+def _forests(g: PlaneGraph) -> Iterator[tuple[tuple[int, ...], UnionFind]]:
+    """The spanning forests of g as sorted edge-id tuples in lexicographic
+    order, each beside the shared union-find of its components (over vertex
+    positions, valid until the next is drawn).  Edges join by ascending id, a
+    union that closes a cycle or loop prunes, and backtracking restores the
+    parent list saved before the union."""
+    idx = g.vertex_index
+    ends = [(idx[a], idx[b]) for a, b in g.edge_ends]
+    uf = UnionFind(g.n_vertices)
+    chosen: list[int] = []
+
+    def grow(start: int) -> Iterator[tuple[tuple[int, ...], UnionFind]]:
+        yield tuple(chosen), uf
+        for e in range(start, len(ends)):
+            saved = uf.parent[:]
+            if uf.union(*ends[e]):
+                chosen.append(e)
+                yield from grow(e + 1)
+                chosen.pop()
+                uf.parent = saved
+
+    return grow(0)
 
 
 def spanning_trees(g: PlaneGraph) -> tuple[tuple[int, ...], ...]:
-    """All spanning trees as sorted edge-id tuples, by exhaustive search.
+    """All spanning trees as sorted edge-id tuples, in lexicographic order:
+    the forests with |V| - 1 edges.
 
     Exponential in the edge count; meant for the desk-scale colour graphs
     where count_spanning_trees provides the cross-check.
     """
-    n = g.n_vertices
-    if n <= 1:
-        return ((),)
-    trees = []
-    for sub in combinations(_nonloop_edges(g), n - 1):
-        uf = UnionFind(g.vertices)
-        if all(uf.union(*g.edge_ends[e]) for e in sub):
-            trees.append(sub)
-    return tuple(trees)
+    size = max(g.n_vertices - 1, 0)
+    return tuple(forest for forest, _ in _forests(g) if len(forest) == size)
 
 
 def count_perfect_dmfs(d: Diagram) -> int:
@@ -158,25 +152,17 @@ def count_perfect_dmfs(d: Diagram) -> int:
     return tb * len(gb.vertices) * len(gw.vertices)
 
 
-def _rooted_forests(g: PlaneGraph, edges: Iterable[int]) -> int:
-    """Rooted spanning forests of g on the given edges: det(I + L)."""
-    rows = laplacian(g, edges).rows
-    return IntegerMatrix(
-        rows=tuple(tuple(v + (i == j) for j, v in enumerate(row)) for i, row in enumerate(rows))
-    ).det()
-
-
 def _forest_sum(g: PlaneGraph, other: PlaneGraph) -> int:
     """Sum of rho(F) * det(I + L(other - F)) over the forests F of g."""
-    crossings = range(g.n_edges)
+    vertices = range(g.n_vertices)
     total = 0
-    for mask in range(1 << g.n_edges):
-        uf = UnionFind(g.vertices)
-        # union is False on a loop edge or a cycle: then F is no forest
-        if not all(uf.union(*g.edge_ends[e]) for e in crossings if mask >> e & 1):
-            continue
-        rho = prod(Counter(map(uf.find, g.vertices)).values())
-        total += rho * _rooted_forests(other, [e for e in crossings if not mask >> e & 1])
+    for forest, uf in _forests(g):
+        rho = prod(Counter(map(uf.find, vertices)).values())
+        drop = set(forest)
+        rows = laplacian(other, [e for e in range(other.n_edges) if e not in drop])
+        for i, row in enumerate(rows):
+            row[i] += 1
+        total += rho * det(rows)
     return total
 
 

@@ -5,8 +5,8 @@ fails an operation's precondition and an exceeded size cap raise subclasses
 of KnotmorseError, so callers can catch that family at once.  Checks on
 plain arguments raise ValueError instead: an edge tuple that is not a
 matching (states._checked), an unknown filter, population or move kind, an
-id that is no region, root or arc, a matrix that is not square, or a size
-out of range (the corpus generators, fibonacci_family_count).  A failed
+id that is no region, root or arc, rows that are not square (counting.det),
+or a size out of range (the corpus generators, fibonacci_family_count).  A failed
 internal cross-check, which valid input should never reach, raises
 InvariantViolation; the CLI maps it to the invariant-violation exit code 4.
 """

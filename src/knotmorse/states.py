@@ -12,7 +12,8 @@ acyclic      the matching supports no monochromatic loop; acyclic matchings
 
 _checked validates a matching in one pass and returns the masks of its
 matched crossings and regions, which is_perfect, is_maximal, is_admissible
-and critical_cells read.
+and critical_cells read.  The bodies _maximal, _critical and _acyclic take
+the masks or the edges already checked, so matching_to_dict validates once.
 
 A monochromatic loop is a cycle in the overlay through regions of one colour
 only, alternating matched and unmatched edges with the matched ones in x.
@@ -21,7 +22,7 @@ e // 4 along edge e ^ 2, and the loops are the cycles of one map over both
 colours: each matched region r, matched by edge e, steps to region
 edge_region[e ^ 2].  _node_map validates a matching and builds that map with
 each region's matched edge beside it; is_dmf, which reads the map alone,
-builds it through _region_map.  One walker, _loop_closings, walks the map
+builds only that half, in _acyclic.  One walker, _loop_closings, walks the map
 from every matched region; a walk ends when it leaves the matched regions,
 reaches a region an earlier walk finished, or meets its own path, which
 closes a loop.  monochromatic_loops reads each loop off the region where it
@@ -155,7 +156,10 @@ def is_perfect(t: TaitGraph, x: Matching) -> bool:
 
 def is_maximal(t: TaitGraph, x: Matching) -> bool:
     """No overlay edge can be added (perfect states included)."""
-    crossings, regions = _checked(t.edge_region, x.edges)
+    return _maximal(t, *_checked(t.edge_region, x.edges))
+
+
+def _maximal(t: TaitGraph, crossings: int, regions: int) -> bool:
     return all(crossings >> (e >> 2) & 1 or regions >> r & 1 for e, r in enumerate(t.edge_region))
 
 
@@ -167,21 +171,26 @@ def is_admissible(t: TaitGraph, x: Matching) -> bool:
 
 def critical_cells(t: TaitGraph, x: Matching) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Unmatched (black regions, crossings, white regions), each sorted."""
-    crossings, regions = _checked(t.edge_region, x.edges)
+    return _critical(t, *_checked(t.edge_region, x.edges))
+
+
+def _critical(t: TaitGraph, crossings: int, regions: int) -> tuple[tuple[int, ...], ...]:
     black = tuple(f for f in t.black_faces if not regions >> f & 1)
     white = tuple(f for f in t.white_faces if not regions >> f & 1)
     return black, tuple(c for c in range(t.n_crossings) if not crossings >> c & 1), white
 
 
 def matching_to_dict(t: TaitGraph, x: Matching) -> dict:
-    """x's properties; perfect and admissible are read off its critical cells."""
-    black, crossings, white = critical_cells(t, x)
+    """x's properties from one validation; perfect and admissible are read
+    off its critical cells."""
+    masks = _checked(t.edge_region, x.edges)
+    black, crossings, white = _critical(t, *masks)
     return {
         "edges": list(x.edges),
         "perfect": not crossings,
-        "maximal": is_maximal(t, x),
+        "maximal": _maximal(t, *masks),
         "admissible": bool(black and white),
-        "acyclic": is_dmf(t, x),
+        "acyclic": _acyclic(t.edge_region, x.edges),
         "critical": {"black": list(black), "crossings": list(crossings), "white": list(white)},
     }
 
@@ -205,13 +214,6 @@ def _loop_closings(step: dict[int, int]) -> Iterator[int]:
             r = step[r]
         if walk_of.get(r) == start:
             yield r
-
-
-def _region_map(t: TaitGraph, x: Matching) -> dict[int, int]:
-    """The step half of _node_map, after validating x: is_dmf needs no more."""
-    _checked(t.edge_region, x.edges)
-    region_of = t.edge_region
-    return {region_of[e]: region_of[e ^ 2] for e in x.edges}
 
 
 def monochromatic_loops(t: TaitGraph, x: Matching) -> tuple[tuple[int, ...], ...]:
@@ -270,7 +272,13 @@ def amended_poset_acyclic(t: TaitGraph, x: Matching) -> bool:
 def is_dmf(t: TaitGraph, x: Matching) -> bool:
     """True iff x supports no monochromatic loop (the dMf condition); the
     walk stops at the first loop and builds none."""
-    return next(_loop_closings(_region_map(t, x)), None) is None
+    _checked(t.edge_region, x.edges)
+    return _acyclic(t.edge_region, x.edges)
+
+
+def _acyclic(region_of: tuple[int, ...], edges: tuple[int, ...]) -> bool:
+    """is_dmf on validated edges: the walk over the step half of _node_map."""
+    return next(_loop_closings({region_of[e]: region_of[e ^ 2] for e in edges}), None) is None
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from knotmorse import (
 from knotmorse import complexes
 from knotmorse.complexes import IndependenceComplex
 from knotmorse.corpus import rational_pd, torus_pd
-from knotmorse.counting import IntegerMatrix
+from knotmorse.counting import det
 from knotmorse.diagram import build_diagram, parse_pd
 from knotmorse.errors import InvariantViolation, ResourceLimit
 from knotmorse.moves import click_path_moves, clock_moves
@@ -279,7 +279,7 @@ def determinantal_divisors(rows):
         g = 0
         for rs in combinations(range(n_r), k):
             for cs in combinations(range(n_c), k):
-                g = gcd(g, IntegerMatrix.from_rows([[rows[i][j] for j in cs] for i in rs]).det())
+                g = gcd(g, det([[rows[i][j] for j in cs] for i in rs]))
         divisors.append(g)
     return divisors
 
@@ -1022,9 +1022,35 @@ def test_matching_tree_counts_its_live_flows_against_the_cap(monkeypatch):
 # Spanning tree enumeration
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", SIX_OR_LESS)
-def test_spanning_tree_enumeration_matches_the_determinant_count(name):
-    for g in colour_graphs(get_entry(name).diagram):
+def reaches_every_vertex(g, edges):
+    """Whether a search from the first vertex over the edges meets them all."""
+    adjacent = {v: [] for v in g.vertices}
+    for e in edges:
+        a, b = g.edge_ends[e]
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    seen, stack = {g.vertices[0]}, [g.vertices[0]]
+    while stack:
+        for w in adjacent[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen == set(g.vertices)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [get_entry(name).diagram for name in corpus_names()]
+    + [build_diagram(parse_pd(torus_pd(9))), build_diagram(parse_pd(rational_pd([2, 2, 2, 2])))],
+    ids=[*corpus_names(), "T(2,9)", "R(2,2,2,2)"],
+)
+def test_spanning_tree_enumeration_matches_the_determinant_count(d):
+    for g in colour_graphs(d):
         trees = spanning_trees(g)
-        assert len(trees) == len(set(trees))
+        assert list(trees) == sorted(set(trees))  # distinct, in lexicographic order
         assert len(trees) == count_spanning_trees(g)
+        for tree in trees:
+            # |V| - 1 distinct edges, sorted, that reach every vertex: a tree
+            assert list(tree) == sorted(set(tree)) and set(tree) <= set(range(g.n_edges))
+            assert len(tree) == g.n_vertices - 1
+            assert reaches_every_vertex(g, tree)

@@ -217,6 +217,12 @@ def test_continued_fraction_determinants():
     assert continued_fraction_determinant([3, 2]) == 7
     assert continued_fraction_determinant([2, 1, 1, 2]) == 13
     assert continued_fraction_determinant([2, 1, 1, 1, 2]) == 21
+    # rational_pd's vectors only: nonempty, positive entries
+    for bad in ([], [1, 0], [0], [2, -1]):
+        with pytest.raises(ValueError, match="twist vector must be nonempty with positive entries"):
+            continued_fraction_determinant(bad)
+        with pytest.raises(ValueError, match="twist vector must be nonempty with positive entries"):
+            rational_pd(bad)
 
 
 def test_generated_determinants_match_closed_form():

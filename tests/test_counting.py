@@ -14,11 +14,11 @@ from knotmorse import build_diagram, colour_graphs, parse_pd
 from knotmorse import counting
 from knotmorse.corpus import corpus_names, get_entry, rational_pd, torus_pd
 from knotmorse.counting import (
-    IntegerMatrix,
     count_all_dmfs,
     count_perfect_dmfs,
     count_spanning_trees,
     count_via_enumeration,
+    det,
     fibonacci_family_count,
     laplacian,
 )
@@ -32,23 +32,18 @@ def diagram(name):
 def char_poly(m):
     """Coefficients of det(t*I - M), leading first, by exact interpolation.
 
-    The polynomial is monic of degree n; evaluating it with IntegerMatrix.det
-    at n+1 integer points and solving with Fractions keeps everything exact
-    (the result is checked monic and integral).
+    The polynomial is monic of degree n; evaluating it with counting.det at
+    n+1 integer points and solving with Fractions keeps everything exact (the
+    result is checked monic and integral).
     """
-    n = m.n
+    n = len(m)
     if n == 0:
         return (1,)
     xs = list(range(n + 1))
     ys = []
     for t in xs:
-        shifted = IntegerMatrix(
-            rows=tuple(
-                tuple((t if i == j else 0) - m.rows[i][j] for j in range(n))
-                for i in range(n)
-            )
-        )
-        ys.append(shifted.det())
+        shifted = [[(t if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)]
+        ys.append(counting.det(shifted))
     # Newton's divided differences, then expand to monomial coefficients.
     divided = [Fraction(y) for y in ys]
     for level in range(1, n + 1):
@@ -75,58 +70,66 @@ def char_poly(m):
 # -- integer matrices ------------------------------------------------------
 
 def test_matrix_must_be_square():
-    with pytest.raises(ValueError):
-        IntegerMatrix.from_rows([[1, 2]])
+    with pytest.raises(ValueError, match="matrix must be square"):
+        det([[1, 2]])
+    with pytest.raises(ValueError, match="matrix must be square"):
+        det([[1, 2], [3]])
 
 
 def test_bareiss_determinants():
-    assert IntegerMatrix.from_rows([]).det() == 1
-    assert IntegerMatrix.from_rows([[7]]).det() == 7
-    assert IntegerMatrix.from_rows([[1, 2], [3, 4]]).det() == -2
-    assert IntegerMatrix.from_rows([[0, 1], [1, 0]]).det() == -1  # needs a swap
-    assert IntegerMatrix.from_rows([[1, 2], [2, 4]]).det() == 0
-    big = IntegerMatrix.from_rows(
-        [[10**12, 1, 0], [1, 10**12, 1], [0, 1, 10**12]]
-    )
+    assert det([]) == 1
+    assert det([[7]]) == 7
+    assert det([[1, 2], [3, 4]]) == -2
+    assert det([[0, 1], [1, 0]]) == -1  # needs a swap
+    assert det([[1, 2], [2, 4]]) == 0
+    assert det(((1, 2), (3, 4))) == -2  # any rows of integers
+    big = [[10**12, 1, 0], [1, 10**12, 1], [0, 1, 10**12]]
     x = 10**12
-    assert big.det() == x**3 - 2 * x  # exact, no overflow
+    assert det(big) == x**3 - 2 * x  # exact, no overflow
+
+
+def test_det_leaves_its_input_alone():
+    rows = [[0, 1, 2], [3, 4, 5], [6, 7, 9]]
+    copy = [list(row) for row in rows]
+    assert det(rows) == -3
+    assert rows == copy
 
 
 def test_trefoil_laplacians():
     gb, gw = colour_graphs(diagram("3_1"))
-    assert laplacian(gb).rows == ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))
-    assert laplacian(gw).rows == ((3, -3), (-3, 3))
+    assert laplacian(gb) == [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
+    assert laplacian(gw) == [[3, -3], [-3, 3]]
 
 
 def test_laplacian_ignores_loops():
     gb, gw = colour_graphs(diagram("kink"))
-    assert laplacian(gb).rows == ((0,),)
-    assert laplacian(gw).rows == ((1, -1), (-1, 1))
+    assert laplacian(gb) == [[0]]
+    assert laplacian(gw) == [[1, -1], [-1, 1]]
 
 
 def test_laplacian_of_an_edge_subset():
     gb, gw = colour_graphs(diagram("3_1"))
-    assert laplacian(gb, iter([0])).rows == ((1, -1, 0), (-1, 1, 0), (0, 0, 0))
-    assert laplacian(gb, []).rows == ((0, 0, 0),) * 3
-    assert laplacian(gw, [1, 2]).rows == ((2, -2), (-2, 2))
+    assert laplacian(gb, iter([0])) == [[1, -1, 0], [-1, 1, 0], [0, 0, 0]]
+    assert laplacian(gb, []) == [[0, 0, 0]] * 3
+    assert laplacian(gw, [1, 2]) == [[2, -2], [-2, 2]]
     assert laplacian(gb, range(gb.n_edges)) == laplacian(gb)
     _, gw = colour_graphs(diagram("kink"))
-    assert laplacian(gw, [0]).rows == ((1, -1), (-1, 1))
+    assert laplacian(gw, [0]) == [[1, -1], [-1, 1]]
 
 
 def test_laplacian_shape_invariants():
     for name in ("3_1", "4_1", "6_2", "7_4"):
         for g in colour_graphs(diagram(name)):
             L = laplacian(g)
-            assert all(sum(row) == 0 for row in L.rows)
-            assert L.rows == tuple(zip(*L.rows))  # symmetric
+            assert all(sum(row) == 0 for row in L)
+            assert L == [list(column) for column in zip(*L)]  # symmetric
 
 
 def test_char_poly_frozen():
     gb, gw = colour_graphs(diagram("3_1"))
     assert char_poly(laplacian(gb)) == (1, -6, 9, 0)  # t(t-3)^2
     assert char_poly(laplacian(gw)) == (1, -6, 0)  # t(t-6)
-    assert char_poly(IntegerMatrix.from_rows([])) == (1,)
+    assert char_poly([]) == (1,)
 
 
 # -- spanning trees and perfect counts -------------------------------------
@@ -225,7 +228,7 @@ def test_char_poly_coefficients_count_weighted_forests():
             by_size = {}
             for mono, c in p.coeffs.items():
                 by_size[len(mono)] = by_size.get(len(mono), 0) + c
-            for k in range(L.n + 1):
+            for k in range(len(L) + 1):
                 assert abs(coeffs[k]) == by_size.get(k, 0)
 
 
@@ -342,9 +345,9 @@ def test_forest_determinant_disagreement_raises(monkeypatch):
 @pytest.mark.parametrize("dets", [(0, 0, 1), (0, 0, 4)])
 def test_char_poly_fault_raises(monkeypatch, dets):
     values = iter(dets)
-    monkeypatch.setattr(IntegerMatrix, "det", lambda self: next(values))
+    monkeypatch.setattr(counting, "det", lambda rows: next(values))
     with pytest.raises(InvariantViolation, match="monic and integral"):
-        char_poly(IntegerMatrix(rows=((0, 0), (0, 0))))
+        char_poly([[0, 0], [0, 0]])
 
 
 def test_fibonacci_rejects_nonpositive():

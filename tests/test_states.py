@@ -446,10 +446,25 @@ def test_matching_to_dict():
     dd = matching_to_dict(t, Matching((2, 4, 9)))
     assert dd["perfect"] and dd["admissible"] and dd["acyclic"] and dd["maximal"]
     assert dd["critical"] == {"black": [1], "crossings": [], "white": [0]}
-    # the fields read off the critical cells agree with the predicates
+    # every field agrees with the public predicate it stands for
     for m in enumerate_matchings(t, "all"):
         dd = matching_to_dict(t, m)
         assert (dd["perfect"], dd["admissible"]) == (is_perfect(t, m), is_admissible(t, m))
+        assert (dd["maximal"], dd["acyclic"]) == (is_maximal(t, m), is_dmf(t, m))
+        black, crossings, white = critical_cells(t, m)
+        assert dd["critical"] == {"black": list(black), "crossings": list(crossings), "white": list(white)}
+
+
+def test_matching_to_dict_validates_each_matching_once(monkeypatch):
+    t = build_tait(get_entry("4_1").diagram)
+    xs = list(enumerate_matchings(t, "all"))
+    validated = []
+    real_checked = states._checked
+    monkeypatch.setattr(states, "_checked", lambda region_of, edges: validated.append(edges)
+                        or real_checked(region_of, edges))
+    for x in xs:
+        matching_to_dict(t, x)
+    assert validated == [x.edges for x in xs]
 
 
 # -- the int-indexed kernels against the package's original ones -----------
@@ -533,7 +548,8 @@ def test_jordan_resolutions_are_frozen():
 @pytest.mark.parametrize("edges", [(0, 1), (0, 99), (0, 6), (-1,)],
                          ids=["crossing", "range", "region", "negative"])
 @pytest.mark.parametrize("kernel", ["jordan_resolution", "amended_poset_acyclic", "is_dmf",
-                                    "is_admissible", "is_maximal", "is_perfect"])
+                                    "is_admissible", "is_maximal", "is_perfect",
+                                    "critical_cells", "matching_to_dict"])
 def test_kernels_reject_invalid_matchings_like_validate(kernel, edges):
     # on 3_1: crossing 0 twice, an edge id past 11, region 1 twice (edges 0, 6),
     # and an id that would read the region table from its end
