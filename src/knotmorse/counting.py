@@ -19,7 +19,8 @@ forest free on the other crossings, so
 where G_w - F keeps every white vertex and drops the edges of F's crossings.
 One colour's forests suffice because the determinant counts all the other
 colour's rooted forests at once; only one side is enumerated, by the
-depth-first forest search that spanning_trees also reads.  The roles of the
+depth-first forest search that spanning_trees also reads (there it drops
+every branch that can no longer grow to a tree).  The roles of the
 colours can be exchanged, and count_all_dmfs enumerates the colour graph
 with fewer vertices (black on a tie): its forests have fewer edges, so there
 are fewer of them, and T(2, m), a cycle against two vertices, then visits
@@ -108,12 +109,14 @@ def count_spanning_trees(g: PlaneGraph) -> int:
     return det([row[1:] for row in laplacian(g)[1:]])
 
 
-def _forests(g: PlaneGraph) -> Iterator[tuple[tuple[int, ...], UnionFind]]:
+def _forests(g: PlaneGraph, size: int = 0) -> Iterator[tuple[tuple[int, ...], UnionFind]]:
     """The spanning forests of g as sorted edge-id tuples in lexicographic
     order, each beside the shared union-find of its components (over vertex
     positions, valid until the next is drawn).  Edges join by ascending id, a
     union that closes a cycle or loop prunes, and backtracking restores the
-    parent list saved before the union."""
+    parent list saved before the union.  A branch whose edges left can no
+    longer make up size edges is dropped: size 0 yields every forest, and
+    size |V| - 1 every tree with only the forests on the way to one."""
     idx = g.vertex_index
     ends = [(idx[a], idx[b]) for a, b in g.edge_ends]
     uf = UnionFind(g.n_vertices)
@@ -121,7 +124,8 @@ def _forests(g: PlaneGraph) -> Iterator[tuple[tuple[int, ...], UnionFind]]:
 
     def grow(start: int) -> Iterator[tuple[tuple[int, ...], UnionFind]]:
         yield tuple(chosen), uf
-        for e in range(start, len(ends)):
+        # edge e leaves len(ends) - e - 1 edges to fill size - len(chosen) - 1
+        for e in range(start, min(len(ends), len(ends) + len(chosen) + 1 - size)):
             saved = uf.parent[:]
             if uf.union(*ends[e]):
                 chosen.append(e)
@@ -134,13 +138,14 @@ def _forests(g: PlaneGraph) -> Iterator[tuple[tuple[int, ...], UnionFind]]:
 
 def spanning_trees(g: PlaneGraph) -> tuple[tuple[int, ...], ...]:
     """All spanning trees as sorted edge-id tuples, in lexicographic order:
-    the forests with |V| - 1 edges.
+    the forests with |V| - 1 edges, from a search that walks only the
+    forests on the way to one.
 
     Exponential in the edge count; meant for the desk-scale colour graphs
     where count_spanning_trees provides the cross-check.
     """
     size = max(g.n_vertices - 1, 0)
-    return tuple(forest for forest, _ in _forests(g) if len(forest) == size)
+    return tuple(forest for forest, _ in _forests(g, size) if len(forest) == size)
 
 
 def count_perfect_dmfs(d: Diagram) -> int:

@@ -11,7 +11,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knotmorse import (
@@ -422,12 +422,68 @@ def assert_acyclic_morse_matching(cells, critical, up, betti, column):
     assert alternating == 0, (column, morse, betti)
 
 
-@pytest.mark.parametrize("name", corpus_names())
-def test_element_matching_is_acyclic_and_meets_the_morse_inequalities(name):
+def ascending_order(facets):
+    """Every vertex bit by rank: a second order for the element matching,
+    acyclic as any order is, with other critical cells."""
+    return [1 << i for i in range(len({v for f in facets for v in f}))]
+
+
+# homology's order, and a second one
+ELEMENT_ORDERS = {"degree": complexes._element_order, "ascending": ascending_order}
+
+
+def element_matching(c, order):
+    """(cells, critical cells, pairs lower -> upper) of the element matching
+    on the face closure of c, over the vertex bits order takes from c's
+    facets."""
+    levels = [{0}, *c.faces()]
+    return (set().union(*levels),
+            *complexes._element_matching(ELEMENT_ORDERS[order](c.facets), levels))
+
+
+@pytest.mark.parametrize(
+    "name, order",
+    [pytest.param(name, order, id=name if order == "degree" else "%s-%s" % (name, order))
+     for order in ELEMENT_ORDERS for name in corpus_names()],
+)
+def test_element_matching_is_acyclic_and_meets_the_morse_inequalities(name, order):
     for column, c, plain in closure_columns(get_entry(name).diagram):
-        levels = [{0}, *plain.faces()]
-        critical, up = complexes._element_matching(len(levels[1]), levels)
-        assert_acyclic_morse_matching(set().union(*levels), critical, up, homology(c).betti, column)
+        assert_acyclic_morse_matching(*element_matching(plain, order), homology(c).betti, column)
+
+
+@pytest.mark.parametrize("m", range(3, 10))
+def test_torus_morse_element_matching_is_perfect(m):
+    # as many critical cells of each size as the betti number one degree down
+    c = morse_complex(build_tait(build_diagram(parse_pd(torus_pd(m)))))
+    _, critical, _ = element_matching(c, "degree")
+    sizes = [0] * (c.dimension + 2)
+    for x in critical:
+        sizes[x.bit_count()] += 1
+    assert tuple(sizes) == (0,) + homology(c).betti
+
+
+@st.composite
+def facet_sets(draw, max_vertices=7):
+    """Pairwise non-contained facets on at most max_vertices vertices, named
+    with gaps so that a vertex's rank is not its name."""
+    n = draw(st.integers(1, max_vertices))
+    names = draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n, unique=True))
+    masks = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=12))
+    return pairwise_maximal_facets(tuple(names[i] for i in range(n) if m >> i & 1) for m in masks)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(facets=facet_sets())
+@example(facets=RP2)  # torsion: Z/2 in degree 1
+def test_both_element_orders_agree_with_the_oracle_on_random_facets(facets):
+    c = SimplicialComplex(facets)
+    expected = oracle_homology(c)
+    for order in ELEMENT_ORDERS:
+        assert_acyclic_morse_matching(*element_matching(c, order), expected.betti, order)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(complexes, "_element_order", ELEMENT_ORDERS[order])
+            got = homology(c)
+        assert (got.betti, got.torsion) == (expected.betti, expected.torsion), order
 
 
 # ---------------------------------------------------------------------------

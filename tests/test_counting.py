@@ -149,6 +149,29 @@ def test_single_vertex_with_loop_has_one_tree():
     assert count_spanning_trees(gb) == 1
 
 
+def test_spanning_trees_of_a_cycle_visit_few_forests(monkeypatch):
+    # the black graph of T(2, 13) is a 13-cycle, whose 13 trees each drop one
+    # edge; every forest but the empty one comes from one successful union
+    visited = [1]
+
+    class CountingUnionFind(counting.UnionFind):
+        def union(self, a, b):
+            joined = super().union(a, b)
+            visited[0] += joined
+            return joined
+
+    monkeypatch.setattr(counting, "UnionFind", CountingUnionFind)
+    black = colour_graphs(build_diagram(parse_pd(torus_pd(13))))[0]
+    assert (black.n_vertices, black.n_edges) == (13, 13)
+    assert counting.spanning_trees(black) == tuple(
+        tuple(e for e in range(13) if e != dropped) for dropped in reversed(range(13)))
+    # the empty forest and those with at most one edge skipped before their
+    # last, 1 + 2 + ... + 13, against all 2^13 - 1 forests of the cycle
+    assert visited[0] <= 1 + 13 * 14 // 2
+    # the matrix-forest sum still walks every forest
+    assert sum(1 for _ in counting._forests(black)) == 2 ** 13 - 1
+
+
 def test_tree_cotree_duality_across_corpus():
     for name in ("3_1", "4_1", "5_1", "5_2", "6_1", "6_2", "6_3", "7_3", "7_7"):
         gb, gw = colour_graphs(diagram(name))
