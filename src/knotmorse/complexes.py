@@ -19,16 +19,25 @@ decreasing order of the number of facets that hold the vertex, so the
 apexes of the largest cones go first.  The boundary between the
 critical cells follows the gradient paths (Forman), and the boundaries
 between critical cells of adjacent sizes go through a dense Smith normal
-form, so torsion is exact.  The KNOTMORSE_MAX_FACES cap bounds the faces of
-the closure, or the matching tree's nodes plus the flows live for one size
-of critical cell; ResourceLimit is raised before allocating past it.
+form, so torsion is exact.
+
+One closure can serve several complexes: _closure builds the faces of all
+their facets level by level over one vertex-bit map, tagging each face
+with one bit per complex that holds it, and SimplicialComplex.faces() is
+its one-complex case.  shared_closure_homology matches each complex on the
+faces with its tag, in its own element order mapped through the shared
+vertex bits; the map is monotone, so masks keep their integer order and
+the critical cells, boundaries and Smith inputs are those of the complex
+alone.  The KNOTMORSE_MAX_FACES cap bounds the faces the closure stores, or
+the matching tree's nodes plus the flows live for one size of critical
+cell; ResourceLimit is raised before allocating past it.
 """
 
 from __future__ import annotations
 
 import os
 from collections import Counter
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, KeysView, Sequence
 from dataclasses import dataclass
 from functools import partial
 
@@ -47,6 +56,7 @@ __all__ = [
     "pure_part",
     "pure_morse_from_trees",
     "homology",
+    "shared_closure_homology",
     "connectivity_bound",
     "connectivity_report",
     "DEFAULT_MAX_FACES",
@@ -83,7 +93,7 @@ class SimplicialComplex:
     def __init__(self, facets: Iterable[Iterable[int]]):
         self.facets: tuple[tuple[int, ...], ...] = tuple(
             sorted({tuple(sorted(f)) for f in facets}, key=lambda f: (len(f), f)))
-        self._faces: tuple[set[int], ...] | None = None
+        self._faces: tuple[KeysView[int], ...] | None = None
 
     @property
     def dimension(self) -> int:
@@ -98,35 +108,13 @@ class SimplicialComplex:
     def __repr__(self) -> str:
         return "SimplicialComplex(%d facets, dim %d)" % (len(self.facets), self.dimension)
 
-    def faces(self) -> tuple[set[int], ...]:
-        """All faces grouped by dimension, 0 through dimension, as sets of int
-        masks: bit i of a mask is the i-th smallest vertex; each level comes
-        from its facets and the level above, and the KNOTMORSE_MAX_FACES cap
-        is checked face by face."""
+    def faces(self) -> tuple[KeysView[int], ...]:
+        """All faces grouped by dimension, 0 through dimension, as read-only
+        sets of int masks: bit i of a mask is the i-th smallest vertex of
+        this complex's facets.  They are the one-tag levels of _closure,
+        which checks the KNOTMORSE_MAX_FACES cap face by face."""
         if self._faces is None:
-            vertices = sorted({v for f in self.facets for v in f})
-            bit = {v: 1 << i for i, v in enumerate(vertices)}
-            levels: list[set[int]] = [set() for _ in range(self.dimension + 2)]
-            cap = _max_faces()
-            over = _over_cap(cap, "face closure")
-            total = len(self.facets) if self.dimension >= 0 else 0
-            if total > cap:
-                raise over
-            for f in self.facets:
-                levels[len(f)].add(sum(bit[v] for v in f))
-            for s in range(self.dimension + 1, 1, -1):
-                level = levels[s - 1]
-                for m in levels[s]:
-                    rest = m
-                    while rest:
-                        b = rest & -rest
-                        rest ^= b
-                        if m ^ b not in level:
-                            total += 1
-                            if total > cap:
-                                raise over
-                            level.add(m ^ b)
-            self._faces = tuple(levels[1:])
+            self._faces = tuple(level.keys() for level in _closure([self])[1])
         return self._faces
 
     def face_counts(self) -> tuple[int, ...]:
@@ -134,6 +122,56 @@ class SimplicialComplex:
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * n for k, n in enumerate(self.face_counts()))
+
+
+def _vertex_bits(facets: Iterable[Sequence[int]]) -> dict[int, int]:
+    """Bit 1 << i for the i-th smallest vertex of the facets, keyed by vertex
+    in increasing order."""
+    return {v: 1 << i for i, v in enumerate(sorted({v for f in facets for v in f}))}
+
+
+def _closure(cs: Sequence[SimplicialComplex]) -> tuple[dict[int, int], list[dict[int, int]]]:
+    """The vertex bits and the face closure of all the facets of cs, as
+    tagged levels: levels[k] maps each face with k + 1 vertices to its tag
+    bits, where bit j is set when the face lies in cs[j].
+
+    A facet carries the bits of the complexes that list it.  Each level
+    passes its tags to its faces one size down, OR-ed into those already
+    there, and is final before that level is read in turn.  The
+    KNOTMORSE_MAX_FACES cap counts the faces stored, each once whatever its
+    tags; ResourceLimit is raised before storing one past it.
+    """
+    bit = _vertex_bits(f for c in cs for f in c.facets)
+    top: dict[int, int] = {}
+    for j, c in enumerate(cs):
+        for f in c.facets:
+            m = sum(bit[v] for v in f)
+            top[m] = top.get(m, 0) | 1 << j
+    dim = max((c.dimension for c in cs), default=-1)
+    levels: list[dict[int, int]] = [{} for _ in range(dim + 2)]
+    for m, tags in top.items():
+        levels[m.bit_count()][m] = tags
+    cap = _max_faces()
+    total = len(top)
+    if total > cap:
+        raise _over_cap(cap, "face closure")
+    for s in range(dim + 1, 1, -1):
+        level = levels[s - 1]
+        get = level.get
+        for m, tags in levels[s].items():
+            rest = m
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                old = get(m ^ b)
+                if old is None:
+                    total += 1
+                    if total > cap:
+                        raise _over_cap(cap, "face closure")
+                    level[m ^ b] = tags
+                elif old | tags != old:
+                    level[m ^ b] = old | tags
+    return bit, levels[1:]
 
 
 class IndependenceComplex:
@@ -336,28 +374,32 @@ def _dense_smith(rows: list[list[int]]) -> list[int]:
 
 
 def _element_order(facets: Iterable[Sequence[int]]) -> list[int]:
-    """The vertex bits of the faces() masks in decreasing order of the
-    number of facets that hold the vertex, ties by rank (bit i first).
+    """The vertex bits of the facets' own closure (bit i is the i-th
+    smallest of their vertices) in decreasing order of the number of facets
+    that hold the vertex, ties by rank (bit i first).
 
+    A shared closure maps each bit to the bit of the same vertex in its own
+    vertex-bit map; the map is monotone, so the order pairs the same cells.
     A vertex held by many facets lies in many faces, so a step on it pairs
     many cells while most are still free; on the scrambled 7_7 closures
     this leaves fewer critical cells and shorter gradient paths than
     taking the vertices by rank, and least-degree-first leaves far more.
     """
     degree = Counter(v for f in facets for v in f)
-    ranked = sorted(degree)  # rank i is bit i, as in faces()
+    ranked = sorted(degree)  # rank i is bit i, as in _vertex_bits
     return [1 << i for i in sorted(range(len(ranked)), key=lambda i: -degree[ranked[i]])]
 
 
-def _element_matching(order: Iterable[int], levels: list[set[int]]) -> tuple[set[int], dict[int, int]]:
+def _element_matching(order: Iterable[int], free: set[int]) -> tuple[set[int], dict[int, int]]:
     """Critical cells and pairs (lower -> upper) of the iterated element
-    matching: for each vertex bit v of the order in turn, every unpaired
-    cell without v goes with the cell that adds v, when that one is unpaired
-    too.  It is acyclic by the element-matching lemma (Jonsson, Simplicial
-    Complexes of Graphs) in any order of the vertices.  The pairs of one
-    step are disjoint, so each leaves the free cells as it is found.
+    matching on the cells free, which it consumes: for each vertex bit v of
+    the order in turn, every unpaired cell without v goes with the cell that
+    adds v, when that one is unpaired too.  It is acyclic by the
+    element-matching lemma (Jonsson, Simplicial Complexes of Graphs) in any
+    order of the vertices.  The pairs of one step are disjoint, so each
+    leaves the free cells as it is found; the cells left are the critical
+    ones.
     """
-    free = set().union(*levels)
     up: dict[int, int] = {}
     for v in order:
         for t in [t for t in free if t & v and t ^ v in free]:
@@ -499,21 +541,65 @@ def homology(c: SimplicialComplex | IndependenceComplex) -> HomologyResult:
     augmented and its homology is reduced.  An independence complex is
     matched by its matching tree, whose nodes and the live flows of one size
     count against the KNOTMORSE_MAX_FACES cap; any other by an element
-    matching on its face closure, in the vertex order of _element_order.
-    Only the critical cells go on: their Morse boundary, one size at a
-    time, goes through a dense Smith normal form, whose number of factors
-    is the rank and whose factors above 1 are the torsion.
+    matching on its faces(), in the vertex order of _element_order.
     """
-    if c.dimension < 0:
-        return HomologyResult(betti=(), torsion=(), face_counts=())
     if isinstance(c, IndependenceComplex):
         critical, tree = _matching_tree(c.conflicts)
-        partner, budget = partial(_tree_partner, tree), _max_faces() - len(tree)
-    else:
-        levels = [{0}, *c.faces()]
-        critical, up = _element_matching(_element_order(c.facets), levels)
-        partner, budget = (lambda x: up.get(x, 0)), None
-    dim = c.dimension
+        return _morse_homology(c.dimension, critical, partial(_tree_partner, tree),
+                               _max_faces() - len(tree), c.face_counts())
+    return _closure_homology(c.dimension, _element_order(c.facets), {0}.union(*c.faces()),
+                             c.face_counts())
+
+
+def shared_closure_homology(cs: Sequence[SimplicialComplex]) -> list[HomologyResult]:
+    """homology of each complex of cs, from one face closure of all their
+    facets (_closure), whose faces the KNOTMORSE_MAX_FACES cap counts once.
+
+    The complexes are matched one after another, each on the cells that
+    _tagged_cells reads off the closure, so one set of cells is live at a
+    time.
+    """
+    bit, levels = _closure(cs)
+    return [_closure_homology(c.dimension, *_tagged_cells(c, j, bit, levels))
+            for j, c in enumerate(cs)]
+
+
+def _tagged_cells(c: SimplicialComplex, j: int, bit: dict[int, int],
+                  levels: list[dict[int, int]]) -> tuple[list[int], set[int], tuple[int, ...]]:
+    """The element order, the cells and the face counts by size of c, the
+    complex of tag j in the shared closure whose vertex bits are bit.
+
+    The cells are the faces tagged j and the empty face, gathered with
+    their counts in one pass over the levels; the order is c's own
+    _element_order with each bit mapped to the shared bit of its vertex.
+    """
+    vertices = list(_vertex_bits(c.facets))
+    order = [bit[vertices[v.bit_length() - 1]] for v in _element_order(c.facets)]
+    tag, cells, counts = 1 << j, {0}, []
+    for level in levels[:c.dimension + 1]:
+        n = len(cells)
+        cells.update([m for m, tags in level.items() if tags & tag])
+        counts.append(len(cells) - n)
+    return order, cells, tuple(counts)
+
+
+def _closure_homology(dim: int, order: list[int], cells: set[int],
+                      face_counts: tuple[int, ...]) -> HomologyResult:
+    """_morse_homology of the element matching on cells, in that order."""
+    critical, up = _element_matching(order, cells)
+    return _morse_homology(dim, critical, lambda x: up.get(x, 0), None, face_counts)
+
+
+def _morse_homology(dim: int, critical: set[int], partner: Callable[[int], int],
+                    budget: int | None, face_counts: tuple[int, ...]) -> HomologyResult:
+    """Reduced homology of a complex of dimension dim from the critical
+    cells of an acyclic matching whose pairs partner gives (see
+    _morse_boundary, which also takes the budget): their Morse boundary, one
+    size at a time, goes through a dense Smith normal form, whose number of
+    factors is the rank and whose factors above 1 are the torsion.
+    """
+    if dim < 0:
+        return HomologyResult(betti=(), torsion=(), face_counts=())
     # cells[s], invs[s]: critical cells with s vertices, their boundary's factors
     cells = [sorted(x for x in critical if x.bit_count() == s) for s in range(dim + 2)]
     invs: list[list[int]] = [[] for _ in range(dim + 3)]
@@ -527,7 +613,7 @@ def homology(c: SimplicialComplex | IndependenceComplex) -> HomologyResult:
     return HomologyResult(
         betti=tuple(betti),
         torsion=tuple(tuple(v for v in invs[k + 2] if v > 1) for k in range(dim + 1)),
-        face_counts=c.face_counts(),
+        face_counts=face_counts,
     )
 
 

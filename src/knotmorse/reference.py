@@ -15,6 +15,15 @@ its 84 top facets, whose downward closure has reduced Euler characteristic
 -5; the degree-2 generator in that cell is therefore forced, since dropping
 it would require characteristic -6.  Computing the same cell from every
 rational presentation of the diagram gives the identical answer.
+
+A row is computed as follows.  The matching column is an independence
+complex, whose matching tree lists no face.  The other three are generated
+by nested families of facets: a pure Morse facet is both a Morse facet and
+a perfect matching, so every pure Morse face lies in the other two
+closures.  computed_row closes the union of their facets once, each face
+tagged with the columns that hold it, and each column's homology reads
+only the faces with its tag (complexes.shared_closure_homology); the
+KNOTMORSE_MAX_FACES cap bounds the faces of that one closure.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from .complexes import (
     morse_complex,
     pure_matching_complex,
     pure_part,
+    shared_closure_homology,
 )
 from .diagram import Diagram, build_tait
 
@@ -142,5 +152,10 @@ def reference_complexes(d: Diagram) -> dict[str, SimplicialComplex | Independenc
 
 
 def computed_row(d: Diagram) -> dict[str, HomologyResult]:
-    """Reduced homology of all four complexes, keyed like the table."""
-    return {name: homology(c) for name, c in reference_complexes(d).items()}
+    """Reduced homology of all four complexes, keyed like the table; the
+    three columns other than matching share one face closure."""
+    complexes = reference_complexes(d)
+    closed = ("morse", "pure_morse", "pure_matching")
+    row = dict(zip(closed, shared_closure_homology([complexes[name] for name in closed])))
+    row["matching"] = homology(complexes["matching"])
+    return {name: row[name] for name in COLUMNS}

@@ -28,9 +28,10 @@ from knotmorse.moves import (
     move_graph_to_dict,
     move_graph_to_dot,
 )
+from knotmorse.reference import computed_row, reference_complexes
 from knotmorse.states import FILTERS, enumerate_matchings
 
-from homology_oracle import maximal_matchings
+from homology_oracle import maximal_matchings, oracle_faces
 
 
 def run(capsys, *argv):
@@ -522,6 +523,28 @@ def test_table1_cap_exceeded_rows_are_skipped_not_failed(capsys, monkeypatch):
     assert code == 0
     assert payload["all_agree"] is True
     assert all("skipped" in row for row in payload["rows"])
+
+
+def test_table1_row_cap_counts_the_shared_closure_once(capsys, monkeypatch):
+    # the Morse, pure Morse and pure matching columns of a row share one
+    # closure, so the cap bounds the faces of the union of their closures
+    d = get_entry("5_2").diagram
+    union = set()
+    for column in ("morse", "pure_morse", "pure_matching"):
+        for level in oracle_faces(reference_complexes(d)[column]):
+            union.update(level)
+    cap = len(union) - 1
+    monkeypatch.setenv("KNOTMORSE_MAX_FACES", str(cap))
+    with pytest.raises(ResourceLimit) as raised:
+        computed_row(d)
+    assert (raised.value.stage, raised.value.size) == ("face closure", cap + 1)
+    code, payload = run(capsys, "table1", "--names", "5_2")
+    assert code == 0
+    assert [row["name"] for row in payload["rows"]] == ["5_2"]
+    assert "skipped" in payload["rows"][0]
+    monkeypatch.setenv("KNOTMORSE_MAX_FACES", str(cap + 1))
+    row = computed_row(d)
+    assert {column: h.ranks() for column, h in row.items()} == cli.REFERENCE_HOMOLOGY["5_2"]
 
 
 def test_table1_mismatch_exits_4_with_counterexample(capsys, monkeypatch):

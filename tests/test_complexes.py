@@ -436,9 +436,8 @@ def element_matching(c, order):
     """(cells, critical cells, pairs lower -> upper) of the element matching
     on the face closure of c, over the vertex bits order takes from c's
     facets."""
-    levels = [{0}, *c.faces()]
-    return (set().union(*levels),
-            *complexes._element_matching(ELEMENT_ORDERS[order](c.facets), levels))
+    cells = {0}.union(*c.faces())
+    return (cells, *complexes._element_matching(ELEMENT_ORDERS[order](c.facets), set(cells)))
 
 
 @pytest.mark.parametrize(
@@ -484,6 +483,89 @@ def test_both_element_orders_agree_with_the_oracle_on_random_facets(facets):
             patch.setattr(complexes, "_element_order", ELEMENT_ORDERS[order])
             got = homology(c)
         assert (got.betti, got.torsion) == (expected.betti, expected.torsion), order
+
+
+# ---------------------------------------------------------------------------
+# One tagged closure for the closure columns of a row
+# ---------------------------------------------------------------------------
+
+CLOSURE_COLUMNS = ("morse", "pure_morse", "pure_matching")
+
+
+def scrambled_pd(pd_text, rng):
+    """The same projection with its crossings reordered, each X(...) tuple
+    rotated and the arc labels renamed, all drawn from rng."""
+    crossings = parse_pd(pd_text).crossings
+    labels = sorted({label for c in crossings for label in c})
+    rename = dict(zip(labels, rng.sample(labels, len(labels))))
+    out = []
+    for c in rng.sample(crossings, len(crossings)):
+        k = rng.randrange(4)
+        out.append("X(%d,%d,%d,%d)" % tuple(rename[label] for label in c[k:] + c[:k]))
+    return " ".join(out)
+
+
+def assert_tags_restrict_to_each_column(d):
+    """Each tag's cells in the shared closure of a row's closure columns,
+    decoded through the shared vertex bits, are that column's own faces()
+    and the empty face, with its face counts; and the element matching on
+    them leaves the cells that it leaves on the column alone."""
+    row = reference_complexes(d)
+    cs = [row[column] for column in CLOSURE_COLUMNS]
+    bit, levels = complexes._closure(cs)
+    vertex = {b: v for v, b in bit.items()}
+    shared = lambda m: tuple(vertex[1 << i] for i in range(m.bit_length()) if m >> i & 1)
+    for j, (column, c) in enumerate(zip(CLOSURE_COLUMNS, cs)):
+        vertices = sorted({v for f in c.facets for v in f})  # faces(): bit i is the i-th smallest
+        own = lambda m: tuple(v for i, v in enumerate(vertices) if m >> i & 1)
+        order, cells, counts = complexes._tagged_cells(c, j, bit, levels)
+        alone = {0}.union(*c.faces())
+        assert {shared(m) for m in cells} == {own(m) for m in alone}, column
+        assert counts == c.face_counts(), column
+        critical, _ = complexes._element_matching(order, cells)
+        critical_alone, _ = complexes._element_matching(complexes._element_order(c.facets), alone)
+        assert {shared(m) for m in critical} == {own(m) for m in critical_alone}, column
+    # every stored face carries a tag: the closure holds no face outside the columns
+    assert all(tags for level in levels for tags in level.values())
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_shared_closure_tags_restrict_to_each_column(name):
+    assert_tags_restrict_to_each_column(get_entry(name).diagram)
+
+
+@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@given(name=st.sampled_from(("5_2", "6_3", "7_7")), rng=st.randoms(use_true_random=False))
+def test_shared_closure_tags_restrict_to_each_column_of_scrambles(name, rng):
+    pd_text = scrambled_pd(get_entry(name).pd_text, rng)
+    assert_tags_restrict_to_each_column(build_diagram(parse_pd(pd_text)))
+
+
+# critical cells of the Morse, pure Morse and pure matching columns; the
+# seeds scramble the code, which renumbers the Tait edges
+@pytest.mark.parametrize("name, seed, counts", [
+    ("7_7", None, (60, 21, 32)),
+    ("7_7", 1, (60, 21, 32)),
+    ("7_7", 2, (60, 21, 32)),
+    ("7_7", 3, (60, 21, 32)),
+    ("6_3", None, (38, 34, 34)),
+    ("6_3", 1, (38, 32, 34)),
+])
+def test_closure_columns_keep_their_critical_cells(monkeypatch, name, seed, counts):
+    pd_text = get_entry(name).pd_text
+    if seed is not None:
+        pd_text = scrambled_pd(pd_text, random.Random(seed))
+    real, left = complexes._element_matching, []
+
+    def recorded(*args):
+        critical, up = real(*args)
+        left.append(len(critical))
+        return critical, up
+
+    monkeypatch.setattr(complexes, "_element_matching", recorded)
+    row = computed_row(build_diagram(parse_pd(pd_text)))
+    assert {column: h.ranks() for column, h in row.items()} == REFERENCE_HOMOLOGY[name]
+    assert tuple(left) == counts
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +795,7 @@ def test_cyclic_matching_raises(monkeypatch):
     # closes a gradient cycle under the critical tail edge 04
     cyclic = ({0b10001}, {0: 0b10000, 0b0001: 0b0011, 0b0010: 0b0110,
                          0b0100: 0b1100, 0b1000: 0b1001})
-    monkeypatch.setattr(complexes, "_element_matching", lambda n, levels: cyclic)
+    monkeypatch.setattr(complexes, "_element_matching", lambda order, cells: cyclic)
     with pytest.raises(InvariantViolation, match="cycle"):
         homology(SimplicialComplex([(0, 1), (1, 2), (2, 3), (0, 3), (0, 4)]))
 
