@@ -32,7 +32,8 @@ region map of its own.  The clock generator also reads the squares' pattern
 masks, cached on the TaitGraph.  The graph looks each target mask up in the
 population before building anything and records an edge from its lower end
 only: every move kind is involutive, so the higher end finds the same edge
-back.  The public move functions build and validate every target instead,
+back.  A graph holds each distinct move once: edges with equal moves share
+one Move, which is why Move stays frozen.  The public move functions build and validate every target instead,
 and two_click_connect applies the click path targets that end at its regions.
 """
 
@@ -85,7 +86,9 @@ class Move:
 
     site is (arc,) for clock moves, the canonical loop for click loops, and
     (colour name, path vertex sequence) for click paths.  clock_type,
-    delta_j and orientation are set on clock moves only.
+    delta_j and orientation are set on clock moves only.  A move graph
+    holds each distinct move once, shared by every edge that makes it, so
+    a Move must stay frozen: it compares by value, and no edge may change it.
     """
 
     kind: str
@@ -284,29 +287,40 @@ _KINDS = {
 
 def _move(
     t: TaitGraph, kind: str, site: tuple, x: Matching, y: Matching,
-    strands: Callable[[Matching], tuple],
+    strands: Callable[[Matching], tuple], shared: dict,
 ) -> Move:
     """The move of one kind from x to y at a site of its targets.
 
-    A click move is its site.  A clock move reads strands(m), which is
-    _strand_roots(t.diagram, m), for x and y only.  It flips the smoothings
-    of the square's two crossings.  Each flip changes |J| by at most one, and
-    by exactly one when x is perfect.  So a move changes |J| by at most 2,
-    and by 0 or +-2 when x is perfect; both are checked.
+    shared maps each move's fields to its one Move, and each clock site's
+    (square arc, pattern) to its two rerouted arcs: the two patterns of a
+    square reroute different arcs.  A click move is its site.  A clock move
+    reads strands(m), which is _strand_roots(t.diagram, m), for x and y
+    only.  It flips the smoothings of the square's two crossings.  Each flip
+    changes |J| by at most one, and by exactly one when x is perfect.  So a
+    move changes |J| by at most 2, and by 0 or +-2 when x is perfect; both
+    are checked.
     """
     if kind != "clock":
-        return Move(kind, site)
-    sq, pattern, orientation = site
-    root, before = strands(x)
-    delta = strands(y)[1] - before
-    if delta != 0:
-        if abs(delta) > 2 or (delta not in (-2, 2) and len(x.edges) == t.n_crossings):
-            raise InvariantViolation("clock move at arc %d changed |J| by %d" % (sq.arc, delta))
-        ctype = "III"
+        fields: tuple = (kind, site)
     else:
-        a, b = (root(_rerouted_strand(t.diagram, sq.arc, e)) for e in pattern)
-        ctype = "I" if a == b else "II"
-    return Move("clock", (sq.arc,), clock_type=ctype, delta_j=delta, orientation=orientation)
+        sq, pattern, orientation = site
+        root, before = strands(x)
+        delta = strands(y)[1] - before
+        if delta != 0:
+            if abs(delta) > 2 or (delta not in (-2, 2) and len(x.edges) == t.n_crossings):
+                raise InvariantViolation("clock move at arc %d changed |J| by %d" % (sq.arc, delta))
+            ctype = "III"
+        else:
+            arcs = shared.get((sq.arc, pattern))
+            if arcs is None:
+                arcs = shared[sq.arc, pattern] = [_rerouted_strand(t.diagram, sq.arc, e)
+                                                  for e in pattern]
+            ctype = "I" if root(arcs[0]) == root(arcs[1]) else "II"
+        fields = ("clock", (sq.arc,), ctype, delta, orientation)
+    move = shared.get(fields)
+    if move is None:
+        move = shared[fields] = Move(*fields)
+    return move
 
 
 def _matching_of(mask: int) -> Matching:
@@ -325,11 +339,11 @@ def _built_moves(t: TaitGraph, x: Matching, kind: str, node: tuple) -> list[tupl
     d = t.diagram
     at_x = _strand_roots(d, x) if kind == "clock" else None  # clock moves alone read it
     strands = lambda y: at_x if y is x else _strand_roots(d, y)
-    out = []
+    out, shared = [], {}
     for mask, site in _KINDS[kind](t, node):
         y = _matching_of(mask)
         _checked(t.edge_region, y.edges)
-        out.append((_move(t, kind, site, x, y, strands), y))
+        out.append((_move(t, kind, site, x, y, strands, shared), y))
     return out
 
 
@@ -401,6 +415,7 @@ def build_move_graph(
             counted[y.mask] = _strand_roots(t.diagram, y)
         return counted[y.mask]
 
+    shared: dict = {}  # one Move per distinct move of this graph; see _move
     edges: list[tuple[int, int, Move]] = []
     chosen = [k for k in MOVE_KINDS if k in kinds]
     for i, x in enumerate(nodes):
@@ -416,7 +431,7 @@ def build_move_graph(
                         raise InvariantViolation(
                             "two moves join nodes %d and %d of the %s graph" % (i, j, population)
                         )
-                    found[j] = _move(t, kind, site, x, nodes[j], strands)
+                    found[j] = _move(t, kind, site, x, nodes[j], strands, shared)
         counted.pop(x.mask, None)
         edges += ((i, j, found[j]) for j in sorted(found))
     return MoveGraph(t.diagram.pd.to_text(), population, kinds, nodes, tuple(edges))

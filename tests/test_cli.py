@@ -718,17 +718,25 @@ MUTANT_COMMANDS = (
 )
 
 
+# mutations that keep every label exactly twice, so that their mutants pass
+# the arc-multiplicity check and meet the planarity and diagram checks
+LABEL_KEEPING = ("permute", "rotate", "swap")
+
+
 @st.composite
 def mutated_pd_texts(draw):
     """A corpus code of up to 6 crossings after one to three mutations: drop
-    a crossing, repeat one, relabel an arc, or permute one tuple."""
+    a crossing, repeat one, relabel an arc, permute or rotate one tuple, or
+    swap two arc ends across crossings.  Half the mutants draw their
+    mutations from the label-keeping ones alone."""
     source = get_entry(draw(st.sampled_from(MUTANT_SOURCES))).pd_text
     crossings = [list(c) for c in parse_pd(source).crossings]
+    kinds = draw(st.sampled_from((("drop", "repeat", "relabel") + LABEL_KEEPING, LABEL_KEEPING)))
     for _ in range(draw(st.integers(1, 3))):
         if not crossings:
             break
         i = draw(st.integers(0, len(crossings) - 1))
-        kind = draw(st.sampled_from(("drop", "repeat", "relabel", "permute")))
+        kind = draw(st.sampled_from(kinds))
         if kind == "drop":
             del crossings[i]
         elif kind == "repeat":
@@ -737,8 +745,15 @@ def mutated_pd_texts(draw):
             old = crossings[i][draw(st.integers(0, 3))]
             new = draw(st.integers(1, max(label for c in crossings for label in c) + 1))
             crossings = [[new if label == old else label for label in c] for c in crossings]
-        else:
+        elif kind == "permute":
             crossings[i] = draw(st.permutations(crossings[i]))
+        elif kind == "rotate":  # the same four arcs in the same cyclic order
+            k = draw(st.integers(1, 3))
+            crossings[i] = crossings[i][k:] + crossings[i][:k]
+        else:
+            j = draw(st.integers(0, len(crossings) - 1))
+            a, b = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+            crossings[i][a], crossings[j][b] = crossings[j][b], crossings[i][a]
     return " ".join("X(%d,%d,%d,%d)" % tuple(c) for c in crossings)
 
 

@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import json
+import random
 from itertools import permutations, product
 from pathlib import Path
 
@@ -748,6 +749,89 @@ def test_move_graph_builds_no_matching_beyond_the_population(monkeypatch):
         built.clear()
         assert build_move_graph(t, population, v_b=v_b, v_w=v_w).edges
         assert len(built) == population_alone
+
+
+# ---------------------------------------------------------------------------
+# Clock types from the resolution's components, and one Move per distinct move
+# ---------------------------------------------------------------------------
+
+def rerouted_arcs(d, arc, pattern):
+    """Per corner edge e of the pattern, the arcs of the two darts at e's
+    crossing that e's smoothing joins away from the square arc's end there:
+    slots s and s ^ 1 when e is odd, s and s ^ 3 when e is even."""
+    out = []
+    for e in pattern:
+        end = next(i for i in d.arc_darts[arc] if i >> 2 == e >> 2)
+        partner = end ^ (1 if e & 1 else 3)
+        out.append({d.dart_arc[i] for i in range(e & ~3, (e & ~3) + 4) if i not in (end, partner)})
+    return out
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["enumeration order", "shuffled"])
+@pytest.mark.parametrize("name", corpus_up_to(7) + ["R[2, 2, 2, 2]"])
+def test_clock_types_recomputed_from_the_resolution_components(monkeypatch, name, shuffled):
+    # Type III changes |J|; otherwise Type I when the two rerouted strands
+    # are one strand of x's resolution, Type II when they are two.  In
+    # enumeration order the lower end of every clock edge at a square holds
+    # the same pattern; a shuffled population puts both patterns of a
+    # square at lower ends in one build.
+    t = oracle_tait(name)
+    d = t.diagram
+    square = {sq.arc: sq for sq in t.squares}
+    if shuffled:
+        real = moves.enumerate_matchings
+
+        def in_shuffled_order(t, kind):
+            nodes = list(real(t, kind))
+            random.Random(name).shuffle(nodes)
+            return nodes
+
+        monkeypatch.setattr(moves, "enumerate_matchings", in_shuffled_order)
+    mg = build_move_graph(t, "perfect_admissible")
+    types = set()
+    for i, j, move in mg.edges:
+        if move.kind != "clock":
+            continue
+        x, y = mg.nodes[i], mg.nodes[j]
+        jx = jordan_resolution(d, x)
+        assert jordan_resolution(d, y).count - jx.count == move.delta_j
+        if move.delta_j:
+            expected = "III"
+        else:
+            sq = square[move.site[0]]
+            pattern = sq.edges[0::2] if move.orientation == "cw" else sq.edges[1::2]
+            assert all(x.mask >> e & 1 for e in pattern)
+            component = {a: k for k, arcs in enumerate(jx.components) for a in arcs}
+            strands = [{component[a] for a in arcs} for arcs in rerouted_arcs(d, sq.arc, pattern)]
+            assert all(len(s) == 1 for s in strands)  # each pair of darts is joined
+            expected = "I" if strands[0] == strands[1] else "II"
+        assert move.clock_type == expected
+        types.add(expected)
+    assert types == EXPECT_TYPES.get(name, types)
+    if name == "R[2, 2, 2, 2]":
+        assert types == {"I", "II", "III"}
+
+
+# distinct moves among the edges of each frozen graph
+DISTINCT_MOVES = {
+    ("T(2,9)", "perfect_admissible"): 91,
+    ("R(2,2,2,2)", "perfect_admissible"): 123,
+    ("7_7", "perfect_dmfs"): 81,
+}
+
+
+@pytest.mark.parametrize("name, population", sorted(DISTINCT_MOVES))
+def test_move_graph_holds_each_distinct_move_once(monkeypatch, name, population):
+    t = build_tait(build_diagram(parse_pd(frozen_pd(name))))
+    built = []
+    real_init = Move.__init__
+    monkeypatch.setattr(Move, "__init__", lambda self, *a, **k: built.append(1) or real_init(self, *a, **k))
+    mg = build_move_graph(t, population)
+    edge_moves = [move for _, _, move in mg.edges]
+    distinct = set(edge_moves)
+    assert len({id(move) for move in edge_moves}) == len(distinct)
+    assert (len(distinct), len(edge_moves)) == (DISTINCT_MOVES[name, population], FROZEN_GRAPHS[name, population][1])
+    assert len(built) <= len(distinct)
 
 
 # ---------------------------------------------------------------------------
