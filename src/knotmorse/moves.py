@@ -33,8 +33,9 @@ masks, cached on the TaitGraph.  The graph looks each target mask up in the
 population before building anything and records an edge from its lower end
 only: every move kind is involutive, so the higher end finds the same edge
 back.  A graph holds each distinct move once: edges with equal moves share
-one Move, which is why Move stays frozen.  The public move functions build and validate every target instead,
-and two_click_connect applies the click path targets that end at its regions.
+one Move, which is why Move stays frozen.  The public move functions build
+and validate every target instead, and two_click_connect applies the click
+path targets that end at its regions.
 """
 
 from __future__ import annotations

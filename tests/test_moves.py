@@ -830,7 +830,8 @@ def test_move_graph_holds_each_distinct_move_once(monkeypatch, name, population)
     edge_moves = [move for _, _, move in mg.edges]
     distinct = set(edge_moves)
     assert len({id(move) for move in edge_moves}) == len(distinct)
-    assert (len(distinct), len(edge_moves)) == (DISTINCT_MOVES[name, population], FROZEN_GRAPHS[name, population][1])
+    edges = FROZEN_GRAPHS[name, population][1]
+    assert (len(distinct), len(edge_moves)) == (DISTINCT_MOVES[name, population], edges)
     assert len(built) <= len(distinct)
 
 
