@@ -324,6 +324,8 @@ def cmd_table1(args) -> int:
     unknown = [n for n in names if n not in REFERENCE_HOMOLOGY]
     if unknown:
         raise KnotmorseError("no reference values for: %s" % ", ".join(unknown))
+    if len(set(names)) < len(names):
+        raise KnotmorseError("repeated corpus name in --names %s" % args.names)
     rows = []
     mismatches = []
     for name in names:

@@ -21,16 +21,17 @@ critical cells follows the gradient paths (Forman), and the boundaries
 between critical cells of adjacent sizes go through a dense Smith normal
 form, so torsion is exact.
 
-One closure can serve several complexes: _closure builds the faces of all
-their facets level by level over one vertex-bit map, tagging each face
-with one bit per complex that holds it, and SimplicialComplex.faces() is
-its one-complex case.  shared_closure_homology matches each complex on the
-faces with its tag, in its own element order mapped through the shared
-vertex bits; the map is monotone, so masks keep their integer order and
-the critical cells, boundaries and Smith inputs are those of the complex
-alone.  The KNOTMORSE_MAX_FACES cap bounds the faces the closure stores, or
-the matching tree's nodes plus the flows live for one size of critical
-cell; ResourceLimit is raised before allocating past it.
+homologies is the one entry: it matches each independence complex by its
+matching tree first, then closes the facets of all the other complexes
+once (_closure), over one vertex-bit map, tagging each face with one bit
+per complex that holds it, and matches each of them on the faces with its
+tag in its own _element_order.  The bits follow the vertices' order, so
+masks keep their integer order and the critical cells, boundaries and
+Smith inputs are those of the complex alone.  A lone complex is the
+one-tag case, whose closure it caches for faces() as well.  The
+KNOTMORSE_MAX_FACES cap bounds the faces the closure stores, or the
+matching tree's nodes plus the flows live for one size of critical cell;
+ResourceLimit is raised before allocating past it.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ __all__ = [
     "pure_part",
     "pure_morse_from_trees",
     "homology",
-    "shared_closure_homology",
+    "homologies",
     "connectivity_bound",
     "connectivity_report",
     "DEFAULT_MAX_FACES",
@@ -88,12 +89,12 @@ class SimplicialComplex:
     built from them lazily, as int masks, and cached.
     """
 
-    __slots__ = ("facets", "_faces")
+    __slots__ = ("facets", "_closed")
 
     def __init__(self, facets: Iterable[Iterable[int]]):
         self.facets: tuple[tuple[int, ...], ...] = tuple(
             sorted({tuple(sorted(f)) for f in facets}, key=lambda f: (len(f), f)))
-        self._faces: tuple[KeysView[int], ...] | None = None
+        self._closed: tuple[dict[int, int], list[dict[int, int]]] | None = None
 
     @property
     def dimension(self) -> int:
@@ -108,14 +109,18 @@ class SimplicialComplex:
     def __repr__(self) -> str:
         return "SimplicialComplex(%d facets, dim %d)" % (len(self.facets), self.dimension)
 
+    def _own_closure(self) -> tuple[dict[int, int], list[dict[int, int]]]:
+        """_closure([self]), built once: faces() and homologies share it."""
+        if self._closed is None:
+            self._closed = _closure([self])
+        return self._closed
+
     def faces(self) -> tuple[KeysView[int], ...]:
         """All faces grouped by dimension, 0 through dimension, as read-only
         sets of int masks: bit i of a mask is the i-th smallest vertex of
         this complex's facets.  They are the one-tag levels of _closure,
         which checks the KNOTMORSE_MAX_FACES cap face by face."""
-        if self._faces is None:
-            self._faces = tuple(level.keys() for level in _closure([self])[1])
-        return self._faces
+        return tuple(level.keys() for level in self._own_closure()[1])
 
     def face_counts(self) -> tuple[int, ...]:
         return tuple(len(level) for level in self.faces())
@@ -373,21 +378,19 @@ def _dense_smith(rows: list[list[int]]) -> list[int]:
     return invs
 
 
-def _element_order(facets: Iterable[Sequence[int]]) -> list[int]:
-    """The vertex bits of the facets' own closure (bit i is the i-th
-    smallest of their vertices) in decreasing order of the number of facets
-    that hold the vertex, ties by rank (bit i first).
+def _element_order(facets: Iterable[Sequence[int]], bit: dict[int, int]) -> list[int]:
+    """The bits that bit gives the vertices of the facets, in decreasing
+    order of the number of facets that hold the vertex, ties by the smaller
+    vertex.
 
-    A shared closure maps each bit to the bit of the same vertex in its own
-    vertex-bit map; the map is monotone, so the order pairs the same cells.
     A vertex held by many facets lies in many faces, so a step on it pairs
     many cells while most are still free; on the scrambled 7_7 closures
     this leaves fewer critical cells and shorter gradient paths than
-    taking the vertices by rank, and least-degree-first leaves far more.
+    taking the vertices in increasing order, and least-degree-first leaves
+    far more.
     """
     degree = Counter(v for f in facets for v in f)
-    ranked = sorted(degree)  # rank i is bit i, as in _vertex_bits
-    return [1 << i for i in sorted(range(len(ranked)), key=lambda i: -degree[ranked[i]])]
+    return [bit[v] for v in sorted(degree, key=lambda v: (-degree[v], v))]
 
 
 def _element_matching(order: Iterable[int], free: set[int]) -> tuple[set[int], dict[int, int]]:
@@ -535,59 +538,53 @@ def _morse_boundary(cells: list[int], critical: set[int], partner: Callable[[int
 
 
 def homology(c: SimplicialComplex | IndependenceComplex) -> HomologyResult:
-    """Exact reduced integer homology through an acyclic matching on the cells.
+    """Exact reduced integer homology through an acyclic matching on the
+    cells: homologies([c])[0]."""
+    return homologies([c])[0]
+
+
+def homologies(cs: Sequence[SimplicialComplex | IndependenceComplex]) -> list[HomologyResult]:
+    """homology of each complex of cs, in order.
 
     The cells are the faces and the empty face, so the chain complex is
-    augmented and its homology is reduced.  An independence complex is
-    matched by its matching tree, whose nodes and the live flows of one size
-    count against the KNOTMORSE_MAX_FACES cap; any other by an element
-    matching on its faces(), in the vertex order of _element_order.
-    """
-    if isinstance(c, IndependenceComplex):
-        critical, tree = _matching_tree(c.conflicts)
-        return _morse_homology(c.dimension, critical, partial(_tree_partner, tree),
-                               _max_faces() - len(tree), c.face_counts())
-    return _closure_homology(c.dimension, _element_order(c.facets), {0}.union(*c.faces()),
-                             c.face_counts())
-
-
-def shared_closure_homology(cs: Sequence[SimplicialComplex]) -> list[HomologyResult]:
-    """homology of each complex of cs, from one face closure of all their
-    facets (_closure), whose faces the KNOTMORSE_MAX_FACES cap counts once.
-
-    The complexes are matched one after another, each on the cells that
-    _tagged_cells reads off the closure, so one set of cells is live at a
+    augmented and its homology is reduced.  Each independence complex is
+    matched by its matching tree, whose nodes and the live flows of one
+    size count against the KNOTMORSE_MAX_FACES cap; these go first, so that
+    no tree is live beside the closure.  All the other complexes share one
+    face closure (_closure, or a lone complex's own cached one), whose
+    faces the cap counts once, and are matched one after another on their
+    tagged cells (_closure_column), so one column's cells are live at a
     time.
     """
-    bit, levels = _closure(cs)
-    return [_closure_homology(c.dimension, *_tagged_cells(c, j, bit, levels))
-            for j, c in enumerate(cs)]
+    trees = {i: _tree_homology(c) for i, c in enumerate(cs) if isinstance(c, IndependenceComplex)}
+    closed = [c for c in cs if not isinstance(c, IndependenceComplex)]
+    bit, levels = closed[0]._own_closure() if len(closed) == 1 else _closure(closed)
+    columns = iter([_closure_column(c, 1 << j, bit, levels) for j, c in enumerate(closed)])
+    return [trees[i] if i in trees else next(columns) for i in range(len(cs))]
 
 
-def _tagged_cells(c: SimplicialComplex, j: int, bit: dict[int, int],
-                  levels: list[dict[int, int]]) -> tuple[list[int], set[int], tuple[int, ...]]:
-    """The element order, the cells and the face counts by size of c, the
-    complex of tag j in the shared closure whose vertex bits are bit.
+def _tree_homology(c: IndependenceComplex) -> HomologyResult:
+    """_morse_homology of the matching tree on the conflict graph of c."""
+    critical, tree = _matching_tree(c.conflicts)
+    return _morse_homology(c.dimension, critical, partial(_tree_partner, tree),
+                           _max_faces() - len(tree), c.face_counts())
 
-    The cells are the faces tagged j and the empty face, gathered with
-    their counts in one pass over the levels; the order is c's own
-    _element_order with each bit mapped to the shared bit of its vertex.
+
+def _closure_column(c: SimplicialComplex, tag: int, bit: dict[int, int],
+                    levels: list[dict[int, int]]) -> HomologyResult:
+    """_morse_homology of the element matching on the cells of c, the
+    complex of tag bit tag in the closure levels over the vertex bits bit.
+
+    The cells are the faces with that tag and the empty face, gathered with
+    their counts by size in one pass over the levels.
     """
-    vertices = list(_vertex_bits(c.facets))
-    order = [bit[vertices[v.bit_length() - 1]] for v in _element_order(c.facets)]
-    tag, cells, counts = 1 << j, {0}, []
+    cells, counts = {0}, []
     for level in levels[:c.dimension + 1]:
         n = len(cells)
         cells.update([m for m, tags in level.items() if tags & tag])
         counts.append(len(cells) - n)
-    return order, cells, tuple(counts)
-
-
-def _closure_homology(dim: int, order: list[int], cells: set[int],
-                      face_counts: tuple[int, ...]) -> HomologyResult:
-    """_morse_homology of the element matching on cells, in that order."""
-    critical, up = _element_matching(order, cells)
-    return _morse_homology(dim, critical, lambda x: up.get(x, 0), None, face_counts)
+    critical, up = _element_matching(_element_order(c.facets, bit), cells)
+    return _morse_homology(c.dimension, critical, lambda x: up.get(x, 0), None, tuple(counts))
 
 
 def _morse_homology(dim: int, critical: set[int], partner: Callable[[int], int],

@@ -16,14 +16,14 @@ its 84 top facets, whose downward closure has reduced Euler characteristic
 it would require characteristic -6.  Computing the same cell from every
 rational presentation of the diagram gives the identical answer.
 
-A row is computed as follows.  The matching column is an independence
-complex, whose matching tree lists no face.  The other three are generated
-by nested families of facets: a pure Morse facet is both a Morse facet and
-a perfect matching, so every pure Morse face lies in the other two
-closures.  computed_row closes the union of their facets once, each face
-tagged with the columns that hold it, and each column's homology reads
-only the faces with its tag (complexes.shared_closure_homology); the
-KNOTMORSE_MAX_FACES cap bounds the faces of that one closure.
+A row is computed by complexes.homologies.  The matching column is an
+independence complex, whose matching tree lists no face.  The other three
+are generated by nested families of facets: a pure Morse facet is both a
+Morse facet and a perfect matching, so every pure Morse face lies in the
+other two closures.  homologies closes the union of their facets once,
+each face tagged with the columns that hold it, and each column's homology
+reads only the faces with its tag; the KNOTMORSE_MAX_FACES cap bounds the
+faces of that one closure.
 """
 
 from __future__ import annotations
@@ -32,12 +32,11 @@ from .complexes import (
     HomologyResult,
     IndependenceComplex,
     SimplicialComplex,
-    homology,
+    homologies,
     matching_complex,
     morse_complex,
     pure_matching_complex,
     pure_part,
-    shared_closure_homology,
 )
 from .diagram import Diagram, build_tait
 
@@ -152,10 +151,6 @@ def reference_complexes(d: Diagram) -> dict[str, SimplicialComplex | Independenc
 
 
 def computed_row(d: Diagram) -> dict[str, HomologyResult]:
-    """Reduced homology of all four complexes, keyed like the table; the
-    three columns other than matching share one face closure."""
+    """Reduced homology of all four complexes, keyed like the table."""
     complexes = reference_complexes(d)
-    closed = ("morse", "pure_morse", "pure_matching")
-    row = dict(zip(closed, shared_closure_homology([complexes[name] for name in closed])))
-    row["matching"] = homology(complexes["matching"])
-    return {name: row[name] for name in COLUMNS}
+    return dict(zip(COLUMNS, homologies([complexes[name] for name in COLUMNS])))

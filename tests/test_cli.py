@@ -137,6 +137,7 @@ def test_missing_subcommand_raises_system_exit_2():
     (["moves", "3_1", "--kinds", "clock,clock"], "repeated move kind in --kinds clock,clock"),
     (["table1", "--names", "8_19"], "no reference values for: 8_19"),
     (["selftest", "--max-crossings", "0"], "--max-crossings 0 selects no corpus entry"),
+    (["table1", "--names", "3_1,3_1"], "repeated corpus name in --names 3_1,3_1"),
 ])
 def test_every_usage_error_exits_2_with_one_error_line(capsys, tmp_path, argv, message):
     (tmp_path / "bad.pd").write_bytes(b"X(1,4,2,5) \xff\xfe")

@@ -422,10 +422,11 @@ def assert_acyclic_morse_matching(cells, critical, up, betti, column):
     assert alternating == 0, (column, morse, betti)
 
 
-def ascending_order(facets):
-    """Every vertex bit by rank: a second order for the element matching,
-    acyclic as any order is, with other critical cells."""
-    return [1 << i for i in range(len({v for f in facets for v in f}))]
+def ascending_order(facets, bit):
+    """The bit of every vertex of the facets in increasing vertex order: a
+    second order for the element matching, acyclic as any order is, with
+    other critical cells."""
+    return [bit[v] for v in sorted({v for f in facets for v in f})]
 
 
 # homology's order, and a second one
@@ -437,7 +438,8 @@ def element_matching(c, order):
     on the face closure of c, over the vertex bits order takes from c's
     facets."""
     cells = {0}.union(*c.faces())
-    return (cells, *complexes._element_matching(ELEMENT_ORDERS[order](c.facets), set(cells)))
+    order = ELEMENT_ORDERS[order](c.facets, complexes._vertex_bits(c.facets))
+    return (cells, *complexes._element_matching(order, set(cells)))
 
 
 @pytest.mark.parametrize(
@@ -518,12 +520,15 @@ def assert_tags_restrict_to_each_column(d):
     for j, (column, c) in enumerate(zip(CLOSURE_COLUMNS, cs)):
         vertices = sorted({v for f in c.facets for v in f})  # faces(): bit i is the i-th smallest
         own = lambda m: tuple(v for i, v in enumerate(vertices) if m >> i & 1)
-        order, cells, counts = complexes._tagged_cells(c, j, bit, levels)
+        tagged = [[m for m, tags in level.items() if tags >> j & 1] for level in levels]
+        cells = {0}.union(*tagged)
         alone = {0}.union(*c.faces())
         assert {shared(m) for m in cells} == {own(m) for m in alone}, column
-        assert counts == c.face_counts(), column
-        critical, _ = complexes._element_matching(order, cells)
-        critical_alone, _ = complexes._element_matching(complexes._element_order(c.facets), alone)
+        assert tuple(map(len, tagged[:c.dimension + 1])) == c.face_counts(), column
+        critical, _ = complexes._element_matching(complexes._element_order(c.facets, bit), cells)
+        own_bit = complexes._vertex_bits(c.facets)
+        critical_alone, _ = complexes._element_matching(complexes._element_order(c.facets, own_bit),
+                                                        alone)
         assert {shared(m) for m in critical} == {own(m) for m in critical_alone}, column
     # every stored face carries a tag: the closure holds no face outside the columns
     assert all(tags for level in levels for tags in level.values())
@@ -566,6 +571,88 @@ def test_closure_columns_keep_their_critical_cells(monkeypatch, name, seed, coun
     row = computed_row(build_diagram(parse_pd(pd_text)))
     assert {column: h.ranks() for column, h in row.items()} == REFERENCE_HOMOLOGY[name]
     assert tuple(left) == counts
+
+
+# ---------------------------------------------------------------------------
+# One homology entry: homologies
+# ---------------------------------------------------------------------------
+
+def recorded_closures(monkeypatch):
+    """Patch complexes._closure and _matching_tree to log each call, in
+    order: ("closure", number of complexes, faces stored) or ("tree",)."""
+    real_closure, real_tree, log = complexes._closure, complexes._matching_tree, []
+
+    def closure(cs):
+        bit, levels = real_closure(cs)
+        log.append(("closure", len(cs), sum(map(len, levels))))
+        return bit, levels
+
+    def tree(conflicts):
+        log.append(("tree",))
+        return real_tree(conflicts)
+
+    monkeypatch.setattr(complexes, "_closure", closure)
+    monkeypatch.setattr(complexes, "_matching_tree", tree)
+    return log
+
+
+@pytest.mark.parametrize("first", ["faces", "homology"])
+def test_a_lone_complex_builds_its_closure_once(monkeypatch, first):
+    c = morse_complex(build_tait(get_entry("5_2").diagram))
+    log = recorded_closures(monkeypatch)
+    if first == "homology":
+        h = homology(c)
+    counts, chi = c.face_counts(), c.euler_characteristic()
+    if first == "faces":
+        h = homology(c)
+    assert homology(c) == h and h.face_counts == counts and chi == 1 + sum(
+        (-1) ** k * b for k, b in enumerate(h.betti))
+    assert log == [("closure", 1, sum(counts))]
+
+
+def test_a_row_builds_one_closure_after_its_tree():
+    d = get_entry("5_2").diagram
+    with pytest.MonkeyPatch.context() as patch:
+        log = recorded_closures(patch)
+        row = computed_row(d)
+    assert [entry[:2] for entry in log] == [("tree",), ("closure", 3)]
+    assert log[1][2] < sum(sum(row[column].face_counts) for column in CLOSURE_COLUMNS)
+
+
+def test_homologies_of_no_complex_and_of_trees_alone(monkeypatch):
+    assert complexes.homologies([]) == []
+    t = build_tait(get_entry("4_1").diagram)
+    cs = [matching_complex(t), matching_complex(t)]
+    log = recorded_closures(monkeypatch)
+    assert complexes.homologies(cs) == [homology(cs[0])] * 2
+    # the tree-only list stores no closure face
+    assert all(entry[0] == "tree" or entry[2] == 0 for entry in log)
+
+
+# morse == pure_morse on 3_1, 4_1, the kink, 5_1 and 7_1: equal facets take two tags
+@pytest.mark.parametrize("name", SIX_OR_LESS + ("7_1", "7_7"))
+def test_homologies_equal_homology_in_any_order(name):
+    columns = list(reference_complexes(get_entry(name).diagram).values())
+    alone = [homology(c) for c in columns]
+    orders = [list(range(k, 4)) + list(range(k)) for k in range(4)] + [[3, 2, 1, 0]]
+    for order in orders:
+        assert complexes.homologies([columns[i] for i in order]) == [alone[i] for i in order], order
+    same = columns[0] == columns[2]
+    assert same == (name in ("3_1", "4_1", "kink", "5_1", "7_1"))
+
+
+@pytest.mark.parametrize("bits", ["increasing", "decreasing", "shuffled"])
+def test_element_order_breaks_ties_by_vertex_whatever_the_bits(bits):
+    # degrees: 5 and 3 are in two facets, 1, 7 and -2 in one
+    facets = [(1, 5), (3, 5), (3, 7), (-2,)]
+    vertices = [-2, 1, 3, 5, 7]
+    masks = [1 << i for i in range(len(vertices))]
+    if bits == "decreasing":
+        masks.reverse()
+    elif bits == "shuffled":
+        random.Random(3).shuffle(masks)
+    bit = dict(zip(vertices, masks))
+    assert complexes._element_order(facets, bit) == [bit[v] for v in (3, 5, -2, 1, 7)]
 
 
 # ---------------------------------------------------------------------------
