@@ -230,6 +230,8 @@ def cmd_moves(args) -> int:
             raise KnotmorseError("arc id %d out of range" % args.mark)
         v_b, v_w = marked_arc_roots(t, args.mark)
     kinds = MOVE_KINDS if args.kinds is None else tuple(args.kinds.split(","))
+    if "" in kinds:
+        raise KnotmorseError("empty move kind in --kinds %s" % args.kinds)
     unknown = [k for k in kinds if k not in MOVE_KINDS]
     if unknown:
         raise KnotmorseError("unknown move kind %r, not in %s" % (unknown[0], ",".join(MOVE_KINDS)))
@@ -318,9 +320,9 @@ def cmd_complex(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    names = args.names.split(",") if args.names else [
-        n for n in corpus_names() if n in REFERENCE_HOMOLOGY
-    ]
+    names = args.names.split(",") if args.names else sorted(REFERENCE_HOMOLOGY)
+    if "" in names:
+        raise KnotmorseError("empty corpus name in --names %s" % args.names)
     unknown = [n for n in names if n not in REFERENCE_HOMOLOGY]
     if unknown:
         raise KnotmorseError("no reference values for: %s" % ", ".join(unknown))

@@ -474,61 +474,59 @@ def _matching_tree(conflicts: Sequence[int]) -> tuple[set[int], list]:
     return critical, tree
 
 
-def _signed_faces(t: int) -> list[tuple[int, int]]:
-    """(<d t, g>, g) for each face g of the cell t."""
-    out = []
-    sign, rest = 1, t
-    while rest:
-        b = rest & -rest
-        rest ^= b
-        out.append((sign, t ^ b))
-        sign = -sign
-    return out
-
-
-def _morse_boundary(cells: list[int], critical: set[int], partner: Callable[[int], int],
+def _morse_boundary(cells: list[int], critical: set[int], partner: Callable[[int], int | None],
                     budget: int | None) -> list[dict[int, int]]:
     """Boundary of each of the critical cells of one size in the Morse
     complex of the matching, whose pairs partner gives: the upper cell of a
-    lower cell x, or 0 for any other cell.
+    lower cell x, or a false value for any other cell.
 
     By gradient paths (Forman, Morse theory for cell complexes, 1998): a face
     g flows to itself when it is critical, to 0 when it is the upper cell of
     a pair, and to -<d t, g> sum <d t, h> flow(h) over the other faces h of t
-    when it is the lower cell of a pair (g, t).  Each flow is computed once,
-    depth first on an explicit stack; a cell reached again while its flow is
-    still open means that the gradient paths close a cycle.  The paths from
-    cells with s vertices only visit cells with s - 1 vertices, so the flows
-    live for one call.  The budget is what the matching tree's nodes left of
-    the KNOTMORSE_MAX_FACES cap: a flow past it raises ResourceLimit at
-    stage matching tree.  None, for the face closure, sets no bound.
+    when it is the lower cell of a pair (g, t).  As <d t, t ^ b> is -1 to the
+    number of bits of t below b, one pass over the bits of t alternates the
+    signs.  Each flow is computed once, depth first on a stack of cells that
+    carry their t, so no partner is looked up twice; a cell met again while
+    its flow is open means that the gradient paths close a cycle.  Paths from
+    cells with s vertices stay on cells with s - 1, so the flows live for one
+    call.  A flow past the budget, the KNOTMORSE_MAX_FACES cap less the
+    tree's nodes (None sets none), raises ResourceLimit at stage matching tree.
     """
     flow: dict[int, dict[int, int]] = {}  # also the boundary of each critical cell
-    opened: dict[int, list[tuple[int, int]]] = {}
+    opened: dict[int, tuple] = {}  # x -> (the sum over its critical faces, its lower faces)
     for c in cells:
-        stack = [c]
+        stack = [(c, partner(c) or c)]
         while stack:
-            x = stack[-1]
+            x, t = stack[-1]
             if x in flow:
                 stack.pop()
                 continue
-            terms = opened.pop(x, None)
+            acc, terms = opened.pop(x, (None, None))
             if terms is None:
-                t = partner(x) or x
-                faces = _signed_faces(t)
-                unit = 1 if t == x else -next(k for k, g in faces if g == x)
-                terms = [(unit * k, g) for k, g in faces if g != x and (partner(g) or g in critical)]
-                todo = [g for _, g in terms if g not in critical and g not in flow]
+                k = 1 if t == x else -(-1) ** (t & ((t ^ x) - 1)).bit_count()
+                acc, terms, todo, rest = {}, [], [], t
+                while rest:
+                    b = rest & -rest
+                    rest ^= b
+                    g = t ^ b
+                    if g != x:
+                        if g in critical:
+                            acc[g] = k
+                        elif g in flow:
+                            terms.append((k, g))
+                        elif p := partner(g):
+                            if g in opened:
+                                raise InvariantViolation(
+                                    "gradient paths close a cycle through the cell with mask %#x" % x)
+                            terms.append((k, g))
+                            todo.append((g, p))
+                    k = -k
                 if todo:
-                    if not opened.keys().isdisjoint(todo):
-                        raise InvariantViolation(
-                            "gradient paths close a cycle through the cell with mask %#x" % x)
-                    opened[x] = terms
-                    stack.extend(todo)
+                    opened[x] = acc, terms
+                    stack += todo
                     continue
-            acc: dict[int, int] = {}
             for k, g in terms:
-                for h, w in [(g, 1)] if g in critical else flow[g].items():
+                for h, w in flow[g].items():
                     acc[h] = acc.get(h, 0) + k * w
             if len(flow) == budget:
                 raise _over_cap(_max_faces(), "matching tree")
@@ -584,10 +582,10 @@ def _closure_column(c: SimplicialComplex, tag: int, bit: dict[int, int],
         cells.update([m for m, tags in level.items() if tags & tag])
         counts.append(len(cells) - n)
     critical, up = _element_matching(_element_order(c.facets, bit), cells)
-    return _morse_homology(c.dimension, critical, lambda x: up.get(x, 0), None, tuple(counts))
+    return _morse_homology(c.dimension, critical, up.get, None, tuple(counts))
 
 
-def _morse_homology(dim: int, critical: set[int], partner: Callable[[int], int],
+def _morse_homology(dim: int, critical: set[int], partner: Callable[[int], int | None],
                     budget: int | None, face_counts: tuple[int, ...]) -> HomologyResult:
     """Reduced homology of a complex of dimension dim from the critical
     cells of an acyclic matching whose pairs partner gives (see

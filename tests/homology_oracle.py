@@ -20,16 +20,28 @@ no face: a matching tree on the conflict graph gives its critical cells and
 a count of matchings by size its face counts, so there a comparison checks
 both against the oracle's closure of ``maximal_matchings``, the maximal
 members of the stream of all matchings.
+
+``listed_morse_boundary`` is the package's earlier gradient-path boundary,
+kept as written: it lists the signed faces of each cell and looks up the
+partner of every face, so a comparison checks the one-pass walk of
+``complexes._morse_boundary`` flow for flow.
 """
 
 from __future__ import annotations
 
 import heapq
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
-from knotmorse.complexes import HomologyResult, SimplicialComplex, _dense_smith
+from knotmorse.complexes import (
+    HomologyResult,
+    SimplicialComplex,
+    _dense_smith,
+    _max_faces,
+    _over_cap,
+)
 from knotmorse.diagram import TaitGraph
+from knotmorse.errors import InvariantViolation
 from knotmorse.states import enumerate_matchings, is_maximal
 
 
@@ -163,3 +175,56 @@ def oracle_homology(c: SimplicialComplex) -> HomologyResult:
         torsion=tuple(torsion),
         face_counts=tuple(counts),
     )
+
+
+def _signed_faces(t: int) -> list[tuple[int, int]]:
+    """(<d t, g>, g) for each face g of the cell t."""
+    out = []
+    sign, rest = 1, t
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        out.append((sign, t ^ b))
+        sign = -sign
+    return out
+
+
+def listed_morse_boundary(cells: list[int], critical: set[int], partner: Callable[[int], int],
+                          budget: int | None) -> list[dict[int, int]]:
+    """The Morse boundary of each of the critical cells, by the gradient
+    paths of the matching whose pairs partner gives (the upper cell of a
+    lower cell, or a false value): the same contract as
+    complexes._morse_boundary, computed from a list of each cell's signed
+    faces, with the partner of every face looked up afresh."""
+    flow: dict[int, dict[int, int]] = {}
+    opened: dict[int, list[tuple[int, int]]] = {}
+    for c in cells:
+        stack = [c]
+        while stack:
+            x = stack[-1]
+            if x in flow:
+                stack.pop()
+                continue
+            terms = opened.pop(x, None)
+            if terms is None:
+                t = partner(x) or x
+                faces = _signed_faces(t)
+                unit = 1 if t == x else -next(k for k, g in faces if g == x)
+                terms = [(unit * k, g) for k, g in faces if g != x and (partner(g) or g in critical)]
+                todo = [g for _, g in terms if g not in critical and g not in flow]
+                if todo:
+                    if not opened.keys().isdisjoint(todo):
+                        raise InvariantViolation(
+                            "gradient paths close a cycle through the cell with mask %#x" % x)
+                    opened[x] = terms
+                    stack.extend(todo)
+                    continue
+            acc: dict[int, int] = {}
+            for k, g in terms:
+                for h, w in [(g, 1)] if g in critical else flow[g].items():
+                    acc[h] = acc.get(h, 0) + k * w
+            if len(flow) == budget:
+                raise _over_cap(_max_faces(), "matching tree")
+            flow[x] = {h: w for h, w in acc.items() if w}
+            stack.pop()
+    return [flow[c] for c in cells]

@@ -2,8 +2,10 @@
 
 import os
 import random
+import re
 import subprocess
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
@@ -54,7 +56,13 @@ from knotmorse.states import (
     monochromatic_loops,
 )
 
-from homology_oracle import maximal_matchings, oracle_faces, oracle_homology, pairwise_maximal_facets
+from homology_oracle import (
+    listed_morse_boundary,
+    maximal_matchings,
+    oracle_faces,
+    oracle_homology,
+    pairwise_maximal_facets,
+)
 
 SMALL = ("3_1", "4_1", "kink", "5_1", "5_2")
 SIX_OR_LESS = ("3_1", "4_1", "kink", "5_1", "5_2", "6_1", "6_2", "6_3")
@@ -463,6 +471,24 @@ def test_torus_morse_element_matching_is_perfect(m):
     assert tuple(sizes) == (0,) + homology(c).betti
 
 
+@contextmanager
+def compared_boundaries():
+    """Within the block, each _morse_boundary call is checked flow for flow
+    against listed_morse_boundary on the same inputs; yields the list of the
+    (number of cells, budget) of the calls."""
+    real, calls = complexes._morse_boundary, []
+
+    def both(cells, critical, partner, budget):
+        got = real(cells, critical, partner, budget)
+        assert got == listed_morse_boundary(cells, critical, partner, budget), cells
+        calls.append((len(cells), budget))
+        return got
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(complexes, "_morse_boundary", both)
+        yield calls
+
+
 @st.composite
 def facet_sets(draw, max_vertices=7):
     """Pairwise non-contained facets on at most max_vertices vertices, named
@@ -481,7 +507,7 @@ def test_both_element_orders_agree_with_the_oracle_on_random_facets(facets):
     expected = oracle_homology(c)
     for order in ELEMENT_ORDERS:
         assert_acyclic_morse_matching(*element_matching(c, order), expected.betti, order)
-        with pytest.MonkeyPatch.context() as patch:
+        with pytest.MonkeyPatch.context() as patch, compared_boundaries():
             patch.setattr(complexes, "_element_order", ELEMENT_ORDERS[order])
             got = homology(c)
         assert (got.betti, got.torsion) == (expected.betti, expected.torsion), order
@@ -723,6 +749,22 @@ def test_matching_tree_lookup_gives_the_boundary_of_an_explicit_pair_table(name)
         assert dict(zip(cells, walked)) == dict(zip(cells, listed)), s
 
 
+@pytest.mark.parametrize(
+    "name", [n for n in corpus_names() if get_entry(n).diagram.n_crossings <= 7])
+def test_one_pass_boundary_equals_the_listed_one_on_matching_trees(name):
+    with compared_boundaries() as calls:
+        homology(matching_complex(build_tait(get_entry(name).diagram)))
+    assert sum(n for n, _ in calls) > 0
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_HOMOLOGY))
+def test_one_pass_boundary_equals_the_listed_one_on_computed_rows(name):
+    # the closure columns pass no budget; the matching tree passes one
+    with compared_boundaries() as calls:
+        computed_row(get_entry(name).diagram)
+    assert sum(n for n, budget in calls if budget is None) > 0
+
+
 def tree_leaf(tree, x):
     """Index of the leaf of a matching tree that the cell x walks to."""
     i = 0
@@ -876,15 +918,26 @@ def test_negative_betti_number_raises(monkeypatch):
         homology(SimplicialComplex(RP2))
 
 
+# a square 0-1-2-3 with a tail 0-4: the empty face goes with vertex 4, each
+# corner with the edge to the next one round the square, which closes a
+# gradient cycle under the critical tail edge 04
+CYCLIC = ({0b10001}, {0: 0b10000, 0b0001: 0b0011, 0b0010: 0b0110,
+                      0b0100: 0b1100, 0b1000: 0b1001})
+
+
 def test_cyclic_matching_raises(monkeypatch):
-    # a square 0-1-2-3 with a tail 0-4: the empty face goes with vertex 4,
-    # each corner with the edge to the next one round the square, which
-    # closes a gradient cycle under the critical tail edge 04
-    cyclic = ({0b10001}, {0: 0b10000, 0b0001: 0b0011, 0b0010: 0b0110,
-                         0b0100: 0b1100, 0b1000: 0b1001})
-    monkeypatch.setattr(complexes, "_element_matching", lambda order, cells: cyclic)
+    monkeypatch.setattr(complexes, "_element_matching", lambda order, cells: CYCLIC)
     with pytest.raises(InvariantViolation, match="cycle"):
         homology(SimplicialComplex([(0, 1), (1, 2), (2, 3), (0, 3), (0, 4)]))
+
+
+def test_cyclic_tree_style_partner_raises():
+    # the same pairs read as a matching tree gives them, 0 for any cell that
+    # is not a lower one, under the budget the tree path passes
+    critical, up = CYCLIC
+    partner = lambda x: up.get(x, 0)
+    with pytest.raises(InvariantViolation, match="cycle"):
+        complexes._morse_boundary(sorted(critical), critical, partner, complexes.DEFAULT_MAX_FACES)
 
 
 @pytest.mark.parametrize("fault", ["repeated", "oversized"])
@@ -907,6 +960,7 @@ def test_pure_morse_from_trees_raises_on_bad_tree_triples(monkeypatch, fault):
 INVARIANT_TESTS = (
     "test_complexes.py::test_negative_betti_number_raises",
     "test_complexes.py::test_cyclic_matching_raises",
+    "test_complexes.py::test_cyclic_tree_style_partner_raises",
     "test_complexes.py::test_pure_morse_from_trees_raises_on_bad_tree_triples",
     "test_counting.py::test_tree_count_disagreement_raises",
     "test_counting.py::test_closed_forms_disagreement_raises",
@@ -924,18 +978,28 @@ INVARIANT_TESTS = (
 
 
 def test_invariant_checks_survive_python_O():
+    # as many pass under -O as the same ids collect without it
     tests = Path(__file__).resolve().parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(tests.parent / "src"), env.get("PYTHONPATH")])
     )
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         *(str(tests / t) for t in INVARIANT_TESTS)],
-        capture_output=True, text=True, env=env, cwd=tests.parent,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "23 passed" in proc.stdout, proc.stdout
+
+    def pytest_summary(*flags):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-q", "-p", "no:cacheprovider",
+             *(str(tests / t) for t in INVARIANT_TESTS)],
+            capture_output=True, text=True, env=env, cwd=tests.parent,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        # the last line, e.g. "24 passed, 1 warning in 2.31s": {"passed": 24, "warning": 1}
+        return {word: int(n) for n, word in re.findall(r"(\d+) (\w+)", proc.stdout.splitlines()[-1])}
+
+    collected = pytest_summary("-m", "pytest", "--collect-only")
+    assert collected.keys() <= {"test", "tests"} and sum(collected.values()) >= len(INVARIANT_TESTS)
+    passed = pytest_summary("-O", "-m", "pytest")
+    assert passed.keys() <= {"passed", "warning", "warnings"}, passed
+    assert passed["passed"] == sum(collected.values()), (passed, collected)
 
 
 # ---------------------------------------------------------------------------
