@@ -31,7 +31,6 @@ from .diagram import (
     PDCode,
     PlaneGraph,
     Square,
-    TaitGraph,
     build_diagram,
     build_tait,
     colour_graphs,

@@ -36,7 +36,7 @@ from .counting import (
     count_spanning_trees,
     count_via_enumeration,
 )
-from .diagram import Diagram, build_diagram, build_tait, colour_graphs, is_reduced, parse_pd
+from .diagram import Diagram, build_diagram, colour_graphs, is_reduced, parse_pd
 from .errors import InvariantViolation, KnotmorseError, ResourceLimit
 from .moves import (
     MOVE_KINDS,
@@ -142,7 +142,7 @@ def _oracle_counts(d: Diagram, perfect_only: bool = False) -> dict:
     the all-dMf enumeration nor the all-dMf formula runs.
     """
     if perfect_only:
-        n_perfect = sum(1 for _ in enumerate_matchings(build_tait(d), "perfect_dmf"))
+        n_perfect = sum(1 for _ in enumerate_matchings(d, "perfect_dmf"))
         blocks = [("perfect", count_perfect_dmfs(d), n_perfect)]
     else:
         enumerated = count_via_enumeration(d)
@@ -193,14 +193,13 @@ def cmd_states(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise KnotmorseError("--limit must be at least 0, got %d" % args.limit)
     name, d = _load(args.diagram, args.swap_colours)
-    t = build_tait(d)
-    stream = enumerate_matchings(t, args.filter)
+    stream = enumerate_matchings(d, args.filter)
     matchings = []
     total = 0
     for x in stream:
         total += 1
         if not args.count_only and (args.limit is None or len(matchings) < args.limit):
-            matchings.append(matching_to_dict(t, x))
+            matchings.append(matching_to_dict(d, x))
     payload = {"name": name, "filter": args.filter, "count": total}
     if not args.count_only:
         payload["matchings"] = matchings
@@ -221,14 +220,13 @@ def cmd_moves(args) -> int:
     if args.mark is not None and args.population != "kauffman":
         raise KnotmorseError("--mark needs --population kauffman")
     name, d = _load(args.diagram, args.swap_colours)
-    t = build_tait(d)
     v_b = v_w = None
     if args.population == "kauffman":
         if args.mark is None:
             raise KnotmorseError("--population kauffman needs --mark <arc id>")
         if not 0 <= args.mark < 2 * d.n_crossings:
             raise KnotmorseError("arc id %d out of range" % args.mark)
-        v_b, v_w = marked_arc_roots(t, args.mark)
+        v_b, v_w = marked_arc_roots(d, args.mark)
     kinds = MOVE_KINDS if args.kinds is None else tuple(args.kinds.split(","))
     if "" in kinds:
         raise KnotmorseError("empty move kind in --kinds %s" % args.kinds)
@@ -239,8 +237,8 @@ def cmd_moves(args) -> int:
         raise KnotmorseError("repeated move kind in --kinds %s" % args.kinds)
     # The avoidance report reads the same graph; filtering keeps the edge order.
     avoid = args.population == "perfect_admissible"
-    mg = build_move_graph(t, args.population, MOVE_KINDS if avoid else kinds, v_b=v_b, v_w=v_w)
-    avoidance = click_path_avoidance(t, mg) if avoid else None
+    mg = build_move_graph(d, args.population, MOVE_KINDS if avoid else kinds, v_b=v_b, v_w=v_w)
+    avoidance = click_path_avoidance(d, mg) if avoid else None
     mg = replace(mg, kinds=kinds, edges=tuple(e for e in mg.edges if e[2].kind in kinds))
     payload = move_graph_to_dict(mg)
     payload["name"] = name
@@ -277,15 +275,16 @@ def cmd_count(args) -> int:
 
 
 def cmd_complex(args) -> int:
+    if args.csv and not args.homology:
+        raise KnotmorseError("--csv needs --homology")
     name, d = _load(args.diagram, args.swap_colours)
-    t = build_tait(d)
     if args.kind == "morse":
-        c = pure_part(morse_complex(t)) if args.pure else morse_complex(t)
+        c = pure_part(morse_complex(d)) if args.pure else morse_complex(d)
     else:
-        c = pure_matching_complex(t) if args.pure else matching_complex(t)
+        c = pure_matching_complex(d) if args.pure else matching_complex(d)
     # the matching complex lists no facet: only here are all maximal matchings read
     facets = c.facets if isinstance(c, SimplicialComplex) else SimplicialComplex(
-        x.edges for x in _maximal_stream(t, skip=True)).facets
+        x.edges for x in _maximal_stream(d, skip=True)).facets
     payload = {
         "name": name,
         "kind": args.kind,
@@ -312,9 +311,8 @@ def cmd_complex(args) -> int:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["name", "kind", "pure", "degree", "rank"])
-            if args.homology:
-                for k, r in sorted(h.ranks().items()):
-                    writer.writerow([name, args.kind, args.pure, k, r])
+            for k, r in sorted(h.ranks().items()):
+                writer.writerow([name, args.kind, args.pure, k, r])
     _emit(payload, args.pretty, lines)
     return EXIT_OK
 
@@ -387,12 +385,12 @@ def cmd_table1(args) -> int:
 
 def _selftest_checks(cap: int):
     diagrams = ((n, get_entry(n).diagram) for n in corpus_names())
-    smalls = [(n, d, build_tait(d)) for n, d in diagrams if d.n_crossings <= cap]
+    smalls = [(n, d) for n, d in diagrams if d.n_crossings <= cap]
     if not smalls:
         raise KnotmorseError("--max-crossings %d selects no corpus entry" % cap)
 
     def check_counting(report):
-        for name, d, _ in smalls:
+        for name, d in smalls:
             perfect_enum, all_enum = count_via_enumeration(d)
             if count_perfect_dmfs(d) != perfect_enum:
                 return {"diagram": name, "field": "perfect"}
@@ -403,31 +401,31 @@ def _selftest_checks(cap: int):
 
     def check_loop_criterion(report):
         seen = 0
-        for name, _, t in smalls:
-            for x in enumerate_matchings(t, "all"):
+        for name, d in smalls:
+            for x in enumerate_matchings(d, "all"):
                 seen += 1
-                if is_dmf(t, x) != amended_poset_acyclic(t, x):
+                if is_dmf(d, x) != amended_poset_acyclic(d, x):
                     return {"diagram": name, "matching": list(x.edges)}
         report["matchings"] = seen
         return None
 
     def check_forest_roundtrip(report):
         seen = 0
-        for name, _, t in smalls:
-            for x in enumerate_matchings(t, "dmf"):
+        for name, d in smalls:
+            for x in enumerate_matchings(d, "dmf"):
                 seen += 1
-                if forests_to_matching(t, induced_forests(t, x)) != x:
+                if forests_to_matching(d, induced_forests(d, x)) != x:
                     return {"diagram": name, "matching": list(x.edges)}
         report["matchings"] = seen
         return None
 
     def check_jordan(report):
-        for name, d, t in smalls:
+        for name, d in smalls:
             n = d.n_crossings
-            for x in enumerate_matchings(t, "all"):
+            for x in enumerate_matchings(d, "all"):
                 j = jordan_resolution(d, x)
-                admissible = is_admissible(t, x)
-                if is_dmf(t, x) != (admissible and j.count == 1):
+                admissible = is_admissible(d, x)
+                if is_dmf(d, x) != (admissible and j.count == 1):
                     return {"diagram": name, "matching": list(x.edges)}
                 if len(x.edges) == n and admissible != (j.count % 2 == 1):
                     return {"diagram": name, "matching": list(x.edges)}
@@ -435,11 +433,11 @@ def _selftest_checks(cap: int):
 
     def check_clock(report):
         seen = 0
-        for name, d, t in smalls:
-            for x in enumerate_matchings(t, "perfect_admissible"):
+        for name, d in smalls:
+            for x in enumerate_matchings(d, "perfect_admissible"):
                 before = jordan_resolution(d, x).count
-                dmf = is_dmf(t, x)
-                for move, y in clock_moves(t, x):
+                dmf = is_dmf(d, x)
+                for move, y in clock_moves(d, x):
                     seen += 1
                     delta = jordan_resolution(d, y).count - before
                     if delta not in (-2, 0, 2) or delta != move.delta_j:
@@ -452,24 +450,24 @@ def _selftest_checks(cap: int):
         return None
 
     def check_kpw(report):
-        for name, d, t in smalls:
-            direct = {x.edges for x in enumerate_matchings(t, "perfect_dmf")}
+        for name, d in smalls:
+            direct = {x.edges for x in enumerate_matchings(d, "perfect_dmf")}
             if set(pure_morse_from_trees(d).facets) != direct:
                 return {"diagram": name}
         return None
 
     def check_click_pairs(report):
         seen = 0
-        for name, _, t in smalls:
+        for name, d in smalls:
             groups = {}
-            for x in enumerate_matchings(t, "perfect_dmf"):
-                f = induced_forests(t, x)
+            for x in enumerate_matchings(d, "perfect_dmf"):
+                f = induced_forests(d, x)
                 groups.setdefault((f.black_edges, f.white_edges), []).append((x, f))
             for members in groups.values():
                 for (x, _), (y, fy) in combinations(members, 2):
                     seen += 1
                     steps = two_click_connect(
-                        t, x, fy.black_roots[0], fy.white_roots[0]
+                        d, x, fy.black_roots[0], fy.white_roots[0]
                     )
                     if len(steps) > 2 or (steps[-1][1] if steps else x) != y:
                         return {"diagram": name, "source": list(x.edges),
@@ -478,19 +476,19 @@ def _selftest_checks(cap: int):
         return None
 
     def check_pure_facets(report):
-        for name, d, t in smalls:
+        for name, d in smalls:
             if set(pure_morse_from_trees(d).facets) != set(
-                pure_part(morse_complex(t)).facets
+                pure_part(morse_complex(d)).facets
             ):
                 return {"diagram": name}
         return None
 
     def check_homology(report):
-        for name, d, t in smalls:
+        for name, d in smalls:
             bound = connectivity_report(d)["bound"]
             if name == "4_1" and bound != 1:
                 return {"diagram": name, "reason": "figure-eight bound"}
-            for c in (matching_complex(t), morse_complex(t)):
+            for c in (matching_complex(d), morse_complex(d)):
                 h = homology(c)
                 chi = sum((-1) ** k * b for k, b in enumerate(h.betti))
                 if chi != c.euler_characteristic() - 1:

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .counting import spanning_trees
-from .diagram import Diagram, TaitGraph, build_tait, colour_graphs
+from .diagram import Diagram, colour_graphs
 from .errors import InvariantViolation, ResourceLimit
 from .states import _maximal_stream, kpw
 
@@ -201,7 +201,7 @@ class IndependenceComplex:
     euler_characteristic = SimplicialComplex.euler_characteristic
 
 
-def _matching_counts(t: TaitGraph) -> tuple[int, ...]:
+def _matching_counts(d: Diagram) -> tuple[int, ...]:
     """Number of matchings of each size from 1 up, crossing by crossing.
 
     The state is the mask of the used regions that a later crossing meets;
@@ -209,11 +209,11 @@ def _matching_counts(t: TaitGraph) -> tuple[int, ...]:
     bits per coefficient, so adding a corner edge is a shift.  No count
     exceeds 5^n, one of five choices per crossing.
     """
-    region_of = t.edge_region
+    region_of = d.edge_region
     last_chance = {r: e // 4 for e, r in enumerate(region_of)}  # ascending: the last wins
-    w = (5 ** t.n_crossings).bit_length()
+    w = (5 ** d.n_crossings).bit_length()
     states = {0: 1}
-    for c in range(t.n_crossings):
+    for c in range(d.n_crossings):
         corners = region_of[4 * c:4 * c + 4]
         live = ~sum(1 << r for r in set(corners) if last_chance[r] == c)
         grown: dict[int, int] = {}
@@ -229,28 +229,28 @@ def _matching_counts(t: TaitGraph) -> tuple[int, ...]:
     return tuple(total >> k * w & (1 << w) - 1 for k in range(1, (total.bit_length() - 1) // w + 1))
 
 
-def matching_complex(t: TaitGraph) -> IndependenceComplex:
+def matching_complex(d: Diagram) -> IndependenceComplex:
     """Faces are the matchings: the independence complex of the corner
     edges, two of which conflict when they share a crossing or a region.
 
     Edge e is vertex e, and the face counts come from _matching_counts; no
     matching is listed.
     """
-    region = t.edge_region
+    region = d.edge_region
     conflicts = [
-        sum(1 << f for f in range(t.n_edges) if f != e and (f // 4 == e // 4 or region[f] == region[e]))
-        for e in range(t.n_edges)
+        sum(1 << f for f in range(d.n_edges) if f != e and (f // 4 == e // 4 or region[f] == region[e]))
+        for e in range(d.n_edges)
     ]
-    return IndependenceComplex(conflicts, _matching_counts(t))
+    return IndependenceComplex(conflicts, _matching_counts(d))
 
 
-def pure_matching_complex(t: TaitGraph) -> SimplicialComplex:
+def pure_matching_complex(d: Diagram) -> SimplicialComplex:
     """The pure part of the matching complex: its top facets are the
     perfect matchings, which every knot diagram has."""
-    return SimplicialComplex(x.edges for x in _maximal_stream(t))
+    return SimplicialComplex(x.edges for x in _maximal_stream(d))
 
 
-def morse_complex(t: TaitGraph) -> SimplicialComplex:
+def morse_complex(d: Diagram) -> SimplicialComplex:
     """Subcomplex of the matching complex spanned by its loop-free facets.
 
     Facets are the maximal matchings that support no monochromatic loop,
@@ -259,7 +259,7 @@ def morse_complex(t: TaitGraph) -> SimplicialComplex:
     matchings that extend to a loop-free maximal one; a loop-free matching
     whose every completion acquires a loop is deliberately not a face.
     """
-    return SimplicialComplex([x.edges for x in _maximal_stream(t, skip=True, acyclic=True)])
+    return SimplicialComplex([x.edges for x in _maximal_stream(d, skip=True, acyclic=True)])
 
 
 def pure_part(c: SimplicialComplex) -> SimplicialComplex:
@@ -274,13 +274,12 @@ def pure_morse_from_trees(d: Diagram) -> SimplicialComplex:
     Every simplex has dimension n - 1 for n crossings; the facet set equals
     the pure part of the Morse complex.
     """
-    t = build_tait(d)
     black = colour_graphs(d)[0]
     facets = [
-        kpw(t, tree, v_b, v_w).edges
+        kpw(d, tree, v_b, v_w).edges
         for tree in spanning_trees(black)
-        for v_b in t.black_faces
-        for v_w in t.white_faces
+        for v_b in d.black_faces
+        for v_w in d.white_faces
     ]
     if len(set(facets)) != len(facets) or any(len(f) != d.n_crossings for f in facets):
         raise InvariantViolation(

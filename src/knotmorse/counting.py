@@ -36,7 +36,7 @@ from collections import Counter
 from math import prod
 from typing import Iterable, Iterator
 
-from .diagram import Diagram, PlaneGraph, UnionFind, build_tait, colour_graphs
+from .diagram import Diagram, PlaneGraph, UnionFind, colour_graphs
 from .errors import InvariantViolation
 from .states import _dmf_sizes
 
@@ -187,7 +187,7 @@ def count_via_enumeration(d: Diagram) -> tuple[int, int]:
     them, reading only the region map and its loop walk; the perfect ones
     are those of size n.
     """
-    sizes = _dmf_sizes(build_tait(d))
+    sizes = _dmf_sizes(d)
     return sizes[d.n_crossings], sum(sizes)
 
 

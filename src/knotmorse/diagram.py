@@ -1,5 +1,9 @@
 """PD codes, face tracing, chequerboard colouring, and the Tait overlay graph.
 
+A Diagram is the one object per projection: its faces and corners, and the
+Tait overlay read off them (squares, region masks, poset tables), each table
+computed once on first use.
+
 A planar diagram (PD) code lists the crossings of a connected 4-valent plane
 graph.  Each crossing is written X(a,b,c,d): the four arc labels met counter-
 clockwise around the crossing, starting anywhere.  Over/under information is
@@ -43,14 +47,15 @@ darts i at crossing c1 and j at c2, and i' = i & ~3 | (i-1) & 3 the corner
 before i (likewise j'), the square is the 4-cycle  f_left -[i']- c1 -[i]-
 f_right -[j']- c2 -[j]- f_left, where f_left is the face at corner i' and
 f_right the face at corner i.  The poset orientation points white -> crossing
--> black.
+-> black.  Diagram.edge_region is the one corner -> region table: the face
+at corner 4c+k, which is the region end of overlay edge 4c+k.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
@@ -68,7 +73,6 @@ __all__ = [
     "Diagram",
     "PlaneGraph",
     "Square",
-    "TaitGraph",
     "parse_pd",
     "build_diagram",
     "colour_graphs",
@@ -160,9 +164,28 @@ class Face:
 
 
 @dataclass(frozen=True)
+class Square:
+    """The overlay 4-cycle spanned by one arc.
+
+    edges runs f_left - c1 - f_right - c2 - f_left; the two opposite pairs
+    (edges[0], edges[2]) and (edges[1], edges[3]) are the only ways a matching
+    can use two edges of the square.
+    """
+
+    arc: int
+    edges: tuple[int, int, int, int]
+
+
+@dataclass(frozen=True)
 class Diagram:
     """A parsed projection: arcs (arc_darts[a] is arc a's two darts, the lower
-    first), faces, and colours, cross-linked by ids."""
+    first), faces, and colours, cross-linked by ids, with its Tait overlay.
+
+    Overlay vertices: region vertices are face ids 0..n_faces-1, crossing c
+    is vertex n_faces + c.  Edge 4c+k joins crossing c to the region
+    edge_region[4c+k] at corner k of c.  The poset orientation directs
+    white -> crossing -> black.
+    """
 
     pd: PDCode
     arc_labels: tuple[int, ...]
@@ -180,6 +203,14 @@ class Diagram:
     @property
     def n_faces(self) -> int:
         return len(self.faces)
+
+    @property
+    def n_edges(self) -> int:
+        return 4 * self.n_crossings
+
+    @property
+    def n_vertices(self) -> int:
+        return self.n_faces + self.n_crossings
 
     @cached_property
     def dart_arc(self) -> tuple[int, ...]:
@@ -207,8 +238,9 @@ class Diagram:
                 tuple(pairs(4 * c, ((0, 1), (0, 2), (0, 3))) for c in range(self.n_crossings)))
 
     @cached_property
-    def corner_face(self) -> tuple[int, ...]:
-        """Face at corner k of crossing c, indexed by 4 * c + k."""
+    def edge_region(self) -> tuple[int, ...]:
+        """Face at corner k of crossing c, the region end of overlay edge
+        4 * c + k, indexed by 4 * c + k."""
         out = [0] * (4 * self.n_crossings)
         for f in self.faces:
             for k in f.corners:
@@ -233,14 +265,55 @@ class Diagram:
         black = _one_colour_graph(self, BLACK)
         return _one_colour_graph(self, WHITE), black
 
+    @cached_property
+    def squares(self) -> tuple[Square, ...]:
+        """One overlay square per arc; raises InvariantViolation when the two
+        ends of an arc see different regions."""
+        edge_region = self.edge_region
+        squares = []
+        for a, (i, j) in enumerate(self.arc_darts):
+            edges = (i & ~3 | (i - 1) & 3, i, j & ~3 | (j - 1) & 3, j)
+            f_left, f_right, g_right, g_left = (edge_region[e] for e in edges)
+            # The other end sees the same two regions from the far side.
+            if (f_left, f_right) != (g_left, g_right):
+                raise InvariantViolation("the two ends of arc %d see different regions" % a)
+            squares.append(Square(arc=a, edges=edges))
+        return tuple(squares)
+
+    @cached_property
+    def face_masks(self) -> tuple[int, int]:
+        """(white, black): the regions of each colour as a bit mask."""
+        return sum(1 << f for f in self.white_faces), sum(1 << f for f in self.black_faces)
+
+    @cached_property
+    def square_masks(self) -> tuple[tuple[int, int], ...]:
+        """Each square's pairs (edges[0], edges[2]) and (edges[1], edges[3]) as bit masks."""
+        return tuple((1 << a | 1 << c, 1 << b | 1 << d) for a, b, c, d in (q.edges for q in self.squares))
+
+    @cached_property
+    def poset_tables(self) -> tuple[tuple[tuple[int, int, bool], ...], tuple[int, ...], tuple[int, ...]]:
+        """(arrows, successors, predecessors) of the poset orientation:
+        arrows[e] is (tail, head, lone) of edge e, lone unless another edge
+        has the same ends (a kink's region meets its crossing at two opposite
+        corners); successors[v] and predecessors[v] are vertex bit masks."""
+        n_faces, colour = self.n_faces, self.face_colour
+        arrows = [(r, n_faces + e // 4) if colour[r] == WHITE else (n_faces + e // 4, r)
+                  for e, r in enumerate(self.edge_region)]
+        succ, pred = [0] * self.n_vertices, [0] * self.n_vertices
+        for u, v in arrows:
+            succ[u] |= 1 << v
+            pred[v] |= 1 << u
+        return tuple((u, v, arrows.count((u, v)) == 1) for u, v in arrows), tuple(succ), tuple(pred)
+
 
 def build_diagram(pd: PDCode, swap_colours: bool = False) -> Diagram:
-    """Trace faces, check planarity, and 2-colour the result.
+    """Trace faces, check planarity, 2-colour the result, and check its squares.
 
     Raises NonPlanarCode when the projection is disconnected or the face count
-    fails Euler's formula V - E + F = 2, and ColouringConflict if the face
+    fails Euler's formula V - E + F = 2, ColouringConflict if the face
     adjacency were not 2-colourable (unreachable once the Euler check passes;
-    kept as a guard).
+    kept as a guard), and InvariantViolation if the two ends of an arc saw
+    different regions (Diagram.squares, likewise a guard).
     """
     n = pd.n_crossings
     dart_label = [label for crossing in pd.crossings for label in crossing]
@@ -320,7 +393,17 @@ def build_diagram(pd: PDCode, swap_colours: bool = False) -> Diagram:
 
     faces = tuple(Face(index=i, colour=colour[i], corners=corners, arcs=arcs)
                   for i, (corners, arcs) in enumerate(traced))
-    return Diagram(pd=pd, arc_labels=tuple(labels), arc_darts=arc_darts, faces=faces)
+    d = Diagram(pd=pd, arc_labels=tuple(labels), arc_darts=arc_darts, faces=faces)
+    d.squares  # builds and checks every square
+    return d
+
+
+def build_tait(d: Diagram) -> Diagram:
+    """d itself, once its squares are checked: the Tait overlay tables are
+    cached on Diagram.  Kept public for callers of the earlier overlay
+    object, the perfbench census workload among them."""
+    d.squares
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +439,7 @@ class PlaneGraph:
 def _one_colour_graph(d: Diagram, colour: int) -> PlaneGraph:
     # Corners alternate colours around a crossing, so the colour sits at
     # corners k and k + 2 of each, k the one of 0 and 1 that has it.
-    face, face_colour = d.corner_face, d.face_colour
+    face, face_colour = d.edge_region, d.face_colour
     corners = tuple(e + (face_colour[face[e]] != colour) for e in range(0, len(face), 4))
     edge_ends = tuple((face[e], face[e ^ 2]) for e in corners)
     vertices = d.white_faces if colour == WHITE else d.black_faces
@@ -412,102 +495,6 @@ class UnionFind:
 
 
 # ---------------------------------------------------------------------------
-# Tait overlay graph
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Square:
-    """The overlay 4-cycle spanned by one arc.
-
-    edges runs f_left - c1 - f_right - c2 - f_left; the two opposite pairs
-    (edges[0], edges[2]) and (edges[1], edges[3]) are the only ways a matching
-    can use two edges of the square.
-    """
-
-    arc: int
-    edges: tuple[int, int, int, int]
-
-
-@dataclass(frozen=True)
-class TaitGraph:
-    """The overlay of both colour graphs with its square faces.
-
-    Vertices: region vertices are face ids 0..n_faces-1, crossing c is vertex
-    n_faces + c.  Edge 4c+k joins crossing c to the region at corner k of c.
-    The poset orientation directs white -> crossing -> black.
-    """
-
-    diagram: Diagram = field(repr=False)
-    n_crossings: int
-    n_faces: int
-    face_colour: tuple[int, ...]
-    edge_region: tuple[int, ...]
-    squares: tuple[Square, ...]
-
-    @property
-    def n_edges(self) -> int:
-        return 4 * self.n_crossings
-
-    @property
-    def n_vertices(self) -> int:
-        return self.n_faces + self.n_crossings
-
-    @cached_property
-    def white_faces(self) -> tuple[int, ...]:
-        return self.diagram.white_faces
-
-    @cached_property
-    def black_faces(self) -> tuple[int, ...]:
-        return self.diagram.black_faces
-
-    @cached_property
-    def face_masks(self) -> tuple[int, int]:
-        """(white, black): the regions of each colour as a bit mask."""
-        return sum(1 << f for f in self.white_faces), sum(1 << f for f in self.black_faces)
-
-    @cached_property
-    def square_masks(self) -> tuple[tuple[int, int], ...]:
-        """Each square's pairs (edges[0], edges[2]) and (edges[1], edges[3]) as bit masks."""
-        return tuple((1 << a | 1 << c, 1 << b | 1 << d) for a, b, c, d in (q.edges for q in self.squares))
-
-    @cached_property
-    def poset_tables(self) -> tuple[tuple[tuple[int, int, bool], ...], tuple[int, ...], tuple[int, ...]]:
-        """(arrows, successors, predecessors) of the poset orientation:
-        arrows[e] is (tail, head, lone) of edge e, lone unless another edge
-        has the same ends (a kink's region meets its crossing at two opposite
-        corners); successors[v] and predecessors[v] are vertex bit masks."""
-        n_faces, colour = self.n_faces, self.face_colour
-        arrows = [(r, n_faces + e // 4) if colour[r] == WHITE else (n_faces + e // 4, r)
-                  for e, r in enumerate(self.edge_region)]
-        succ, pred = [0] * self.n_vertices, [0] * self.n_vertices
-        for u, v in arrows:
-            succ[u] |= 1 << v
-            pred[v] |= 1 << u
-        return tuple((u, v, arrows.count((u, v)) == 1) for u, v in arrows), tuple(succ), tuple(pred)
-
-
-def build_tait(d: Diagram) -> TaitGraph:
-    """Overlay both colour graphs: one edge per corner, one square per arc."""
-    corner_face = d.corner_face
-    squares = []
-    for a, (i, j) in enumerate(d.arc_darts):
-        edges = (i & ~3 | (i - 1) & 3, i, j & ~3 | (j - 1) & 3, j)
-        f_left, f_right, g_right, g_left = (corner_face[e] for e in edges)
-        # The other end sees the same two regions from the far side.
-        if (f_left, f_right) != (g_left, g_right):
-            raise InvariantViolation("the two ends of arc %d see different regions" % a)
-        squares.append(Square(arc=a, edges=edges))
-    return TaitGraph(
-        diagram=d,
-        n_crossings=d.n_crossings,
-        n_faces=d.n_faces,
-        face_colour=d.face_colour,
-        edge_region=corner_face,
-        squares=tuple(squares),
-    )
-
-
-# ---------------------------------------------------------------------------
 # Reducedness
 # ---------------------------------------------------------------------------
 
@@ -518,7 +505,7 @@ def is_reduced(d: Diagram) -> bool:
     checked equal.  (Both colour graphs 2-connected is a stronger condition:
     reduced and prime.)
     """
-    f = d.corner_face
+    f = d.edge_region
     by_corners = all(
         f[4 * c] != f[4 * c + 2] and f[4 * c + 1] != f[4 * c + 3] for c in range(d.n_crossings)
     )

@@ -29,7 +29,7 @@ and ends.  The generators read one node map per matching: its mask, and
 the region map of states._node_map, which validates the matching once and
 gives region -> matched edge and region -> next region; moves builds no
 region map of its own.  The clock generator also reads the squares' pattern
-masks, cached on the TaitGraph.  The graph looks each target mask up in the
+masks, cached on the Diagram.  The graph looks each target mask up in the
 population before building anything and records an edge from its lower end
 only: every move kind is involutive, so the higher end finds the same edge
 back.  A graph holds each distinct move once: edges with equal moves share
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from itertools import starmap
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .diagram import BLACK, WHITE, Diagram, TaitGraph, UnionFind
+from .diagram import BLACK, WHITE, Diagram, UnionFind
 from .errors import InvariantViolation, NotAcyclic, NotPerfectAdmissible
 from .states import (
     Matching,
@@ -145,10 +145,10 @@ def _rerouted_strand(d: Diagram, arc: int, e: int) -> int:
     return d.dart_arc[4 * c + slot]
 
 
-def _clock_targets(t: TaitGraph, node: tuple) -> Iterator[tuple[int, tuple]]:
+def _clock_targets(d: Diagram, node: tuple) -> Iterator[tuple[int, tuple]]:
     """(target mask, (square, pattern, orientation)) of each clock move."""
     mask = node[0]
-    for sq, (a, b) in zip(t.squares, t.square_masks):
+    for sq, (a, b) in zip(d.squares, d.square_masks):
         # Each opposite pair of a square meets both of its crossings.
         if (mask & a) == a:
             yield mask ^ a ^ b, (sq, sq.edges[0::2], "cw")
@@ -156,39 +156,39 @@ def _clock_targets(t: TaitGraph, node: tuple) -> Iterator[tuple[int, tuple]]:
             yield mask ^ a ^ b, (sq, sq.edges[1::2], "ccw")
 
 
-def clock_moves(t: TaitGraph, x: Matching) -> list[tuple[Move, Matching]]:
+def clock_moves(d: Diagram, x: Matching) -> list[tuple[Move, Matching]]:
     """All clock moves available on x, each with the resulting matching."""
-    return _built_moves(t, x, "clock", (x.mask,) + _node_map(t, x))
+    return _built_moves(d, x, "clock", (x.mask,) + _node_map(d, x))
 
 
 # ---------------------------------------------------------------------------
 # Click moves
 # ---------------------------------------------------------------------------
 
-def _click_loop_targets(t: TaitGraph, node: tuple) -> Iterator[tuple[int, tuple[int, ...]]]:
+def _click_loop_targets(d: Diagram, node: tuple) -> Iterator[tuple[int, tuple[int, ...]]]:
     """(target mask, loop) of each supported loop, as monochromatic_loops orders them."""
     mask, out, step = node
     for loop in _loops_of(out, step):
         yield mask ^ sum(1 << e for e in loop), loop
 
 
-def click_loop_moves(t: TaitGraph, x: Matching) -> list[tuple[Move, Matching]]:
+def click_loop_moves(d: Diagram, x: Matching) -> list[tuple[Move, Matching]]:
     """Toggle the matching along each supported monochromatic loop."""
-    return _built_moves(t, x, "click_loop", (x.mask,) + _node_map(t, x))
+    return _built_moves(d, x, "click_loop", (x.mask,) + _node_map(d, x))
 
 
-def _perfect_admissible(t: TaitGraph, x: Matching, need: str) -> tuple:
+def _perfect_admissible(d: Diagram, x: Matching, need: str) -> tuple:
     """(node map, unmatched black regions, unmatched white regions) of x, after
     validating it; NotPerfectAdmissible(need) unless x is perfect admissible."""
-    out, step = _node_map(t, x)
+    out, step = _node_map(d, x)
     black, white = (tuple(f for f in faces if f not in out)
-                    for faces in (t.black_faces, t.white_faces))
-    if len(x.edges) != t.n_crossings or not (black and white):
+                    for faces in (d.black_faces, d.white_faces))
+    if len(x.edges) != d.n_crossings or not (black and white):
         raise NotPerfectAdmissible(need)
     return (x.mask, out, step), black, white
 
 
-def _click_forest(t: TaitGraph, node: tuple) -> list[list[int]]:
+def _click_forest(d: Diagram, node: tuple) -> list[list[int]]:
     """Indexed by colour, the breadth-first order of the tree of the node
     map's one unmatched region of that colour, root first.  Region u hangs
     below step[u]; a root has no parent, so the regions whose parents lead
@@ -200,7 +200,7 @@ def _click_forest(t: TaitGraph, node: tuple) -> list[list[int]]:
     for u, p in step.items():
         children.setdefault(p, []).append(u)
     orders: list[list[int]] = [[], []]
-    for colour, faces in ((BLACK, t.black_faces), (WHITE, t.white_faces)):
+    for colour, faces in ((BLACK, d.black_faces), (WHITE, d.white_faces)):
         order = orders[colour] = [f for f in faces if f not in out]
         if len(order) != 1:
             raise InvariantViolation("a perfect admissible matching left %d unmatched %s regions"
@@ -210,12 +210,12 @@ def _click_forest(t: TaitGraph, node: tuple) -> list[list[int]]:
     return orders
 
 
-def _click_path_targets(t: TaitGraph, node: tuple) -> Iterator[tuple[int, tuple]]:
+def _click_path_targets(d: Diagram, node: tuple) -> Iterator[tuple[int, tuple]]:
     """(target mask, (colour name, path)) of each click path move.  A
     target's edge set and path are its tree parent's, with the target's
     matched crossing re-matched toward the parent and the target appended."""
     mask, out, step = node
-    orders = _click_forest(t, node)
+    orders = _click_forest(d, node)
     for colour in (BLACK, WHITE):
         order = orders[colour]
         masks, paths = {order[0]: mask}, {order[0]: (order[0],)}
@@ -226,22 +226,22 @@ def _click_path_targets(t: TaitGraph, node: tuple) -> Iterator[tuple[int, tuple]
             yield masks[u], (_COLOUR_NAME[colour], paths[u])
 
 
-def click_path_moves(t: TaitGraph, x: Matching) -> list[tuple[Move, Matching]]:
+def click_path_moves(d: Diagram, x: Matching) -> list[tuple[Move, Matching]]:
     """Slide the unmatched region of either colour along its tree component.
 
     A perfect admissible matching has exactly one unmatched region per colour,
     the root of its tree: the regions whose region-map parents (u matched by
-    edge e hangs below t.edge_region[e ^ 2]) lead to it.  Every other vertex
+    edge e hangs below d.edge_region[e ^ 2]) lead to it.  Every other vertex
     of the tree is the target of one move, which re-matches each crossing on
     its path toward the root; black first, in breadth-first order.  Raises
     NotPerfectAdmissible otherwise.
     """
-    node, _, _ = _perfect_admissible(t, x, "click path moves need a perfect admissible matching")
-    return _built_moves(t, x, "click_path", node)
+    node, _, _ = _perfect_admissible(d, x, "click path moves need a perfect admissible matching")
+    return _built_moves(d, x, "click_path", node)
 
 
 def two_click_connect(
-    t: TaitGraph, x: Matching, v_b: int, v_w: int
+    d: Diagram, x: Matching, v_b: int, v_w: int
 ) -> tuple[tuple[Move, Matching], ...]:
     """Carry a perfect dMf to the one with critical regions (v_b, v_w).
 
@@ -254,20 +254,20 @@ def two_click_connect(
     critical.  A region that no path reaches leaves the wrong
     critical cells, which the final check reports.
     """
-    if not _is_region(t, v_b, BLACK):
+    if not _is_region(d, v_b, BLACK):
         raise ValueError("target %d is not a black region" % v_b)
-    if not _is_region(t, v_w, WHITE):
+    if not _is_region(d, v_w, WHITE):
         raise ValueError("target %d is not a white region" % v_w)
-    node, black, white = _perfect_admissible(t, x, "need a perfect admissible matching")
+    node, black, white = _perfect_admissible(d, x, "need a perfect admissible matching")
     if next(_loop_closings(node[2]), None) is not None:
         raise NotAcyclic("need an acyclic matching: every region must be reachable")
     steps: list[tuple[Move, Matching]] = []
     cells, mask = (black, (), white), x.mask
-    for target, site in _click_path_targets(t, node):
+    for target, site in _click_path_targets(d, node):
         if site[1][-1] in (v_b, v_w):
             mask ^= x.mask ^ target
             y = _matching_of(mask)
-            cells = critical_cells(t, y)  # validates y
+            cells = critical_cells(d, y)  # validates y
             steps.append((Move("click_path", site), y))
             if site[1][-1] == v_w:  # white targets come last
                 break
@@ -278,7 +278,7 @@ def two_click_connect(
     return tuple(steps)
 
 
-# kind -> targets(t, (mask, out, step)), yielding (target mask, site)
+# kind -> targets(d, (mask, out, step)), yielding (target mask, site)
 _KINDS = {
     "clock": _clock_targets,
     "click_loop": _click_loop_targets,
@@ -287,7 +287,7 @@ _KINDS = {
 
 
 def _move(
-    t: TaitGraph, kind: str, site: tuple, x: Matching, y: Matching,
+    d: Diagram, kind: str, site: tuple, x: Matching, y: Matching,
     strands: Callable[[Matching], tuple], shared: dict,
 ) -> Move:
     """The move of one kind from x to y at a site of its targets.
@@ -295,7 +295,7 @@ def _move(
     shared maps each move's fields to its one Move, and each clock site's
     (square arc, pattern) to its two rerouted arcs: the two patterns of a
     square reroute different arcs.  A click move is its site.  A clock move
-    reads strands(m), which is _strand_roots(t.diagram, m), for x and y
+    reads strands(m), which is _strand_roots(d, m), for x and y
     only.  It flips the smoothings of the square's two crossings.  Each flip
     changes |J| by at most one, and by exactly one when x is perfect.  So a
     move changes |J| by at most 2, and by 0 or +-2 when x is perfect; both
@@ -308,13 +308,13 @@ def _move(
         root, before = strands(x)
         delta = strands(y)[1] - before
         if delta != 0:
-            if abs(delta) > 2 or (delta not in (-2, 2) and len(x.edges) == t.n_crossings):
+            if abs(delta) > 2 or (delta not in (-2, 2) and len(x.edges) == d.n_crossings):
                 raise InvariantViolation("clock move at arc %d changed |J| by %d" % (sq.arc, delta))
             ctype = "III"
         else:
             arcs = shared.get((sq.arc, pattern))
             if arcs is None:
-                arcs = shared[sq.arc, pattern] = [_rerouted_strand(t.diagram, sq.arc, e)
+                arcs = shared[sq.arc, pattern] = [_rerouted_strand(d, sq.arc, e)
                                                   for e in pattern]
             ctype = "I" if root(arcs[0]) == root(arcs[1]) else "II"
         fields = ("clock", (sq.arc,), ctype, delta, orientation)
@@ -334,17 +334,16 @@ def _matching_of(mask: int) -> Matching:
     return Matching(tuple(edges))
 
 
-def _built_moves(t: TaitGraph, x: Matching, kind: str, node: tuple) -> list[tuple[Move, Matching]]:
+def _built_moves(d: Diagram, x: Matching, kind: str, node: tuple) -> list[tuple[Move, Matching]]:
     """Every move of one kind on x, each target built and validated; node is
     x's node map, which the caller has built."""
-    d = t.diagram
     at_x = _strand_roots(d, x) if kind == "clock" else None  # clock moves alone read it
     strands = lambda y: at_x if y is x else _strand_roots(d, y)
     out, shared = [], {}
-    for mask, site in _KINDS[kind](t, node):
+    for mask, site in _KINDS[kind](d, node):
         y = _matching_of(mask)
-        _checked(t.edge_region, y.edges)
-        out.append((_move(t, kind, site, x, y, strands, shared), y))
+        _checked(d.edge_region, y.edges)
+        out.append((_move(d, kind, site, x, y, strands, shared), y))
     return out
 
 
@@ -363,21 +362,20 @@ class MoveGraph:
     edges: tuple[tuple[int, int, Move], ...]
 
 
-def marked_arc_roots(t: TaitGraph, arc: int) -> tuple[int, int]:
+def marked_arc_roots(d: Diagram, arc: int) -> tuple[int, int]:
     """The (black, white) regions flanking an arc, the roots its mark fixes."""
-    d = t.diagram
     if not 0 <= arc < d.n_arcs:
         raise ValueError("arc id %d out of range" % arc)
     i = d.arc_darts[arc][0]
-    left = d.corner_face[i & ~3 | (i - 1) & 3]
-    right = d.corner_face[i]
-    if t.face_colour[left] == BLACK:
+    left = d.edge_region[i & ~3 | (i - 1) & 3]
+    right = d.edge_region[i]
+    if d.face_colour[left] == BLACK:
         return left, right
     return right, left
 
 
 def build_move_graph(
-    t: TaitGraph,
+    d: Diagram,
     population: str,
     kinds: Sequence[str] = MOVE_KINDS,
     v_b: int | None = None,
@@ -399,11 +397,11 @@ def build_move_graph(
     if population == "kauffman":
         if v_b is None or v_w is None:
             raise ValueError("the kauffman population needs v_b and v_w")
-        nodes = kauffman_states(t, v_b, v_w)
+        nodes = kauffman_states(d, v_b, v_w)
     elif population == "perfect_dmfs":
-        nodes = tuple(enumerate_matchings(t, "perfect_dmf"))
+        nodes = tuple(enumerate_matchings(d, "perfect_dmf"))
     elif population == "perfect_admissible":
-        nodes = tuple(enumerate_matchings(t, "perfect_admissible"))
+        nodes = tuple(enumerate_matchings(d, "perfect_admissible"))
     else:
         raise ValueError(
             "unknown population %r (expected one of %s)" % (population, ", ".join(POPULATIONS))
@@ -413,17 +411,17 @@ def build_move_graph(
 
     def strands(y: Matching) -> tuple:
         if y.mask not in counted:
-            counted[y.mask] = _strand_roots(t.diagram, y)
+            counted[y.mask] = _strand_roots(d, y)
         return counted[y.mask]
 
     shared: dict = {}  # one Move per distinct move of this graph; see _move
     edges: list[tuple[int, int, Move]] = []
     chosen = [k for k in MOVE_KINDS if k in kinds]
     for i, x in enumerate(nodes):
-        node = (x.mask,) + _node_map(t, x)
+        node = (x.mask,) + _node_map(d, x)
         found: dict[int, Move] = {}  # higher end -> the move to it
         for kind in chosen:
-            for mask, site in _KINDS[kind](t, node):
+            for mask, site in _KINDS[kind](d, node):
                 # Every move kind is involutive, so a target below i has
                 # recorded this edge already.
                 j = index.get(mask, -1)
@@ -432,10 +430,10 @@ def build_move_graph(
                         raise InvariantViolation(
                             "two moves join nodes %d and %d of the %s graph" % (i, j, population)
                         )
-                    found[j] = _move(t, kind, site, x, nodes[j], strands, shared)
+                    found[j] = _move(d, kind, site, x, nodes[j], strands, shared)
         counted.pop(x.mask, None)
         edges += ((i, j, found[j]) for j in sorted(found))
-    return MoveGraph(t.diagram.pd.to_text(), population, kinds, nodes, tuple(edges))
+    return MoveGraph(d.pd.to_text(), population, kinds, nodes, tuple(edges))
 
 
 def _component_roots(n: int, edges: Iterable[tuple[int, int, Move]]) -> list[int]:
@@ -452,14 +450,14 @@ def verify_connectivity(mg: MoveGraph) -> tuple[bool, int]:
     return count <= 1, count
 
 
-def click_path_avoidance(t: TaitGraph, mg: MoveGraph) -> dict:
+def click_path_avoidance(d: Diagram, mg: MoveGraph) -> dict:
     """Experimental record: how far clock and click loop moves alone go.
 
     Clock and click loop moves both fix the pair of unmatched regions, so the
     {clock, click_loop} graph over the perfect admissible states can only be
     connected when a single such pair occurs; the open part is whether each
     fixed-pair class is connected on its own, and that is reported per
-    diagram as data, not asserted.  mg is t's perfect admissible move graph
+    diagram as data, not asserted.  mg is d's perfect admissible move graph
     with both kinds among its own; its other edges are ignored.
     """
     kinds = ("clock", "click_loop")
@@ -469,7 +467,7 @@ def click_path_avoidance(t: TaitGraph, mg: MoveGraph) -> dict:
     components = len(set(roots))
     classes: dict[tuple, set[int]] = {}
     for x, root in zip(mg.nodes, roots):
-        black, _, white = critical_cells(t, x)
+        black, _, white = critical_cells(d, x)
         classes.setdefault((black, white), set()).add(root)
     return {
         "population": "perfect_admissible",

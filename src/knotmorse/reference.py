@@ -38,7 +38,7 @@ from .complexes import (
     pure_matching_complex,
     pure_part,
 )
-from .diagram import Diagram, build_tait
+from .diagram import Diagram
 
 __all__ = [
     "COLUMNS",
@@ -140,13 +140,12 @@ REFERENCE_HOMOLOGY: dict[str, dict[str, dict[int, int]]] = {
 
 def reference_complexes(d: Diagram) -> dict[str, SimplicialComplex | IndependenceComplex]:
     """The four complexes of a diagram keyed like the reference table."""
-    t = build_tait(d)
-    morse = morse_complex(t)
+    morse = morse_complex(d)
     return {
         "morse": morse,
-        "matching": matching_complex(t),
+        "matching": matching_complex(d),
         "pure_morse": pure_part(morse),
-        "pure_matching": pure_matching_complex(t),
+        "pure_matching": pure_matching_complex(d),
     }
 
 

@@ -60,8 +60,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .diagram import BLACK, WHITE, Diagram, TaitGraph, UnionFind
-from .errors import InvalidForest, InvariantViolation, NotAcyclic, NotAdmissible, NotSpanning
+from .diagram import BLACK, WHITE, Diagram, UnionFind
+from .errors import InvalidForest, NotAcyclic, NotAdmissible, NotSpanning
 
 __all__ = [
     "Matching",
@@ -130,17 +130,17 @@ def _checked(region_of: tuple[int, ...], edges: tuple[int, ...]) -> tuple[int, i
     return crossings, regions
 
 
-def _is_region(t: TaitGraph, v: int, colour: int) -> bool:
+def _is_region(d: Diagram, v: int, colour: int) -> bool:
     """Whether v is the id of a region of the colour."""
-    return 0 <= v < t.n_faces and t.face_colour[v] == colour
+    return 0 <= v < d.n_faces and d.face_colour[v] == colour
 
 
-def _node_map(t: TaitGraph, x: Matching) -> tuple[dict[int, int], dict[int, int]]:
+def _node_map(d: Diagram, x: Matching) -> tuple[dict[int, int], dict[int, int]]:
     """(matched region -> its edge, matched region -> its next region) after
     validating x, the map the loops, forests and move targets read; one loop
     fills both dicts faster than two comprehensions."""
-    _checked(t.edge_region, x.edges)
-    region_of = t.edge_region
+    _checked(d.edge_region, x.edges)
+    region_of = d.edge_region
     out, step = {}, {}
     for e in x.edges:
         r = region_of[e]
@@ -149,48 +149,48 @@ def _node_map(t: TaitGraph, x: Matching) -> tuple[dict[int, int], dict[int, int]
     return out, step
 
 
-def is_perfect(t: TaitGraph, x: Matching) -> bool:
-    crossings, _ = _checked(t.edge_region, x.edges)
-    return crossings + 1 == 1 << t.n_crossings
+def is_perfect(d: Diagram, x: Matching) -> bool:
+    crossings, _ = _checked(d.edge_region, x.edges)
+    return crossings + 1 == 1 << d.n_crossings
 
 
-def is_maximal(t: TaitGraph, x: Matching) -> bool:
+def is_maximal(d: Diagram, x: Matching) -> bool:
     """No overlay edge can be added (perfect states included)."""
-    return _maximal(t, *_checked(t.edge_region, x.edges))
+    return _maximal(d, *_checked(d.edge_region, x.edges))
 
 
-def _maximal(t: TaitGraph, crossings: int, regions: int) -> bool:
-    return all(crossings >> (e >> 2) & 1 or regions >> r & 1 for e, r in enumerate(t.edge_region))
+def _maximal(d: Diagram, crossings: int, regions: int) -> bool:
+    return all(crossings >> (e >> 2) & 1 or regions >> r & 1 for e, r in enumerate(d.edge_region))
 
 
-def is_admissible(t: TaitGraph, x: Matching) -> bool:
-    _, used = _checked(t.edge_region, x.edges)
-    white, black = t.face_masks
+def is_admissible(d: Diagram, x: Matching) -> bool:
+    _, used = _checked(d.edge_region, x.edges)
+    white, black = d.face_masks
     return bool(white & ~used and black & ~used)
 
 
-def critical_cells(t: TaitGraph, x: Matching) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+def critical_cells(d: Diagram, x: Matching) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Unmatched (black regions, crossings, white regions), each sorted."""
-    return _critical(t, *_checked(t.edge_region, x.edges))
+    return _critical(d, *_checked(d.edge_region, x.edges))
 
 
-def _critical(t: TaitGraph, crossings: int, regions: int) -> tuple[tuple[int, ...], ...]:
-    black = tuple(f for f in t.black_faces if not regions >> f & 1)
-    white = tuple(f for f in t.white_faces if not regions >> f & 1)
-    return black, tuple(c for c in range(t.n_crossings) if not crossings >> c & 1), white
+def _critical(d: Diagram, crossings: int, regions: int) -> tuple[tuple[int, ...], ...]:
+    black = tuple(f for f in d.black_faces if not regions >> f & 1)
+    white = tuple(f for f in d.white_faces if not regions >> f & 1)
+    return black, tuple(c for c in range(d.n_crossings) if not crossings >> c & 1), white
 
 
-def matching_to_dict(t: TaitGraph, x: Matching) -> dict:
+def matching_to_dict(d: Diagram, x: Matching) -> dict:
     """x's properties from one validation; perfect and admissible are read
     off its critical cells."""
-    masks = _checked(t.edge_region, x.edges)
-    black, crossings, white = _critical(t, *masks)
+    masks = _checked(d.edge_region, x.edges)
+    black, crossings, white = _critical(d, *masks)
     return {
         "edges": list(x.edges),
         "perfect": not crossings,
-        "maximal": _maximal(t, *masks),
+        "maximal": _maximal(d, *masks),
         "admissible": bool(black and white),
-        "acyclic": _acyclic(t.edge_region, x.edges),
+        "acyclic": _acyclic(d.edge_region, x.edges),
         "critical": {"black": list(black), "crossings": list(crossings), "white": list(white)},
     }
 
@@ -216,9 +216,9 @@ def _loop_closings(step: dict[int, int]) -> Iterator[int]:
             yield r
 
 
-def monochromatic_loops(t: TaitGraph, x: Matching) -> tuple[tuple[int, ...], ...]:
+def monochromatic_loops(d: Diagram, x: Matching) -> tuple[tuple[int, ...], ...]:
     """All supported loops, each a cyclic edge sequence, canonicalized."""
-    return _loops_of(*_node_map(t, x))
+    return _loops_of(*_node_map(d, x))
 
 
 def _loops_of(out: dict[int, int], step: dict[int, int]) -> tuple[tuple[int, ...], ...]:
@@ -238,17 +238,17 @@ def _loops_of(out: dict[int, int], step: dict[int, int]) -> tuple[tuple[int, ...
     return tuple(sorted(loops))
 
 
-def amended_poset_acyclic(t: TaitGraph, x: Matching) -> bool:
+def amended_poset_acyclic(d: Diagram, x: Matching) -> bool:
     """Acyclicity of the full poset arrow graph with matched arrows reversed.
 
     Base arrows run white region -> crossing -> black region; each matched
-    edge reverses its arrow, in copies of the TaitGraph.poset_tables masks
+    edge reverses its arrow, in copies of the Diagram.poset_tables masks
     (a parallel twin, at a kink, keeps its bit), and sources are peeled bit
     by bit.  An independent cross-check of the loop criterion, it reads
     neither the region map nor the loops.  Raises ValueError on an invalid
     matching, through _checked."""
-    _checked(t.edge_region, x.edges)
-    arrows, succ, pred = t.poset_tables
+    _checked(d.edge_region, x.edges)
+    arrows, succ, pred = d.poset_tables
     succ, pred = list(succ), list(pred)
     for e in x.edges:
         u, v, lone = arrows[e]
@@ -269,11 +269,11 @@ def amended_poset_acyclic(t: TaitGraph, x: Matching) -> bool:
     return len(queue) == len(pred)
 
 
-def is_dmf(t: TaitGraph, x: Matching) -> bool:
+def is_dmf(d: Diagram, x: Matching) -> bool:
     """True iff x supports no monochromatic loop (the dMf condition); the
     walk stops at the first loop and builds none."""
-    _checked(t.edge_region, x.edges)
-    return _acyclic(t.edge_region, x.edges)
+    _checked(d.edge_region, x.edges)
+    return _acyclic(d.edge_region, x.edges)
 
 
 def _acyclic(region_of: tuple[int, ...], edges: tuple[int, ...]) -> bool:
@@ -285,7 +285,7 @@ def _acyclic(region_of: tuple[int, ...], edges: tuple[int, ...]) -> bool:
 # Enumeration
 # ---------------------------------------------------------------------------
 
-def enumerate_matchings(t: TaitGraph, filter: str = "all") -> Iterator[Matching]:
+def enumerate_matchings(d: Diagram, filter: str = "all") -> Iterator[Matching]:
     """Stream all matchings passing the filter, in lexicographic edge order.
 
     Filters: all | maximal_pks (= perfect) | perfect_admissible | dmf
@@ -294,10 +294,10 @@ def enumerate_matchings(t: TaitGraph, filter: str = "all") -> Iterator[Matching]
     if filter not in FILTERS:
         raise ValueError("unknown filter %r (expected one of %s)" % (filter, ", ".join(FILTERS)))
     if filter in ("all", "dmf"):
-        yield from _subset_stream(t, acyclic=(filter == "dmf"))
+        yield from _subset_stream(d, acyclic=(filter == "dmf"))
     else:
         yield from _maximal_stream(
-            t,
+            d,
             admissible=(filter == "perfect_admissible"),
             acyclic=(filter == "perfect_dmf"),
         )
@@ -317,14 +317,14 @@ def _closes_loop(arrow: dict[int, int], r: int, r2: int) -> bool:
     return True
 
 
-def _subset_stream(t: TaitGraph, acyclic: bool) -> Iterator[Matching]:
-    region_of = t.edge_region
+def _subset_stream(d: Diagram, acyclic: bool) -> Iterator[Matching]:
+    region_of = d.edge_region
     acc: list[int] = []
     arrow: dict[int, int] = {}  # matched region -> its next region
 
     def rec(start: int) -> Iterator[Matching]:
         yield Matching(tuple(acc))
-        for e in range(start, t.n_edges):
+        for e in range(start, d.n_edges):
             r = region_of[e]
             if r in arrow:
                 continue
@@ -341,7 +341,7 @@ def _subset_stream(t: TaitGraph, acyclic: bool) -> Iterator[Matching]:
     yield from rec(0)
 
 
-def _dmf_sizes(t: TaitGraph) -> list[int]:
+def _dmf_sizes(d: Diagram) -> list[int]:
     """sizes[k]: the number of acyclic matchings with k edges.
 
     The frontier lists the regions met so far that a later crossing meets; a
@@ -353,8 +353,8 @@ def _dmf_sizes(t: TaitGraph) -> list[int]:
     walk that ended at r then ends where r2's does.  A state's value counts
     its matchings by size, packed in an int with w bits per coefficient.
     """
-    n = t.n_crossings
-    region_of = t.edge_region
+    n = d.n_crossings
+    region_of = d.edge_region
     last_chance = {r: e // 4 for e, r in enumerate(region_of)}  # ascending: the last wins
     w = (5 ** n).bit_length()  # one of five choices per crossing
     frontier: list[int] = []
@@ -386,7 +386,7 @@ def _dmf_sizes(t: TaitGraph) -> list[int]:
 
 
 def _maximal_stream(
-    t: TaitGraph, skip: bool = False, admissible: bool = False, acyclic: bool = False
+    d: Diagram, skip: bool = False, admissible: bool = False, acyclic: bool = False
 ) -> Iterator[Matching]:
     """Maximal matchings in DFS order, crossings decided in id order.
 
@@ -398,10 +398,10 @@ def _maximal_stream(
     of each colour unmatched and acyclic prunes every edge that closes a
     monochromatic loop; both only ever cut subtrees whose leaves all fail.
     """
-    n = t.n_crossings
-    region_of = t.edge_region
-    last_chance = {region_of[e]: e // 4 for e in range(t.n_edges)}  # ascending: the last wins
-    totals = {BLACK: len(t.black_faces), WHITE: len(t.white_faces)}
+    n = d.n_crossings
+    region_of = d.edge_region
+    last_chance = {region_of[e]: e // 4 for e in range(d.n_edges)}  # ascending: the last wins
+    totals = {BLACK: len(d.black_faces), WHITE: len(d.white_faces)}
     matched = {BLACK: 0, WHITE: 0}
     acc: list[int] = []
     skipped: list[int] = []
@@ -422,7 +422,7 @@ def _maximal_stream(
             r = region_of[e]
             if r in arrow:
                 continue
-            col = t.face_colour[r]
+            col = d.face_colour[r]
             if admissible and matched[col] + 1 == totals[col]:
                 # Filling the last region of a colour can never be undone.
                 continue
@@ -445,19 +445,19 @@ def _maximal_stream(
     yield from rec(0)
 
 
-def kauffman_states(t: TaitGraph, v_b: int, v_w: int) -> tuple[Matching, ...]:
+def kauffman_states(d: Diagram, v_b: int, v_w: int) -> tuple[Matching, ...]:
     """All perfect states whose unmatched regions are exactly {v_b, v_w}.
 
     The pair need not be adjacent; for adjacent pairs these are the Kauffman
     states of the marked diagram, and every one of them is a dMf.
     """
-    if not _is_region(t, v_b, BLACK):
+    if not _is_region(d, v_b, BLACK):
         raise ValueError("vertex %d is not a black region" % v_b)
-    if not _is_region(t, v_w, WHITE):
+    if not _is_region(d, v_w, WHITE):
         raise ValueError("vertex %d is not a white region" % v_w)
     pair = {v_b, v_w}
-    return tuple(x for x in _maximal_stream(t, admissible=True)
-                 if pair.isdisjoint(t.edge_region[e] for e in x.edges))
+    return tuple(x for x in _maximal_stream(d, admissible=True)
+                 if pair.isdisjoint(d.edge_region[e] for e in x.edges))
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +496,7 @@ def jordan_resolution(d: Diagram, x: Matching) -> JordanResolution:
     the strands in order of their least arc.  Raises ValueError on an invalid
     matching, through _checked on the corner table.
     """
-    _checked(d.corner_face, x.edges)
+    _checked(d.edge_region, x.edges)
     dart_arc, arc_darts = d.dart_arc, d.arc_darts
     join = list(d.next_dart)
     resolved: list[tuple[int, int]] = []
@@ -546,40 +546,28 @@ class ForestPair:
     white_roots: tuple[int, ...]
 
 
-def induced_forests(t: TaitGraph, x: Matching) -> ForestPair:
+def induced_forests(d: Diagram, x: Matching) -> ForestPair:
     """The rooted forest pair of an acyclic matching.
 
     Each crossing matched into a colour contributes its colour-graph edge.
     The region map is the forests' parent pointers (a region matched by edge
     e hangs below edge_region[e ^ 2]), so the roots are the unmatched regions
-    of each colour, isolated ones rooting themselves.  Raises NotAcyclic on a
-    supported loop and NotAdmissible when some colour has no unmatched
-    region; a walk up the map that never reaches an unmatched region breaks
-    the loop criterion and raises InvariantViolation.
+    of each colour, isolated ones rooting themselves: with no loop, every
+    walk up the map ends at one.  Raises NotAcyclic on a supported loop and
+    NotAdmissible when some colour has no unmatched region.
     """
-    out, parent = _node_map(t, x)
+    out, parent = _node_map(d, x)
     if next(_loop_closings(parent), None) is not None:
         raise NotAcyclic("matching supports %d monochromatic loop(s)"
                          % len(_loops_of(out, parent)))
-    colour_of = t.face_colour
+    colour_of = d.face_colour
     edges: tuple[list[int], list[int]] = ([], [])  # crossings by colour, WHITE = 0
     for r, e in out.items():
         edges[colour_of[r]].append(e >> 2)
-    black_roots = tuple(f for f in t.black_faces if f not in parent)
-    white_roots = tuple(f for f in t.white_faces if f not in parent)
+    black_roots = tuple(f for f in d.black_faces if f not in parent)
+    white_roots = tuple(f for f in d.white_faces if f not in parent)
     if not black_roots or not white_roots:
         raise NotAdmissible("no unmatched region in some colour")
-    walk_of: dict[int, int] = {}  # region -> the start of the walk that met it
-    for start in parent:
-        r = start
-        while r in parent and r not in walk_of:
-            walk_of[r] = start
-            r = parent[r]
-        if walk_of.get(r) == start:
-            raise InvariantViolation(
-                "component of an acyclic matching must have one unmatched region,"
-                " but the walk from region %d never reaches one" % start
-            )
     return ForestPair(
         black_edges=tuple(sorted(edges[BLACK])),
         white_edges=tuple(sorted(edges[WHITE])),
@@ -588,7 +576,7 @@ def induced_forests(t: TaitGraph, x: Matching) -> ForestPair:
     )
 
 
-def forests_to_matching(t: TaitGraph, f: ForestPair) -> Matching:
+def forests_to_matching(d: Diagram, f: ForestPair) -> Matching:
     """Invert induced_forests: orient away from roots, match edges to targets.
 
     Each forest edge's corner edge and ends come from its colour graph, and
@@ -598,9 +586,9 @@ def forests_to_matching(t: TaitGraph, f: ForestPair) -> Matching:
     shared = set(f.black_edges) & set(f.white_edges)
     if shared:
         raise InvalidForest("crossings %s appear in both colours" % sorted(shared))
-    n = t.n_crossings
+    n = d.n_crossings
     edges: list[int] = []
-    white, black = t.diagram.plane_graphs
+    white, black = d.plane_graphs
     for g, forest, roots in ((black, f.black_edges, f.black_roots),
                              (white, f.white_edges, f.white_roots)):
         if len(set(forest)) != len(forest):
@@ -637,11 +625,11 @@ def forests_to_matching(t: TaitGraph, f: ForestPair) -> Matching:
             raise InvalidForest("roots must pick one vertex per component")
     edges.sort()
     x = Matching(tuple(edges))
-    _checked(t.edge_region, x.edges)
+    _checked(d.edge_region, x.edges)
     return x
 
 
-def kpw(t: TaitGraph, T: Iterable[int], v_b: int, v_w: int) -> Matching:
+def kpw(d: Diagram, T: Iterable[int], v_b: int, v_w: int) -> Matching:
     """Spanning tree of the black graph + roots -> a perfect dMf.
 
     T is rooted at v_b, the complementary spanning tree of the white graph at
@@ -651,27 +639,27 @@ def kpw(t: TaitGraph, T: Iterable[int], v_b: int, v_w: int) -> Matching:
     """
     tree = tuple(sorted(T))
     in_tree = set(tree)
-    if len(in_tree) != len(tree) or any(not 0 <= c < t.n_crossings for c in tree):
+    if len(in_tree) != len(tree) or any(not 0 <= c < d.n_crossings for c in tree):
         raise NotSpanning("edge list is not a set of crossing ids")
-    n_black = len(t.black_faces)
+    n_black = len(d.black_faces)
     if len(tree) != n_black - 1:
         raise NotSpanning(
             "spanning tree of the black graph needs %d edges, got %d" % (n_black - 1, len(tree))
         )
-    uf = UnionFind(t.black_faces)
-    ends = t.diagram.plane_graphs[BLACK].edge_ends
+    uf = UnionFind(d.black_faces)
+    ends = d.plane_graphs[BLACK].edge_ends
     for c in tree:
         if not uf.union(*ends[c]):
             raise NotSpanning("edge %d closes a cycle in the black graph" % c)
-    if not _is_region(t, v_b, BLACK):
+    if not _is_region(d, v_b, BLACK):
         raise ValueError("root %d is not a black region" % v_b)
-    if not _is_region(t, v_w, WHITE):
+    if not _is_region(d, v_w, WHITE):
         raise ValueError("root %d is not a white region" % v_w)
-    cotree = tuple(c for c in range(t.n_crossings) if c not in in_tree)
+    cotree = tuple(c for c in range(d.n_crossings) if c not in in_tree)
     pair = ForestPair(
         black_edges=tree,
         white_edges=cotree,
         black_roots=(v_b,),
         white_roots=(v_w,),
     )
-    return forests_to_matching(t, pair)
+    return forests_to_matching(d, pair)

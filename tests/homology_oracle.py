@@ -40,7 +40,7 @@ from knotmorse.complexes import (
     _max_faces,
     _over_cap,
 )
-from knotmorse.diagram import TaitGraph
+from knotmorse.diagram import Diagram
 from knotmorse.errors import InvariantViolation
 from knotmorse.states import enumerate_matchings, is_maximal
 
@@ -52,7 +52,7 @@ def pairwise_maximal_facets(facets: Iterable[Iterable[int]]) -> tuple[tuple[int,
     return tuple(sorted(kept, key=lambda f: (len(f), f)))
 
 
-def maximal_matchings(t: TaitGraph) -> SimplicialComplex:
+def maximal_matchings(t: Diagram) -> SimplicialComplex:
     """The matching complex by its facets: the maximal members of the stream
     of all matchings, which shares no code with the maximal-matching search
     or the conflict graph."""

@@ -13,7 +13,7 @@ It also keeps the package's original click trees, the oracle for the ones
 click_path_moves reads off the region map: a breadth-first search over the
 adjacency of each colour's matched crossings, checked by edge count to be a
 tree, with every step's two corners looked up by edge_to_region (the
-package's TaitGraph.edge_to_region, deleted once nothing else needed it)
+package's overlay method edge_to_region, deleted once nothing else needed it)
 and the old corner checked to be matched.
 """
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Sequence
 
-from knotmorse.diagram import BLACK, WHITE, TaitGraph
+from knotmorse.diagram import BLACK, WHITE, Diagram
 from knotmorse.errors import InvariantViolation
 from knotmorse.moves import (
     MOVE_KINDS,
@@ -42,7 +42,7 @@ from knotmorse.states import (
 _COLOUR_NAME = {BLACK: "black", WHITE: "white"}
 
 
-def edge_to_region(t: TaitGraph, c: int, region: int, colour: int) -> int:
+def edge_to_region(t: Diagram, c: int, region: int, colour: int) -> int:
     """The unique colour-corner edge of c landing in the given region.
 
     Valid only when exactly one corner of that colour at c touches the
@@ -58,7 +58,7 @@ def edge_to_region(t: TaitGraph, c: int, region: int, colour: int) -> int:
 
 
 def oracle_click_tree(
-    t: TaitGraph, x: Matching, colour: int
+    t: Diagram, x: Matching, colour: int
 ) -> tuple[dict[int, tuple[int, int] | None], list[int]]:
     """Breadth-first tree of the component of x's unmatched region of a colour.
 
@@ -104,7 +104,7 @@ def oracle_click_tree(
     return parent, order
 
 
-def oracle_click_path_moves(t: TaitGraph, x: Matching) -> list[tuple[Move, Matching]]:
+def oracle_click_path_moves(t: Diagram, x: Matching) -> list[tuple[Move, Matching]]:
     """Every click path move on x, black tree first, each in search order."""
     out = []
     for colour in (BLACK, WHITE):
@@ -132,7 +132,7 @@ def _dedupe_key(move: Move) -> tuple:
 
 
 def oracle_move_graph(
-    t: TaitGraph,
+    t: Diagram,
     population: str,
     kinds: Sequence[str] = MOVE_KINDS,
     v_b: int | None = None,
@@ -174,7 +174,7 @@ def oracle_move_graph(
             if key not in seen:
                 seen[key] = (i, j, move)
     return MoveGraph(
-        diagram_id=t.diagram.pd.to_text(),
+        diagram_id=t.pd.to_text(),
         population=population,
         kinds=kinds,
         nodes=nodes,

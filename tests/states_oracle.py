@@ -11,7 +11,7 @@ check them against these on every matching of the corpus.
 
 from __future__ import annotations
 
-from knotmorse.diagram import BLACK, WHITE, Diagram, TaitGraph, UnionFind
+from knotmorse.diagram import BLACK, WHITE, Diagram, UnionFind
 from knotmorse.errors import InvalidForest, InvariantViolation, NotAcyclic, NotAdmissible
 from knotmorse.states import (
     ForestPair,
@@ -24,12 +24,12 @@ from knotmorse.states import (
 from move_graph_oracle import edge_to_region
 
 
-def colour_edge_ends(t: TaitGraph, c: int, colour: int) -> tuple[int, int]:
+def colour_edge_ends(t: Diagram, c: int, colour: int) -> tuple[int, int]:
     k0 = 0 if t.face_colour[t.edge_region[4 * c]] == colour else 1
     return t.edge_region[4 * c + k0], t.edge_region[4 * c + k0 + 2]
 
 
-def oracle_amended_poset_acyclic(t: TaitGraph, x: Matching) -> bool:
+def oracle_amended_poset_acyclic(t: Diagram, x: Matching) -> bool:
     n_nodes = t.n_faces + t.n_crossings
     succ: list[list[int]] = [[] for _ in range(n_nodes)]
     indeg = [0] * n_nodes
@@ -87,7 +87,7 @@ def oracle_jordan_resolution(d: Diagram, x: Matching) -> JordanResolution:
     )
 
 
-def oracle_induced_forests(t: TaitGraph, x: Matching) -> ForestPair:
+def oracle_induced_forests(t: Diagram, x: Matching) -> ForestPair:
     _checked(t.edge_region, x.edges)
     loops = monochromatic_loops(t, x)
     if loops:
@@ -126,7 +126,7 @@ def oracle_induced_forests(t: TaitGraph, x: Matching) -> ForestPair:
     )
 
 
-def oracle_forests_to_matching(t: TaitGraph, f: ForestPair) -> Matching:
+def oracle_forests_to_matching(t: Diagram, f: ForestPair) -> Matching:
     if set(f.black_edges) & set(f.white_edges):
         raise InvalidForest(
             "crossings %s appear in both colours" % sorted(set(f.black_edges) & set(f.white_edges))

@@ -143,7 +143,7 @@ def test_criterion_04_forest_bijection_round_trip():
             if len(x.edges) == n:
                 # perfect case: one spanning tree per colour, one root each
                 assert len(f.black_roots) == 1 and len(f.white_roots) == 1
-                black, white = colour_graphs(t.diagram)
+                black, white = colour_graphs(t)
                 assert len(f.black_edges) == black.n_vertices - 1
                 assert len(f.white_edges) == white.n_vertices - 1
                 assert f.black_edges in spanning_trees(black)
@@ -204,7 +204,7 @@ def test_criterion_08_clock_moves_shift_strands_by_zero_or_two():
 def test_criterion_09_tree_root_triples_cover_perfect_states_once():
     for name in UP_TO_6:
         t = tait(name)
-        black = colour_graphs(t.diagram)[0]
+        black = colour_graphs(t)[0]
         image = {}
         for tree in spanning_trees(black):
             for v_b in t.black_faces:

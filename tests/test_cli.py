@@ -142,6 +142,7 @@ def test_missing_subcommand_raises_system_exit_2():
     (["table1", "--names", ",3_1"], "empty corpus name in --names ,3_1"),
     (["table1", "--names", "3_1,,4_1"], "empty corpus name in --names 3_1,,4_1"),
     (["moves", "3_1", "--kinds", "clock,"], "empty move kind in --kinds clock,"),
+    (["complex", "3_1", "--kind", "morse", "--csv", "{tmp}/h.csv"], "--csv needs --homology"),
 ])
 def test_every_usage_error_exits_2_with_one_error_line(capsys, tmp_path, argv, message):
     (tmp_path / "bad.pd").write_bytes(b"X(1,4,2,5) \xff\xfe")
@@ -432,7 +433,8 @@ def test_complex_csv_output(capsys, tmp_path):
 
 def test_complex_csv_into_missing_directory_exits_2(capsys, tmp_path):
     path = tmp_path / "missing_dir" / "x.csv"
-    err = usage_error(capsys, "complex", "3_1", "--kind", "morse", "--csv", str(path))
+    err = usage_error(capsys, "complex", "3_1", "--kind", "morse", "--homology",
+                      "--csv", str(path))
     assert "missing_dir" in err
 
 

@@ -964,7 +964,6 @@ INVARIANT_TESTS = (
     "test_complexes.py::test_pure_morse_from_trees_raises_on_bad_tree_triples",
     "test_counting.py::test_tree_count_disagreement_raises",
     "test_counting.py::test_closed_forms_disagreement_raises",
-    "test_states.py::test_induced_forests_component_without_a_root_raises",
     "test_corpus.py::test_twist_vector_determinant_mismatch_raises",
     "test_corpus.py::test_repeated_crossings_and_determinant_raises",
     "test_corpus.py::test_entry_checks_raise",

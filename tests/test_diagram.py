@@ -23,7 +23,7 @@ from knotmorse import (
     parse_pd,
 )
 from knotmorse.corpus import corpus_names, get_entry, torus_pd
-from knotmorse.diagram import UnionFind
+from knotmorse.diagram import Diagram, UnionFind
 from knotmorse.errors import InvariantViolation, KnotmorseError
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
@@ -134,8 +134,8 @@ def test_adjacent_faces_get_opposite_colours():
         d = diagram(text)
         for a in range(d.n_arcs):
             (c1, s1), (c2, s2) = (divmod(i, 4) for i in d.arc_darts[a])
-            left = d.corner_face[4 * c1 + (s1 - 1) % 4]
-            right = d.corner_face[4 * c1 + s1]
+            left = d.edge_region[4 * c1 + (s1 - 1) % 4]
+            right = d.edge_region[4 * c1 + s1]
             assert d.face_colour[left] != d.face_colour[right]
 
 
@@ -144,8 +144,8 @@ def test_flanking_faces_agree_from_both_ends():
         d = diagram(text)
         for a in range(d.n_arcs):
             (c1, s1), (c2, s2) = (divmod(i, 4) for i in d.arc_darts[a])
-            assert d.corner_face[4 * c1 + (s1 - 1) % 4] == d.corner_face[4 * c2 + s2]
-            assert d.corner_face[4 * c1 + s1] == d.corner_face[4 * c2 + (s2 - 1) % 4]
+            assert d.edge_region[4 * c1 + (s1 - 1) % 4] == d.edge_region[4 * c2 + s2]
+            assert d.edge_region[4 * c1 + s1] == d.edge_region[4 * c2 + (s2 - 1) % 4]
 
 
 NONPLANAR = [
@@ -198,7 +198,7 @@ def trace_inputs():
     return bases + [" ".join("X(%d,%d,%d,%d)" % c for c in code) for code in scrambles + swaps]
 
 
-# sha256 of [text, swap_colours, arc_labels, dart_arc, corner_face,
+# sha256 of [text, swap_colours, arc_labels, dart_arc, edge_region,
 # face_colour, face arcs] per build, or [text, swap_colours, error type,
 # message] when the build raises, over trace_inputs() in both colourings
 # (926 codes, 1,852 builds: 994 built, 858 raised NonPlanarCode), as the
@@ -216,7 +216,7 @@ def test_face_trace_is_frozen():
             except KnotmorseError as e:
                 row = [text, swap, type(e).__name__, str(e)]
             else:
-                row = [text, swap, d.arc_labels, d.dart_arc, d.corner_face, d.face_colour,
+                row = [text, swap, d.arc_labels, d.dart_arc, d.edge_region, d.face_colour,
                        [f.arcs for f in d.faces]]
             digest.update(json.dumps(row).encode())
     assert digest.hexdigest() == FROZEN_TRACE
@@ -353,6 +353,63 @@ def test_every_tait_edge_lies_on_exactly_two_squares():
         assert all(v == 2 for v in count.values())
 
 
+def overlay_oracle(d):
+    """The Tait overlay tables as the separate overlay builder made them,
+    frozen: the corner table read off the faces, one square per arc with
+    the check that both ends see the same two regions, the colour masks,
+    the squares' pattern masks and the poset tables."""
+    edge_region = [0] * (4 * d.n_crossings)
+    for f in d.faces:
+        for k in f.corners:
+            edge_region[k] = f.index
+    squares = []
+    for a, (i, j) in enumerate(d.arc_darts):
+        edges = (i & ~3 | (i - 1) & 3, i, j & ~3 | (j - 1) & 3, j)
+        f_left, f_right, g_right, g_left = (edge_region[e] for e in edges)
+        if (f_left, f_right) != (g_left, g_right):
+            raise InvariantViolation("the two ends of arc %d see different regions" % a)
+        squares.append((a, edges))
+    colour = [f.colour for f in d.faces]
+    white = sum(1 << f.index for f in d.faces if f.colour == WHITE)
+    black = sum(1 << f.index for f in d.faces if f.colour == BLACK)
+    square_masks = tuple((1 << a | 1 << c, 1 << b | 1 << e) for _, (a, b, c, e) in squares)
+    n_faces, n_vertices = len(d.faces), len(d.faces) + d.n_crossings
+    arrows = [(r, n_faces + e // 4) if colour[r] == WHITE else (n_faces + e // 4, r)
+              for e, r in enumerate(edge_region)]
+    succ, pred = [0] * n_vertices, [0] * n_vertices
+    for u, v in arrows:
+        succ[u] |= 1 << v
+        pred[v] |= 1 << u
+    poset = tuple((u, v, arrows.count((u, v)) == 1) for u, v in arrows), tuple(succ), tuple(pred)
+    return {"edge_region": tuple(edge_region), "squares": tuple(squares),
+            "face_masks": (white, black), "square_masks": square_masks, "poset_tables": poset}
+
+
+def assert_overlay_matches_the_oracle(d):
+    assert build_tait(d) is d
+    assert {
+        "edge_region": d.edge_region,
+        "squares": tuple((q.arc, q.edges) for q in d.squares),
+        "face_masks": d.face_masks,
+        "square_masks": d.square_masks,
+        "poset_tables": d.poset_tables,
+    } == overlay_oracle(d)
+    assert (d.n_edges, d.n_vertices) == (4 * d.n_crossings, len(d.faces) + d.n_crossings)
+
+
+@pytest.mark.parametrize("swap", [False, True])
+@pytest.mark.parametrize("name", corpus_names())
+def test_overlay_tables_match_the_oracle_on_the_corpus(name, swap):
+    assert_overlay_matches_the_oracle(build_diagram(get_entry(name).diagram.pd, swap_colours=swap))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", ["5_2", "6_3", "7_7"])
+def test_overlay_tables_match_the_oracle_on_scrambles(name, seed):
+    code = _scrambled(list(get_entry(name).diagram.pd.crossings), random.Random(seed))
+    assert_overlay_matches_the_oracle(build_diagram(PDCode(tuple(code))))
+
+
 def with_faces(d, changed):
     """d with some faces replaced, as index -> field changes."""
     faces = tuple(
@@ -378,6 +435,15 @@ def test_tait_square_with_mismatched_arc_ends_raises():
     })
     with pytest.raises(InvariantViolation, match="different regions"):
         build_tait(bad)
+
+
+def test_build_diagram_checks_the_squares(monkeypatch):
+    def mismatched(d):
+        raise InvariantViolation("the two ends of arc 0 see different regions")
+
+    monkeypatch.setattr(Diagram, "squares", property(mismatched))
+    with pytest.raises(InvariantViolation, match="different regions"):
+        diagram(TREFOIL)
 
 
 # -- reducedness -----------------------------------------------------------

@@ -89,7 +89,7 @@ def test_figure_eight_marked_arc_clock_graph_is_a_path_on_five_nodes():
 
 def test_every_figure_eight_marked_arc_gives_five_connected_states():
     t = tait("4_1")
-    for arc in range(t.diagram.n_arcs):
+    for arc in range(t.n_arcs):
         v_b, v_w = marked_arc_roots(t, arc)
         mg = build_move_graph(t, "kauffman", kinds=("clock",), v_b=v_b, v_w=v_w)
         assert len(mg.nodes) == 5
@@ -98,7 +98,7 @@ def test_every_figure_eight_marked_arc_gives_five_connected_states():
 
 def test_trefoil_marked_arc_clock_graphs_are_connected_on_three_nodes():
     t = tait("3_1")
-    for arc in range(t.diagram.n_arcs):
+    for arc in range(t.n_arcs):
         v_b, v_w = marked_arc_roots(t, arc)
         mg = build_move_graph(t, "kauffman", kinds=("clock",), v_b=v_b, v_w=v_w)
         assert len(mg.nodes) == 3
@@ -117,8 +117,8 @@ def test_marked_arc_clock_graphs_are_connected(name):
     # Kauffman's clock theorem: for every marked arc the states number the
     # spanning trees of the black graph, and clock moves alone join them
     t = tait(name)
-    trees = count_spanning_trees(t.diagram.plane_graphs[BLACK])
-    for arc in range(t.diagram.n_arcs):
+    trees = count_spanning_trees(t.plane_graphs[BLACK])
+    for arc in range(t.n_arcs):
         v_b, v_w = marked_arc_roots(t, arc)
         mg = build_move_graph(t, "kauffman", kinds=("clock",), v_b=v_b, v_w=v_w)
         assert len(mg.nodes) == trees
@@ -128,7 +128,7 @@ def test_marked_arc_clock_graphs_are_connected(name):
 @pytest.mark.parametrize("name", SMALL)
 def test_marked_arc_kauffman_states_are_all_acyclic(name):
     t = tait(name)
-    for arc in range(t.diagram.n_arcs):
+    for arc in range(t.n_arcs):
         v_b, v_w = marked_arc_roots(t, arc)
         for x in kauffman_states(t, v_b, v_w):
             assert is_dmf(t, x)
@@ -167,8 +167,7 @@ def test_clock_moves_connect_each_acyclic_critical_class(name):
 
 @pytest.mark.parametrize("name", CLOCK_CORPUS)
 def test_clock_moves_change_strand_count_by_zero_or_two(name):
-    t = tait(name)
-    d = t.diagram
+    t = d = tait(name)
     seen_types = set()
     for x in enumerate_matchings(t, "perfect_admissible"):
         jx = jordan_resolution(d, x)
@@ -238,8 +237,7 @@ def test_strand_kernel_agrees_with_jordan_resolution_on_census_graphs(pd):
 
 @pytest.mark.parametrize("name", ("4_1", "5_2"))
 def test_clock_moves_on_every_matching_recount_with_jordan_resolution(name):
-    t = tait(name)
-    d = t.diagram
+    t = d = tait(name)
     deltas = set()
     for x in enumerate_matchings(t, "all"):
         before = jordan_resolution(d, x).count
@@ -259,8 +257,7 @@ def test_clock_moves_on_every_matching_recount_with_jordan_resolution(name):
 
 @pytest.mark.parametrize("name", SMALL)
 def test_click_loops_preserve_the_resolution_and_critical_cells(name):
-    t = tait(name)
-    d = t.diagram
+    t = d = tait(name)
     for x in enumerate_matchings(t, "perfect_admissible"):
         jx = jordan_resolution(d, x)
         for move, y in click_loop_moves(t, x):
@@ -297,8 +294,7 @@ def test_figure_eight_cyclic_state_has_two_click_loops():
 
 @pytest.mark.parametrize("name", SMALL)
 def test_click_paths_move_exactly_one_critical_region(name):
-    t = tait(name)
-    d = t.diagram
+    t = d = tait(name)
     for x in enumerate_matchings(t, "perfect_admissible"):
         jx = jordan_resolution(d, x)
         for move, y in click_path_moves(t, x):
@@ -404,8 +400,7 @@ def test_two_click_connect_validates_its_inputs():
 
 @pytest.mark.parametrize("name", SMALL)
 def test_equal_trails_is_equal_unrooted_forests_at_acyclic_states(name):
-    t = tait(name)
-    d = t.diagram
+    t = d = tait(name)
     items = []
     for x in enumerate_matchings(t, "perfect_dmf"):
         f = induced_forests(t, x)
@@ -416,8 +411,7 @@ def test_equal_trails_is_equal_unrooted_forests_at_acyclic_states(name):
 
 @pytest.mark.parametrize("name", SMALL)
 def test_click_components_are_the_equal_resolution_classes(name):
-    t = tait(name)
-    d = t.diagram
+    t = d = tait(name)
     mg = build_move_graph(t, "perfect_admissible", kinds=("click_path", "click_loop"))
     n = len(mg.nodes)
     parent = list(range(n))
@@ -498,7 +492,7 @@ def test_build_move_graph_rejects_a_repeated_kind():
 def test_move_graph_records_diagram_and_population():
     t = tait("3_1")
     mg = build_move_graph(t, "perfect_dmfs", kinds=("clock",))
-    assert mg.diagram_id == t.diagram.pd.to_text()
+    assert mg.diagram_id == t.pd.to_text()
     assert mg.population == "perfect_dmfs"
     assert mg.kinds == ("clock",)
     assert all(0 <= i < j < len(mg.nodes) or i != j for i, j, _ in mg.edges)
@@ -521,7 +515,7 @@ def test_empty_graph_counts_as_connected():
 
 def test_marked_arc_roots_are_the_flanking_regions():
     t = tait("3_1")
-    for arc in range(t.diagram.n_arcs):
+    for arc in range(t.n_arcs):
         v_b, v_w = marked_arc_roots(t, arc)
         assert t.face_colour[v_b] == BLACK
         assert t.face_colour[v_w] == WHITE
@@ -734,7 +728,7 @@ def test_move_graph_validates_and_maps_each_node_once(monkeypatch):
 @pytest.mark.parametrize("name", [*corpus_names(), "T(2,9)"] + ["R%s" % list(v) for v in CENSUS_POOL])
 def test_perfect_dmf_graph_has_the_matrix_tree_count_of_nodes(name):
     t = build_tait(build_diagram(parse_pd(torus_pd(9)))) if name == "T(2,9)" else oracle_tait(name)
-    assert len(build_move_graph(t, "perfect_dmfs").nodes) == count_perfect_dmfs(t.diagram)
+    assert len(build_move_graph(t, "perfect_dmfs").nodes) == count_perfect_dmfs(t)
 
 
 def test_move_graph_builds_no_matching_beyond_the_population(monkeypatch):
@@ -775,8 +769,7 @@ def test_clock_types_recomputed_from_the_resolution_components(monkeypatch, name
     # enumeration order the lower end of every clock edge at a square holds
     # the same pattern; a shuffled population puts both patterns of a
     # square at lower ends in one build.
-    t = oracle_tait(name)
-    d = t.diagram
+    t = d = oracle_tait(name)
     square = {sq.arc: sq for sq in t.squares}
     if shuffled:
         real = moves.enumerate_matchings

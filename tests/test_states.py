@@ -36,7 +36,6 @@ from knotmorse import (
 from knotmorse import cli, moves, states
 from knotmorse.corpus import corpus_names, get_entry, rational_pd, torus_pd
 from knotmorse.diagram import BLACK
-from knotmorse.errors import InvariantViolation
 from knotmorse.states import _maximal_stream, amended_poset_acyclic, matching_to_dict
 from states_oracle import (
     oracle_amended_poset_acyclic,
@@ -339,14 +338,6 @@ def test_induced_forests_requires_acyclic():
         induced_forests(t, Matching((0,)))
 
 
-def test_induced_forests_component_without_a_root_raises(monkeypatch):
-    # With the loop check bypassed, the loop's component has no free region.
-    d, t = setup(FIG8)
-    monkeypatch.setattr(states, "_loop_closings", lambda step: iter(()))
-    with pytest.raises(InvariantViolation, match="one unmatched region"):
-        induced_forests(t, Matching((1, 5, 8, 12)))
-
-
 def test_trefoil_forest_frozen():
     d, t = setup(TREFOIL)
     f = induced_forests(t, Matching((2, 4, 9)))
@@ -557,9 +548,8 @@ def test_kernels_reject_invalid_matchings_like_validate(kernel, edges):
     x = Matching(edges)
     with pytest.raises(ValueError) as want:
         monochromatic_loops(t, x)
-    arg = t.diagram if kernel == "jordan_resolution" else t
     with pytest.raises(ValueError) as got:
-        getattr(states, kernel)(arg, x)
+        getattr(states, kernel)(t, x)
     assert str(got.value) == str(want.value)
 
 
