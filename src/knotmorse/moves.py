@@ -8,7 +8,10 @@ count is unchanged, the two local strands rerouted at the square's crossings
 either lie on one strand before the move (Type I) or on two distinct strands
 (Type II).  The strand counts behind delta_j and the strands behind the Type
 I/II test come from ``_strand_roots``, a list union-find over the arc pairs
-cached in ``Diagram.arc_pairs`` that never builds the resolution.
+cached in ``Diagram.arc_pairs`` that never builds the resolution.  A
+resolution depends only on the smoothing (which crossings are matched, and
+the parity of each matched corner), so a move graph counts strands once per
+smoothing, not once per state.
 ``states.jordan_resolution``, which smooths darts, searches them for strands
 and reads no such table, is kept as its independent oracle: the tests and
 the selftest clock check recount delta_j with it.
@@ -129,6 +132,16 @@ def _strand_roots(d: Diagram, x: Matching) -> tuple[Callable[[int], int], int]:
         if not smoothed >> c & 1:
             pairs += point
     return uf.find, d.n_arcs - sum(starmap(uf.union, pairs))
+
+
+def _smoothing_key(d: Diagram) -> Callable[[int], int]:
+    """mask -> a key of the matching's smoothing, equal for two matchings
+    exactly when their Jordan resolutions are.  Corners k and k + 2 smooth
+    alike (d.arc_pairs reads e & 1) and a matching dots at most one corner
+    of a crossing, so folding each crossing's four bits to two is one-to-one
+    on smoothings."""
+    low = sum(3 << 4 * c for c in range(d.n_crossings))
+    return lambda mask: (mask | mask >> 2) & low
 
 
 def _rerouted_strand(d: Diagram, arc: int, e: int) -> int:
@@ -295,11 +308,11 @@ def _move(
     shared maps each move's fields to its one Move, and each clock site's
     (square arc, pattern) to its two rerouted arcs: the two patterns of a
     square reroute different arcs.  A click move is its site.  A clock move
-    reads strands(m), which is _strand_roots(d, m), for x and y
-    only.  It flips the smoothings of the square's two crossings.  Each flip
-    changes |J| by at most one, and by exactly one when x is perfect.  So a
-    move changes |J| by at most 2, and by 0 or +-2 when x is perfect; both
-    are checked.
+    reads strands(m), which is _strand_roots(d, m) or a graph's memo of it
+    by smoothing, for x and y only.  It flips the smoothings of the square's
+    two crossings.  Each flip changes |J| by at most one, and by exactly one
+    when x is perfect.  So a move changes |J| by at most 2, and by 0 or +-2
+    when x is perfect; both are checked.
     """
     if kind != "clock":
         fields: tuple = (kind, site)
@@ -384,10 +397,11 @@ def build_move_graph(
     """Move graph over a population: kauffman (needs the marked pair v_b,
     v_w), perfect_dmfs, or perfect_admissible.  Edges are kept only when both
     endpoints belong to the population, each once, as (lower node, higher
-    node, move); the move is built only once its target is found, and each
-    node is validated, mapped and has its strands counted once.  A move's
-    ends fix the edges it toggles, so two moves with the same ends raise
-    InvariantViolation.  An unknown or repeated kind raises ValueError."""
+    node, move); the move is built only once its target is found, each node
+    is validated and mapped once, and strands are counted once per smoothing
+    (see _smoothing_key).  A move's ends fix the edges it toggles, so two
+    moves with the same ends raise InvariantViolation.  An unknown or
+    repeated kind raises ValueError."""
     kinds = tuple(kinds)
     for k in kinds:
         if k not in MOVE_KINDS:
@@ -407,12 +421,14 @@ def build_move_graph(
             "unknown population %r (expected one of %s)" % (population, ", ".join(POPULATIONS))
         )
     index = {x.mask: i for i, x in enumerate(nodes)}
-    counted: dict[int, tuple] = {}  # strands by mask, dropped after their turn
+    smoothing = _smoothing_key(d)
+    counted: dict[int, tuple] = {}  # strands by smoothing, kept for the whole build
 
     def strands(y: Matching) -> tuple:
-        if y.mask not in counted:
-            counted[y.mask] = _strand_roots(d, y)
-        return counted[y.mask]
+        key = smoothing(y.mask)
+        if key not in counted:
+            counted[key] = _strand_roots(d, y)
+        return counted[key]
 
     shared: dict = {}  # one Move per distinct move of this graph; see _move
     edges: list[tuple[int, int, Move]] = []
@@ -431,7 +447,6 @@ def build_move_graph(
                             "two moves join nodes %d and %d of the %s graph" % (i, j, population)
                         )
                     found[j] = _move(d, kind, site, x, nodes[j], strands, shared)
-        counted.pop(x.mask, None)
         edges += ((i, j, found[j]) for j in sorted(found))
     return MoveGraph(d.pd.to_text(), population, kinds, nodes, tuple(edges))
 

@@ -207,6 +207,9 @@ def test_kink_has_no_clock_moves():
 # every corpus diagram of at most 6 crossings, the kink among them
 STRAND_CORPUS = tuple(n for n in load_corpus() if get_entry(n).diagram.n_crossings <= 6)
 
+# the 8-crossing rational vectors the census benchmark draws from
+CENSUS_POOL = ((2, 2, 4), (2, 3, 3), (2, 4, 2), (3, 2, 3), (3, 3, 2), (4, 2, 2), (2, 2, 2, 2))
+
 
 def arc_partition(root, n_arcs):
     blocks = {}
@@ -216,11 +219,18 @@ def arc_partition(root, n_arcs):
 
 
 def assert_strand_kernel_agrees(d, population):
+    # the kernel agrees with the oracle, and two matchings share a smoothing
+    # key exactly when their resolutions are equal: one count and one arc
+    # partition per key
+    key = moves._smoothing_key(d)
+    by_key, by_resolved = {}, {}
     for x in population:
         root, count = moves._strand_roots(d, x)
         j = jordan_resolution(d, x)
         assert count == j.count
         assert arc_partition(root, d.n_arcs) == sorted(j.components)
+        assert by_key.setdefault(key(x.mask), j.resolved) == j.resolved
+        assert by_resolved.setdefault(j.resolved, key(x.mask)) == key(x.mask)
 
 
 @pytest.mark.parametrize("name", STRAND_CORPUS)
@@ -229,7 +239,8 @@ def test_strand_kernel_agrees_with_jordan_resolution_on_every_matching(name):
     assert_strand_kernel_agrees(d, enumerate_matchings(build_tait(d), "all"))
 
 
-@pytest.mark.parametrize("pd", [torus_pd(9), rational_pd([2, 2, 2, 2])], ids=["T(2,9)", "R(2,2,2,2)"])
+@pytest.mark.parametrize("pd", [torus_pd(9)] + [rational_pd(list(v)) for v in CENSUS_POOL],
+                         ids=["T(2,9)"] + ["R(%s)" % ",".join(map(str, v)) for v in CENSUS_POOL])
 def test_strand_kernel_agrees_with_jordan_resolution_on_census_graphs(pd):
     d = build_diagram(parse_pd(pd))
     assert_strand_kernel_agrees(d, enumerate_matchings(build_tait(d), "perfect_admissible"))
@@ -631,10 +642,6 @@ def test_move_graph_is_frozen(name, population):
 # The mask-keyed builder against the builder that finds edges from both ends
 # ---------------------------------------------------------------------------
 
-# the 8-crossing rational vectors the census benchmark draws from
-CENSUS_POOL = ((2, 2, 4), (2, 3, 3), (2, 4, 2), (3, 2, 3), (3, 3, 2), (4, 2, 2), (2, 2, 2, 2))
-
-
 def corpus_up_to(n):
     return [name for name in corpus_names() if get_entry(name).diagram.n_crossings <= n]
 
@@ -678,7 +685,7 @@ def test_click_path_moves_equal_the_oracle(name):
         assert click_path_moves(t, x) == oracle_click_path_moves(t, x)
 
 
-def test_move_graph_counts_each_nodes_strands_once(monkeypatch):
+def test_move_graph_counts_each_smoothings_strands_once(monkeypatch):
     t = oracle_tait("R[3, 2, 3]")
     calls = []
     real = moves._strand_roots
@@ -686,7 +693,24 @@ def test_move_graph_counts_each_nodes_strands_once(monkeypatch):
     mg = build_move_graph(t, "perfect_admissible")
     clock_edges = sum(move.kind == "clock" for _, _, move in mg.edges)
     assert (len(mg.nodes), clock_edges) == (768, 1216)
-    assert sorted(calls) == sorted(mg.nodes)
+    smoothings = {jordan_resolution(t, x).resolved for x in mg.nodes}
+    assert len({jordan_resolution(t, x).resolved for x in calls}) == len(calls)
+    assert len(calls) == len(smoothings) == 54
+
+
+def test_a_key_without_parity_is_caught(monkeypatch):
+    # keyed only by which crossings are smoothed, Type I/II and delta_j go wrong
+    def crossings_only(d):
+        low = sum(1 << 4 * c for c in range(d.n_crossings))
+        return lambda mask: (mask | mask >> 1 | mask >> 2 | mask >> 3) & low
+
+    t = oracle_tait("R[2, 2, 2, 2]")
+    monkeypatch.setattr(moves, "_smoothing_key", crossings_only)
+    try:
+        mg = build_move_graph(t, "perfect_admissible")
+    except InvariantViolation:
+        return
+    assert mg != oracle_move_graph(t, "perfect_admissible")
 
 
 def test_move_graph_validates_and_maps_each_node_once(monkeypatch):
