@@ -33,7 +33,6 @@ from .diagram import (
     Square,
     build_diagram,
     build_tait,
-    colour_graphs,
     is_reduced,
     parse_pd,
 )

@@ -36,7 +36,7 @@ from .counting import (
     count_spanning_trees,
     count_via_enumeration,
 )
-from .diagram import Diagram, build_diagram, colour_graphs, is_reduced, parse_pd
+from .diagram import Diagram, build_diagram, is_reduced, parse_pd
 from .errors import InvariantViolation, KnotmorseError, ResourceLimit
 from .moves import (
     MOVE_KINDS,
@@ -165,7 +165,7 @@ def _emit_counts(payload: dict, counts: dict, pretty: bool, lines) -> int:
 
 def cmd_info(args) -> int:
     name, d = _load(args.diagram, args.swap_colours)
-    black, white = colour_graphs(d)
+    white, black = d.plane_graphs
     counts = _oracle_counts(d)
     payload = {
         "name": name,

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .counting import spanning_trees
-from .diagram import Diagram, colour_graphs
+from .diagram import BLACK, Diagram
 from .errors import InvariantViolation, ResourceLimit
 from .states import _maximal_stream, kpw
 
@@ -274,7 +274,7 @@ def pure_morse_from_trees(d: Diagram) -> SimplicialComplex:
     Every simplex has dimension n - 1 for n crossings; the facet set equals
     the pure part of the Morse complex.
     """
-    black = colour_graphs(d)[0]
+    black = d.plane_graphs[BLACK]
     facets = [
         kpw(d, tree, v_b, v_w).edges
         for tree in spanning_trees(black)

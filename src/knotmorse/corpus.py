@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .counting import count_spanning_trees
-from .diagram import Diagram, UnionFind, build_diagram, colour_graphs, is_reduced, parse_pd
+from .diagram import BLACK, Diagram, UnionFind, build_diagram, is_reduced, parse_pd
 from .errors import InvariantViolation
 
 __all__ = [
@@ -88,7 +88,7 @@ class _Tangle:
         self.sw, self.se = new_sw, new_se
 
     def numerator_pd(self) -> str:
-        uf = UnionFind(range(self.wires))
+        uf = UnionFind(self.wires)
         uf.union(self.nw, self.ne)
         uf.union(self.sw, self.se)
         labels: dict[int, int] = {}
@@ -196,15 +196,14 @@ def _make_entry(name: str, pd_text: str) -> CorpusEntry:
             "%s: expected %d crossings, built %d" % (name, expected_cr, d.n_crossings)
         )
     # A strand runs straight through each crossing, from slot s to slot s + 2.
-    curves = UnionFind(range(d.n_arcs))
+    curves = UnionFind(d.n_arcs)
     for c in range(d.n_crossings):
         for s in (0, 1):
             curves.union(d.dart_arc[4 * c + s], d.dart_arc[4 * c + s + 2])
     strands = len({curves.find(a) for a in range(d.n_arcs)})
     if strands != 1:
         raise InvariantViolation("%s: %d closed curves, expected a knot" % (name, strands))
-    gb, gw = colour_graphs(d)
-    det = count_spanning_trees(gb)
+    det = count_spanning_trees(d.plane_graphs[BLACK])
     if det != expected_det:
         raise InvariantViolation("%s: determinant %d, expected %d" % (name, det, expected_det))
     if name != "kink" and not is_reduced(d):

@@ -36,7 +36,7 @@ from collections import Counter
 from math import prod
 from typing import Iterable, Iterator
 
-from .diagram import Diagram, PlaneGraph, UnionFind, colour_graphs
+from .diagram import Diagram, PlaneGraph, UnionFind
 from .errors import InvariantViolation
 from .states import _dmf_sizes
 
@@ -150,7 +150,7 @@ def spanning_trees(g: PlaneGraph) -> tuple[tuple[int, ...], ...]:
 
 def count_perfect_dmfs(d: Diagram) -> int:
     """Tree count times the two root choices; the colours must agree."""
-    gb, gw = colour_graphs(d)
+    gw, gb = d.plane_graphs
     tb, tw = count_spanning_trees(gb), count_spanning_trees(gw)
     if tb != tw:
         raise InvariantViolation("plane dual graphs disagree on tree count: %d vs %d" % (tb, tw))
@@ -175,9 +175,9 @@ def count_all_dmfs(d: Diagram) -> int:
     """Count every acyclic matching, the empty one included.
 
     The forest sum of the module docstring, over the forests of the colour
-    graph with fewer vertices.
+    graph with fewer vertices, the black one on a tie (the sort is stable).
     """
-    return _forest_sum(*sorted(colour_graphs(d), key=lambda g: g.n_vertices))
+    return _forest_sum(*sorted(d.plane_graphs[::-1], key=lambda g: g.n_vertices))
 
 
 def count_via_enumeration(d: Diagram) -> tuple[int, int]:

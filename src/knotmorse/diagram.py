@@ -1,8 +1,8 @@
 """PD codes, face tracing, chequerboard colouring, and the Tait overlay graph.
 
 A Diagram is the one object per projection: its faces and corners, and the
-Tait overlay read off them (squares, region masks, poset tables), each table
-computed once on first use.
+tables read off them (colour graphs, squares, region masks, poset tables),
+each held in one form, behind one accessor, and computed on first use.
 
 A planar diagram (PD) code lists the crossings of a connected 4-valent plane
 graph.  Each crossing is written X(a,b,c,d): the four arc labels met counter-
@@ -38,6 +38,7 @@ Colour graphs.  The black graph has one vertex per black face and one edge per
 crossing, joining the faces at the crossing's two black corners (loops and
 parallel edges kept); likewise the white graph.  Edge ids are crossing ids, so
 an edge and its dual (the white edge at the same crossing) share an id.
+Diagram.plane_graphs holds the two, indexed by colour: (white, black).
 
 Tait overlay.  The overlay graph has a vertex for every face (region vertices,
 ids 0..F-1) and every crossing (ids F..F+n-1), and one edge per corner: edge
@@ -75,7 +76,6 @@ __all__ = [
     "Square",
     "parse_pd",
     "build_diagram",
-    "colour_graphs",
     "build_tait",
     "is_reduced",
     "UnionFind",
@@ -83,6 +83,7 @@ __all__ = [
 
 WHITE = 0
 BLACK = 1
+COLOUR_NAME = ("white", "black")  # indexed by colour
 
 _CROSSING_RE = re.compile(r"X\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)")
 
@@ -148,19 +149,19 @@ def parse_pd(text: str) -> PDCode:
 class Face:
     """One face of the projection, as swept by the face walk.
 
-    corners[i], a corner id 4c+k and so an overlay edge of the face, is swept
-    immediately after crossing arcs[i]; both tuples are cyclic and aligned.
-    The degree counts arc incidences with multiplicity.
+    corners, cyclic, are the corner ids 4c+k the walk sweeps, each an overlay
+    edge of the face; corner k is swept right after crossing the arc of dart
+    k, Diagram.dart_arc[k].  The degree counts arc incidences with
+    multiplicity.
     """
 
     index: int
     colour: int
     corners: tuple[int, ...]
-    arcs: tuple[int, ...]
 
     @property
     def degree(self) -> int:
-        return len(self.arcs)
+        return len(self.corners)
 
 
 @dataclass(frozen=True)
@@ -321,7 +322,6 @@ def build_diagram(pd: PDCode, swap_colours: bool = False) -> Diagram:
     for i, label in enumerate(dart_label):
         darts.setdefault(label, []).append(i)
     labels = sorted(darts)
-    arc_of = {label: a for a, label in enumerate(labels)}
     arc_darts = tuple(tuple(darts[label]) for label in labels)
     mate = [0] * (4 * n)  # dart -> the dart at the other end of its arc
     for i, j in arc_darts:
@@ -343,22 +343,20 @@ def build_diagram(pd: PDCode, swap_colours: bool = False) -> Diagram:
 
     # Face walk over all darts in the fixed discovery order.
     face_of_dart = [-1] * (4 * n)
-    traced: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    traced: list[tuple[int, ...]] = []
     for d0 in (i for ends in arc_darts for i in ends):
         if face_of_dart[d0] >= 0:
             continue
         corners: list[int] = []
-        arcs: list[int] = []
         i = d0
         while True:
             face_of_dart[i] = len(traced)
-            arcs.append(arc_of[dart_label[i]])
             j = mate[i]
             corners.append(j)
             i = j & ~3 | (j + 1) & 3
             if i == d0:
                 break
-        traced.append((tuple(corners), tuple(arcs)))
+        traced.append(tuple(corners))
 
     if n - 2 * n + len(traced) != 2:
         raise NonPlanarCode(
@@ -391,8 +389,8 @@ def build_diagram(pd: PDCode, swap_colours: bool = False) -> Diagram:
     if swap_colours:
         colour = {f: 1 - col for f, col in colour.items()}
 
-    faces = tuple(Face(index=i, colour=colour[i], corners=corners, arcs=arcs)
-                  for i, (corners, arcs) in enumerate(traced))
+    faces = tuple(Face(index=i, colour=colour[i], corners=corners)
+                  for i, corners in enumerate(traced))
     d = Diagram(pd=pd, arc_labels=tuple(labels), arc_darts=arc_darts, faces=faces)
     d.squares  # builds and checks every square
     return d
@@ -445,39 +443,29 @@ def _one_colour_graph(d: Diagram, colour: int) -> PlaneGraph:
     vertices = d.white_faces if colour == WHITE else d.black_faces
     vset = set(vertices)
     if not all(f in vset for ends in edge_ends for f in ends):
-        raise InvariantViolation(
-            "a %s graph edge ends off its colour" % ("white" if colour == WHITE else "black")
-        )
+        raise InvariantViolation("a %s graph edge ends off its colour" % COLOUR_NAME[colour])
     return PlaneGraph(colour=colour, vertices=vertices, corners=corners, edge_ends=edge_ends)
 
 
-def colour_graphs(d: Diagram) -> tuple[PlaneGraph, PlaneGraph]:
-    """The (black, white) face graphs, edge i at crossing i in both: the
-    cached d.plane_graphs in the other order."""
-    white, black = d.plane_graphs
-    return black, white
-
-
 class UnionFind:
-    """Disjoint sets over hashable items, with path halving.
+    """Disjoint sets over the items 0..n-1, kept in a list, with path halving.
 
     Which member becomes a root is unspecified; callers order components by
-    their members, never by their roots.  UnionFind(n) keeps the items
-    0..n-1 in a list.
+    their members, never by their roots.
     """
 
     __slots__ = ("parent",)
 
-    def __init__(self, items) -> None:
-        self.parent = list(range(items)) if isinstance(items, int) else {i: i for i in items}
+    def __init__(self, n: int) -> None:
+        self.parent = list(range(n))
 
-    def find(self, i):
+    def find(self, i: int) -> int:
         parent = self.parent
         while parent[i] != i:
             parent[i] = i = parent[parent[i]]
         return i
 
-    def union(self, a, b) -> bool:
+    def union(self, a: int, b: int) -> bool:
         """Join the sets of a and b; False when they were already one set.
 
         Walks to both roots inline, halving the paths as find does, a's

@@ -75,8 +75,9 @@ class NotPerfectAdmissible(KnotmorseError):
 
 
 class ResourceLimit(KnotmorseError):
-    """A configured size cap was exceeded before the computation started;
-    stage names the step that stopped and size the count it had reached."""
+    """A configured size cap was exceeded, raised partway through the
+    computation as soon as a count passes the cap; stage names the step that
+    stopped and size the count it had reached."""
 
     def __init__(self, message: str, stage: str | None = None, size: int | None = None):
         super().__init__(message)

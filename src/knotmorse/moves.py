@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from itertools import starmap
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .diagram import BLACK, WHITE, Diagram, UnionFind
+from .diagram import BLACK, COLOUR_NAME, WHITE, Diagram, UnionFind
 from .errors import InvariantViolation, NotAcyclic, NotPerfectAdmissible
 from .states import (
     Matching,
@@ -80,8 +80,6 @@ __all__ = [
 
 MOVE_KINDS = ("clock", "click_loop", "click_path")
 POPULATIONS = ("kauffman", "perfect_dmfs", "perfect_admissible")
-
-_COLOUR_NAME = {BLACK: "black", WHITE: "white"}
 
 
 @dataclass(frozen=True)
@@ -217,7 +215,7 @@ def _click_forest(d: Diagram, node: tuple) -> list[list[int]]:
         order = orders[colour] = [f for f in faces if f not in out]
         if len(order) != 1:
             raise InvariantViolation("a perfect admissible matching left %d unmatched %s regions"
-                                     % (len(order), _COLOUR_NAME[colour]))
+                                     % (len(order), COLOUR_NAME[colour]))
         for v in order:  # the list grows as it is read: a breadth-first search
             order.extend(children.get(v, ()))
     return orders
@@ -236,7 +234,7 @@ def _click_path_targets(d: Diagram, node: tuple) -> Iterator[tuple[int, tuple]]:
             p, e = step[u], out[u]
             masks[u] = masks[p] ^ 1 << e ^ 1 << (e ^ 2)
             paths[u] = paths[p] + (u,)
-            yield masks[u], (_COLOUR_NAME[colour], paths[u])
+            yield masks[u], (COLOUR_NAME[colour], paths[u])
 
 
 def click_path_moves(d: Diagram, x: Matching) -> list[tuple[Move, Matching]]:
@@ -379,9 +377,7 @@ def marked_arc_roots(d: Diagram, arc: int) -> tuple[int, int]:
     """The (black, white) regions flanking an arc, the roots its mark fixes."""
     if not 0 <= arc < d.n_arcs:
         raise ValueError("arc id %d out of range" % arc)
-    i = d.arc_darts[arc][0]
-    left = d.edge_region[i & ~3 | (i - 1) & 3]
-    right = d.edge_region[i]
+    left, right = (d.edge_region[e] for e in d.squares[arc].edges[:2])
     if d.face_colour[left] == BLACK:
         return left, right
     return right, left

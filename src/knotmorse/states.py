@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .diagram import BLACK, WHITE, Diagram, UnionFind
+from .diagram import BLACK, COLOUR_NAME, WHITE, Diagram, UnionFind
 from .errors import InvalidForest, NotAcyclic, NotAdmissible, NotSpanning
 
 __all__ = [
@@ -595,7 +595,7 @@ def forests_to_matching(d: Diagram, f: ForestPair) -> Matching:
             raise InvalidForest("repeated edge in forest")
         faces, corners, ends = g.vertices, g.corners, g.edge_ends
         adj: dict[int, list[tuple[int, int]]] = {v: [] for v in faces}
-        uf = UnionFind(faces)
+        uf = UnionFind(d.n_faces)
         for c in forest:
             if not 0 <= c < n:
                 raise InvalidForest("edge id %d out of range" % c)
@@ -610,7 +610,7 @@ def forests_to_matching(d: Diagram, f: ForestPair) -> Matching:
             raise InvalidForest("%d roots for %d components" % (len(roots), n_comps))
         for r in roots:
             if r not in adj:
-                raise InvalidForest("root %d is not a %s region" % (r, "black" if g.colour == BLACK else "white"))
+                raise InvalidForest("root %d is not a %s region" % (r, COLOUR_NAME[g.colour]))
         # Orient away from each root; a forest edge's crossing is matched to
         # the child endpoint through its corner edge there.
         seen = set(roots)
@@ -646,7 +646,7 @@ def kpw(d: Diagram, T: Iterable[int], v_b: int, v_w: int) -> Matching:
         raise NotSpanning(
             "spanning tree of the black graph needs %d edges, got %d" % (n_black - 1, len(tree))
         )
-    uf = UnionFind(d.black_faces)
+    uf = UnionFind(d.n_faces)
     ends = d.plane_graphs[BLACK].edge_ends
     for c in tree:
         if not uf.union(*ends[c]):

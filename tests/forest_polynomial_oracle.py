@@ -9,7 +9,7 @@ forests, one per colour, on disjoint crossing sets, so the count is the
 product of the two colour polynomials in the quotient that kills
 e_black(i) * e_white(i), with every variable then set to 1.  The engine under
 test instead sums det(I + L) of the white graph over the black forests; the
-two share only ``colour_graphs``.
+two share only the colour graphs, ``Diagram.plane_graphs``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
-from knotmorse.diagram import Diagram, PlaneGraph, colour_graphs
+from knotmorse.diagram import Diagram, PlaneGraph
 from knotmorse.errors import InvariantViolation
 
 
@@ -185,7 +185,7 @@ def count_all_dmfs_by_polynomials(d: Diagram, debug: bool = False) -> int:
     """Every acyclic matching, counted as the product of the two colours'
     forest polynomials in the quotient killing black(i) * white(i), with all
     variables set to 1."""
-    gb, gw = colour_graphs(d)
+    gw, gb = d.plane_graphs
     pb = forest_polynomial(gb, [("b", e) for e in range(d.n_crossings)], debug=debug)
     pw = forest_polynomial(gw, [("w", e) for e in range(d.n_crossings)], debug=debug)
 

@@ -1,11 +1,11 @@
 """The package's original per-matching kernels, kept as test oracles.
 
-jordan_resolution is the union-find over (crossing, slot) darts that
-re-unions every arc's two ends on each call; induced_forests finds the roots
-as the unmatched region of each union-find component of a colour's forest;
-forests_to_matching looks up each child's corner edge with edge_to_region;
-amended_poset_acyclic tests each edge's membership in a set while it builds
-the arrows.  The package's kernels work on int tables instead, and the tests
+jordan_resolution is the union-find over the darts 4c + s (slot s of
+crossing c) that re-unions every arc's two ends on each call;
+induced_forests finds the roots as the unmatched region of each union-find
+component of a colour's forest; forests_to_matching looks up each child's
+corner edge with edge_to_region; amended_poset_acyclic tests each edge's
+membership in a set while it builds the arrows.  The package's kernels work on int tables instead, and the tests
 check them against these on every matching of the corpus.
 """
 
@@ -57,9 +57,8 @@ def oracle_amended_poset_acyclic(t: Diagram, x: Matching) -> bool:
 
 def oracle_jordan_resolution(d: Diagram, x: Matching) -> JordanResolution:
     n = d.n_crossings
-    darts = [(c, s) for c in range(n) for s in range(4)]
-    arc_ends = [tuple(divmod(i, 4) for i in darts) for darts in d.arc_darts]
-    uf = UnionFind(darts)
+    arc_ends = d.arc_darts
+    uf = UnionFind(4 * n)
     for d1, d2 in arc_ends:
         uf.union(d1, d2)
 
@@ -70,14 +69,14 @@ def oracle_jordan_resolution(d: Diagram, x: Matching) -> JordanResolution:
     for c in range(n):
         if c in matched:
             p = (matched[c] % 4 + 1) % 2
-            uf.union((c, p), (c, (p + 1) % 4))
-            uf.union((c, (p + 2) % 4), (c, (p + 3) % 4))
+            uf.union(4 * c + p, 4 * c + (p + 1) % 4)
+            uf.union(4 * c + (p + 2) % 4, 4 * c + (p + 3) % 4)
             resolved.append((c, p))
         else:
             for s in range(1, 4):
-                uf.union((c, 0), (c, s))
+                uf.union(4 * c, 4 * c + s)
 
-    comp_arcs: dict[tuple[int, int], list[int]] = {}
+    comp_arcs: dict[int, list[int]] = {}
     for a in range(d.n_arcs):
         comp_arcs.setdefault(uf.find(arc_ends[a][0]), []).append(a)
     keys = sorted(comp_arcs, key=lambda k: comp_arcs[k][0])
@@ -100,7 +99,7 @@ def oracle_induced_forests(t: Diagram, x: Matching) -> ForestPair:
         edges = tuple(
             sorted(e // 4 for e in x.edges if t.face_colour[t.edge_region[e]] == colour)
         )
-        uf = UnionFind(faces)
+        uf = UnionFind(t.n_faces)
         for c in edges:
             u, v = colour_edge_ends(t, c, colour)
             uf.union(u, v)
@@ -139,7 +138,7 @@ def oracle_forests_to_matching(t: Diagram, f: ForestPair) -> Matching:
         if len(set(forest)) != len(forest):
             raise InvalidForest("repeated edge in forest")
         adj: dict[int, list[tuple[int, int]]] = {v: [] for v in faces}
-        uf = UnionFind(faces)
+        uf = UnionFind(t.n_faces)
         for c in forest:
             if not 0 <= c < t.n_crossings:
                 raise InvalidForest("edge id %d out of range" % c)

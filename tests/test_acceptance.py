@@ -26,7 +26,7 @@ from knotmorse.counting import (
     count_via_enumeration,
     spanning_trees,
 )
-from knotmorse.diagram import build_diagram, build_tait, colour_graphs, is_reduced, parse_pd
+from knotmorse.diagram import BLACK, build_diagram, build_tait, is_reduced, parse_pd
 from knotmorse.errors import ResourceLimit
 from knotmorse.moves import (
     build_move_graph,
@@ -143,7 +143,7 @@ def test_criterion_04_forest_bijection_round_trip():
             if len(x.edges) == n:
                 # perfect case: one spanning tree per colour, one root each
                 assert len(f.black_roots) == 1 and len(f.white_roots) == 1
-                black, white = colour_graphs(t)
+                white, black = t.plane_graphs
                 assert len(f.black_edges) == black.n_vertices - 1
                 assert len(f.white_edges) == white.n_vertices - 1
                 assert f.black_edges in spanning_trees(black)
@@ -177,7 +177,7 @@ def test_criterion_07_strand_parity_and_pseudoforest_structure():
             assert admissible == (jordan_resolution(d, x).count % 2 == 1)
             if not admissible:
                 continue
-            for g in colour_graphs(d):
+            for g in d.plane_graphs:
                 induced = [g.edge_ends[e // 4] for e in x.edges
                            if t.face_colour[t.edge_region[e]] == g.colour]
                 shapes = _component_shapes(g.vertices, induced)
@@ -204,7 +204,7 @@ def test_criterion_08_clock_moves_shift_strands_by_zero_or_two():
 def test_criterion_09_tree_root_triples_cover_perfect_states_once():
     for name in UP_TO_6:
         t = tait(name)
-        black = colour_graphs(t)[0]
+        black = t.plane_graphs[BLACK]
         image = {}
         for tree in spanning_trees(black):
             for v_b in t.black_faces:

@@ -21,7 +21,6 @@ from knotmorse import (
     HomologyResult,
     SimplicialComplex,
     build_tait,
-    colour_graphs,
     computed_row,
     connectivity_bound,
     connectivity_report,
@@ -1100,7 +1099,7 @@ def test_tree_triples_generate_the_pure_morse_complex(name):
     t = build_tait(d)
     from_trees = pure_morse_from_trees(d)
     assert set(from_trees.facets) == set(pure_part(morse_complex(t)).facets)
-    black, white = colour_graphs(d)
+    white, black = d.plane_graphs
     expected = (
         count_spanning_trees(black) * len(t.black_faces) * len(t.white_faces)
     )
@@ -1333,7 +1332,7 @@ def reaches_every_vertex(g, edges):
     ids=[*corpus_names(), "T(2,9)", "R(2,2,2,2)"],
 )
 def test_spanning_tree_enumeration_matches_the_determinant_count(d):
-    for g in colour_graphs(d):
+    for g in d.plane_graphs:
         trees = spanning_trees(g)
         assert list(trees) == sorted(set(trees))  # distinct, in lexicographic order
         assert len(trees) == count_spanning_trees(g)

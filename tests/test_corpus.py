@@ -14,7 +14,7 @@ from knotmorse.corpus import (
     torus_pd,
 )
 from knotmorse.counting import count_spanning_trees
-from knotmorse.diagram import UnionFind, colour_graphs
+from knotmorse.diagram import BLACK, UnionFind
 from knotmorse.errors import InvariantViolation
 
 EXPECTED = {
@@ -129,7 +129,7 @@ def test_torus_pd_reproduces_the_trefoil():
 
 def closed_curves(d):
     """Curves of the projection: a strand runs from slot s to slot s + 2."""
-    uf = UnionFind(range(d.n_arcs))
+    uf = UnionFind(d.n_arcs)
     for c in range(d.n_crossings):
         for s in (0, 1):
             uf.union(d.dart_arc[4 * c + s], d.dart_arc[4 * c + s + 2])
@@ -142,7 +142,7 @@ def test_torus_pd_builds_the_closed_two_braid(m):
     d = build_diagram(parse_pd(torus_pd(m)))
     assert d.n_crossings == m
     assert d.n_faces == m + 2
-    assert count_spanning_trees(colour_graphs(d)[0]) == m
+    assert count_spanning_trees(d.plane_graphs[BLACK]) == m
     assert is_reduced(d)
     assert closed_curves(d) == 2 - m % 2
 
@@ -158,7 +158,7 @@ def test_rational_single_block_matches_torus_invariants():
         b = build_diagram(parse_pd(torus_pd(m)))
         assert a.n_crossings == b.n_crossings
         assert sorted(f.degree for f in a.faces) == sorted(f.degree for f in b.faces)
-        ga, gb = colour_graphs(a)[0], colour_graphs(b)[0]
+        ga, gb = a.plane_graphs[BLACK], b.plane_graphs[BLACK]
         assert count_spanning_trees(ga) == count_spanning_trees(gb)
 
 
@@ -167,7 +167,7 @@ def test_rational_even_length_normalization():
     assert rational_pd([2, 2]) == rational_pd([2, 1, 1])
     d = build_diagram(parse_pd(rational_pd([2, 2])))
     assert d.n_crossings == 4
-    assert count_spanning_trees(colour_graphs(d)[0]) == 5
+    assert count_spanning_trees(d.plane_graphs[BLACK]) == 5
 
 
 # Frozen output of the generators: the 8-crossing twist vectors (the
@@ -228,5 +228,5 @@ def test_continued_fraction_determinants():
 def test_generated_determinants_match_closed_form():
     for twists in ([3, 2], [4, 2], [3, 1, 2], [3, 2, 2], [2, 2, 1, 2]):
         d = build_diagram(parse_pd(rational_pd(twists)))
-        gb, _ = colour_graphs(d)
+        _, gb = d.plane_graphs
         assert count_spanning_trees(gb) == continued_fraction_determinant(twists)

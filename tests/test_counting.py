@@ -10,7 +10,7 @@ from forest_polynomial_oracle import (
     count_all_dmfs_by_polynomials,
     forest_polynomial,
 )
-from knotmorse import build_diagram, colour_graphs, parse_pd
+from knotmorse import BLACK, build_diagram, parse_pd
 from knotmorse import counting
 from knotmorse.corpus import corpus_names, get_entry, rational_pd, torus_pd
 from knotmorse.counting import (
@@ -96,37 +96,37 @@ def test_det_leaves_its_input_alone():
 
 
 def test_trefoil_laplacians():
-    gb, gw = colour_graphs(diagram("3_1"))
+    gw, gb = diagram("3_1").plane_graphs
     assert laplacian(gb) == [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
     assert laplacian(gw) == [[3, -3], [-3, 3]]
 
 
 def test_laplacian_ignores_loops():
-    gb, gw = colour_graphs(diagram("kink"))
+    gw, gb = diagram("kink").plane_graphs
     assert laplacian(gb) == [[0]]
     assert laplacian(gw) == [[1, -1], [-1, 1]]
 
 
 def test_laplacian_of_an_edge_subset():
-    gb, gw = colour_graphs(diagram("3_1"))
+    gw, gb = diagram("3_1").plane_graphs
     assert laplacian(gb, iter([0])) == [[1, -1, 0], [-1, 1, 0], [0, 0, 0]]
     assert laplacian(gb, []) == [[0, 0, 0]] * 3
     assert laplacian(gw, [1, 2]) == [[2, -2], [-2, 2]]
     assert laplacian(gb, range(gb.n_edges)) == laplacian(gb)
-    _, gw = colour_graphs(diagram("kink"))
+    gw, _ = diagram("kink").plane_graphs
     assert laplacian(gw, [0]) == [[1, -1], [-1, 1]]
 
 
 def test_laplacian_shape_invariants():
     for name in ("3_1", "4_1", "6_2", "7_4"):
-        for g in colour_graphs(diagram(name)):
+        for g in diagram(name).plane_graphs:
             L = laplacian(g)
             assert all(sum(row) == 0 for row in L)
             assert L == [list(column) for column in zip(*L)]  # symmetric
 
 
 def test_char_poly_frozen():
-    gb, gw = colour_graphs(diagram("3_1"))
+    gw, gb = diagram("3_1").plane_graphs
     assert char_poly(laplacian(gb)) == (1, -6, 9, 0)  # t(t-3)^2
     assert char_poly(laplacian(gw)) == (1, -6, 0)  # t(t-6)
     assert char_poly([]) == (1,)
@@ -135,16 +135,16 @@ def test_char_poly_frozen():
 # -- spanning trees and perfect counts -------------------------------------
 
 def test_tree_counts_frozen():
-    gb, gw = colour_graphs(diagram("3_1"))
+    gw, gb = diagram("3_1").plane_graphs
     assert count_spanning_trees(gb) == 3
     assert count_spanning_trees(gw) == 3
-    gb, gw = colour_graphs(diagram("4_1"))
+    gw, gb = diagram("4_1").plane_graphs
     assert count_spanning_trees(gb) == 5
     assert count_spanning_trees(gw) == 5
 
 
 def test_single_vertex_with_loop_has_one_tree():
-    gb, _ = colour_graphs(diagram("kink"))
+    _, gb = diagram("kink").plane_graphs
     assert len(gb.vertices) == 1
     assert count_spanning_trees(gb) == 1
 
@@ -161,7 +161,7 @@ def test_spanning_trees_of_a_cycle_visit_few_forests(monkeypatch):
             return joined
 
     monkeypatch.setattr(counting, "UnionFind", CountingUnionFind)
-    black = colour_graphs(build_diagram(parse_pd(torus_pd(13))))[0]
+    black = build_diagram(parse_pd(torus_pd(13))).plane_graphs[BLACK]
     assert (black.n_vertices, black.n_edges) == (13, 13)
     assert counting.spanning_trees(black) == tuple(
         tuple(e for e in range(13) if e != dropped) for dropped in reversed(range(13)))
@@ -174,7 +174,7 @@ def test_spanning_trees_of_a_cycle_visit_few_forests(monkeypatch):
 
 def test_tree_cotree_duality_across_corpus():
     for name in ("3_1", "4_1", "5_1", "5_2", "6_1", "6_2", "6_3", "7_3", "7_7"):
-        gb, gw = colour_graphs(diagram(name))
+        gw, gb = diagram(name).plane_graphs
         assert count_spanning_trees(gb) == count_spanning_trees(gw)
 
 
@@ -197,7 +197,7 @@ def test_perfect_count_matches_enumeration():
 # -- the forest-polynomial oracle ------------------------------------------
 
 def test_single_edge_polynomial():
-    _, gw = colour_graphs(diagram("kink"))
+    gw, _ = diagram("kink").plane_graphs
     p = forest_polynomial(gw, ["e"], debug=True)
     assert dict(p.coeffs) == {frozenset(): 1, frozenset(["e"]): 2}
     assert p.constant == 1
@@ -205,7 +205,7 @@ def test_single_edge_polynomial():
 
 
 def test_theta_polynomial():
-    _, gw = colour_graphs(diagram("3_1"))
+    gw, _ = diagram("3_1").plane_graphs
     p = forest_polynomial(gw, ["e1", "e2", "e3"], debug=True)
     assert dict(p.coeffs) == {
         frozenset(): 1,
@@ -216,7 +216,7 @@ def test_theta_polynomial():
 
 
 def test_triangle_polynomial():
-    gb, _ = colour_graphs(diagram("3_1"))
+    _, gb = diagram("3_1").plane_graphs
     p = forest_polynomial(gb, debug=True)
     assert p.coefficient([0, 1]) == 3  # a spanning tree roots three ways
     assert p.coefficient([0, 1, 2]) == 0  # the full cycle is no forest
@@ -224,19 +224,19 @@ def test_triangle_polynomial():
 
 
 def test_default_variables_are_edge_indices():
-    gb, _ = colour_graphs(diagram("3_1"))
+    _, gb = diagram("3_1").plane_graphs
     assert forest_polynomial(gb).variables() == frozenset({0, 1, 2})
 
 
 def test_variable_count_is_checked():
-    gb, _ = colour_graphs(diagram("3_1"))
+    _, gb = diagram("3_1").plane_graphs
     with pytest.raises(ValueError, match="one variable per edge"):
         forest_polynomial(gb, ["a", "b"])
 
 
 def test_symbolic_route_agrees_across_corpus():
     for name in ("3_1", "4_1", "kink", "5_2", "6_3"):
-        for g in colour_graphs(diagram(name)):
+        for g in diagram(name).plane_graphs:
             forest_polynomial(g, debug=True)  # debug asserts the agreement
 
 
@@ -244,7 +244,7 @@ def test_char_poly_coefficients_count_weighted_forests():
     # |c_k| of det(tI - L) equals the rooting-weighted number of k-edge
     # spanning forests.
     for name in ("3_1", "4_1", "kink", "5_1", "6_2"):
-        for g in colour_graphs(diagram(name)):
+        for g in diagram(name).plane_graphs:
             L = laplacian(g)
             coeffs = char_poly(L)
             p = forest_polynomial(g)
@@ -288,7 +288,7 @@ def test_all_dmf_formula_equals_the_polynomial_oracle(name, swap):
     d = build_diagram(diagram(name).pd, swap_colours=swap)
     want = count_all_dmfs_by_polynomials(d)
     assert count_all_dmfs(d) == want
-    assert counting._forest_sum(*colour_graphs(d)) == want
+    assert counting._forest_sum(*d.plane_graphs[::-1]) == want
 
 
 # R(2^6) and R(2^7), twelve and fourteen crossings, counted by both formulas
@@ -336,7 +336,7 @@ def test_fibonacci_matches_generated_diagrams():
         for swap in (False, True):
             d = build_diagram(parse_pd(torus_pd(2 * n + 1)), swap_colours=swap)
             assert count_all_dmfs(d) == fibonacci_family_count(n)
-            assert counting._forest_sum(*colour_graphs(d)) == fibonacci_family_count(n)
+            assert counting._forest_sum(*d.plane_graphs[::-1]) == fibonacci_family_count(n)
 
 
 def test_tree_count_disagreement_raises(monkeypatch):
@@ -358,7 +358,7 @@ def test_forest_determinant_disagreement_raises(monkeypatch):
         forest_polynomial_oracle, "_forest_polynomial_by_determinant",
         lambda g, varlist: ForestPolynomial(coeffs={frozenset(): 1}),
     )
-    black, _ = colour_graphs(diagram("3_1"))
+    _, black = diagram("3_1").plane_graphs
     forest_polynomial(black)
     with pytest.raises(InvariantViolation):
         forest_polynomial(black, debug=True)

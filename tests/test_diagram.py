@@ -18,7 +18,6 @@ from knotmorse import (
     PDCode,
     build_diagram,
     build_tait,
-    colour_graphs,
     is_reduced,
     parse_pd,
 )
@@ -199,7 +198,7 @@ def trace_inputs():
 
 
 # sha256 of [text, swap_colours, arc_labels, dart_arc, edge_region,
-# face_colour, face arcs] per build, or [text, swap_colours, error type,
+# face_colour, each face's arcs (dart_arc of its corners)] per build, or [text, swap_colours, error type,
 # message] when the build raises, over trace_inputs() in both colourings
 # (926 codes, 1,852 builds: 994 built, 858 raised NonPlanarCode), as the
 # face walk over (crossing, slot) pairs traced them.
@@ -217,7 +216,7 @@ def test_face_trace_is_frozen():
                 row = [text, swap, type(e).__name__, str(e)]
             else:
                 row = [text, swap, d.arc_labels, d.dart_arc, d.edge_region, d.face_colour,
-                       [f.arcs for f in d.faces]]
+                       [[d.dart_arc[k] for k in f.corners] for f in d.faces]]
             digest.update(json.dumps(row).encode())
     assert digest.hexdigest() == FROZEN_TRACE
 
@@ -226,7 +225,7 @@ def test_face_trace_is_frozen():
 
 def test_trefoil_colour_graphs():
     d = diagram(TREFOIL)
-    gb, gw = colour_graphs(d)
+    gw, gb = d.plane_graphs
     assert gb.colour == BLACK and gw.colour == WHITE
     assert gb.vertices == (1, 3, 4)
     assert gb.edge_ends == ((1, 3), (4, 1), (3, 4))  # a triangle
@@ -236,14 +235,14 @@ def test_trefoil_colour_graphs():
 
 def test_fig8_colour_graphs():
     d = diagram(FIG8)
-    gb, gw = colour_graphs(d)
+    gw, gb = d.plane_graphs
     assert gb.edge_ends == ((3, 1), (1, 3), (5, 1), (5, 3))
     assert gw.edge_ends == ((2, 0), (4, 0), (4, 2), (2, 4))
 
 
 def test_kink_black_graph_is_a_loop():
     d = diagram(KINK)
-    gb, gw = colour_graphs(d)
+    gw, gb = d.plane_graphs
     assert gb.vertices == (1,)
     assert gb.edge_ends == ((1, 1),)
     assert gw.edge_ends == ((2, 0),)
@@ -253,7 +252,7 @@ def test_colour_graphs_are_plane_duals():
     # Same edge ids on both sides, one edge per crossing.
     for text in (TREFOIL, FIG8, KINK):
         d = diagram(text)
-        gb, gw = colour_graphs(d)
+        gw, gb = d.plane_graphs
         assert len(gb.edge_ends) == len(gw.edge_ends) == d.n_crossings
 
 
@@ -271,11 +270,11 @@ def _reachable(adj, a, b):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_union_find_union_is_false_exactly_on_a_cycle(seed):
-    # vertices are darts, as in jordan_resolution; loops and repeated edges
-    # included.  Checked against a graph search over the edges so far.
+    # vertices are darts 4c + s, as in jordan_resolution; loops and repeated
+    # edges included.  Checked against a graph search over the edges so far.
     rng = random.Random(seed)
-    vertices = [(c, s) for c in range(rng.randrange(1, 6)) for s in range(4)]
-    uf = UnionFind(vertices)
+    vertices = range(4 * rng.randrange(1, 6))
+    uf = UnionFind(len(vertices))
     adj = {v: set() for v in vertices}
     for _ in range(rng.randrange(2 * len(vertices))):
         a, b = rng.choice(vertices), rng.choice(vertices)
@@ -293,7 +292,7 @@ def test_union_find_union_halves_paths_like_two_finds(seed):
     # find(a), find(b) and a link of the two roots would leave
     rng = random.Random(seed)
     vertices = range(rng.randrange(2, 30))
-    uf, ref = UnionFind(vertices), UnionFind(vertices)
+    uf, ref = UnionFind(len(vertices)), UnionFind(len(vertices))
     for _ in range(3 * len(vertices)):
         a, b = rng.choice(vertices), rng.choice(vertices)
         ra, rb = ref.find(a), ref.find(b)
@@ -423,7 +422,7 @@ def test_colour_graph_edge_off_its_colour_raises():
     d = diagram(TREFOIL)
     bad = with_faces(d, {0: {"colour": 1 - d.faces[0].colour}})
     with pytest.raises(InvariantViolation, match="off its colour"):
-        colour_graphs(bad)
+        bad.plane_graphs
 
 
 def test_tait_square_with_mismatched_arc_ends_raises():

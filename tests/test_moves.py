@@ -524,13 +524,25 @@ def test_empty_graph_counts_as_connected():
     assert verify_connectivity(mg) == (True, 0)
 
 
+# sha256 of the repr of [marked_arc_roots(d, arc) for every arc] per diagram,
+# over every corpus entry in both colourings, corpus_names() order, the
+# unswapped build first: the (v_b, v_w) the corner arithmetic gave before
+# marked_arc_roots read them off d.squares.
+FROZEN_MARKED_ARC_ROOTS = "a956d3c8866165e4f1e50353f58a4b887180627b8c1186c3bdee6869a373ac06"
+
+
 def test_marked_arc_roots_are_the_flanking_regions():
-    t = tait("3_1")
-    for arc in range(t.n_arcs):
-        v_b, v_w = marked_arc_roots(t, arc)
-        assert t.face_colour[v_b] == BLACK
-        assert t.face_colour[v_w] == WHITE
-    assert marked_arc_roots(t, 0) == (1, 0)
+    rows = []
+    for name in corpus_names():
+        for swap in (False, True):
+            t = build_diagram(get_entry(name).diagram.pd, swap_colours=swap)
+            rows.append([marked_arc_roots(t, arc) for arc in range(t.n_arcs)])
+            for arc, (v_b, v_w) in enumerate(rows[-1]):
+                assert t.face_colour[v_b] == BLACK
+                assert t.face_colour[v_w] == WHITE
+                assert {v_b, v_w} == {t.edge_region[e] for e in t.squares[arc].edges}
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == FROZEN_MARKED_ARC_ROOTS
+    assert marked_arc_roots(tait("3_1"), 0) == (1, 0)
 
 
 @pytest.mark.parametrize("arc", [-1, 6])
